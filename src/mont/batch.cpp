@@ -397,6 +397,11 @@ BatchIfmaMontCtx::BatchIfmaMontCtx(const bigint::BigInt& m,
   bigint::BigInt r{1};
   r <<= kDb52 * d_;
   pack_plain(r - m.mod_inverse(r), mu52_);
+  // The vpmadd52 batch kernels read n and mu past both ends.
+  for (auto* v : {&n52_, &mu52_}) {
+    v->insert(v->begin(), ifma::kBatchPad, 0);
+    v->resize(d_ + 2 * ifma::kBatchPad, 0);
+  }
 
   std::vector<std::uint64_t> rr_digits, om_digits;
   pack_plain((r * r).mod(m_), rr_digits);
@@ -415,12 +420,10 @@ BatchIfmaMontCtx::BatchIfmaMontCtx(const bigint::BigInt& m,
 
 void BatchIfmaMontCtx::prepare(Workspace& ws) const {
   if (use_ifma_) {
-    const std::size_t acc_len = (2 * d_ + 1) * kBatch;
-    if (ws.acc_lo.size() < acc_len) ws.acc_lo.resize(acc_len);
-    if (ws.acc_hi.size() < acc_len) ws.acc_hi.resize(acc_len);
+    const std::size_t pad = (d_ + 2 * ifma::kBatchPad) * kBatch;
+    if (ws.pad.size() < pad) ws.pad.resize(pad);
     if (ws.t.size() < 2 * d_ * kBatch) ws.t.resize(2 * d_ * kBatch);
     if (ws.q.size() < d_ * kBatch) ws.q.resize(d_ * kBatch);
-    if (ws.c3.size() < kBatch) ws.c3.resize(kBatch);
   } else {
     if (ws.cols.size() < 2 * d_) ws.cols.resize(2 * d_);
     if (ws.la.size() < d_) ws.la.resize(d_);
@@ -503,10 +506,11 @@ void BatchIfmaMontCtx::mul(const Rep& a, const Rep& b, Rep& out,
   assert(a.size() == d_ * kBatch && b.size() == d_ * kBatch);
   prepare(ws);
   out.resize(d_ * kBatch);
+  const std::uint64_t* n = n52_.data() + ifma::kBatchPad;
+  const std::uint64_t* mu = mu52_.data() + ifma::kBatchPad;
   if (use_ifma_) {
-    ifma::batch_mul(a.data(), b.data(), n52_.data(), mu52_.data(), d_,
-                    ws.acc_lo.data(), ws.acc_hi.data(), ws.t.data(),
-                    ws.q.data(), ws.c3.data(), out.data());
+    ifma::batch_mul(a.data(), b.data(), n, mu, d_, ws.pad.data(), ws.t.data(),
+                    ws.q.data(), out.data());
   } else {
     // Gather each lane contiguously, run the verified generic kernel,
     // scatter back — O(d) shuffling around the O(d^2) kernel.
@@ -515,9 +519,8 @@ void BatchIfmaMontCtx::mul(const Rep& a, const Rep& b, Rep& out,
         ws.la[j] = a[j * kBatch + l];
         ws.lb[j] = b[j * kBatch + l];
       }
-      r52::mont_mul_g(ws.la.data(), ws.lb.data(), n52_.data(), mu52_.data(),
-                      d_, ws.cols.data(), ws.lt.data(), ws.lq.data(),
-                      ws.la.data());
+      r52::mont_mul_g(ws.la.data(), ws.lb.data(), n, mu, d_, ws.cols.data(),
+                      ws.lt.data(), ws.lq.data(), ws.la.data());
       for (std::size_t j = 0; j < d_; ++j) out[j * kBatch + l] = ws.la[j];
     }
   }
@@ -535,16 +538,16 @@ void BatchIfmaMontCtx::sqr(const Rep& a, Rep& out, Workspace& ws) const {
   assert(a.size() == d_ * kBatch);
   prepare(ws);
   out.resize(d_ * kBatch);
+  const std::uint64_t* n = n52_.data() + ifma::kBatchPad;
+  const std::uint64_t* mu = mu52_.data() + ifma::kBatchPad;
   if (use_ifma_) {
-    ifma::batch_sqr(a.data(), n52_.data(), mu52_.data(), d_,
-                    ws.acc_lo.data(), ws.acc_hi.data(), ws.t.data(),
-                    ws.q.data(), ws.c3.data(), out.data());
+    ifma::batch_sqr(a.data(), n, mu, d_, ws.pad.data(), ws.t.data(),
+                    ws.q.data(), out.data());
   } else {
     for (std::size_t l = 0; l < kBatch; ++l) {
       for (std::size_t j = 0; j < d_; ++j) ws.la[j] = a[j * kBatch + l];
-      r52::mont_sqr_g(ws.la.data(), n52_.data(), mu52_.data(), d_,
-                      ws.cols.data(), ws.lt.data(), ws.lq.data(),
-                      ws.la.data());
+      r52::mont_sqr_g(ws.la.data(), n, mu, d_, ws.cols.data(), ws.lt.data(),
+                      ws.lq.data(), ws.la.data());
       for (std::size_t j = 0; j < d_; ++j) out[j * kBatch + l] = ws.la[j];
     }
   }

@@ -137,8 +137,7 @@ class BatchIfmaMontCtx {
 
   /// Reusable scratch for mul/sqr/to_mont/from_mont. Not thread-safe.
   struct Workspace {
-    std::vector<std::uint64_t> acc_lo, acc_hi;  // IFMA split accumulators
-    std::vector<std::uint64_t> t, q, c3;        // kernel scratch
+    std::vector<std::uint64_t> pad, t, q;       // IFMA kernel scratch
     std::vector<unsigned __int128> cols;        // portable columns
     std::vector<std::uint64_t> la, lb, lt, lq;  // portable per-lane gather
     Rep rep;                                    // residue-sized scratch
@@ -203,8 +202,10 @@ class BatchIfmaMontCtx {
   bigint::BigInt m_;
   std::size_t d_ = 0;
   bool use_ifma_ = false;
-  std::vector<std::uint64_t> n52_;   // modulus digits (shared, plain)
-  std::vector<std::uint64_t> mu52_;  // -m^-1 mod beta^d (shared, plain)
+  // Modulus and -m^-1 mod beta^d (shared, plain digits), each between
+  // zero digits the vpmadd52 kernels read past both ends.
+  std::vector<std::uint64_t> n52_;
+  std::vector<std::uint64_t> mu52_;
   Rep rr_rep_;     // R^2 mod m broadcast to every lane
   Rep one_plain_;  // plain 1 in every lane
   Rep one_m_;      // R mod m in every lane

@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 
 #include "mont/radix52_kernel.hpp"
 
@@ -221,168 +220,206 @@ void sqr(const std::uint64_t* ap, const std::uint64_t* np,
 }
 
 // -- Batch mode -----------------------------------------------------------
+//
+// 16 independent lanes, digit j of lane l at rep[j*16 + l]: one digit row
+// is two 8-lane registers (halves h = 0, 1). Every sweep is BAND-SCANNED
+// in blocks of four output columns: while the rows i stream past,
+// column k of the block sums the low halves of band k (a_i * b_{k-i}) in
+// one register chain and the high halves of band k-1 (a_i * b_{k-1-i}) in
+// another, per half — 16 independent vpmadd52 chains over both halves.
+// The block's columns are then carry-normalized in registers and each
+// stored once as a digit row. The band operand b is read past either end
+// of its d digits, where its padding is zero, so every row runs the same
+// unmasked body and products outside the d x d square add zero; the rows
+// a block takes are exactly those with a product inside the square. The
+// only branches and indices are on k, i and d, never on digit values.
 
 namespace {
 
-constexpr std::size_t kB = 16;  // lanes per batch (2 x 8-lane registers)
+constexpr std::ptrdiff_t kLanes = 16;  // lanes per batch (2 x 8-lane halves)
+constexpr int kCols = 4;               // output columns per block
+// Blocks read b from digit -kCols up to digit d + kCols - 1.
+static_assert(kBatchPad >= kCols);
 
-// Lane-wise acc[(i+j)] += a_i[l] * b_j[l]: no broadcast — operands differ
-// per lane, which is the whole point of batch mode.
-void batch_product_rows(const std::uint64_t* a, const std::uint64_t* b,
-                        std::size_t d, std::uint64_t* acc_lo,
-                        std::uint64_t* acc_hi) {
-  for (std::size_t i = 0; i < d; ++i) {
-    const __m512i va0 = load(a + i * kB);
-    const __m512i va1 = load(a + i * kB + 8);
-    for (std::size_t j = 0; j < d; ++j) {
-      const __m512i vb0 = load(b + j * kB);
-      const __m512i vb1 = load(b + j * kB + 8);
-      std::uint64_t* lo = acc_lo + (i + j) * kB;
-      std::uint64_t* hi = acc_hi + (i + j + 1) * kB;
-      store(lo, _mm512_madd52lo_epu64(load(lo), va0, vb0));
-      store(lo + 8, _mm512_madd52lo_epu64(load(lo + 8), va1, vb1));
-      store(hi, _mm512_madd52hi_epu64(load(hi), va0, vb0));
-      store(hi + 8, _mm512_madd52hi_epu64(load(hi + 8), va1, vb1));
+// Digit row j of a 16-lane operand, half h.
+struct LaneRows {
+  const std::uint64_t* p;
+  [[nodiscard]] __m512i get(std::ptrdiff_t j, int h) const {
+    return load(p + j * kLanes + 8 * h);
+  }
+};
+
+// A digit every lane shares (modulus, mu): one broadcast serves both halves.
+struct SharedDigits {
+  const std::uint64_t* p;
+  [[nodiscard]] __m512i get(std::ptrdiff_t j, int /*h*/) const {
+    return bcast(p[j]);
+  }
+};
+
+// The register chains of one block of kCols columns starting at k0.
+struct Block {
+  std::ptrdiff_t k0;
+  __m512i lo[kCols][2];
+  __m512i hi[kCols][2];
+
+  explicit Block(std::ptrdiff_t first) : k0(first) {
+    for (int c = 0; c < kCols; ++c) {
+      for (int h = 0; h < 2; ++h) {
+        lo[c][h] = _mm512_setzero_si512();
+        hi[c][h] = _mm512_setzero_si512();
+      }
+    }
+  }
+
+  // Rows [i, end): for every column k = k0 + c, a_i * b_{k-i} (low half)
+  // and a_i * b_{k-1-i} (high half). The band digits slide down by one
+  // per row, so each row loads one new b digit per half; bj holds the
+  // previous row's before the shift.
+  template <class A, class B>
+  void add_rows(const A& a, const B& b, std::ptrdiff_t i,
+                std::ptrdiff_t end) {
+    __m512i bj[2][kCols + 1];
+    for (int h = 0; h < 2; ++h) {
+      for (int c = 0; c < kCols; ++c) bj[h][c] = b.get(k0 - i + c, h);
+      bj[h][kCols] = _mm512_setzero_si512();
+    }
+    for (; i < end; ++i) {
+      for (int h = 0; h < 2; ++h) {
+        for (int c = kCols; c > 0; --c) bj[h][c] = bj[h][c - 1];
+        bj[h][0] = b.get(k0 - 1 - i, h);
+        const __m512i ai = a.get(i, h);
+        for (int c = 0; c < kCols; ++c) {
+          lo[c][h] = _mm512_madd52lo_epu64(lo[c][h], ai, bj[h][c + 1]);
+          hi[c][h] = _mm512_madd52hi_epu64(hi[c][h], ai, bj[h][c]);
+        }
+      }
+    }
+  }
+
+  [[nodiscard]] __m512i sum(int c, int h) const {
+    return _mm512_add_epi64(lo[c][h], hi[c][h]);
+  }
+};
+
+// Calls emit(k, h, sum) for each column k in [k_begin, k_end), in order,
+// of the d x d digit product a * b (b padded). The block at k0 takes rows
+// [max(0, k0-d), min(d, k0+kCols)): every row with a product in it.
+template <class A, class B, class Emit>
+inline void product_columns(const A& a, const B& b, std::ptrdiff_t d,
+                            std::ptrdiff_t k_begin, std::ptrdiff_t k_end,
+                            Emit&& emit) {
+  for (std::ptrdiff_t k0 = k_begin; k0 < k_end; k0 += kCols) {
+    Block blk(k0);
+    const std::ptrdiff_t last = std::min(d, k0 + kCols);
+    blk.add_rows(a, b, std::max<std::ptrdiff_t>(0, k0 - d), last);
+#pragma GCC unroll 8  // constant c keeps blk in registers
+    for (int c = 0; c < kCols; ++c) {
+      if (k0 + c >= k_end) break;
+      for (int h = 0; h < 2; ++h) emit(k0 + c, h, blk.sum(c, h));
     }
   }
 }
 
-// Lane-wise carry-normalization of `count` column rows into digit rows.
-void batch_normalize(const std::uint64_t* acc_lo, const std::uint64_t* acc_hi,
-                     std::size_t count, std::uint64_t* t) {
-  const __m512i vmask = bcast(kMask);
-  __m512i c0 = _mm512_setzero_si512();
-  __m512i c1 = _mm512_setzero_si512();
-  for (std::size_t k = 0; k < count; ++k) {
-    const __m512i v0 = _mm512_add_epi64(
-        _mm512_add_epi64(load(acc_lo + k * kB), load(acc_hi + k * kB)), c0);
-    const __m512i v1 = _mm512_add_epi64(
-        _mm512_add_epi64(load(acc_lo + k * kB + 8), load(acc_hi + k * kB + 8)),
-        c1);
-    store(t + k * kB, _mm512_and_si512(v0, vmask));
-    store(t + k * kB + 8, _mm512_and_si512(v1, vmask));
-    c0 = _mm512_srli_epi64(v0, kDb);
-    c1 = _mm512_srli_epi64(v1, kDb);
+// Emitter that carry-normalizes column sums into the digit rows of dst.
+struct RowWriter {
+  std::uint64_t* dst;
+  __m512i carry[2] = {_mm512_setzero_si512(), _mm512_setzero_si512()};
+  // Stores the 52-bit digit of v + carry as half h of row k; returns it.
+  __m512i operator()(std::ptrdiff_t k, int h, __m512i v) {
+    v = _mm512_add_epi64(v, carry[h]);
+    const __m512i digit = _mm512_and_si512(v, bcast(kMask));
+    store(dst + k * kLanes + 8 * h, digit);
+    carry[h] = _mm512_srli_epi64(v, kDb);
+    return digit;
   }
+};
+
+// Copies the d digit rows of x into buf between kBatchPad zero rows on
+// each side; returns the padded operand's row 0.
+const std::uint64_t* pad_rows(const std::uint64_t* x, std::ptrdiff_t d,
+                              std::uint64_t* buf) {
+  const std::ptrdiff_t pad = static_cast<std::ptrdiff_t>(kBatchPad) * kLanes;
+  std::uint64_t* rows = buf + pad;
+  for (std::ptrdiff_t w = 0; w < pad; w += 8) {
+    store(buf + w, _mm512_setzero_si512());
+    store(rows + d * kLanes + w, _mm512_setzero_si512());
+  }
+  for (std::ptrdiff_t w = 0; w < d * kLanes; w += 8) {
+    store(rows + w, load(x + w));
+  }
+  return rows;
 }
 
+// Exact carry out of the discarded low half, lane-wise, from the raw
+// columns x = d-2 and y = d-1 (T_lo included): y >> 52 plus the ceiling
+// of s / beta^2, s = (y mod beta) * beta + x. With u = (y mod beta) +
+// (x >> 52), s >> 104 = u >> 52, and s mod 2^104 is nonzero iff
+// (u mod beta) | (x mod beta) is — a compare mask, so no branch.
+inline __m512i low_half_carry(__m512i x, __m512i y) {
+  const __m512i vmask = bcast(kMask);
+  const __m512i u = _mm512_add_epi64(_mm512_and_si512(y, vmask),
+                                     _mm512_srli_epi64(x, kDb));
+  const __m512i frac = _mm512_and_si512(_mm512_or_si512(u, x), vmask);
+  const __mmask8 nonzero = _mm512_test_epi64_mask(frac, frac);
+  const __m512i floor = _mm512_add_epi64(_mm512_srli_epi64(y, kDb),
+                                         _mm512_srli_epi64(u, kDb));
+  return _mm512_mask_add_epi64(floor, nonzero, floor, bcast(1));
+}
+
+// Truncated REDC of the normalized 2d-row product t, lane-wise: the
+// arithmetic of redc() above, band-scanned.
 void batch_redc(const std::uint64_t* t, const std::uint64_t* n,
-                const std::uint64_t* mu, std::size_t d, std::uint64_t* acc_lo,
-                std::uint64_t* acc_hi, std::uint64_t* q, std::uint64_t* c3,
+                const std::uint64_t* mu, std::ptrdiff_t d, std::uint64_t* q,
                 std::uint64_t* out) {
-  const std::size_t acc_len = (2 * d + 1) * kB;
-  std::memset(acc_lo, 0, acc_len * sizeof(std::uint64_t));
-  std::memset(acc_hi, 0, acc_len * sizeof(std::uint64_t));
+  const LaneRows tr{t};
+  const SharedDigits nd{n};
 
-  // Q = T_lo * mu mod R, lower triangle; mu is shared so IT is broadcast.
-  for (std::size_t i = 0; i < d; ++i) {
-    const __m512i va0 = load(t + i * kB);
-    const __m512i va1 = load(t + i * kB + 8);
-    const std::size_t jmax = d - i;
-    for (std::size_t j = 0; j < jmax; ++j) {
-      const __m512i vb = bcast(mu[j]);
-      std::uint64_t* lo = acc_lo + (i + j) * kB;
-      std::uint64_t* hi = acc_hi + (i + j + 1) * kB;
-      store(lo, _mm512_madd52lo_epu64(load(lo), va0, vb));
-      store(lo + 8, _mm512_madd52lo_epu64(load(lo + 8), va1, vb));
-      store(hi, _mm512_madd52hi_epu64(load(hi), va0, vb));
-      store(hi + 8, _mm512_madd52hi_epu64(load(hi + 8), va1, vb));
+  // Q = T_lo * mu mod R: columns < d only (rows < d, so T_hi stays out);
+  // the carry past column d-1 is dropped.
+  product_columns(tr, SharedDigits{mu}, d, 0, d, RowWriter{q});
+
+  // Upper product Q*N from column d-2 up. Columns d-2 and d-1 yield c3,
+  // which seeds the carry of columns d.. — out = T_hi +
+  // floor(Q*N / R) + c3 — and the borrow of out - n is scanned on the way.
+  RowWriter w{out};
+  __m512i x[2] = {_mm512_setzero_si512(), _mm512_setzero_si512()};
+  __m512i borrow[2] = {_mm512_setzero_si512(), _mm512_setzero_si512()};
+  product_columns(
+      LaneRows{q}, nd, d, d - 2, 2 * d,
+      [&](std::ptrdiff_t k, int h, __m512i sum) {
+        const __m512i v = _mm512_add_epi64(sum, tr.get(k, h));
+        if (k == d - 2) {
+          x[h] = v;
+        } else if (k == d - 1) {
+          w.carry[h] = low_half_carry(x[h], v);
+        } else {
+          const __m512i digit = w(k - d, h, v);
+          const __m512i diff = _mm512_sub_epi64(
+              _mm512_sub_epi64(digit, nd.get(k - d, h)), borrow[h]);
+          borrow[h] = _mm512_srli_epi64(diff, 63);
+        }
+      });
+
+  // Constant-time conditional subtract per lane: n is masked in iff the
+  // top carry is set or out >= n (no borrow emerged), else out - 0.
+  __mmask8 sub[2];
+  for (int h = 0; h < 2; ++h) {
+    sub[h] = static_cast<__mmask8>(
+        _mm512_test_epi64_mask(w.carry[h], w.carry[h]) |
+        _mm512_testn_epi64_mask(borrow[h], borrow[h]));
+    borrow[h] = _mm512_setzero_si512();
+  }
+  for (std::ptrdiff_t j = 0; j < d; ++j) {
+    for (int h = 0; h < 2; ++h) {
+      std::uint64_t* row = out + j * kLanes + 8 * h;
+      const __m512i vn =
+          _mm512_maskz_set1_epi64(sub[h], static_cast<long long>(n[j]));
+      const __m512i diff =
+          _mm512_sub_epi64(_mm512_sub_epi64(load(row), vn), borrow[h]);
+      store(row, _mm512_and_si512(diff, bcast(kMask)));
+      borrow[h] = _mm512_srli_epi64(diff, 63);
     }
-  }
-  batch_normalize(acc_lo, acc_hi, d, q);
-
-  std::memset(acc_lo, 0, acc_len * sizeof(std::uint64_t));
-  std::memset(acc_hi, 0, acc_len * sizeof(std::uint64_t));
-  // Upper product Q*N from bands >= d-3 (row granularity: no overshoot).
-  for (std::size_t i = 0; i < d; ++i) {
-    const __m512i va0 = load(q + i * kB);
-    const __m512i va1 = load(q + i * kB + 8);
-    const std::size_t j0 = (i + 3 >= d) ? 0 : d - 3 - i;
-    for (std::size_t j = j0; j < d; ++j) {
-      const __m512i vb = bcast(n[j]);
-      std::uint64_t* lo = acc_lo + (i + j) * kB;
-      std::uint64_t* hi = acc_hi + (i + j + 1) * kB;
-      store(lo, _mm512_madd52lo_epu64(load(lo), va0, vb));
-      store(lo + 8, _mm512_madd52lo_epu64(load(lo + 8), va1, vb));
-      store(hi, _mm512_madd52hi_epu64(load(hi), va0, vb));
-      store(hi + 8, _mm512_madd52hi_epu64(load(hi + 8), va1, vb));
-    }
-  }
-
-  // Per-lane exact low-half carry (scalar 128-bit; 16 lanes is negligible
-  // next to the d^2 sweeps above).
-  for (std::size_t l = 0; l < kB; ++l) {
-    const std::size_t i2 = (d - 2) * kB + l;
-    const std::size_t i1 = (d - 1) * kB + l;
-    const std::uint64_t x = acc_lo[i2] + acc_hi[i2] + t[i2];
-    const std::uint64_t y = acc_lo[i1] + acc_hi[i1] + t[i1];
-    const unsigned __int128 s =
-        (static_cast<unsigned __int128>(y & kMask) << kDb) + x;
-    const std::uint64_t frac_low = static_cast<std::uint64_t>(s);
-    const std::uint64_t frac_mid = static_cast<std::uint64_t>(s >> 64) &
-                                   ((std::uint64_t{1} << 40) - 1);
-    c3[l] = (y >> kDb) + static_cast<std::uint64_t>(s >> 104) +
-            static_cast<std::uint64_t>((frac_low | frac_mid) != 0);
-  }
-
-  // Result rows + lane-wise constant-time conditional subtract.
-  const __m512i vmask = bcast(kMask);
-  const __m512i vone = bcast(1);
-  __m512i carry0 = load(c3);
-  __m512i carry1 = load(c3 + 8);
-  for (std::size_t k = 0; k < d; ++k) {
-    const std::size_t row = (d + k) * kB;
-    const __m512i v0 = _mm512_add_epi64(
-        _mm512_add_epi64(_mm512_add_epi64(load(acc_lo + row),
-                                          load(acc_hi + row)),
-                         load(t + row)),
-        carry0);
-    const __m512i v1 = _mm512_add_epi64(
-        _mm512_add_epi64(_mm512_add_epi64(load(acc_lo + row + 8),
-                                          load(acc_hi + row + 8)),
-                         load(t + row + 8)),
-        carry1);
-    store(out + k * kB, _mm512_and_si512(v0, vmask));
-    store(out + k * kB + 8, _mm512_and_si512(v1, vmask));
-    carry0 = _mm512_srli_epi64(v0, kDb);
-    carry1 = _mm512_srli_epi64(v1, kDb);
-  }
-  const __m512i top0 = carry0;  // 0 or 1 per lane
-  const __m512i top1 = carry1;
-
-  __m512i borrow0 = _mm512_setzero_si512();
-  __m512i borrow1 = _mm512_setzero_si512();
-  for (std::size_t j = 0; j < d; ++j) {
-    const __m512i vn = bcast(n[j]);
-    const __m512i d0 = _mm512_sub_epi64(
-        _mm512_sub_epi64(load(out + j * kB), vn), borrow0);
-    const __m512i d1 = _mm512_sub_epi64(
-        _mm512_sub_epi64(load(out + j * kB + 8), vn), borrow1);
-    borrow0 = _mm512_srli_epi64(d0, 63);
-    borrow1 = _mm512_srli_epi64(d1, 63);
-  }
-  // Subtract iff the overflow lane is set or out >= n (no borrow): both
-  // inputs are single-bit values, so OR gives 0/1 and 0 - ge is the mask.
-  const __m512i ge0 =
-      _mm512_or_si512(top0, _mm512_sub_epi64(vone, borrow0));
-  const __m512i ge1 =
-      _mm512_or_si512(top1, _mm512_sub_epi64(vone, borrow1));
-  const __m512i smask0 = _mm512_sub_epi64(_mm512_setzero_si512(), ge0);
-  const __m512i smask1 = _mm512_sub_epi64(_mm512_setzero_si512(), ge1);
-  borrow0 = _mm512_setzero_si512();
-  borrow1 = _mm512_setzero_si512();
-  for (std::size_t j = 0; j < d; ++j) {
-    const __m512i vn = bcast(n[j]);
-    const __m512i d0 = _mm512_sub_epi64(
-        _mm512_sub_epi64(load(out + j * kB), _mm512_and_si512(vn, smask0)),
-        borrow0);
-    const __m512i d1 = _mm512_sub_epi64(
-        _mm512_sub_epi64(load(out + j * kB + 8), _mm512_and_si512(vn, smask1)),
-        borrow1);
-    store(out + j * kB, _mm512_and_si512(d0, vmask));
-    store(out + j * kB + 8, _mm512_and_si512(d1, vmask));
-    borrow0 = _mm512_srli_epi64(d0, 63);
-    borrow1 = _mm512_srli_epi64(d1, 63);
   }
 }
 
@@ -390,53 +427,62 @@ void batch_redc(const std::uint64_t* t, const std::uint64_t* n,
 
 void batch_mul(const std::uint64_t* a, const std::uint64_t* b,
                const std::uint64_t* n, const std::uint64_t* mu, std::size_t d,
-               std::uint64_t* acc_lo, std::uint64_t* acc_hi, std::uint64_t* t,
-               std::uint64_t* q, std::uint64_t* c3, std::uint64_t* out) {
-  const std::size_t acc_len = (2 * d + 1) * kB;
-  std::memset(acc_lo, 0, acc_len * sizeof(std::uint64_t));
-  std::memset(acc_hi, 0, acc_len * sizeof(std::uint64_t));
-  batch_product_rows(a, b, d, acc_lo, acc_hi);
-  batch_normalize(acc_lo, acc_hi, 2 * d, t);
-  batch_redc(t, n, mu, d, acc_lo, acc_hi, q, c3, out);
+               std::uint64_t* pad, std::uint64_t* t, std::uint64_t* q,
+               std::uint64_t* out) {
+  const auto sd = static_cast<std::ptrdiff_t>(d);
+  // T = A * B < beta^(2d): no carry leaves column 2d-1.
+  product_columns(LaneRows{a}, LaneRows{pad_rows(b, sd, pad)}, sd, 0, 2 * sd,
+                  RowWriter{t});
+  batch_redc(t, n, mu, sd, q, out);
 }
 
 void batch_sqr(const std::uint64_t* a, const std::uint64_t* n,
-               const std::uint64_t* mu, std::size_t d, std::uint64_t* acc_lo,
-               std::uint64_t* acc_hi, std::uint64_t* t, std::uint64_t* q,
-               std::uint64_t* c3, std::uint64_t* out) {
-  const std::size_t acc_len = (2 * d + 1) * kB;
-  std::memset(acc_lo, 0, acc_len * sizeof(std::uint64_t));
-  std::memset(acc_hi, 0, acc_len * sizeof(std::uint64_t));
-  // Off-diagonal once, double the accumulators, then the diagonal — same
-  // scheme as the latency-mode sqr, lane-wise.
-  for (std::size_t i = 0; i < d; ++i) {
-    const __m512i va0 = load(a + i * kB);
-    const __m512i va1 = load(a + i * kB + 8);
-    for (std::size_t j = i + 1; j < d; ++j) {
-      const __m512i vb0 = load(a + j * kB);
-      const __m512i vb1 = load(a + j * kB + 8);
-      std::uint64_t* lo = acc_lo + (i + j) * kB;
-      std::uint64_t* hi = acc_hi + (i + j + 1) * kB;
-      store(lo, _mm512_madd52lo_epu64(load(lo), va0, vb0));
-      store(lo + 8, _mm512_madd52lo_epu64(load(lo + 8), va1, vb1));
-      store(hi, _mm512_madd52hi_epu64(load(hi), va0, vb0));
-      store(hi + 8, _mm512_madd52hi_epu64(load(hi + 8), va1, vb1));
+               const std::uint64_t* mu, std::size_t d, std::uint64_t* pad,
+               std::uint64_t* t, std::uint64_t* q, std::uint64_t* out) {
+  // Each off-diagonal product a_i * a_j (i < j) once, the columns doubled
+  // in registers, then the diagonal squares added — the latency sqr's
+  // scheme, band-scanned. Block k0 = 2m (kCols = 4) gets every pair with
+  // i < m from whole rows; rows m and m+1 cross the diagonal and add only
+  // their pairs with j > i.
+  static_assert(kCols == 4, "the diagonal rows below assume 4 columns");
+  const auto sd = static_cast<std::ptrdiff_t>(d);
+  const LaneRows ar{pad_rows(a, sd, pad)};  // rows >= d read as zero
+  RowWriter w{t};
+  for (std::ptrdiff_t k0 = 0; k0 < 2 * sd; k0 += kCols) {
+    const std::ptrdiff_t m = k0 / 2;
+    Block blk(k0);
+    blk.add_rows(ar, ar, std::max<std::ptrdiff_t>(0, k0 - sd), m);
+    __m512i col[kCols][2];
+    for (int h = 0; h < 2; ++h) {
+      const __m512i a0 = ar.get(m, h);
+      const __m512i a1 = ar.get(m + 1, h);
+      const __m512i a2 = ar.get(m + 2, h);
+      const __m512i a3 = ar.get(m + 3, h);
+      // Row m: low halves into columns k0+1.., high halves into k0+2..
+      blk.lo[1][h] = _mm512_madd52lo_epu64(blk.lo[1][h], a0, a1);
+      blk.lo[2][h] = _mm512_madd52lo_epu64(blk.lo[2][h], a0, a2);
+      blk.lo[3][h] = _mm512_madd52lo_epu64(blk.lo[3][h], a0, a3);
+      blk.hi[2][h] = _mm512_madd52hi_epu64(blk.hi[2][h], a0, a1);
+      blk.hi[3][h] = _mm512_madd52hi_epu64(blk.hi[3][h], a0, a2);
+      // Row m+1: only a_{m+1} * a_{m+2}'s low half, into column k0+3.
+      blk.lo[3][h] = _mm512_madd52lo_epu64(blk.lo[3][h], a1, a2);
+      for (int c = 0; c < kCols; ++c) {
+        const __m512i s = blk.sum(c, h);
+        col[c][h] = _mm512_add_epi64(s, s);
+      }
+      // Diagonal squares: a_m^2 into columns k0, k0+1; a_{m+1}^2 into
+      // k0+2, k0+3.
+      col[0][h] = _mm512_madd52lo_epu64(col[0][h], a0, a0);
+      col[1][h] = _mm512_madd52hi_epu64(col[1][h], a0, a0);
+      col[2][h] = _mm512_madd52lo_epu64(col[2][h], a1, a1);
+      col[3][h] = _mm512_madd52hi_epu64(col[3][h], a1, a1);
+    }
+    for (int c = 0; c < kCols; ++c) {
+      if (k0 + c >= 2 * sd) break;
+      for (int h = 0; h < 2; ++h) w(k0 + c, h, col[c][h]);
     }
   }
-  for (std::size_t k = 0; k < acc_len; ++k) acc_lo[k] <<= 1;
-  for (std::size_t k = 0; k < acc_len; ++k) acc_hi[k] <<= 1;
-  for (std::size_t i = 0; i < d; ++i) {
-    std::uint64_t* lo = acc_lo + 2 * i * kB;
-    std::uint64_t* hi = acc_hi + (2 * i + 1) * kB;
-    const __m512i va0 = load(a + i * kB);
-    const __m512i va1 = load(a + i * kB + 8);
-    store(lo, _mm512_madd52lo_epu64(load(lo), va0, va0));
-    store(lo + 8, _mm512_madd52lo_epu64(load(lo + 8), va1, va1));
-    store(hi, _mm512_madd52hi_epu64(load(hi), va0, va0));
-    store(hi + 8, _mm512_madd52hi_epu64(load(hi + 8), va1, va1));
-  }
-  batch_normalize(acc_lo, acc_hi, 2 * d, t);
-  batch_redc(t, n, mu, d, acc_lo, acc_hi, q, c3, out);
+  batch_redc(t, n, mu, sd, q, out);
 }
 
 }  // namespace phissl::mont::ifma
@@ -467,14 +513,13 @@ void sqr(const std::uint64_t*, const std::uint64_t*, const std::uint64_t*,
 }
 void batch_mul(const std::uint64_t*, const std::uint64_t*,
                const std::uint64_t*, const std::uint64_t*, std::size_t,
-               std::uint64_t*, std::uint64_t*, std::uint64_t*, std::uint64_t*,
-               std::uint64_t*, std::uint64_t*) {
+               std::uint64_t*, std::uint64_t*, std::uint64_t*,
+               std::uint64_t*) {
   unavailable();
 }
 void batch_sqr(const std::uint64_t*, const std::uint64_t*,
                const std::uint64_t*, std::size_t, std::uint64_t*,
-               std::uint64_t*, std::uint64_t*, std::uint64_t*, std::uint64_t*,
-               std::uint64_t*) {
+               std::uint64_t*, std::uint64_t*, std::uint64_t*) {
   unavailable();
 }
 

@@ -10,8 +10,8 @@
 // Representation: 52-bit digits in 64-bit words. Products are accumulated
 // SPLIT — low-52 halves of the digit products land in their own column,
 // high-52 halves one column up (vpmadd52huq's band) — so no carry
-// propagates inside the product sweeps; one scalar normalization pass per
-// sweep recovers the 52-bit digits.
+// propagates inside the product sweeps; one normalization pass per sweep
+// (scalar in latency mode, lane-wise in batch mode) recovers the digits.
 #pragma once
 
 #include <cstddef>
@@ -41,19 +41,28 @@ void sqr(const std::uint64_t* ap, const std::uint64_t* np,
          const std::uint64_t* mup, std::size_t d, std::uint64_t* cols,
          std::uint64_t* t, std::uint64_t* q, std::uint64_t* out);
 
-// -- Batch mode: 16 independent lanes, two 8-lane registers per digit ----
-// row, digit-major transposed layout rep[j*16 + l]. n and mu are shared
-// (plain d-word digit vectors). acc_lo / acc_hi: (2*d + 1) * 16 words.
-// t: 2*d*16. q: d*16. c3: 16. out: d*16; may alias a or b.
+// -- Batch mode: 16 independent lanes, band-scanned register accumulation.
+// Digit-major transposed layout rep[j*16 + l]: one digit row is two 8-lane
+// registers. Output columns are summed in registers, a block of four at a
+// time, and each is stored once as a digit row. The band operand is read
+// up to kBatchPad digits past either end of its d digits, where it must
+// read zero: n and mu (shared plain digit vectors, broadcast) point
+// kBatchPad zero words into such a buffer, and the kernels copy the
+// per-lane band operand (b for mul, a for sqr) into `pad` —
+// (d + 2*kBatchPad) * 16 words of scratch. t: 2*d*16 words, the
+// normalized product; q: d*16, the quotient. Every scratch word is
+// written before it is read, so none needs zeroing. out: d*16 words,
+// written only after a and b are last read, so it may alias either.
+
+inline constexpr std::size_t kBatchPad = 4;
 
 void batch_mul(const std::uint64_t* a, const std::uint64_t* b,
                const std::uint64_t* n, const std::uint64_t* mu, std::size_t d,
-               std::uint64_t* acc_lo, std::uint64_t* acc_hi, std::uint64_t* t,
-               std::uint64_t* q, std::uint64_t* c3, std::uint64_t* out);
+               std::uint64_t* pad, std::uint64_t* t, std::uint64_t* q,
+               std::uint64_t* out);
 
 void batch_sqr(const std::uint64_t* a, const std::uint64_t* n,
-               const std::uint64_t* mu, std::size_t d, std::uint64_t* acc_lo,
-               std::uint64_t* acc_hi, std::uint64_t* t, std::uint64_t* q,
-               std::uint64_t* c3, std::uint64_t* out);
+               const std::uint64_t* mu, std::size_t d, std::uint64_t* pad,
+               std::uint64_t* t, std::uint64_t* q, std::uint64_t* out);
 
 }  // namespace phissl::mont::ifma

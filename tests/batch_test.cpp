@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <utility>
+#include <vector>
 
 #include "bigint/bigint.hpp"
 #include "mont/batch.hpp"
@@ -27,6 +29,33 @@ std::array<BigInt, kB> random_lanes(const BigInt& m, util::Rng& rng) {
   std::array<BigInt, kB> xs;
   for (auto& x : xs) x = BigInt::random_below(m, rng);
   return xs;
+}
+
+// Random lanes with 0, 1 and m-1 among them.
+std::array<BigInt, kB> edge_lanes(const BigInt& m, util::Rng& rng) {
+  auto xs = random_lanes(m, rng);
+  xs[0] = BigInt{};
+  xs[1] = BigInt{1};
+  xs[2] = m - BigInt{1};
+  xs[15] = m - BigInt{1};
+  return xs;
+}
+
+// Moduli at the radix-52 batch kernels' digit edges: d = 3 (104 bits, the
+// minimum d, and 105), a full top digit (1040 and 2080 bits) and one bit
+// past it (1041) — each random, all-ones and sparse (2^(bits-1) + 1).
+std::vector<BigInt> edge_moduli(util::Rng& rng) {
+  std::vector<BigInt> ms;
+  for (const std::size_t bits : {104u, 105u, 1040u, 1041u, 2080u}) {
+    ms.push_back(BigInt::random_odd_exact_bits(bits, rng));
+    BigInt all_ones{1};
+    all_ones <<= bits;
+    ms.push_back(all_ones - BigInt{1});
+    BigInt sparse{1};
+    sparse <<= bits - 1;
+    ms.push_back(sparse + BigInt{1});
+  }
+  return ms;
 }
 
 TEST(BatchMont, RejectsBadConfigs) {
@@ -202,60 +231,73 @@ TEST(BatchMont, DifferentDigitWidthsAgree) {
 TEST(BatchIfmaMont, MulAndSqrMatchOraclePerLane) {
   static_assert(BatchIfmaMontCtx::kBatch == BatchVectorMontCtx::kBatch);
   util::Rng rng(22);
+  std::vector<BigInt> moduli = edge_moduli(rng);
   for (std::size_t bits : {128u, 1024u, 2048u}) {
-    const BigInt m = BigInt::random_odd_exact_bits(bits, rng);
+    moduli.push_back(BigInt::random_odd_exact_bits(bits, rng));
+  }
+  for (const BigInt& m : moduli) {
+    const std::size_t bits = m.bit_length();
     const BatchIfmaMontCtx ctx(m);
-    auto xs = random_lanes(m, rng);
-    auto ys = random_lanes(m, rng);
-    xs[0] = BigInt{};
-    xs[1] = BigInt{1};
-    xs[2] = m - BigInt{1};
-    ys[2] = m - BigInt{1};
+    const auto xs = edge_lanes(m, rng);
+    auto ys = edge_lanes(m, rng);
+    std::swap(ys[1], ys[2]);  // also pairs 1 with m-1 and m-1 with 1
     BatchIfmaMontCtx::Rep out, s, p;
     const auto xm = ctx.to_mont(xs);
     ctx.mul(xm, ctx.to_mont(ys), out);
     const auto got = ctx.from_mont(out);
     ctx.sqr(xm, s);
     ctx.mul(xm, xm, p);
-    EXPECT_EQ(s, p) << "bits=" << bits;
+    EXPECT_EQ(s, p) << "bits=" << bits << " m=" << m.to_hex();
     const auto got_sqr = ctx.from_mont(s);
     for (std::size_t l = 0; l < kB; ++l) {
-      EXPECT_EQ(got[l], (xs[l] * ys[l]).mod(m)) << "bits=" << bits
-                                                << " lane=" << l;
-      EXPECT_EQ(got_sqr[l], (xs[l] * xs[l]).mod(m)) << "bits=" << bits
-                                                    << " lane=" << l;
+      EXPECT_EQ(got[l], (xs[l] * ys[l]).mod(m))
+          << "bits=" << bits << " m=" << m.to_hex() << " lane=" << l;
+      EXPECT_EQ(got_sqr[l], (xs[l] * xs[l]).mod(m))
+          << "bits=" << bits << " m=" << m.to_hex() << " lane=" << l;
     }
   }
 }
 
 TEST(BatchIfmaMont, PortableLanesMatchDispatchedLanes) {
   util::Rng rng(23);
-  const BigInt m = BigInt::random_odd_exact_bits(768, rng);
-  const BatchIfmaMontCtx dispatched(m);
-  const BatchIfmaMontCtx portable(m, /*force_portable=*/true);
-  const auto xs = random_lanes(m, rng);
-  const auto ys = random_lanes(m, rng);
-  BatchIfmaMontCtx::Rep od, op;
-  dispatched.mul(dispatched.to_mont(xs), dispatched.to_mont(ys), od);
-  portable.mul(portable.to_mont(xs), portable.to_mont(ys), op);
-  EXPECT_EQ(od, op);  // bit-identical residues, not merely congruent
+  std::vector<BigInt> moduli = edge_moduli(rng);
+  moduli.push_back(BigInt::random_odd_exact_bits(768, rng));
+  for (const BigInt& m : moduli) {
+    const BatchIfmaMontCtx dispatched(m);
+    const BatchIfmaMontCtx portable(m, /*force_portable=*/true);
+    const auto xm = dispatched.to_mont(edge_lanes(m, rng));
+    const auto ym = portable.to_mont(edge_lanes(m, rng));
+    // Bit-identical residues, not merely congruent.
+    BatchIfmaMontCtx::Rep od, op;
+    dispatched.mul(xm, ym, od);
+    portable.mul(xm, ym, op);
+    EXPECT_EQ(od, op) << "mul bits=" << m.bit_length() << " m=" << m.to_hex();
+    dispatched.sqr(xm, od);
+    portable.sqr(xm, op);
+    EXPECT_EQ(od, op) << "sqr bits=" << m.bit_length() << " m=" << m.to_hex();
+  }
 }
 
 TEST(BatchIfmaMont, SharedExponentExpMatchesSingleStream) {
   // The batched radix-52 schedule against the single-stream IfmaMontCtx
   // and the KNC-style batch — all three must agree lane-wise.
   util::Rng rng(24);
-  const BigInt m = BigInt::random_odd_exact_bits(512, rng);
-  const BatchIfmaMontCtx batch(m);
-  const BatchVectorMontCtx knc(m);
-  const IfmaMontCtx single(m);
-  const auto xs = random_lanes(m, rng);
-  const BigInt exp = BigInt::random_bits(512, rng);
-  const auto got = batch.mod_exp(xs, exp);
-  const auto knc_got = knc.mod_exp(xs, exp);
-  for (std::size_t l = 0; l < kB; ++l) {
-    EXPECT_EQ(got[l], fixed_window_exp(single, xs[l], exp)) << l;
-    EXPECT_EQ(got[l], knc_got[l]) << l;
+  std::vector<BigInt> moduli = edge_moduli(rng);
+  moduli.push_back(BigInt::random_odd_exact_bits(512, rng));
+  for (const BigInt& m : moduli) {
+    const BatchIfmaMontCtx batch(m);
+    const BatchVectorMontCtx knc(m);
+    const IfmaMontCtx single(m);
+    const auto xs = edge_lanes(m, rng);
+    const BigInt exp = BigInt::random_bits(m.bit_length(), rng);
+    const auto got = batch.mod_exp(xs, exp);
+    const auto knc_got = knc.mod_exp(xs, exp);
+    for (std::size_t l = 0; l < kB; ++l) {
+      EXPECT_EQ(got[l], fixed_window_exp(single, xs[l], exp))
+          << "bits=" << m.bit_length() << " m=" << m.to_hex() << " lane=" << l;
+      EXPECT_EQ(got[l], knc_got[l])
+          << "bits=" << m.bit_length() << " m=" << m.to_hex() << " lane=" << l;
+    }
   }
 }
 

@@ -7,8 +7,9 @@
 // sitting next to the REDC R boundary, prime and CRT-shaped (p*q,
 // prime-adjacent) moduli. Every backend must agree with the reference
 // bit-exactly on every vector — scalar32, scalar64, the KNC-style
-// redundant-radix vector context, the 16-lane batch context, and both
-// instantiations (native, portable) of the radix-52 IFMA context.
+// redundant-radix vector context, both instantiations (native, portable)
+// of the radix-52 IFMA context, and the 16-lane batch contexts: knc_vec
+// and radix-52, the latter native and portable.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -16,6 +17,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bigint/bigint.hpp"
@@ -154,37 +156,62 @@ TEST(VectorsTest, SlidingWindowAgrees) {
   EXPECT_GT(n, 100u);
 }
 
-// 16-lane batch context: mul and sqr vectors replay 16 at a time (the
-// tail of each modulus group pads by repetition). Each lane must match
-// its own reference result.
-TEST(VectorsTest, BatchAgrees) {
+// The 16-lane batch contexts, one type each for the typed replay below.
+struct KncVecBatch {
+  using Ctx = BatchVectorMontCtx;
+  static Ctx make(const BigInt& m) { return Ctx(m); }
+};
+struct Ifma52Batch {  // vpmadd52 kernels when the CPU has them
+  using Ctx = BatchIfmaMontCtx;
+  static Ctx make(const BigInt& m) { return Ctx(m); }
+};
+struct Ifma52PortableBatch {
+  using Ctx = BatchIfmaMontCtx;
+  static Ctx make(const BigInt& m) { return Ctx(m, /*force_portable=*/true); }
+};
+
+template <typename T>
+class VectorsBatchTest : public ::testing::Test {};
+
+using BatchCtxTypes =
+    ::testing::Types<KncVecBatch, Ifma52Batch, Ifma52PortableBatch>;
+TYPED_TEST_SUITE(VectorsBatchTest, BatchCtxTypes);
+
+// Batch contexts: mul vectors replay 16 at a time through ctx.mul and sqr
+// vectors through ctx.sqr (the tail of each modulus group pads by
+// repetition). Each lane must match its own reference result.
+TYPED_TEST(VectorsBatchTest, Agrees) {
+  using Ctx = typename TypeParam::Ctx;
+  constexpr std::size_t kB = Ctx::kBatch;
   std::size_t n = 0;
   for (const auto& g : groups()) {
-    const BatchVectorMontCtx ctx(g.m);
-    std::vector<const Vec*> work;
-    for (const auto& v : g.vecs) {
-      if (v.op == "mul" || v.op == "sqr") work.push_back(&v);
-    }
-    for (std::size_t base = 0; base < work.size();
-         base += BatchVectorMontCtx::kBatch) {
-      std::array<BigInt, BatchVectorMontCtx::kBatch> as, bs;
-      for (std::size_t l = 0; l < BatchVectorMontCtx::kBatch; ++l) {
-        const Vec& v = *work[std::min(base + l, work.size() - 1)];
-        as[l] = v.a;
-        bs[l] = v.op == "mul" ? v.b : v.a;
+    const Ctx ctx = TypeParam::make(g.m);
+    for (const char* op : {"mul", "sqr"}) {
+      std::vector<const Vec*> work;
+      for (const auto& v : g.vecs) {
+        if (v.op == op) work.push_back(&v);
       }
-      const auto am = ctx.to_mont(as);
-      const auto bm = ctx.to_mont(bs);
-      BatchVectorMontCtx::Rep prod(ctx.rep_size());
-      ctx.mul(am, bm, prod);
-      const auto got = ctx.from_mont(prod);
-      for (std::size_t l = 0; l < BatchVectorMontCtx::kBatch; ++l) {
-        const std::size_t i = std::min(base + l, work.size() - 1);
-        const Vec& v = *work[i];
-        ASSERT_EQ(got[l], v.r)
-            << "batch lane " << l << " " << v.op << " m=" << g.m.to_hex()
-            << " a=" << v.a.to_hex();
-        if (base + l < work.size()) ++n;
+      for (std::size_t base = 0; base < work.size(); base += kB) {
+        std::array<BigInt, kB> as, bs;
+        for (std::size_t l = 0; l < kB; ++l) {
+          const Vec& v = *work[std::min(base + l, work.size() - 1)];
+          as[l] = v.a;
+          bs[l] = v.b;
+        }
+        typename Ctx::Rep out(ctx.rep_size());
+        if (std::string_view(op) == "sqr") {
+          ctx.sqr(ctx.to_mont(as), out);
+        } else {
+          ctx.mul(ctx.to_mont(as), ctx.to_mont(bs), out);
+        }
+        const auto got = ctx.from_mont(out);
+        for (std::size_t l = 0; l < kB; ++l) {
+          const Vec& v = *work[std::min(base + l, work.size() - 1)];
+          ASSERT_EQ(got[l], v.r)
+              << "batch lane " << l << " " << v.op << " m=" << g.m.to_hex()
+              << " a=" << v.a.to_hex();
+          if (base + l < work.size()) ++n;
+        }
       }
     }
   }

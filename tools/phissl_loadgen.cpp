@@ -21,15 +21,19 @@
 // --rate (Poisson arrivals/s, 0 = open as fast as the window allows),
 // --resumption / --dhe (per-connection coin ratios), --seed. Server
 // knobs: --workers, --max-open, --max-pending (admission cap), --bits
-// (test key size), --port.
+// (test key size), --port, --backend (Montgomery backend of both the
+// batched private-op path and the engine: knc_vec | ifma52 | scalar64,
+// default ifma52).
 //
 // Exit 0 on success, 1 on a failed run/assertion, 2 on usage errors.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 
+#include "rsa/backend.hpp"
 #include "rsa/engine.hpp"
 #include "rsa/key.hpp"
 #include "ssl/async/reactor.hpp"
@@ -48,6 +52,7 @@ int usage() {
       "                      [--seed S] [--bits B]\n"
       "       phissl_loadgen --serve -n N [--port P] [--workers W]\n"
       "                      [--max-open M] [--max-pending K] [--bits B]\n"
+      "                      [--backend knc_vec|ifma52|scalar64]\n"
       "       phissl_loadgen --self N [any of the above knobs]\n");
   return 2;
 }
@@ -93,6 +98,7 @@ int main(int argc, char** argv) {
   std::size_t workers = 2;
   std::size_t max_open = 1024;
   std::size_t max_pending = 0;
+  rsa::Backend backend = rsa::Backend::kIfma52;
 
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
@@ -158,6 +164,11 @@ int main(int argc, char** argv) {
       const char* n = next();
       if (n == nullptr) return usage();
       max_pending = parse_size(n);
+    } else if (std::strcmp(a, "--backend") == 0) {
+      const char* n = next();
+      const auto b = n == nullptr ? std::nullopt : rsa::backend_from_string(n);
+      if (!b) return usage();
+      backend = *b;
     } else {
       std::fprintf(stderr, "unknown argument %s\n", a);
       return usage();
@@ -166,10 +177,12 @@ int main(int argc, char** argv) {
   if (mode == Mode::kNone || total == 0) return usage();
 
   const rsa::PrivateKey& key = rsa::test_key(bits);
-  const rsa::Engine server_engine(key, rsa::EngineOptions{});
+  const rsa::Engine server_engine(
+      key, rsa::EngineOptions{.kernel = rsa::kernel_for(backend)});
 
   ssl::DriverConfig cfg;
   cfg.frontend = ssl::Frontend::kSocket;
+  cfg.batch_backend = backend;
   cfg.num_handshakes = total;
   cfg.event_workers = workers;
   cfg.max_open_connections = max_open;
