@@ -81,8 +81,7 @@ bool modexp_row(bench::JsonReporter& json, const char* backend,
 bool rsa_row(bench::JsonReporter& json, rsa::Backend backend,
              std::size_t bits) {
   const rsa::PrivateKey& key = rsa::test_key(bits);
-  const rsa::Engine engine(
-      key, rsa::EngineOptions{.kernel = rsa::kernel_for(backend)});
+  const rsa::Engine engine(key, rsa::EngineOptions{.kernel = backend});
   const rsa::BatchEngine batch(key, backend);
   util::Rng rng(bits);
   std::array<BigInt, kB> msgs;

@@ -23,11 +23,11 @@ int main() {
 
   std::printf("%12s %14s %14s %12s\n", "kernel", "no-CRT (ms)", "CRT (ms)",
               "CRT speedup");
-  for (const auto kernel :
-       {rsa::Kernel::kVector, rsa::Kernel::kScalar32, rsa::Kernel::kScalar64}) {
+  for (const auto kernel : {rsa::Backend::kKncVec, rsa::Backend::kScalar32,
+                            rsa::Backend::kScalar64}) {
     rsa::EngineOptions opts;
     opts.kernel = kernel;
-    opts.schedule = kernel == rsa::Kernel::kVector
+    opts.schedule = kernel == rsa::Backend::kKncVec
                         ? rsa::Schedule::kFixedWindow
                         : rsa::Schedule::kSlidingWindow;
     opts.use_crt = false;

@@ -29,7 +29,6 @@
 // (docs/AUTOTUNE.md).
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
@@ -203,7 +202,7 @@ int main(int argc, char** argv) {
   // --backend pins the termination sweep's Montgomery backend: both the
   // server engine's scalar kernel and the batched-decrypt contexts, so
   // scalar and batched rows stay an apples-to-apples A/B.
-  rsa::Backend backend = rsa::Backend::kKncVec;
+  const rsa::Backend backend = bench::batch_backend_from_args(argc, argv);
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
     if (std::strcmp(argv[i], "--frontend") == 0 && i + 1 < argc) {
@@ -223,25 +222,6 @@ int main(int argc, char** argv) {
                      "unknown --frontend %s (threaded|event|socket|both|all)\n",
                      f);
         return 2;
-      }
-    }
-    if (std::strcmp(argv[i], "--backend") == 0 && i + 1 < argc) {
-      const auto b = rsa::backend_from_string(argv[i + 1]);
-      if (!b) {
-        std::fprintf(stderr,
-                     "unknown --backend %s "
-                     "(knc_vec|ifma52|ifma52-portable|scalar64)\n",
-                     argv[i + 1]);
-        return 2;
-      }
-      backend = *b;
-      // The portable spelling maps to the same Backend enum value; the
-      // portable-vs-vpmadd52 pin lives in the context constructors, which
-      // read PHISSL_FORCE_BACKEND. Export it here (before any engine is
-      // built) so --backend ifma52-portable really measures the portable
-      // kernels on IFMA hardware instead of silently running vpmadd52.
-      if (std::strcmp(argv[i + 1], "ifma52-portable") == 0) {
-        setenv("PHISSL_FORCE_BACKEND", "ifma52-portable", 1);
       }
     }
   }
@@ -269,7 +249,7 @@ int main(int argc, char** argv) {
       smoke ? std::vector<double>{0.0} : std::vector<double>{0.0, 0.5, 0.9};
   rsa::EngineOptions sweep_opts =
       baseline::options_for(baseline::System::kPhiOpenSSL);
-  sweep_opts.kernel = rsa::kernel_for(backend);
+  sweep_opts.kernel = backend;
   const rsa::Engine sweep_engine(rsa::test_key(sweep_bits), sweep_opts);
 
   if (run_threaded) {

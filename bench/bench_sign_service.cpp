@@ -34,7 +34,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -124,28 +123,10 @@ CellResult run_cell(const rsa::PrivateKey& key, double rate_rps,
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  rsa::Backend backend = rsa::Backend::kKncVec;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--backend") == 0 && i + 1 < argc) {
-      const auto b = rsa::backend_from_string(argv[i + 1]);
-      if (!b) {
-        std::fprintf(stderr,
-                     "unknown --backend %s "
-                     "(knc_vec|ifma52|ifma52-portable|scalar64)\n",
-                     argv[i + 1]);
-        return 2;
-      }
-      backend = *b;
-      // The portable-vs-vpmadd52 pin lives in the context constructors,
-      // which read PHISSL_FORCE_BACKEND; export it here (before any engine
-      // is built) so --backend ifma52-portable really measures the
-      // portable kernels on IFMA hardware.
-      if (std::strcmp(argv[i + 1], "ifma52-portable") == 0) {
-        setenv("PHISSL_FORCE_BACKEND", "ifma52-portable", 1);
-      }
-    }
   }
+  const rsa::Backend backend = bench::batch_backend_from_args(argc, argv);
 
   bench::print_header("E13 bench_sign_service",
                       "async batched signing service: arrival rate x "
@@ -160,8 +141,7 @@ int main(int argc, char** argv) {
   // Capacity calibration: the service cannot sign faster than back-to-back
   // full batches, so rates are expressed against 16 / t_batch.
   const rsa::BatchEngine cal(key, backend);
-  std::printf("\nbatch backend: %s (requested %s)\n",
-              rsa::to_string(cal.backend()), rsa::to_string(backend));
+  std::printf("\nbatch backend: %s\n", rsa::to_string(backend));
   util::Rng rng(7);
   std::array<bigint::BigInt, rsa::BatchEngine::kBatch> xs;
   for (auto& x : xs) x = bigint::BigInt::random_below(key.pub.n, rng);

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <initializer_list>
@@ -11,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "rsa/backend.hpp"
 #include "util/stats.hpp"
 #include "util/timing.hpp"
 
@@ -38,6 +40,25 @@ inline util::Summary time_op_ms(const std::function<void()>& op,
   }
   if (capped != nullptr) *capped = total.elapsed_s() < min_seconds;
   return util::summarize(std::move(samples));
+}
+
+/// Parses `--backend <name>` for harnesses that batch: returns knc_vec
+/// (BatchEngine's default) when the flag is absent, and prints usage and
+/// exits 2 on an unknown name or one without a batched form (scalar32,
+/// scalar64).
+inline rsa::Backend batch_backend_from_args(int argc, char** argv) {
+  for (int i = 1; i + 1 < argc; ++i) {
+    if (std::strcmp(argv[i], "--backend") != 0) continue;
+    const auto b = rsa::backend_from_string(argv[i + 1]);
+    if (!b || !rsa::has_batch_form(*b)) {
+      std::fprintf(stderr,
+                   "bad --backend %s (knc_vec|ifma52|ifma52-portable)\n",
+                   argv[i + 1]);
+      std::exit(2);
+    }
+    return *b;
+  }
+  return rsa::Backend::kKncVec;
 }
 
 /// Prints the standard harness header naming the experiment.

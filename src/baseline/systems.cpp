@@ -20,15 +20,15 @@ rsa::EngineOptions options_for(System s) {
   rsa::EngineOptions opts;
   switch (s) {
     case System::kPhiOpenSSL:
-      opts.kernel = rsa::Kernel::kVector;
+      opts.kernel = rsa::Backend::kKncVec;
       opts.schedule = rsa::Schedule::kFixedWindow;
       break;
     case System::kMpssLibcrypto:
-      opts.kernel = rsa::Kernel::kScalar32;
+      opts.kernel = rsa::Backend::kScalar32;
       opts.schedule = rsa::Schedule::kSlidingWindow;
       break;
     case System::kOpensslDefault:
-      opts.kernel = rsa::Kernel::kScalar64;
+      opts.kernel = rsa::Backend::kScalar64;
       opts.schedule = rsa::Schedule::kSlidingWindow;
       break;
     default:

@@ -65,28 +65,11 @@ Params generate_params(std::size_t bits, util::Rng& rng) {
   }
 }
 
-Dh::Dh(Params params, rsa::Kernel kernel) : params_(std::move(params)) {
+Dh::Dh(Params params, rsa::Backend backend) : params_(std::move(params)) {
   if (!params_.looks_valid()) {
     throw std::invalid_argument("Dh: invalid group parameters");
   }
-  switch (kernel) {
-    case rsa::Kernel::kScalar32:
-      ctx_ = std::make_unique<AnyCtx>(std::in_place_type<mont::MontCtx32>,
-                                      params_.p);
-      break;
-    case rsa::Kernel::kScalar64:
-      ctx_ = std::make_unique<AnyCtx>(std::in_place_type<mont::MontCtx64>,
-                                      params_.p);
-      break;
-    case rsa::Kernel::kVector:
-      ctx_ = std::make_unique<AnyCtx>(std::in_place_type<mont::VectorMontCtx>,
-                                      params_.p);
-      break;
-    case rsa::Kernel::kIfma52:
-      ctx_ = std::make_unique<AnyCtx>(std::in_place_type<mont::IfmaMontCtx>,
-                                      params_.p);
-      break;
-  }
+  ctx_ = std::make_unique<rsa::AnyCtx>(rsa::make_ctx(backend, params_.p));
 }
 
 BigInt Dh::mod_exp(const BigInt& base, const BigInt& exp) const {

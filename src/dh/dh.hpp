@@ -6,10 +6,9 @@
 
 #include <cstdint>
 #include <memory>
-#include <variant>
 
 #include "bigint/bigint.hpp"
-#include "rsa/engine.hpp"  // Kernel enum
+#include "rsa/backend.hpp"
 
 namespace phissl::util {
 class Rng;
@@ -46,7 +45,7 @@ struct KeyPair {
 /// DH context with a precomputed Montgomery context for p.
 class Dh {
  public:
-  Dh(Params params, rsa::Kernel kernel = rsa::Kernel::kVector);
+  Dh(Params params, rsa::Backend backend = rsa::Backend::kKncVec);
 
   [[nodiscard]] const Params& params() const { return params_; }
 
@@ -63,9 +62,7 @@ class Dh {
                          const bigint::BigInt& exp) const;
 
   Params params_;
-  using AnyCtx = std::variant<mont::MontCtx32, mont::MontCtx64,
-                              mont::VectorMontCtx, mont::IfmaMontCtx>;
-  std::unique_ptr<AnyCtx> ctx_;
+  std::unique_ptr<rsa::AnyCtx> ctx_;
 };
 
 }  // namespace phissl::dh

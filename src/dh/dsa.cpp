@@ -41,30 +41,13 @@ Params generate_params(std::size_t l_bits, std::size_t n_bits,
   }
 }
 
-Dsa::Dsa(Params params, rsa::Kernel kernel) : params_(std::move(params)) {
+Dsa::Dsa(Params params, rsa::Backend backend) : params_(std::move(params)) {
   if (params_.p.is_even() || params_.q.is_even() ||
       params_.g <= BigInt{1} || params_.g >= params_.p ||
       ((params_.p - BigInt{1}) % params_.q) != BigInt{}) {
     throw std::invalid_argument("Dsa: invalid domain parameters");
   }
-  switch (kernel) {
-    case rsa::Kernel::kScalar32:
-      ctx_p_ = std::make_unique<AnyCtx>(std::in_place_type<mont::MontCtx32>,
-                                        params_.p);
-      break;
-    case rsa::Kernel::kScalar64:
-      ctx_p_ = std::make_unique<AnyCtx>(std::in_place_type<mont::MontCtx64>,
-                                        params_.p);
-      break;
-    case rsa::Kernel::kVector:
-      ctx_p_ = std::make_unique<AnyCtx>(
-          std::in_place_type<mont::VectorMontCtx>, params_.p);
-      break;
-    case rsa::Kernel::kIfma52:
-      ctx_p_ = std::make_unique<AnyCtx>(std::in_place_type<mont::IfmaMontCtx>,
-                                        params_.p);
-      break;
-  }
+  ctx_p_ = std::make_unique<rsa::AnyCtx>(rsa::make_ctx(backend, params_.p));
 }
 
 BigInt Dsa::mod_exp_p(const BigInt& base, const BigInt& exp) const {

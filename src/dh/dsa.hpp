@@ -4,11 +4,12 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 
 #include "bigint/bigint.hpp"
-#include "rsa/engine.hpp"  // Kernel enum
+#include "rsa/backend.hpp"
 
 namespace phissl::util {
 class Rng;
@@ -41,7 +42,7 @@ struct Signature {
 
 class Dsa {
  public:
-  Dsa(Params params, rsa::Kernel kernel = rsa::Kernel::kVector);
+  Dsa(Params params, rsa::Backend backend = rsa::Backend::kKncVec);
 
   [[nodiscard]] const Params& params() const { return params_; }
 
@@ -63,9 +64,7 @@ class Dsa {
   bigint::BigInt hash_to_z(std::span<const std::uint8_t> message) const;
 
   Params params_;
-  using AnyCtx = std::variant<mont::MontCtx32, mont::MontCtx64,
-                              mont::VectorMontCtx, mont::IfmaMontCtx>;
-  std::unique_ptr<AnyCtx> ctx_p_;
+  std::unique_ptr<rsa::AnyCtx> ctx_p_;
 };
 
 }  // namespace phissl::dsa

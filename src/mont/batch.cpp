@@ -1,8 +1,6 @@
 #include "mont/batch.hpp"
 
 #include <cassert>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 
 #include "mont/ifma_kernels.hpp"
@@ -365,11 +363,6 @@ BatchIfmaMontCtx::Workspace& ifma_tls_workspace() {
   return ws;
 }
 
-bool batch_env_forces_portable() {
-  const char* v = std::getenv("PHISSL_FORCE_BACKEND");
-  return v != nullptr && std::strcmp(v, "ifma52-portable") == 0;
-}
-
 }  // namespace
 
 BatchIfmaMontCtx::BatchIfmaMontCtx(const bigint::BigInt& m,
@@ -382,7 +375,7 @@ BatchIfmaMontCtx::BatchIfmaMontCtx(const bigint::BigInt& m,
   d_ = (m.bit_length() + kDb52 - 1) / kDb52;
   if (d_ < 3) d_ = 3;  // the truncated REDC reads columns d-3 .. d-1
   use_ifma_ = !force_portable && ifma::compiled() &&
-              util::cpu_features().avx512ifma && !batch_env_forces_portable();
+              util::cpu_features().avx512ifma;
 
   const auto pack_plain = [this](const bigint::BigInt& x,
                                  std::vector<std::uint64_t>& out) {

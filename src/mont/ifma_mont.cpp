@@ -1,7 +1,6 @@
 #include "mont/ifma_mont.hpp"
 
 #include <cassert>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 
@@ -30,11 +29,6 @@ IfmaMontCtx::Workspace& tls_workspace() {
   return ws;
 }
 
-bool env_forces_portable() {
-  const char* v = std::getenv("PHISSL_FORCE_BACKEND");
-  return v != nullptr && std::strcmp(v, "ifma52-portable") == 0;
-}
-
 }  // namespace
 
 IfmaMontCtx::IfmaMontCtx(const bigint::BigInt& m, bool force_portable)
@@ -50,7 +44,7 @@ IfmaMontCtx::IfmaMontCtx(const bigint::BigInt& m, bool force_portable)
   if (d_ < 3) d_ = 3;
   pd_ = (d_ + 7) & ~std::size_t{7};
   use_ifma_ = !force_portable && ifma::compiled() &&
-              util::cpu_features().avx512ifma && !env_forces_portable();
+              util::cpu_features().avx512ifma;
 
   pack(m, n52_);
   bigint::BigInt r{1};

@@ -14,8 +14,9 @@
 //     the CPU has it,
 //   - otherwise the portable u128-column instantiation of the exact same
 //     algorithm (still beats the u32-lane KNC emulation on 64-bit hosts).
-// `force_portable` (or PHISSL_FORCE_BACKEND=ifma52-portable) pins the
-// portable path for A/B runs and sanitizer CI on non-IFMA machines.
+// `force_portable` pins the portable path; rsa::Backend::kIfma52Portable
+// passes it, so A/B runs and tests reach the u128 kernels on IFMA
+// hardware too.
 //
 // Satisfies the modexp Ctx concept (see mont/modexp.hpp), so
 // fixed_window_exp / sliding_window_exp, rsa::Engine CRT and the service

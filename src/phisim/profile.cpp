@@ -139,24 +139,33 @@ KernelProfile profile_modexp(const KernelProfile& mul, std::size_t exp_bits,
   return p;
 }
 
+namespace {
+
+// One Montgomery multiplication at `bits` on the engine's backend. Both
+// ifma52 spellings get the vpmadd52 schedule: the model has no profile of
+// the portable u128 instantiation.
+KernelProfile profile_mont_mul(const rsa::EngineOptions& opts,
+                               std::size_t bits) {
+  switch (opts.kernel) {
+    case rsa::Backend::kScalar32:
+      return profile_scalar32_mont_mul(bits);
+    case rsa::Backend::kScalar64:
+      return profile_scalar64_mont_mul(bits);
+    case rsa::Backend::kKncVec:
+      return profile_vector_mont_mul(bits, opts.digit_bits);
+    case rsa::Backend::kIfma52:
+    case rsa::Backend::kIfma52Portable:
+      return profile_ifma52_mont_mul(bits);
+  }
+  return {};
+}
+
+}  // namespace
+
 KernelProfile profile_rsa_private(std::size_t bits,
                                   const rsa::EngineOptions& opts) {
-  KernelProfile mul;
   const std::size_t mod_bits = opts.use_crt ? bits / 2 : bits;
-  switch (opts.kernel) {
-    case rsa::Kernel::kScalar32:
-      mul = profile_scalar32_mont_mul(mod_bits);
-      break;
-    case rsa::Kernel::kScalar64:
-      mul = profile_scalar64_mont_mul(mod_bits);
-      break;
-    case rsa::Kernel::kVector:
-      mul = profile_vector_mont_mul(mod_bits, opts.digit_bits);
-      break;
-    case rsa::Kernel::kIfma52:
-      mul = profile_ifma52_mont_mul(mod_bits);
-      break;
-  }
+  const KernelProfile mul = profile_mont_mul(opts, mod_bits);
   KernelProfile p;
   if (opts.use_crt) {
     // Two half-size exponentiations with ~half-size exponents, plus
@@ -178,21 +187,7 @@ KernelProfile profile_rsa_private(std::size_t bits,
 
 KernelProfile profile_rsa_public(std::size_t bits,
                                  const rsa::EngineOptions& opts) {
-  KernelProfile mul;
-  switch (opts.kernel) {
-    case rsa::Kernel::kScalar32:
-      mul = profile_scalar32_mont_mul(bits);
-      break;
-    case rsa::Kernel::kScalar64:
-      mul = profile_scalar64_mont_mul(bits);
-      break;
-    case rsa::Kernel::kVector:
-      mul = profile_vector_mont_mul(bits, opts.digit_bits);
-      break;
-    case rsa::Kernel::kIfma52:
-      mul = profile_ifma52_mont_mul(bits);
-      break;
-  }
+  const KernelProfile mul = profile_mont_mul(opts, bits);
   // e = 65537 = 2^16 + 1: 16 squarings + 1 multiply + conversions.
   KernelProfile p;
   p.label = "rsa" + std::to_string(bits) + "_public";

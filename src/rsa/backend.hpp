@@ -1,50 +1,76 @@
-// Host-backend selection for the RSA engines.
+// Montgomery backend selection: the one knob that picks which
+// implementation carries the modular-exponentiation hot loop.
 //
-// The repo carries three interchangeable Montgomery implementations of
-// the private-op hot loop, and the service layer needs to A/B them
-// without rebuilding:
-//   knc_vec  - the paper-faithful 16-lane redundant-radix kernels
-//              (mont::VectorMontCtx / mont::BatchVectorMontCtx),
-//   ifma52   - radix-2^52 truncated REDC (mont::IfmaMontCtx /
-//              mont::BatchIfmaMontCtx), vpmadd52 when the CPU has
-//              AVX-512 IFMA, the portable u128 instantiation otherwise,
-//   scalar64 - the word-serial CIOS baseline (mont::MontCtx64).
+//   scalar32        - word-serial CIOS, 32-bit limbs (mont::MontCtx32;
+//                     the MPSS-like baseline),
+//   scalar64        - word-serial CIOS, 64-bit limbs (mont::MontCtx64;
+//                     the OpenSSL-like baseline),
+//   knc_vec         - the paper-faithful 16-lane redundant-radix kernels
+//                     (mont::VectorMontCtx / mont::BatchVectorMontCtx),
+//   ifma52          - radix-2^52 truncated REDC (mont::IfmaMontCtx /
+//                     mont::BatchIfmaMontCtx), vpmadd52 when the CPU has
+//                     AVX-512 IFMA, the portable u128 instantiation
+//                     otherwise,
+//   ifma52-portable - the same contexts pinned to the portable u128 path.
 //
-// `Backend` is the coarse service-level knob (SignServiceConfig,
-// BatchDecryptConfig, DriverConfig, the bench --backend flags); it maps
-// onto the finer-grained rsa::Kernel for the scalar Engine via
-// kernel_for() in engine.hpp. PHISSL_FORCE_BACKEND overrides every
-// construction-site choice process-wide — the CI sanitizer legs use
-// PHISSL_FORCE_BACKEND=ifma52 to push the whole suite through the new
-// backend without touching any call site.
+// Every layer takes the choice as data: EngineOptions::kernel, Dh, Dsa,
+// BatchEngine, SignServiceConfig::backend, BatchDecryptConfig::backend,
+// DriverConfig::batch_backend and the bench --backend flags all hold a
+// Backend, and make_ctx() is the one place that turns it into a
+// single-stream context.
 #pragma once
 
+#include <array>
 #include <optional>
 #include <string_view>
+#include <variant>
+
+#include "bigint/bigint.hpp"
+#include "mont/ifma_mont.hpp"
+#include "mont/mont32.hpp"
+#include "mont/mont64.hpp"
+#include "mont/vector_mont.hpp"
 
 namespace phissl::rsa {
 
-/// Which Montgomery backend family carries the private-op hot loop.
+/// Which Montgomery implementation carries the exponentiation hot loop.
 enum class Backend {
-  kKncVec,    ///< 16-lane redundant-radix SIMD (PhiOpenSSL-faithful)
-  kIfma52,    ///< radix-2^52 truncated REDC (vpmadd52 or portable u128)
-  kScalar64,  ///< word-serial CIOS, 64-bit limbs (OpenSSL-like baseline)
+  kScalar32,        ///< word-serial CIOS, 32-bit limbs (MPSS-like)
+  kScalar64,        ///< word-serial CIOS, 64-bit limbs (OpenSSL-like)
+  kKncVec,          ///< 16-lane redundant-radix SIMD (PhiOpenSSL)
+  kIfma52,          ///< radix-2^52 truncated REDC, vpmadd52 when available
+  kIfma52Portable,  ///< radix-2^52 truncated REDC, portable u128 path only
 };
 
-/// "knc_vec" / "ifma52" / "scalar64".
+/// The engine-level name of the same knob (EngineOptions::kernel). The
+/// benchmark sources under bench/e2e spell Kernel::kIfma52 and
+/// Kernel::kScalar64.
+using Kernel = Backend;
+
+/// Every backend, in enum order.
+inline constexpr std::array<Backend, 5> kAllBackends{
+    Backend::kScalar32, Backend::kScalar64, Backend::kKncVec,
+    Backend::kIfma52, Backend::kIfma52Portable};
+
+/// "scalar32" / "scalar64" / "knc_vec" / "ifma52" / "ifma52-portable".
 const char* to_string(Backend b);
 
-/// Parses the names accepted by PHISSL_FORCE_BACKEND and the bench
-/// --backend flags: "knc_vec", "ifma52", "ifma52-portable" (also
-/// kIfma52 — the context itself pins the portable path when it sees the
-/// env spelling), "scalar64". nullopt for anything else.
+/// Exact inverse of to_string; nullopt for any other name.
 std::optional<Backend> backend_from_string(std::string_view name);
 
-/// The PHISSL_FORCE_BACKEND environment override, parsed once per
-/// process. nullopt when unset or unrecognized.
-std::optional<Backend> forced_backend();
+/// True for the backends with a 16-lane batched form (knc_vec, ifma52,
+/// ifma52-portable). The scalar backends have none: batching IS the
+/// vectorization.
+bool has_batch_form(Backend b);
 
-/// `requested`, unless PHISSL_FORCE_BACKEND names a backend.
-Backend resolve_backend(Backend requested);
+/// A single-stream Montgomery context of any backend; every alternative
+/// satisfies the modexp Ctx concept (mont/modexp.hpp).
+using AnyCtx = std::variant<mont::MontCtx32, mont::MontCtx64,
+                            mont::VectorMontCtx, mont::IfmaMontCtx>;
+
+/// Builds the `b` context for an odd modulus. digit_bits is the knc_vec
+/// redundant-radix width; the other backends ignore it.
+AnyCtx make_ctx(Backend b, const bigint::BigInt& modulus,
+                unsigned digit_bits = 27);
 
 }  // namespace phissl::rsa

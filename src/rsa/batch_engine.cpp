@@ -1,11 +1,10 @@
 #include "rsa/batch_engine.hpp"
 
 #include <stdexcept>
+#include <string>
 #include <type_traits>
 
 #include "mont/modexp.hpp"
-#include "obs/log.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace phissl::rsa {
@@ -13,27 +12,6 @@ namespace phissl::rsa {
 using bigint::BigInt;
 
 namespace {
-
-// There is no batched scalar backend (batching is what the SIMD lanes are
-// for), so a scalar64 request falls back to knc_vec. The fallback is
-// counted per engine construction (phissl_backend_fallback_total) and,
-// when the request came from PHISSL_FORCE_BACKEND, logged once: a
-// forced-baseline run (sanitizers, A/B floors) must not silently measure
-// a SIMD backend instead, but a per-construction stderr line would drown
-// services that build engines per shard.
-Backend batch_backend(Backend requested) {
-  const Backend resolved = resolve_backend(requested);
-  if (resolved != Backend::kScalar64) return resolved;
-  PHISSL_OBS_COUNT_NAMED("phissl_backend_fallback_total",
-                         "batched scalar64 requests resolved to knc_vec",
-                         "from=\"scalar64\",to=\"knc_vec\"", 1);
-  if (forced_backend() == Backend::kScalar64) {
-    obs::warn_once("batch_scalar64_fallback",
-                   "PHISSL_FORCE_BACKEND=scalar64 has no batched "
-                   "implementation; BatchEngine falls back to knc_vec");
-  }
-  return Backend::kKncVec;
-}
 
 // Per-thread intermediates (see CrtScratch in engine.cpp): all BigInts and
 // workspaces retain capacity, so a warmed-up batched private_op allocates
@@ -58,22 +36,30 @@ BatchScratch<Ctx>& batch_scratch() {
 BatchEngine::AnyCtxPair BatchEngine::make_ctxs(const PrivateKey& key,
                                                Backend backend,
                                                unsigned digit_bits) {
-  if (backend == Backend::kIfma52) {
-    return AnyCtxPair{CtxPair<mont::BatchIfmaMontCtx>{
-        mont::BatchIfmaMontCtx(key.p), mont::BatchIfmaMontCtx(key.q)}};
+  if (!has_batch_form(backend)) {
+    throw std::invalid_argument(std::string("BatchEngine: ") +
+                                to_string(backend) + " has no batched form");
   }
-  return AnyCtxPair{CtxPair<mont::BatchVectorMontCtx>{
-      mont::BatchVectorMontCtx(key.p, digit_bits),
-      mont::BatchVectorMontCtx(key.q, digit_bits)}};
+  if (backend == Backend::kKncVec) {
+    return AnyCtxPair{CtxPair<mont::BatchVectorMontCtx>{
+        mont::BatchVectorMontCtx(key.p, digit_bits),
+        mont::BatchVectorMontCtx(key.q, digit_bits)}};
+  }
+  const bool portable = backend == Backend::kIfma52Portable;
+  return AnyCtxPair{CtxPair<mont::BatchIfmaMontCtx>{
+      mont::BatchIfmaMontCtx(key.p, portable),
+      mont::BatchIfmaMontCtx(key.q, portable)}};
 }
-
-BatchEngine::BatchEngine(PrivateKey key, unsigned digit_bits)
-    : BatchEngine(std::move(key), Backend::kKncVec, digit_bits) {}
 
 BatchEngine::BatchEngine(PrivateKey key, Backend backend, unsigned digit_bits)
     : key_(std::move(key)),
-      backend_(batch_backend(backend)),
+      backend_(backend),
       ctxs_(make_ctxs(key_, backend_, digit_bits)) {}
+
+bool BatchEngine::uses_ifma() const {
+  const auto* ifma = std::get_if<CtxPair<mont::BatchIfmaMontCtx>>(&ctxs_);
+  return ifma != nullptr && ifma->p.uses_ifma();
+}
 
 std::array<BigInt, BatchEngine::kBatch> BatchEngine::private_op(
     std::span<const BigInt> xs) const {

@@ -3,10 +3,11 @@
 // lanes). This is the batched signing mode of experiment E9 — the natural
 // server workload for a 16-lane vector unit.
 //
-// Two batched Montgomery backends implement the lane math (see
-// rsa/backend.hpp): the KNC-faithful redundant-radix kernels and the
-// host-side radix-2^52 truncated-REDC kernels. The choice is made at
-// construction and is invisible to callers — private_op has one shape.
+// Two batched Montgomery context families implement the lane math (see
+// rsa/backend.hpp): the KNC-faithful redundant-radix kernels (knc_vec)
+// and the host-side radix-2^52 truncated-REDC kernels (ifma52,
+// ifma52-portable). The choice is made at construction and is invisible
+// to callers — private_op has one shape.
 #pragma once
 
 #include <array>
@@ -24,21 +25,21 @@ class BatchEngine {
   static constexpr std::size_t kBatch = mont::BatchVectorMontCtx::kBatch;
   static_assert(kBatch == mont::BatchIfmaMontCtx::kBatch);
 
-  /// Precomputes the batched Montgomery contexts for p and q over the
-  /// KNC-style vector backend (subject to PHISSL_FORCE_BACKEND).
-  explicit BatchEngine(PrivateKey key, unsigned digit_bits = 27);
-
-  /// Same, over an explicit backend. kScalar64 has no batched kernel —
-  /// batching IS the vectorization — so it falls back to kKncVec;
-  /// backend() reports the fallback. digit_bits only affects kKncVec
-  /// (the ifma52 radix is fixed at 52).
-  BatchEngine(PrivateKey key, Backend backend, unsigned digit_bits = 27);
+  /// Precomputes the batched Montgomery contexts for p and q over
+  /// `backend`. Throws std::invalid_argument for a backend without a
+  /// batched form (kScalar32, kScalar64; see has_batch_form). digit_bits
+  /// only affects kKncVec (the ifma52 radix is fixed at 52).
+  explicit BatchEngine(PrivateKey key, Backend backend = Backend::kKncVec,
+                       unsigned digit_bits = 27);
 
   [[nodiscard]] const PublicKey& pub() const { return key_.pub; }
 
-  /// The backend the lane contexts actually run, after the
-  /// PHISSL_FORCE_BACKEND override and the kScalar64 fallback.
+  /// The backend the lane contexts run: the one requested.
   [[nodiscard]] Backend backend() const { return backend_; }
+
+  /// True when the lane contexts run the vpmadd52 kernels (kIfma52 on a
+  /// binary and CPU with AVX-512 IFMA).
+  [[nodiscard]] bool uses_ifma() const;
 
   /// 16 private ops (x^d mod n via CRT), lane-parallel.
   /// Every x must be in [0, n).

@@ -11,32 +11,6 @@ namespace phissl::rsa {
 
 using bigint::BigInt;
 
-const char* to_string(Kernel k) {
-  switch (k) {
-    case Kernel::kScalar32:
-      return "scalar32";
-    case Kernel::kScalar64:
-      return "scalar64";
-    case Kernel::kVector:
-      return "vector";
-    case Kernel::kIfma52:
-      return "ifma52";
-  }
-  return "?";
-}
-
-Kernel kernel_for(Backend b) {
-  switch (b) {
-    case Backend::kKncVec:
-      return Kernel::kVector;
-    case Backend::kIfma52:
-      return Kernel::kIfma52;
-    case Backend::kScalar64:
-      return Kernel::kScalar64;
-  }
-  return Kernel::kVector;
-}
-
 const char* to_string(Schedule s) {
   switch (s) {
     case Schedule::kFixedWindow:
@@ -45,21 +19,6 @@ const char* to_string(Schedule s) {
       return "sliding-window";
   }
   return "?";
-}
-
-Engine::AnyCtx Engine::make_ctx(const BigInt& modulus) const {
-  switch (opts_.kernel) {
-    case Kernel::kScalar32:
-      return AnyCtx{std::in_place_type<mont::MontCtx32>, modulus};
-    case Kernel::kScalar64:
-      return AnyCtx{std::in_place_type<mont::MontCtx64>, modulus};
-    case Kernel::kVector:
-      return AnyCtx{std::in_place_type<mont::VectorMontCtx>, modulus,
-                    opts_.digit_bits};
-    case Kernel::kIfma52:
-      return AnyCtx{std::in_place_type<mont::IfmaMontCtx>, modulus};
-  }
-  throw std::logic_error("Engine: unknown kernel");
 }
 
 BigInt Engine::mod_exp(const AnyCtx& ctx, const BigInt& base,
@@ -90,18 +49,20 @@ void Engine::mod_exp_into(const AnyCtx& ctx, const BigInt& base,
 
 Engine::Engine(PrivateKey key, EngineOptions opts)
     : pub_(key.pub), priv_(std::move(key)), opts_(opts) {
-  if (const auto fb = forced_backend()) opts_.kernel = kernel_for(*fb);
-  ctx_n_ = std::make_unique<AnyCtx>(make_ctx(pub_.n));
+  ctx_n_ = std::make_unique<AnyCtx>(
+      make_ctx(opts_.kernel, pub_.n, opts_.digit_bits));
   if (opts_.use_crt) {
-    ctx_p_ = std::make_unique<AnyCtx>(make_ctx(priv_->p));
-    ctx_q_ = std::make_unique<AnyCtx>(make_ctx(priv_->q));
+    ctx_p_ = std::make_unique<AnyCtx>(
+        make_ctx(opts_.kernel, priv_->p, opts_.digit_bits));
+    ctx_q_ = std::make_unique<AnyCtx>(
+        make_ctx(opts_.kernel, priv_->q, opts_.digit_bits));
   }
 }
 
 Engine::Engine(PublicKey key, EngineOptions opts)
     : pub_(std::move(key)), opts_(opts) {
-  if (const auto fb = forced_backend()) opts_.kernel = kernel_for(*fb);
-  ctx_n_ = std::make_unique<AnyCtx>(make_ctx(pub_.n));
+  ctx_n_ = std::make_unique<AnyCtx>(
+      make_ctx(opts_.kernel, pub_.n, opts_.digit_bits));
 }
 
 const PrivateKey& Engine::priv() const {

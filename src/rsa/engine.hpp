@@ -15,13 +15,8 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <variant>
 
 #include "bigint/bigint.hpp"
-#include "mont/ifma_mont.hpp"
-#include "mont/mont32.hpp"
-#include "mont/mont64.hpp"
-#include "mont/vector_mont.hpp"
 #include "rsa/backend.hpp"
 #include "rsa/key.hpp"
 
@@ -31,40 +26,23 @@ class Rng;
 
 namespace phissl::rsa {
 
-/// Which Montgomery multiplication kernel performs the inner loops.
-enum class Kernel {
-  kScalar32,  ///< word-serial CIOS, 32-bit limbs (MPSS-like)
-  kScalar64,  ///< word-serial CIOS, 64-bit limbs (OpenSSL-like)
-  kVector,    ///< 16-lane redundant-radix SIMD (PhiOpenSSL)
-  kIfma52,    ///< radix-2^52 truncated REDC (vpmadd52 / portable u128)
-};
-
 /// Which exponentiation schedule drives the kernel.
 enum class Schedule {
   kFixedWindow,    ///< the paper's method (uniform, constant-time gather)
   kSlidingWindow,  ///< OpenSSL's BN_mod_exp schedule
 };
 
-/// Human-readable names for table headers and logs ("vector",
-/// "fixed-window", ...).
-const char* to_string(Kernel k);
+/// Human-readable names for table headers and logs ("fixed-window", ...).
 const char* to_string(Schedule s);
-
-/// The Kernel that implements a service-level Backend choice in the
-/// scalar Engine: kKncVec -> kVector, kIfma52 -> kIfma52, kScalar64 ->
-/// kScalar64.
-Kernel kernel_for(Backend b);
 
 /// The full configuration space every experiment sweeps: kernel ×
 /// schedule × window × CRT × blinding × digit width. Defaults are the
 /// paper's PhiOpenSSL configuration; src/baseline/engines.hpp holds the
 /// presets for all three named systems.
 struct EngineOptions {
-  /// Subject to the process-wide PHISSL_FORCE_BACKEND override (see
-  /// rsa/backend.hpp): both Engine constructors rewrite this field via
-  /// kernel_for(forced_backend()) before building contexts, so
-  /// options().kernel always reports what actually runs.
-  Kernel kernel = Kernel::kVector;
+  /// Montgomery backend of every context the engine builds (see
+  /// rsa/backend.hpp).
+  Backend kernel = Backend::kKncVec;
   Schedule schedule = Schedule::kFixedWindow;
   /// Window width; <= 0 selects mont::choose_window() per exponent.
   int window = 0;
@@ -117,10 +95,6 @@ class Engine {
                        util::Rng* rng = nullptr) const;
 
  private:
-  using AnyCtx = std::variant<mont::MontCtx32, mont::MontCtx64,
-                              mont::VectorMontCtx, mont::IfmaMontCtx>;
-
-  AnyCtx make_ctx(const bigint::BigInt& modulus) const;
   bigint::BigInt mod_exp(const AnyCtx& ctx, const bigint::BigInt& base,
                          const bigint::BigInt& exp) const;
   void mod_exp_into(const AnyCtx& ctx, const bigint::BigInt& base,

@@ -82,8 +82,9 @@ struct SignServiceConfig {
   /// Redundant-radix digit width for the underlying batch contexts
   /// (knc_vec backend only; the ifma52 radix is fixed at 52).
   unsigned digit_bits = 27;
-  /// Montgomery backend for every per-key BatchEngine shard. Subject to
-  /// the process-wide PHISSL_FORCE_BACKEND override (see rsa/backend.hpp).
+  /// Montgomery backend for every per-key BatchEngine shard (see
+  /// rsa/backend.hpp). Must have a batched form: add_key throws
+  /// std::invalid_argument for kScalar32/kScalar64.
   rsa::Backend backend = rsa::Backend::kKncVec;
 };
 

@@ -2,9 +2,9 @@
 //
 // The build may compile several Montgomery backends (the KNC-faithful
 // 27-bit vector path, the radix-52 IFMA path, the scalar references); which
-// one actually runs is decided at context-construction time from this
-// probe plus the PHISSL_FORCE_BACKEND override (see rsa/backend.hpp). The
-// probe is evaluated once per process and cached.
+// one actually runs is decided at context-construction time from the
+// requested rsa::Backend plus this probe (see rsa/backend.hpp). The probe
+// is evaluated once per process and cached.
 #pragma once
 
 namespace phissl::util {

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "dh/dh.hpp"
-#include "obs/log.hpp"
 #include "rsa/key.hpp"
 #include "rsa/pkcs1.hpp"
 #include "ssl/async/admission.hpp"
@@ -528,15 +527,20 @@ class AsyncDriverTest : public ::testing::Test {
 };
 
 TEST_F(AsyncDriverTest, EventFrontendTerminatesAllConnections) {
-  auto cfg = event_config(64);
-  const DriverReport report = run_handshakes(engine_, cfg);
-  EXPECT_EQ(report.completed, 64u);
-  EXPECT_EQ(report.failed, 0u);
-  EXPECT_EQ(report.shed, 0u);
-  EXPECT_GT(report.batches, 0u);
-  EXPECT_GT(report.batch_lane_occupancy, 0.0);
-  EXPECT_GT(report.handshakes_per_s, 0.0);
-  EXPECT_EQ(report.latency_us.count, 64u);
+  for (const rsa::Backend b : rsa::kAllBackends) {
+    if (!rsa::has_batch_form(b)) continue;
+    SCOPED_TRACE(rsa::to_string(b));
+    auto cfg = event_config(64);
+    cfg.batch_backend = b;
+    const DriverReport report = run_handshakes(engine_, cfg);
+    EXPECT_EQ(report.completed, 64u);
+    EXPECT_EQ(report.failed, 0u);
+    EXPECT_EQ(report.shed, 0u);
+    EXPECT_GT(report.batches, 0u);
+    EXPECT_GT(report.batch_lane_occupancy, 0.0);
+    EXPECT_GT(report.handshakes_per_s, 0.0);
+    EXPECT_EQ(report.latency_us.count, 64u);
+  }
 }
 
 TEST_F(AsyncDriverTest, EventFrontendResumesSessions) {
@@ -597,16 +601,6 @@ TEST(AsyncConcurrency, Churn1kConnectionsOver2Workers) {
   EXPECT_EQ(report.failed, 0u);
   EXPECT_GT(report.completed, 0u);
   EXPECT_EQ(report.latency_us.count, 1024u);
-}
-
-// --- once-only warning helper (satellite: BatchEngine fallback fix) ---------
-
-TEST(AsyncObs, WarnOnceCountsEveryCallLogsOnce) {
-  const auto before = obs::warn_count("async_test_tag");
-  obs::warn_once("async_test_tag", "test warning (expected once in logs)");
-  obs::warn_once("async_test_tag", "test warning (expected once in logs)");
-  obs::warn_once("async_test_tag", "test warning (expected once in logs)");
-  EXPECT_EQ(obs::warn_count("async_test_tag"), before + 3);
 }
 
 }  // namespace

@@ -18,16 +18,16 @@ TEST(Systems, NamesAreDistinct) {
 
 TEST(Systems, PresetsMatchPaperDescription) {
   const auto phi = options_for(System::kPhiOpenSSL);
-  EXPECT_EQ(phi.kernel, rsa::Kernel::kVector);
+  EXPECT_EQ(phi.kernel, rsa::Backend::kKncVec);
   EXPECT_EQ(phi.schedule, rsa::Schedule::kFixedWindow);
   EXPECT_TRUE(phi.use_crt);
 
   const auto mpss = options_for(System::kMpssLibcrypto);
-  EXPECT_EQ(mpss.kernel, rsa::Kernel::kScalar32);
+  EXPECT_EQ(mpss.kernel, rsa::Backend::kScalar32);
   EXPECT_EQ(mpss.schedule, rsa::Schedule::kSlidingWindow);
 
   const auto ossl = options_for(System::kOpensslDefault);
-  EXPECT_EQ(ossl.kernel, rsa::Kernel::kScalar64);
+  EXPECT_EQ(ossl.kernel, rsa::Backend::kScalar64);
   EXPECT_EQ(ossl.schedule, rsa::Schedule::kSlidingWindow);
 }
 

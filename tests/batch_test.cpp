@@ -325,9 +325,9 @@ TEST(BatchEngine, MatchesScalarEnginePerLane) {
 }
 
 TEST(BatchEngine, BackendsAgreePerLane) {
-  // The ifma52 batched contexts and the KNC-style vector contexts must
-  // produce identical CRT results lane-for-lane, both equal to the scalar
-  // engine; kScalar64 has no batched kernel and falls back to kKncVec.
+  // The ifma52 batched contexts (vpmadd52 and portable) and the KNC-style
+  // vector contexts must produce identical CRT results lane-for-lane, all
+  // equal to the scalar engine.
   const PrivateKey& key = test_key(1024);
   const Engine scalar(key, EngineOptions{});
   util::Rng rng(25);
@@ -336,7 +336,7 @@ TEST(BatchEngine, BackendsAgreePerLane) {
   std::array<BigInt, kB> reference;
   for (std::size_t l = 0; l < kB; ++l) reference[l] = scalar.private_op(msgs[l]);
   for (const Backend b :
-       {Backend::kKncVec, Backend::kIfma52, Backend::kScalar64}) {
+       {Backend::kKncVec, Backend::kIfma52, Backend::kIfma52Portable}) {
     const BatchEngine batch(key, b);
     const auto sigs = batch.private_op(msgs);
     for (std::size_t l = 0; l < kB; ++l) {
@@ -347,20 +347,17 @@ TEST(BatchEngine, BackendsAgreePerLane) {
 
 TEST(BatchEngine, ReportsResolvedBackend) {
   const PrivateKey& key = test_key(512);
-  // With no PHISSL_FORCE_BACKEND override in the test environment, the
-  // requested backend is what runs — except kScalar64, which resolves to
-  // the kKncVec batch (batching IS the vectorization; there is no batched
-  // scalar kernel).
-  if (!forced_backend()) {
-    EXPECT_EQ(BatchEngine(key, Backend::kIfma52).backend(), Backend::kIfma52);
-    EXPECT_EQ(BatchEngine(key, Backend::kKncVec).backend(), Backend::kKncVec);
-    EXPECT_EQ(BatchEngine(key, Backend::kScalar64).backend(),
-              Backend::kKncVec);
-    EXPECT_EQ(BatchEngine(key).backend(), Backend::kKncVec);
-  } else {
-    // Under a forced backend every engine must report the override.
-    EXPECT_EQ(BatchEngine(key, Backend::kKncVec).backend(),
-              resolve_backend(Backend::kKncVec));
+  // The requested backend is what runs. The scalar backends have no
+  // batched kernel (batching IS the vectorization), so they are rejected
+  // rather than silently measured on another backend.
+  EXPECT_EQ(BatchEngine(key).backend(), Backend::kKncVec);
+  for (const Backend b :
+       {Backend::kKncVec, Backend::kIfma52, Backend::kIfma52Portable}) {
+    EXPECT_EQ(BatchEngine(key, b).backend(), b) << to_string(b);
+  }
+  for (const Backend b : {Backend::kScalar32, Backend::kScalar64}) {
+    EXPECT_THROW((void)BatchEngine(key, b), std::invalid_argument)
+        << to_string(b);
   }
 }
 

@@ -100,7 +100,7 @@ TEST(Concurrency, ParallelSignaturesAllVerify) {
 }
 
 TEST(Concurrency, DistinctEnginesDistinctKernelsInParallel) {
-  // Three threads, three kernels, one key: all must agree.
+  // One thread per backend, one key: all must agree.
   const rsa::PrivateKey& key = rsa::test_key(512);
   util::Rng rng(3);
   const BigInt m = BigInt::random_below(key.pub.n, rng);
@@ -108,8 +108,7 @@ TEST(Concurrency, DistinctEnginesDistinctKernelsInParallel) {
 
   std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;
-  for (const rsa::Kernel k :
-       {rsa::Kernel::kScalar32, rsa::Kernel::kScalar64, rsa::Kernel::kVector}) {
+  for (const rsa::Backend k : rsa::kAllBackends) {
     threads.emplace_back([&, k] {
       rsa::EngineOptions opts;
       opts.kernel = k;

@@ -39,8 +39,7 @@ TEST(DhParams, GeneratedSafePrime) {
 
 TEST(Dh, KeyAgreementAllKernels) {
   util::Rng rng(3);
-  for (const rsa::Kernel k :
-       {rsa::Kernel::kScalar32, rsa::Kernel::kScalar64, rsa::Kernel::kVector}) {
+  for (const rsa::Backend k : rsa::kAllBackends) {
     const Dh dh(rfc2409_group2(), k);
     const KeyPair alice = dh.generate_keypair(rng);
     const KeyPair bob = dh.generate_keypair(rng);
@@ -56,8 +55,7 @@ TEST(Dh, KernelsProduceIdenticalPublicValues) {
   const BigInt x = BigInt::random_bits(256, rng) + BigInt{2};
   BigInt reference;
   bool first = true;
-  for (const rsa::Kernel k :
-       {rsa::Kernel::kScalar32, rsa::Kernel::kScalar64, rsa::Kernel::kVector}) {
+  for (const rsa::Backend k : rsa::kAllBackends) {
     const Dh dh(rfc2409_group2(), k);
     const BigInt y = dh.compute_shared(x, BigInt{3});  // 3^x mod p
     if (first) {

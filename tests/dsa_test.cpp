@@ -50,12 +50,10 @@ TEST_F(DsaTest, SignVerifyRoundTrip) {
 TEST_F(DsaTest, AllKernelsInteroperate) {
   // Signature produced with one kernel verifies under any other.
   const KeyPair kp = Dsa(shared_params()).generate_keypair(rng_);
-  for (const rsa::Kernel ks :
-       {rsa::Kernel::kScalar32, rsa::Kernel::kScalar64, rsa::Kernel::kVector}) {
+  for (const rsa::Backend ks : rsa::kAllBackends) {
     const Dsa signer(shared_params(), ks);
     const Signature sig = signer.sign(bytes_of("interop"), kp.x, rng_);
-    for (const rsa::Kernel kv :
-         {rsa::Kernel::kScalar32, rsa::Kernel::kScalar64, rsa::Kernel::kVector}) {
+    for (const rsa::Backend kv : rsa::kAllBackends) {
       const Dsa verifier(shared_params(), kv);
       EXPECT_TRUE(verifier.verify(bytes_of("interop"), sig, kp.y));
     }

@@ -91,8 +91,7 @@ TEST_F(OaepTest, WrongLengthRejected) {
 
 TEST_F(OaepTest, WorksWithAllKernels) {
   const auto msg = rng_.bytes(32);
-  for (const Kernel k :
-       {Kernel::kScalar32, Kernel::kScalar64, Kernel::kVector}) {
+  for (const Backend k : kAllBackends) {
     EngineOptions opts;
     opts.kernel = k;
     const Engine engine(key_, opts);

@@ -148,15 +148,15 @@ TEST_F(Pkcs1Test, DecryptRejectsForgedPaddingTypes) {
 TEST_F(Pkcs1Test, AllEnginesProduceSameSignature) {
   // Deterministic padding => identical signatures across kernels.
   std::vector<std::vector<std::uint8_t>> sigs;
-  for (const Kernel k :
-       {Kernel::kScalar32, Kernel::kScalar64, Kernel::kVector}) {
+  for (const Backend k : kAllBackends) {
     EngineOptions opts;
     opts.kernel = k;
     const Engine engine(key_, opts);
     sigs.push_back(sign_sha256(engine, bytes_of("deterministic")));
   }
-  EXPECT_EQ(sigs[0], sigs[1]);
-  EXPECT_EQ(sigs[1], sigs[2]);
+  for (std::size_t i = 1; i < sigs.size(); ++i) {
+    EXPECT_EQ(sigs[i], sigs[0]) << to_string(kAllBackends[i]);
+  }
 }
 
 }  // namespace

@@ -4,11 +4,17 @@
 // results for the same key).
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <stdexcept>
+#include <utility>
+#include <variant>
 
+#include "mont/ifma_kernels.hpp"
 #include "rsa/backend.hpp"
+#include "rsa/batch_engine.hpp"
 #include "rsa/engine.hpp"
 #include "rsa/key.hpp"
+#include "util/cpu.hpp"
 #include "util/random.hpp"
 
 namespace phissl::rsa {
@@ -63,7 +69,7 @@ TEST(TestKey, CachedAndConsistent) {
 }
 
 struct EngineConfig {
-  Kernel kernel;
+  Backend kernel;
   Schedule schedule;
   bool use_crt;
   bool blinding;
@@ -94,21 +100,23 @@ TEST_P(EngineRoundTrip, PrivateThenPublicIsIdentity) {
 INSTANTIATE_TEST_SUITE_P(
     AllConfigs, EngineRoundTrip,
     ::testing::Values(
-        EngineConfig{Kernel::kVector, Schedule::kFixedWindow, true, false},
-        EngineConfig{Kernel::kVector, Schedule::kFixedWindow, false, false},
-        EngineConfig{Kernel::kVector, Schedule::kFixedWindow, true, true},
-        EngineConfig{Kernel::kVector, Schedule::kSlidingWindow, true, false},
-        EngineConfig{Kernel::kScalar32, Schedule::kSlidingWindow, true, false},
-        EngineConfig{Kernel::kScalar32, Schedule::kFixedWindow, false, false},
-        EngineConfig{Kernel::kScalar64, Schedule::kSlidingWindow, true, false},
-        EngineConfig{Kernel::kScalar64, Schedule::kFixedWindow, true, true},
-        EngineConfig{Kernel::kIfma52, Schedule::kFixedWindow, true, false},
-        EngineConfig{Kernel::kIfma52, Schedule::kFixedWindow, false, false},
-        EngineConfig{Kernel::kIfma52, Schedule::kSlidingWindow, true, false},
-        EngineConfig{Kernel::kIfma52, Schedule::kFixedWindow, true, true}),
+        EngineConfig{Backend::kKncVec, Schedule::kFixedWindow, true, false},
+        EngineConfig{Backend::kKncVec, Schedule::kFixedWindow, false, false},
+        EngineConfig{Backend::kKncVec, Schedule::kFixedWindow, true, true},
+        EngineConfig{Backend::kKncVec, Schedule::kSlidingWindow, true, false},
+        EngineConfig{Backend::kScalar32, Schedule::kSlidingWindow, true, false},
+        EngineConfig{Backend::kScalar32, Schedule::kFixedWindow, false, false},
+        EngineConfig{Backend::kScalar64, Schedule::kSlidingWindow, true, false},
+        EngineConfig{Backend::kScalar64, Schedule::kFixedWindow, true, true},
+        EngineConfig{Backend::kIfma52, Schedule::kFixedWindow, true, false},
+        EngineConfig{Backend::kIfma52, Schedule::kFixedWindow, false, false},
+        EngineConfig{Backend::kIfma52, Schedule::kSlidingWindow, true, false},
+        EngineConfig{Backend::kIfma52, Schedule::kFixedWindow, true, true}),
     [](const auto& param_info) {
       const EngineConfig& c = param_info.param;
-      std::string name = to_string(c.kernel);
+      // The knc_vec ids keep their original "vector" spelling.
+      std::string name =
+          c.kernel == Backend::kKncVec ? "vector" : to_string(c.kernel);
       name += c.schedule == Schedule::kFixedWindow ? "_fixed" : "_sliding";
       name += c.use_crt ? "_crt" : "_nocrt";
       name += c.blinding ? "_blind" : "";
@@ -125,8 +133,7 @@ TEST(Engine, AllKernelsAgreeOnPrivateOp) {
 
   BigInt reference;
   bool first = true;
-  for (const Kernel k : {Kernel::kScalar32, Kernel::kScalar64, Kernel::kVector,
-                         Kernel::kIfma52}) {
+  for (const Backend k : kAllBackends) {
     for (const Schedule s : {Schedule::kFixedWindow, Schedule::kSlidingWindow}) {
       for (const bool crt : {false, true}) {
         EngineOptions opts;
@@ -152,7 +159,7 @@ TEST(Engine, AllKernelsAgreeOnPrivateOp) {
 TEST(Engine, BlindingChangesNothingObservable) {
   const PrivateKey& key = test_key(512);
   EngineOptions plain;
-  plain.kernel = Kernel::kVector;
+  plain.kernel = Backend::kKncVec;
   EngineOptions blinded = plain;
   blinded.blinding = true;
   const Engine e1(key, plain);
@@ -194,42 +201,43 @@ TEST(Engine, ZeroAndSmallMessages) {
 }
 
 TEST(Engine, KernelAndScheduleNames) {
-  EXPECT_STREQ(to_string(Kernel::kVector), "vector");
-  EXPECT_STREQ(to_string(Kernel::kScalar32), "scalar32");
-  EXPECT_STREQ(to_string(Kernel::kScalar64), "scalar64");
-  EXPECT_STREQ(to_string(Kernel::kIfma52), "ifma52");
+  // Kernel is the engine-level alias of Backend, so it shares its names.
+  EXPECT_STREQ(to_string(Kernel::kKncVec), "knc_vec");
   EXPECT_STREQ(to_string(Schedule::kFixedWindow), "fixed-window");
   EXPECT_STREQ(to_string(Schedule::kSlidingWindow), "sliding-window");
 }
 
 TEST(Backend, NamesRoundTrip) {
-  EXPECT_STREQ(to_string(Backend::kKncVec), "knc_vec");
-  EXPECT_STREQ(to_string(Backend::kIfma52), "ifma52");
-  EXPECT_STREQ(to_string(Backend::kScalar64), "scalar64");
-  EXPECT_EQ(backend_from_string("knc_vec"), Backend::kKncVec);
-  EXPECT_EQ(backend_from_string("ifma52"), Backend::kIfma52);
-  // The portable spelling selects the same backend; IfmaMontCtx itself
-  // re-reads the env var to pin the u128 path.
-  EXPECT_EQ(backend_from_string("ifma52-portable"), Backend::kIfma52);
-  EXPECT_EQ(backend_from_string("scalar64"), Backend::kScalar64);
+  const std::pair<Backend, const char*> names[] = {
+      {Backend::kScalar32, "scalar32"},
+      {Backend::kScalar64, "scalar64"},
+      {Backend::kKncVec, "knc_vec"},
+      {Backend::kIfma52, "ifma52"},
+      {Backend::kIfma52Portable, "ifma52-portable"}};
+  ASSERT_EQ(std::size(names), kAllBackends.size());
+  for (const auto& [b, name] : names) {
+    EXPECT_STREQ(to_string(b), name);
+    EXPECT_EQ(backend_from_string(name), b) << name;
+  }
   EXPECT_FALSE(backend_from_string("avx2").has_value());
   EXPECT_FALSE(backend_from_string("").has_value());
 }
 
-TEST(Backend, KernelMapping) {
-  EXPECT_EQ(kernel_for(Backend::kKncVec), Kernel::kVector);
-  EXPECT_EQ(kernel_for(Backend::kIfma52), Kernel::kIfma52);
-  EXPECT_EQ(kernel_for(Backend::kScalar64), Kernel::kScalar64);
-}
-
-TEST(Backend, ResolveHonorsEnvironment) {
-  // In the plain test environment resolve_backend is the identity; under
-  // a PHISSL_FORCE_BACKEND CI leg it must report the override for every
-  // request (the sanitizer legs rely on this to pin ifma52 everywhere).
-  for (const Backend b :
-       {Backend::kKncVec, Backend::kIfma52, Backend::kScalar64}) {
-    EXPECT_EQ(resolve_backend(b), forced_backend().value_or(b));
-  }
+TEST(Backend, IfmaSpellingsReachTheKernels) {
+  // kIfma52 runs vpmadd52 wherever both the binary and the CPU have it;
+  // kIfma52Portable pins the u128 kernels even there, in the scalar
+  // factory and in the batch engine alike.
+  const bool native =
+      mont::ifma::compiled() && util::cpu_features().avx512ifma;
+  const PrivateKey& key = test_key(512);
+  EXPECT_EQ(std::get<mont::IfmaMontCtx>(make_ctx(Backend::kIfma52, key.p))
+                .uses_ifma(),
+            native);
+  EXPECT_FALSE(
+      std::get<mont::IfmaMontCtx>(make_ctx(Backend::kIfma52Portable, key.p))
+          .uses_ifma());
+  EXPECT_EQ(BatchEngine(key, Backend::kIfma52).uses_ifma(), native);
+  EXPECT_FALSE(BatchEngine(key, Backend::kIfma52Portable).uses_ifma());
 }
 
 }  // namespace

@@ -145,20 +145,22 @@ TEST(SignService, RawPrivateOpMatchesEngine) {
   // so the TLS path can run RSAES decryptions through the same batches.
   const rsa::PrivateKey& key = rsa::test_key(512);
   const std::size_t k = key.pub.byte_size();
-  SignService svc;
-  svc.add_key("k", key);
-
   util::Rng rng(4242);
   std::vector<std::uint8_t> block(k);
   rng.fill_bytes(block.data(), block.size());
   block[0] = 0;  // keep the value comfortably below n
-
-  const SignResult r = svc.private_op("k", block).get();
   const rsa::Engine engine(key, rsa::EngineOptions{});
   const auto expected =
       engine.private_op(bigint::BigInt::from_bytes_be(block)).to_bytes_be(k);
-  EXPECT_EQ(r.signature, expected);
-  EXPECT_GE(r.completed_at, r.submitted_at);
+
+  for (const rsa::Backend b : rsa::kAllBackends) {
+    if (!rsa::has_batch_form(b)) continue;
+    SignService svc(SignServiceConfig{.backend = b});
+    svc.add_key("k", key);
+    const SignResult r = svc.private_op("k", block).get();
+    EXPECT_EQ(r.signature, expected) << rsa::to_string(b);
+    EXPECT_GE(r.completed_at, r.submitted_at);
+  }
 }
 
 TEST(SignService, RawPrivateOpAndSignSharePipeline) {

@@ -161,23 +161,28 @@ TEST_F(HandshakeTest, ResumptionAfterEvictionFallsBackToFull) {
 }
 
 TEST_F(HandshakeTest, BatchedDecrypterCompletesFullHandshake) {
-  BatchDecryptService svc(rsa::test_key(1024),
-                          BatchDecryptConfig{.dispatch_threads = 1});
-  ServerHandshake server(server_engine_, rng_, nullptr, &svc);
-  ClientHandshake client(client_engine_, rng_);
-  const auto flight = server.on_client_hello(client.start());
-  ASSERT_TRUE(flight.ok());
-  const auto kex = client.on_server_hello(flight.value().hello,
-                                          *flight.value().certificate);
-  ASSERT_TRUE(kex.ok());
-  const auto fin =
-      server.on_key_exchange(kex.value().first, kex.value().second);
-  ASSERT_TRUE(fin.ok());
-  EXPECT_TRUE(client.on_server_finished(fin.value()).ok());
-  EXPECT_EQ(*client.master(), *server.master());
-  const auto st = svc.stats();
-  EXPECT_EQ(st.requests, 1u);
-  EXPECT_GE(st.batches, 1u);
+  for (const rsa::Backend b : rsa::kAllBackends) {
+    if (!rsa::has_batch_form(b)) continue;
+    SCOPED_TRACE(rsa::to_string(b));
+    BatchDecryptService svc(
+        rsa::test_key(1024),
+        BatchDecryptConfig{.dispatch_threads = 1, .backend = b});
+    ServerHandshake server(server_engine_, rng_, nullptr, &svc);
+    ClientHandshake client(client_engine_, rng_);
+    const auto flight = server.on_client_hello(client.start());
+    ASSERT_TRUE(flight.ok());
+    const auto kex = client.on_server_hello(flight.value().hello,
+                                            *flight.value().certificate);
+    ASSERT_TRUE(kex.ok());
+    const auto fin =
+        server.on_key_exchange(kex.value().first, kex.value().second);
+    ASSERT_TRUE(fin.ok());
+    EXPECT_TRUE(client.on_server_finished(fin.value()).ok());
+    EXPECT_EQ(*client.master(), *server.master());
+    const auto st = svc.stats();
+    EXPECT_EQ(st.requests, 1u);
+    EXPECT_GE(st.batches, 1u);
+  }
 }
 
 TEST_F(HandshakeTest, BatchedDecrypterRejectsMalformedUniformly) {

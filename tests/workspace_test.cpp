@@ -73,7 +73,7 @@ using bigint::BigInt;
 TEST(Workspace, EngineCrtPrivateOpIsAllocationFreeAfterWarmup) {
   const PrivateKey& key = test_key(1024);
   util::Rng rng(31);
-  for (Kernel k : {Kernel::kScalar32, Kernel::kScalar64, Kernel::kVector}) {
+  for (const Backend k : kAllBackends) {
     for (Schedule sched : {Schedule::kFixedWindow, Schedule::kSlidingWindow}) {
       EngineOptions opts;
       opts.kernel = k;
@@ -109,24 +109,27 @@ TEST(Workspace, EngineCrtPrivateOpIsAllocationFreeAfterWarmup) {
 
 TEST(Workspace, BatchEnginePrivateOpIsAllocationFreeAfterWarmup) {
   const PrivateKey& key = test_key(1024);
-  const BatchEngine batch(key);
+  const Engine scalar(key, EngineOptions{});
   util::Rng rng(32);
   std::array<BigInt, BatchEngine::kBatch> xs, out;
   for (auto& x : xs) x = BigInt::random_below(key.pub.n, rng);
 
-  batch.private_op(xs, out);
-  batch.private_op(xs, out);  // warm-up
-
-  const std::size_t before = alloc_count();
-  for (int i = 0; i < 3; ++i) {
+  for (const Backend b :
+       {Backend::kKncVec, Backend::kIfma52, Backend::kIfma52Portable}) {
+    const BatchEngine batch(key, b);
     batch.private_op(xs, out);
-  }
-  const std::size_t after = alloc_count();
-  EXPECT_EQ(after - before, 0u);
+    batch.private_op(xs, out);  // warm-up
 
-  const Engine scalar(key, EngineOptions{});
-  for (std::size_t l = 0; l < BatchEngine::kBatch; ++l) {
-    EXPECT_EQ(out[l], scalar.private_op(xs[l])) << l;
+    const std::size_t before = alloc_count();
+    for (int i = 0; i < 3; ++i) {
+      batch.private_op(xs, out);
+    }
+    const std::size_t after = alloc_count();
+    EXPECT_EQ(after - before, 0u) << to_string(b);
+
+    for (std::size_t l = 0; l < BatchEngine::kBatch; ++l) {
+      EXPECT_EQ(out[l], scalar.private_op(xs[l])) << to_string(b) << " " << l;
+    }
   }
 }
 

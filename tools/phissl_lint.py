@@ -22,9 +22,14 @@ Rules:
   BLD001 .cpp file present on disk but not registered in its directory's
          CMakeLists.txt — it silently doesn't build, which is how dead
          kernels and never-run tests happen.
+  ENV001 process-environment access (the C library's get/set/put-env
+         calls) anywhere under src/. Configuration is data: a knob read
+         from the environment deep in the stack is invisible at every call
+         site and cannot differ between two objects in one process. Pass
+         it through a config struct or constructor argument instead.
 
 Suppressions: append `// lint:allow(<rule>)` to the offending line, where
-<rule> is memcmp, secret-index, rand, or memset.
+<rule> is memcmp, secret-index, rand, memset, or env.
 
 Exit status: 0 clean, 1 findings, 2 usage error.
 """
@@ -60,6 +65,8 @@ MEMCMP_RE = re.compile(r"(?<![\w.:>])memcmp\s*\(")
 MEMSET_RE = re.compile(r"(?<![\w.:>])(?:memset|(?<!_)bzero)\s*\(")
 RAND_RE = re.compile(r"(?<![\w.:>])s?rand\s*\(")
 INDEX_VALUE_RE = re.compile(r"(?<![\w.:>])index_value\s*\(")
+# Qualified calls (std::, ::) count too; member calls do not.
+ENV_RE = re.compile(r"(?<![\w.>])(?:get|set|put)env\s*\(")
 CT_KERNEL_MARKER = "phissl:ct-kernel"
 ALLOW_RE = re.compile(r"//\s*lint:allow\(([a-z-]+)\)")
 
@@ -99,6 +106,7 @@ def lint_cpp_file(root: Path, path: Path) -> list[Finding]:
 
     in_secret_dir = rel.startswith(SECRET_DIRS)
     in_wipe_dir = rel.startswith(WIPE_DIRS)
+    in_src = rel.startswith("src/")
     is_ct_kernel = CT_KERNEL_MARKER in text and rel not in CT002_ALLOWED
     declassify_depth = 0
 
@@ -119,6 +127,12 @@ def lint_cpp_file(root: Path, path: Path) -> list[Finding]:
                             "plain memset/bzero in secret-bearing code can "
                             "be elided by dead-store elimination; use "
                             "util::secure_wipe (util/wipe.hpp)"))
+
+        if in_src and ENV_RE.search(code) and not _allowed(raw, "env"):
+            findings.append(
+                Finding(rel, i, "ENV001",
+                        "environment access in library code; pass the "
+                        "setting as data (config field or argument)"))
 
         if RAND_RE.search(code) and not _allowed(raw, "rand"):
             findings.append(

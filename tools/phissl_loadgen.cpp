@@ -22,8 +22,8 @@
 // --resumption / --dhe (per-connection coin ratios), --seed. Server
 // knobs: --workers, --max-open, --max-pending (admission cap), --bits
 // (test key size), --port, --backend (Montgomery backend of both the
-// batched private-op path and the engine: knc_vec | ifma52 | scalar64,
-// default ifma52).
+// batched private-op path and the engine: knc_vec | ifma52 |
+// ifma52-portable, default ifma52).
 //
 // Exit 0 on success, 1 on a failed run/assertion, 2 on usage errors.
 #include <cstdio>
@@ -52,7 +52,7 @@ int usage() {
       "                      [--seed S] [--bits B]\n"
       "       phissl_loadgen --serve -n N [--port P] [--workers W]\n"
       "                      [--max-open M] [--max-pending K] [--bits B]\n"
-      "                      [--backend knc_vec|ifma52|scalar64]\n"
+      "                      [--backend knc_vec|ifma52|ifma52-portable]\n"
       "       phissl_loadgen --self N [any of the above knobs]\n");
   return 2;
 }
@@ -167,7 +167,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(a, "--backend") == 0) {
       const char* n = next();
       const auto b = n == nullptr ? std::nullopt : rsa::backend_from_string(n);
-      if (!b) return usage();
+      if (!b || !rsa::has_batch_form(*b)) return usage();
       backend = *b;
     } else {
       std::fprintf(stderr, "unknown argument %s\n", a);
@@ -177,8 +177,7 @@ int main(int argc, char** argv) {
   if (mode == Mode::kNone || total == 0) return usage();
 
   const rsa::PrivateKey& key = rsa::test_key(bits);
-  const rsa::Engine server_engine(
-      key, rsa::EngineOptions{.kernel = rsa::kernel_for(backend)});
+  const rsa::Engine server_engine(key, rsa::EngineOptions{.kernel = backend});
 
   ssl::DriverConfig cfg;
   cfg.frontend = ssl::Frontend::kSocket;

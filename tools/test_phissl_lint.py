@@ -149,6 +149,44 @@ class RandRule(LintFixture):
         self.assertNotIn("RNG001", self.rules())
 
 
+class EnvRule(LintFixture):
+    # One fixture line per C library environment call.
+    VERBS = ("get", "set", "put")
+
+    @staticmethod
+    def call(verb, suffix=""):
+        return f'auto v = std::{verb}env("PHISSL_X");{suffix}\n'
+
+    def test_each_call_fires_under_src(self):
+        for verb in self.VERBS:
+            with self.subTest(verb=verb):
+                self.write("src/mont/ctx.cpp", self.call(verb))
+                self.assertIn("ENV001", self.rules())
+
+    def test_unqualified_call_fires(self):
+        self.write("src/rsa/backend.cpp",
+                   self.call("get").replace("std::", ""))
+        self.assertIn("ENV001", self.rules())
+
+    def test_suppressed(self):
+        self.write("src/util/cpu.cpp",
+                   self.call("get", "  // lint:allow(env)"))
+        self.assertNotIn("ENV001", self.rules())
+
+    def test_comment_ignored(self):
+        self.write("src/mont/ctx.cpp", "// " + self.call("get"))
+        self.assertNotIn("ENV001", self.rules())
+
+    def test_outside_src_ignored(self):
+        self.write("tests/env_test.cpp", self.call("set"))
+        self.assertNotIn("ENV001", self.rules())
+
+    def test_member_call_ignored(self):
+        self.write("src/ssl/driver.cpp",
+                   self.call("get").replace("std::", "cfg."))
+        self.assertNotIn("ENV001", self.rules())
+
+
 class RegistrationRule(LintFixture):
     def test_unregistered_cpp_fires(self):
         d = self.root / "src" / "mont"
