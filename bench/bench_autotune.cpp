@@ -34,6 +34,7 @@
 #include "phisim/autotune.hpp"
 #include "phisim/replay.hpp"
 #include "rsa/batch_engine.hpp"
+#include "rsa/engine.hpp"
 #include "rsa/key.hpp"
 #include "service/sign_service.hpp"
 #include "ssl/tuned_config.hpp"
@@ -151,9 +152,12 @@ int main(int argc, char** argv) {
   const rsa::PrivateKey& key = rsa::test_key(bits);
 
   // Capacity calibration, exactly the bench_sign_service probe: the batch
-  // cost it measures is both the rate scale for the cells and the
-  // ReplayCost the model runs against.
+  // cost it measures is both the rate scale for the cells and, with the
+  // single-stream op cost next to it, the ReplayCost the model runs
+  // against (the live service routes each partial flush on the same two).
   const rsa::BatchEngine cal(key);
+  const rsa::Engine cal_single(key,
+                               rsa::EngineOptions{.kernel = cal.backend()});
   util::Rng rng(7);
   std::array<bigint::BigInt, rsa::BatchEngine::kBatch> xs;
   for (auto& x : xs) x = bigint::BigInt::random_below(key.pub.n, rng);
@@ -162,18 +166,26 @@ int main(int argc, char** argv) {
       bench::time_op_ms([&] { (void)cal.private_op(xs); }, 3, 0.2, 50,
                         &cal_capped)
           .median;
+  bigint::BigInt one;
+  const double t_single_ms =
+      bench::time_op_ms([&] { cal_single.private_op_into(xs[0], one); }, 3,
+                        0.2, 200)
+          .median;
   const double capacity_rps =
       static_cast<double>(rsa::BatchEngine::kBatch) / (t_batch_ms * 1e-3);
   const phisim::ReplayCost cost =
-      phisim::ReplayCost::from_measured(t_batch_ms * 1e3);
+      phisim::ReplayCost::from_measured(t_batch_ms * 1e3, t_single_ms * 1e3);
   std::printf("\nRSA-%zu: full 16-lane batch = %.2f ms -> capacity %.0f "
-              "signs/s; replay batch cost %.0f us%s\n",
+              "signs/s; replay batch cost %.0f us, single-stream op %.0f "
+              "us%s\n",
               bits, t_batch_ms, capacity_rps, cost.batch_us,
+              cost.single_op_us,
               cal_capped ? " (rep-capped calibration)" : "");
   json.add_row("calibration", std::to_string(bits),
                {{"t_batch_ms", t_batch_ms},
                 {"capacity_rps", capacity_rps},
-                {"batch_us", cost.batch_us}});
+                {"batch_us", cost.batch_us},
+                {"single_op_us", cost.single_op_us}});
 
   // --- 1. model fidelity: live cell vs replay of its own trace -----------
   struct Cell {

@@ -80,6 +80,7 @@ void sweep_cell(phissl::bench::JsonReporter& json, const phissl::rsa::Engine& en
                 {"cache_misses", static_cast<double>(r.cache_misses)},
                 {"cache_evictions", static_cast<double>(r.cache_evictions)},
                 {"batches", static_cast<double>(r.batches)},
+                {"single_ops", static_cast<double>(r.single_ops)},
                 {"lane_occupancy", r.batch_lane_occupancy}});
 }
 
@@ -132,6 +133,7 @@ void event_cell(phissl::bench::JsonReporter& json,
                 {"shed", static_cast<double>(r.shed)},
                 {"resumed", static_cast<double>(r.resumed)},
                 {"batches", static_cast<double>(r.batches)},
+                {"single_ops", static_cast<double>(r.single_ops)},
                 {"lane_occupancy", r.batch_lane_occupancy},
                 {"resumptions_per_wakeup", r.resumptions_per_wakeup}});
 }
@@ -183,6 +185,7 @@ void socket_cell(phissl::bench::JsonReporter& json,
                 {"shed", static_cast<double>(r.shed)},
                 {"resumed", static_cast<double>(r.resumed)},
                 {"batches", static_cast<double>(r.batches)},
+                {"single_ops", static_cast<double>(r.single_ops)},
                 {"lane_occupancy", r.batch_lane_occupancy},
                 {"resumptions_per_wakeup", r.resumptions_per_wakeup},
                 {"accepts", static_cast<double>(r.accepts)},

@@ -1,5 +1,8 @@
 // E2: single Montgomery multiplication and squaring latency, all kernels,
 // across modulus sizes — the innermost primitives the paper vectorizes.
+// The ifma52 rows run the radix-2^52 latency kernels (vpmadd52 on a CPU
+// with AVX-512 IFMA); ifma52-portable pins the same context to its
+// portable u128 instantiation.
 // The sqr benchmarks carry a "sqr/mul" counter: the measured cost ratio of
 // the dedicated squaring kernel against a general multiply of the same
 // operand (ideal symmetry win is ~0.75; modexp spends most of its
@@ -8,6 +11,7 @@
 
 #include "harness.hpp"
 #include "bigint/bigint.hpp"
+#include "mont/ifma_mont.hpp"
 #include "mont/mont32.hpp"
 #include "mont/mont64.hpp"
 #include "mont/vector_mont.hpp"
@@ -17,6 +21,13 @@ namespace {
 
 using phissl::bigint::BigInt;
 namespace mont = phissl::mont;
+
+// The ifma52 context pinned to its portable kernels (rsa::Backend's
+// kIfma52Portable), constructible from the modulus alone like the rest.
+struct IfmaPortableCtx : mont::IfmaMontCtx {
+  explicit IfmaPortableCtx(const BigInt& m)
+      : mont::IfmaMontCtx(m, /*force_portable=*/true) {}
+};
 
 template <typename Ctx>
 void BM_MontMul(benchmark::State& state) {
@@ -40,6 +51,11 @@ BENCHMARK_TEMPLATE(BM_MontMul, mont::MontCtx64)
     ->Name("BM_MontMul_scalar64")->Arg(512)->Arg(1024)->Arg(2048)->Arg(4096);
 BENCHMARK_TEMPLATE(BM_MontMul, mont::VectorMontCtx)
     ->Name("BM_MontMul_vector")->Arg(512)->Arg(1024)->Arg(2048)->Arg(4096);
+BENCHMARK_TEMPLATE(BM_MontMul, mont::IfmaMontCtx)
+    ->Name("BM_MontMul_ifma52")->Arg(512)->Arg(1024)->Arg(2048)->Arg(4096);
+BENCHMARK_TEMPLATE(BM_MontMul, IfmaPortableCtx)
+    ->Name("BM_MontMul_ifma52-portable")
+    ->Arg(512)->Arg(1024)->Arg(2048)->Arg(4096);
 
 template <typename Ctx>
 void BM_MontSqr(benchmark::State& state) {
@@ -68,6 +84,11 @@ BENCHMARK_TEMPLATE(BM_MontSqr, mont::MontCtx64)
     ->Name("BM_MontSqr_scalar64")->Arg(512)->Arg(1024)->Arg(2048)->Arg(4096);
 BENCHMARK_TEMPLATE(BM_MontSqr, mont::VectorMontCtx)
     ->Name("BM_MontSqr_vector")->Arg(512)->Arg(1024)->Arg(2048)->Arg(4096);
+BENCHMARK_TEMPLATE(BM_MontSqr, mont::IfmaMontCtx)
+    ->Name("BM_MontSqr_ifma52")->Arg(512)->Arg(1024)->Arg(2048)->Arg(4096);
+BENCHMARK_TEMPLATE(BM_MontSqr, IfmaPortableCtx)
+    ->Name("BM_MontSqr_ifma52-portable")
+    ->Arg(512)->Arg(1024)->Arg(2048)->Arg(4096);
 
 // Same column algorithm without SIMD: isolates the pure vectorization win
 // on the host (the apples-to-apples ablation for the vector kernel).

@@ -65,6 +65,7 @@ struct CellResult {
   double occupancy = 0.0;
   std::uint64_t batches = 0;
   std::uint64_t full_batches = 0;
+  std::uint64_t single_ops = 0;
   util::Summary latency_us;     // submit -> signature ready, per request
   util::Summary queue_wait_us;  // submit -> batch dispatch, per request
   util::Summary service_us;     // per-batch kernel time
@@ -113,6 +114,7 @@ CellResult run_cell(const rsa::PrivateKey& key, double rate_rps,
   c.occupancy = s.mean_lane_occupancy;
   c.batches = s.batches;
   c.full_batches = s.full_batches;
+  c.single_ops = s.single_ops;
   c.latency_us = util::summarize(std::move(latency));
   c.queue_wait_us = s.queue_wait_us;
   c.service_us = s.service_us;
@@ -199,19 +201,20 @@ int main(int argc, char** argv) {
 
   for (const Policy& policy : policies) {
     std::printf("\n[%s]\n", policy.label);
-    std::printf("%8s %12s %12s %10s %8s %12s %12s %12s %12s\n", "rate",
-                "target/s", "achieved/s", "occup", "batches", "lat p50 us",
-                "lat p95 us", "lat p99 us", "qwait p50");
+    std::printf("%8s %12s %12s %10s %8s %8s %12s %12s %12s %12s\n", "rate",
+                "target/s", "achieved/s", "occup", "batches", "singles",
+                "lat p50 us", "lat p95 us", "lat p99 us", "qwait p50");
     for (const double mult : rate_multipliers) {
       const double rate = mult * capacity_rps;
       util::Rng cell_rng(static_cast<std::uint64_t>(mult * 1000) +
                          (policy.cfg.full_batches_only ? 1u : 0u));
       const CellResult c =
           run_cell(key, rate, policy.cfg, requests, cell_rng);
-      std::printf("%6.2fx %12.0f %12.0f %9.1f%% %8llu %12.0f %12.0f %12.0f "
-                  "%12.0f\n",
+      std::printf("%6.2fx %12.0f %12.0f %9.1f%% %8llu %8llu %12.0f %12.0f "
+                  "%12.0f %12.0f\n",
                   mult, rate, c.achieved_rps, 100.0 * c.occupancy,
                   static_cast<unsigned long long>(c.batches),
+                  static_cast<unsigned long long>(c.single_ops),
                   c.latency_us.median, c.latency_us.p95, c.latency_us.p99,
                   c.queue_wait_us.median);
       char rate_name[32];
@@ -223,6 +226,7 @@ int main(int argc, char** argv) {
                     {"occupancy", c.occupancy},
                     {"batches", static_cast<double>(c.batches)},
                     {"full_batches", static_cast<double>(c.full_batches)},
+                    {"single_ops", static_cast<double>(c.single_ops)},
                     {"lat_p50_us", c.latency_us.median},
                     {"lat_p95_us", c.latency_us.p95},
                     {"lat_p99_us", c.latency_us.p99},

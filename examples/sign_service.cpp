@@ -35,13 +35,14 @@ namespace {
 
 void print_stats(const char* tag, const phissl::service::StatsSnapshot& s) {
   std::printf("%s requests=%llu batches=%llu (full=%llu, padded lanes=%llu) "
-              "occupancy=%.1f%%\n"
+              "single-stream=%llu occupancy=%.1f%%\n"
               "%s queue-wait us p50/p95/p99 = %.0f/%.0f/%.0f | "
               "batch service us p50/p95 = %.0f/%.0f\n",
               tag, static_cast<unsigned long long>(s.requests),
               static_cast<unsigned long long>(s.batches),
               static_cast<unsigned long long>(s.full_batches),
               static_cast<unsigned long long>(s.padded_lanes),
+              static_cast<unsigned long long>(s.single_ops),
               100.0 * s.mean_lane_occupancy, tag, s.queue_wait_us.median,
               s.queue_wait_us.p95, s.queue_wait_us.p99, s.service_us.median,
               s.service_us.p95);

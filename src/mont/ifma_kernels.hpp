@@ -10,8 +10,9 @@
 // Representation: 52-bit digits in 64-bit words. Products are accumulated
 // SPLIT — low-52 halves of the digit products land in their own column,
 // high-52 halves one column up (vpmadd52huq's band) — so no carry
-// propagates inside the product sweeps; one normalization pass per sweep
-// (scalar in latency mode, lane-wise in batch mode) recovers the digits.
+// propagates inside the product sweeps; one normalization per sweep
+// recovers the digits (in latency mode a vector carry round plus a
+// bit-mask ripple across the columns, in batch mode lane-wise).
 #pragma once
 
 #include <cstddef>
@@ -24,22 +25,26 @@ namespace phissl::mont::ifma {
 bool compiled();
 
 // -- Latency mode: one operand set, column-blocked register accumulation. --
-// Broadcast operands (a for mul; q/t internally) are plain d-digit arrays.
-// PADDED operands (bp, np, mup, and ap for sqr) point 16 words into a
+// Operands a and b (sqr: a) are d digits zero-padded to pd words (pd = d
+// rounded up to 8); the kernel copies the one it loads at every offset
+// into `pad` (pd + 24 words of scratch). np and mup point 16 words into a
 // buffer laid out as [16 zero words][d digits][zero words through index
-// 16 + pd + 7] (pd = d rounded up to 8), so the column-blocked sweeps can
-// issue unmasked loads at any offset in [-16, pd]. cols: round_up(2d, 8)
-// words of column scratch. t: 2d words. q: d words. out: d digits written
-// only at the end, so it may alias any operand.
+// 16 + pd + 7], so the sweeps can load them at any offset in [-16, pd].
+// cols: points 8 words into round_up(2d, 8) + 16 words of scratch (column
+// blocks may start below 0 and end past 2d). t: round_up(2d, 8) words. q:
+// pd words. out: pd words — d digits, then zeros — written only after
+// every operand is last read, so it may alias any operand. Every scratch
+// word is written before it is read.
 
-void mul(const std::uint64_t* a, const std::uint64_t* bp,
+void mul(const std::uint64_t* a, const std::uint64_t* b,
          const std::uint64_t* np, const std::uint64_t* mup, std::size_t d,
+         std::uint64_t* pad, std::uint64_t* cols, std::uint64_t* t,
+         std::uint64_t* q, std::uint64_t* out);
+
+void sqr(const std::uint64_t* a, const std::uint64_t* np,
+         const std::uint64_t* mup, std::size_t d, std::uint64_t* pad,
          std::uint64_t* cols, std::uint64_t* t, std::uint64_t* q,
          std::uint64_t* out);
-
-void sqr(const std::uint64_t* ap, const std::uint64_t* np,
-         const std::uint64_t* mup, std::size_t d, std::uint64_t* cols,
-         std::uint64_t* t, std::uint64_t* q, std::uint64_t* out);
 
 // -- Batch mode: 16 independent lanes, band-scanned register accumulation.
 // Digit-major transposed layout rep[j*16 + l]: one digit row is two 8-lane

@@ -65,21 +65,6 @@ IfmaMontCtx::IfmaMontCtx(const bigint::BigInt& m, bool force_portable)
   std::memcpy(mu_pad_.data() + 16, mu52_.data(), pd_ * sizeof(std::uint64_t));
 }
 
-const std::uint64_t* IfmaMontCtx::pad_operand(const Rep& x,
-                                              Workspace& ws) const {
-  // The 16 leading words stay zero (nothing ever writes below +16), but a
-  // workspace can be shared by contexts of different geometry — e.g. the
-  // thread_local ExpWorkspace in rsa::Engine serves both the full-size
-  // public ctx and the half-size CRT ctxs — so the words past this
-  // context's pd_ may hold a larger context's stale digits. The
-  // column-blocked kernels issue unmasked 8-word loads at offsets up to
-  // pd_, so re-zero [pd_, pd_ + 8) on every call.
-  std::uint64_t* w = ws.opad.data() + 16;
-  std::memcpy(w, x.data(), pd_ * sizeof(std::uint64_t));
-  std::memset(w + pd_, 0, 8 * sizeof(std::uint64_t));
-  return w;
-}
-
 void IfmaMontCtx::pack(const bigint::BigInt& x, Rep& out) const {
   assert(!x.is_negative());
   assert(x.bit_length() <= kDb * d_);
@@ -94,15 +79,17 @@ void IfmaMontCtx::pack(const bigint::BigInt& x, Rep& out) const {
 }
 
 void IfmaMontCtx::prepare(Workspace& ws) const {
+  // The vector kernels write whole 8-word blocks of t and q, and column
+  // blocks up to 8 words either side of cols (see ifma_kernels.hpp).
+  const std::size_t cb = (2 * d_ + 7) & ~std::size_t{7};
   if (use_ifma_) {
-    const std::size_t cb = (2 * d_ + 7) & ~std::size_t{7};
-    if (ws.cols64.size() < cb) ws.cols64.resize(cb);
-    if (ws.opad.size() < pd_ + 24) ws.opad.assign(pd_ + 24, 0);
+    if (ws.cols64.size() < cb + 16) ws.cols64.resize(cb + 16);
+    if (ws.opad.size() < pd_ + 24) ws.opad.resize(pd_ + 24);
   } else {
     if (ws.cols.size() < 2 * d_) ws.cols.resize(2 * d_);
   }
-  if (ws.t.size() < 2 * d_) ws.t.resize(2 * d_);
-  if (ws.q.size() < d_) ws.q.resize(d_);
+  if (ws.t.size() < cb) ws.t.resize(cb);
+  if (ws.q.size() < pd_) ws.q.resize(pd_);
 }
 
 IfmaMontCtx::Rep IfmaMontCtx::to_mont(const bigint::BigInt& x) const {
@@ -154,10 +141,9 @@ void IfmaMontCtx::mul(const Rep& a, const Rep& b, Rep& out,
   prepare(ws);
   out.resize(pd_);
   if (use_ifma_) {
-    const std::uint64_t* bp = pad_operand(b, ws);
-    ifma::mul(a.data(), bp, n_pad_.data() + 16, mu_pad_.data() + 16, d_,
-              ws.cols64.data(), ws.t.data(), ws.q.data(), out.data());
-    for (std::size_t k = d_; k < pd_; ++k) out[k] = 0;
+    ifma::mul(a.data(), b.data(), n_pad_.data() + 16, mu_pad_.data() + 16, d_,
+              ws.opad.data(), ws.cols64.data() + 8, ws.t.data(), ws.q.data(),
+              out.data());
   } else {
     r52::mont_mul_g(a.data(), b.data(), n52_.data(), mu52_.data(), d_,
                     ws.cols.data(), ws.t.data(), ws.q.data(), out.data());
@@ -178,10 +164,9 @@ void IfmaMontCtx::sqr(const Rep& a, Rep& out, Workspace& ws) const {
   prepare(ws);
   out.resize(pd_);
   if (use_ifma_) {
-    const std::uint64_t* ap = pad_operand(a, ws);
-    ifma::sqr(ap, n_pad_.data() + 16, mu_pad_.data() + 16, d_,
-              ws.cols64.data(), ws.t.data(), ws.q.data(), out.data());
-    for (std::size_t k = d_; k < pd_; ++k) out[k] = 0;
+    ifma::sqr(a.data(), n_pad_.data() + 16, mu_pad_.data() + 16, d_,
+              ws.opad.data(), ws.cols64.data() + 8, ws.t.data(), ws.q.data(),
+              out.data());
   } else {
     r52::mont_sqr_g(a.data(), n52_.data(), mu52_.data(), d_, ws.cols.data(),
                     ws.t.data(), ws.q.data(), out.data());

@@ -99,8 +99,6 @@ class IfmaMontCtx {
 
  private:
   void prepare(Workspace& ws) const;
-  [[nodiscard]] const std::uint64_t* pad_operand(const Rep& x,
-                                                 Workspace& ws) const;
 
   bigint::BigInt m_;
   std::size_t d_ = 0;

@@ -1,5 +1,7 @@
 #include "phisim/replay.hpp"
 
+#include "service/route.hpp"
+
 #include <algorithm>
 #include <cmath>
 #include <limits>
@@ -20,15 +22,17 @@ ReplayCost ReplayCost::from_offload_model(const OffloadModel& model,
   return c;
 }
 
-ReplayCost ReplayCost::from_measured(double batch_us) {
+ReplayCost ReplayCost::from_measured(double batch_us, double single_op_us) {
   ReplayCost c;
   c.batch_us = batch_us;
+  c.single_op_us = single_op_us;
   return c;
 }
 
 namespace {
 
-/// One dispatched batch's completion, for the event-frontend resume stage.
+/// One dispatch's completion (a batch, or one single-stream op), for the
+/// event-frontend resume stage.
 struct Completion {
   double at_us;
   std::size_t lanes;
@@ -46,8 +50,8 @@ ReplayResult replay_workload(std::span<const obs::WorkloadEvent> events,
                                  : cfg.linger_us;
 
   ReplayResult res;
-  // Worker j is free to start a batch at worker_free[j]; assignment picks
-  // the earliest-free worker, which also models the pool's queue (a batch
+  // Worker j is free to start a flush at worker_free[j]; assignment picks
+  // the earliest-free worker, which also models the pool's queue (a flush
   // dispatched while all are busy starts when the first one frees).
   std::vector<double> worker_free(slots, 0.0);
   std::vector<double> pending;  // arrival times (us) of queued ops
@@ -58,7 +62,7 @@ ReplayResult replay_workload(std::span<const obs::WorkloadEvent> events,
   double last_completion = 0.0;
   bool any = false;
 
-  // In-flight real ops (dispatched, batch not yet completed) — the live
+  // In-flight real ops (dispatched, op not yet completed) — the live
   // AdmissionController's `pending` counts these too, since it releases
   // its slot only when the RESULT arrives. Min-heap of (completion, lanes)
   // drained as simulated time advances.
@@ -79,24 +83,39 @@ ReplayResult replay_workload(std::span<const obs::WorkloadEvent> events,
   };
 
   // Flush `pending` as one dispatch at time t (queue wait is measured to
-  // the dispatch() CALL, exactly like the live service's stats).
+  // the dispatch() CALL, exactly like the live service's stats): one
+  // batch, or its ops one after another when the route says so.
+  const service::RouteCosts route{cost.single_op_us, cost.batch_us};
+  // One completion of `lanes` ops at `at` (a batch, or a single-stream
+  // op), for the resume stage and the admission depth.
+  const auto finish = [&](double at, std::size_t lanes) {
+    completions.push_back({at, lanes});
+    in_flight.emplace(at, lanes);
+    in_flight_ops += lanes;
+    last_completion = std::max(last_completion, at);
+  };
   const auto dispatch_batch = [&](double t) {
     const std::size_t real = pending.size();
-    res.batches++;
-    if (real == 16) res.full_batches++;
-    res.padded_lanes += 16 - real;
     auto it = std::min_element(worker_free.begin(), worker_free.end());
-    const double start = std::max(t, *it);
-    *it = start + cost.batch_us;
-    for (const double a : pending) {
-      waits.push_back(t - a);
-      sojourns.push_back(*it - a);
+    double at = std::max(t, *it);
+    for (const double a : pending) waits.push_back(t - a);
+    if (service::runs_single(real, route)) {
+      res.single_ops += real;
+      for (const double a : pending) {
+        at += cost.single_op_us;
+        sojourns.push_back(at - a);
+        finish(at, 1);
+      }
+    } else {
+      res.batches++;
+      if (real == 16) res.full_batches++;
+      res.padded_lanes += 16 - real;
+      at += cost.batch_us;
+      for (const double a : pending) sojourns.push_back(at - a);
+      finish(at, real);
     }
+    *it = at;
     pending.clear();
-    completions.push_back({*it, real});
-    in_flight.emplace(*it, real);
-    in_flight_ops += real;
-    last_completion = std::max(last_completion, *it);
   };
 
   // Fires every linger flush strictly before `now` (+inf drains). The
@@ -148,8 +167,9 @@ ReplayResult replay_workload(std::span<const obs::WorkloadEvent> events,
   // end at the stop call, so the last arrival stands in for it.
   if (!pending.empty()) dispatch_batch(pending.back());
 
-  // Event-frontend resume stage: each batch completion releases its real
-  // lanes as resume events onto `event_workers` reactor workers, each
+  // Event-frontend resume stage: each completion (a batch's real lanes, or
+  // one single-stream op) releases resume events onto `event_workers`
+  // reactor workers, each
   // costing resume_us of pump time — more workers drain a 16-wide
   // completion burst with less added tail wait.
   std::vector<double> resume_waits;
@@ -171,7 +191,7 @@ ReplayResult replay_workload(std::span<const obs::WorkloadEvent> events,
 
   res.occupancy = res.batches == 0
                       ? 0.0
-                      : static_cast<double>(res.admitted) /
+                      : static_cast<double>(res.admitted - res.single_ops) /
                             static_cast<double>(res.batches * 16);
   res.shed_fraction = res.offered == 0
                           ? 0.0

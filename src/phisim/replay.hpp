@@ -6,8 +6,9 @@
 // process through a deterministic discrete-event model of the scheduler —
 // the same flush policy sign_service.cpp implements (threshold dispatch,
 // linger-deadline partial flush gated on a free dispatch slot, stop()
-// drain) — against a per-batch cost taken from the phisim OffloadModel or
-// from a measurement. The output is what the service's stats() would have
+// drain, and the per-flush route of service/route.hpp, called as the live
+// service calls it) — against a per-batch and a single-op cost taken from
+// the phisim OffloadModel or from a measurement. The output is what the service's stats() would have
 // reported under a DIFFERENT configuration: lane occupancy, shed rate,
 // and queue-wait percentiles for candidate configs that were never run.
 // `phissl_autotune` (phisim/autotune.hpp) sweeps candidates over one
@@ -21,11 +22,14 @@
 //    AdmissionController uses its EWMA of measured costs — determinism
 //    over fidelity; the steady-state values agree.
 //  - Batch cost is constant per dispatch (the kernel always runs the
-//    fixed 16-lane shape, so this matches the real service closely).
+//    fixed 16-lane shape, so this matches the real service closely), and
+//    so is the single-op cost; the live service routes on its running
+//    estimates of both, the model on these constants.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
 
 #include "obs/workload.hpp"
@@ -42,7 +46,7 @@ struct ReplayConfig {
   /// Real lanes that trigger an immediate dispatch
   /// (SignServiceConfig::max_batch_lanes). Clamped to [1, 16].
   std::size_t max_batch_lanes = 16;
-  /// Dispatch workers running whole 16-lane batches
+  /// Dispatch workers, each running one flush at a time
   /// (SignServiceConfig::dispatch_threads). Clamped to >= 1.
   std::size_t dispatch_slots = 1;
   /// Admission bound (AdmissionConfig::max_predicted_wait), in us;
@@ -65,6 +69,12 @@ struct ReplayCost {
   /// (kernel + completion delivery — what phissl_service_batch_service_us
   /// measures).
   double batch_us = 100.0;
+  /// Wall time of one single-stream private op, in us (what
+  /// phissl_service_single_op_us measures). A partial flush runs its ops
+  /// one after another when that costs less than a batch
+  /// (service::runs_single); the default, infinity, models a service that
+  /// always batches.
+  double single_op_us = std::numeric_limits<double>::infinity();
   /// Event frontend: per-connection resume handling on a reactor worker,
   /// in us (state-machine pump + record round-trip).
   double resume_us = 2.0;
@@ -83,9 +93,11 @@ struct ReplayCost {
                                        const KernelProfile& op,
                                        std::size_t request_bytes,
                                        std::size_t response_bytes);
-  /// Batch cost measured on the live host (bench calibration — what
-  /// bench_sign_service's capacity probe produces).
-  static ReplayCost from_measured(double batch_us);
+  /// Costs measured on the live host (bench calibration — what
+  /// bench_sign_service's capacity probe and phissl_autotune produce).
+  static ReplayCost from_measured(
+      double batch_us,
+      double single_op_us = std::numeric_limits<double>::infinity());
 };
 
 /// What the replayed service would have reported.
@@ -96,11 +108,12 @@ struct ReplayResult {
   std::uint64_t batches = 0;
   std::uint64_t full_batches = 0;
   std::uint64_t padded_lanes = 0;
-  double occupancy = 0.0;       ///< admitted / (batches * 16)
+  std::uint64_t single_ops = 0;  ///< admitted ops run single-stream
+  double occupancy = 0.0;       ///< batched ops / (batches * 16)
   double shed_fraction = 0.0;   ///< shed / offered
   util::Summary wait_us;        ///< per-admitted-op queue wait (submit ->
                                 ///< dispatch, the stats() definition)
-  util::Summary sojourn_us;     ///< per-admitted-op submit -> batch
+  util::Summary sojourn_us;     ///< per-admitted-op submit -> its op's
                                 ///< completion — the end-to-end latency a
                                 ///< caller observes, which unlike wait_us
                                 ///< includes time queued behind busy
@@ -108,7 +121,7 @@ struct ReplayResult {
   util::Summary resume_wait_us; ///< event frontend only: completion ->
                                 ///< reactor pickup (zeroed when
                                 ///< event_workers == 0)
-  double makespan_us = 0.0;     ///< first arrival -> last batch completion
+  double makespan_us = 0.0;     ///< first arrival -> last op completion
   double throughput_ops_per_s = 0.0;  ///< admitted / makespan
 };
 

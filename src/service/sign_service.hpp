@@ -12,10 +12,7 @@
 //     dispatched immediately (the fast path — zero added latency under
 //     load);
 //   - otherwise a partial batch is flushed once its oldest request has
-//     lingered for `max_linger` AND a dispatch slot is free, with the
-//     unused lanes padded by a precomputed dummy input so the vector
-//     kernel always runs the exact same 16-lane shape (the dummy results
-//     are discarded).
+//     lingered for `max_linger` AND a dispatch slot is free.
 //
 // The dispatch-slot condition is what makes the scheduler lane-FILLING
 // rather than merely deadline-driven: while every worker is busy, an
@@ -27,13 +24,27 @@
 // ~8x and the backlog (and tail latency) diverges; bench_sign_service's
 // sweep is exactly the experiment that exposes this.
 //
+// Each flush then picks its route by cost (service/route.hpp): a partial
+// flush of k requests runs them one after another on the shard's
+// single-stream engine (same backend, CRT, fixed window) when k single
+// ops cost less than one batch, and otherwise runs the fixed-shape
+// 16-lane batch with the unused lanes padded by a precomputed dummy input
+// (their results discarded). Without the route, a sparse stream whose
+// oldest request has always lingered past its deadline by the time the
+// slot frees sends every flush out as a mostly padded batch back to back,
+// so dispatch takes a whole core at any offered rate. The two costs are
+// execution times the shard measures on the dispatch thread — seeded by
+// timed runs of each when the key is added, updated by every flush,
+// never including the wait for the thread.
+//
 // Net effect: at light load a request waits at most max_linger before its
-// (mostly padded) batch runs; at heavy load lane occupancy approaches
-// 100% — the occupancy-vs-latency knob bench_sign_service sweeps.
+// flush runs, at the single-stream cost; at heavy load lane occupancy
+// approaches 100% — the occupancy-vs-latency knob bench_sign_service
+// sweeps.
 //
 // One service instance holds one shard per private key (keyed by a caller
 // chosen string id) and routes requests by key id; dispatches run on the
-// service's util::ThreadPool, so several shards' batches overlap on
+// service's util::ThreadPool, so several shards' flushes overlap on
 // multi-worker configurations.
 #pragma once
 
@@ -55,6 +66,7 @@
 #include "obs/workload.hpp"
 #include "rsa/batch_engine.hpp"
 #include "rsa/key.hpp"
+#include "service/route.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
@@ -62,28 +74,30 @@ namespace phissl::service {
 
 /// Tuning knobs for a SignService.
 struct SignServiceConfig {
-  /// Workers in the dispatch pool (each runs whole 16-lane batches).
+  /// Workers in the dispatch pool (each runs one flush at a time: a
+  /// 16-lane batch or a run of single-stream ops).
   std::size_t dispatch_threads = 2;
-  /// How long the oldest pending request may wait before a partial batch
-  /// is flushed with dummy-padded lanes (once a dispatch slot is free —
-  /// see the class comment). Smaller = lower tail latency at light load,
-  /// lower lane occupancy. Ignored when full_batches_only.
+  /// How long the oldest pending request may wait before a partial flush
+  /// (once a dispatch slot is free — see the class comment). Smaller =
+  /// lower tail latency at light load, lower lane occupancy. Ignored when
+  /// full_batches_only.
   std::chrono::microseconds max_linger{500};
   /// Real lanes that trigger an immediate ("full") dispatch. The vector
-  /// kernel always runs the fixed 16-lane shape — lowering this pads the
-  /// remainder with dummy lanes, trading occupancy for queue wait (an
-  /// autotuner output, not usually hand-set). Clamped to [1, 16].
+  /// kernel always runs the fixed 16-lane shape — lowering this sends
+  /// flushes out below 16 lanes (padded, or single-stream where that is
+  /// cheaper), trading occupancy for queue wait (an autotuner output, not
+  /// usually hand-set). Clamped to [1, 16].
   std::size_t max_batch_lanes = 16;
   /// Never flush a partial batch on a deadline: dispatch only when 16
   /// requests are pending (plus a final drain at stop()). This is the
   /// forced-full baseline bench_sign_service compares against — maximal
   /// occupancy, unbounded queueing latency at light load.
   bool full_batches_only = false;
-  /// Redundant-radix digit width for the underlying batch contexts
-  /// (knc_vec backend only; the ifma52 radix is fixed at 52).
+  /// Redundant-radix digit width for the underlying contexts (knc_vec
+  /// backend only; the ifma52 radix is fixed at 52).
   unsigned digit_bits = 27;
-  /// Montgomery backend for every per-key BatchEngine shard (see
-  /// rsa/backend.hpp). Must have a batched form: add_key throws
+  /// Montgomery backend of every per-key shard, batched and single-stream
+  /// (see rsa/backend.hpp). Must have a batched form: add_key throws
   /// std::invalid_argument for kScalar32/kScalar64.
   rsa::Backend backend = rsa::Backend::kKncVec;
 };
@@ -101,18 +115,26 @@ struct SignResult {
 
 /// A point-in-time snapshot of service counters; cheap to take while the
 /// service is running.
+///
+/// Once every accepted request has completed, each ran either in a batch
+/// lane or single-stream: lanes_signed + single_ops == requests, and
+/// padded_lanes == 16 * batches - lanes_signed.
 struct StatsSnapshot {
   std::uint64_t requests = 0;      ///< sign() calls accepted
   std::uint64_t batches = 0;       ///< 16-lane dispatches issued
   std::uint64_t full_batches = 0;  ///< dispatches with no padded lane
   std::uint64_t padded_lanes = 0;  ///< dummy lanes across all batches
-  /// Real requests per dispatched lane: requests_signed / (batches * 16).
+  std::uint64_t lanes_signed = 0;  ///< requests that ran in a batch lane
+  std::uint64_t single_ops = 0;    ///< requests that ran single-stream
+  /// Real requests per dispatched lane: lanes_signed / (batches * 16).
   /// 1.0 means every dispatched lane carried caller work.
   double mean_lane_occupancy = 0.0;
-  /// Per-request time from sign() to batch dispatch (microseconds).
+  /// Per-request time from sign() to dispatch (microseconds).
   util::Summary queue_wait_us;
   /// Per-batch kernel + completion time (microseconds).
   util::Summary service_us;
+  /// Per-request single-stream private op time (microseconds).
+  util::Summary single_op_us;
 };
 
 class SignService {
@@ -121,8 +143,8 @@ class SignService {
 
   /// Completion callback for the non-blocking submission forms
   /// (sign_async / private_op_async): invoked exactly once with the
-  /// result, or with nullopt if the batch dispatch failed. It runs on a
-  /// dispatch worker thread immediately after the batch completes, so it
+  /// result, or with nullopt if its private op failed. It runs on a
+  /// dispatch worker thread immediately after the op completes, so it
   /// must be cheap and must not block (the event-driven TLS frontend's
   /// bridge, for example, only enqueues a resume event into its reactor —
   /// see ssl/async/reactor.hpp). Re-entering the service from the
@@ -139,9 +161,12 @@ class SignService {
   SignService(const SignService&) = delete;
   SignService& operator=(const SignService&) = delete;
 
-  /// Registers a private key under `key_id` (one BatchEngine shard per
-  /// key). Thread-safe; throws std::invalid_argument on a duplicate id
-  /// and std::runtime_error after stop().
+  /// Registers a private key under `key_id` (one shard per key: a
+  /// BatchEngine and a single-stream Engine), after timing one warm run of
+  /// each on the dispatch pool to seed the route costs — so it blocks on
+  /// the pool and must not be called from a Completion. Thread-safe;
+  /// throws std::invalid_argument on a duplicate id and
+  /// std::runtime_error after stop().
   void add_key(const std::string& key_id, rsa::PrivateKey key);
 
   /// Public half of a registered key (for verification).
@@ -192,6 +217,7 @@ class SignService {
   /// Counter snapshot; safe to call concurrently with sign()/dispatches.
   [[nodiscard]] StatsSnapshot stats() const;
 
+
   /// Stops accepting requests, flushes every pending partial batch, and
   /// blocks until all dispatched work has completed (every returned
   /// future is ready afterwards). Idempotent; called by the destructor.
@@ -211,7 +237,13 @@ class SignService {
   /// timer for a fresh partial.
   std::future<SignResult> enqueue(Shard& shard, Pending&& p);
   void dispatch(Shard& shard, std::vector<Pending>&& batch, FlushReason why);
+  /// The two routes of a flush, on a dispatch worker.
+  void run_batch(Shard& shard, std::vector<Pending>& work,
+                 std::chrono::steady_clock::time_point dispatch_time);
+  void run_single(Shard& shard, std::vector<Pending>& work);
   void linger_loop();
+
+  friend struct SignServiceTestPeer;
 
   SignServiceConfig config_;
 
@@ -235,7 +267,7 @@ class SignService {
   std::uint64_t linger_gen_ = 0;
   bool stopping_ = false;
 
-  // Batches submitted to the pool and not yet finished. The linger timer
+  // Flushes submitted to the pool and not yet finished. The linger timer
   // only deadline-flushes while this is below the worker count (a free
   // dispatch slot exists); full 16-lane batches always dispatch.
   std::atomic<std::uint64_t> inflight_{0};
@@ -245,6 +277,20 @@ class SignService {
   bool stopped_ = false;
   util::ThreadPool pool_;
   std::thread linger_thread_;
+};
+
+/// Test seam: reads and pins a shard's route costs (a pinned cost stays
+/// until a flush on its route measures a new one) and queues a raw request
+/// past the submission checks, so tests can drive both routes and a
+/// failing single op.
+struct SignServiceTestPeer {
+  static RouteCosts route_costs(const SignService& svc,
+                                const std::string& key_id);
+  static void pin_route_costs(SignService& svc, const std::string& key_id,
+                              RouteCosts costs);
+  static std::future<SignResult> enqueue_unchecked(SignService& svc,
+                                                   const std::string& key_id,
+                                                   const bigint::BigInt& x);
 };
 
 }  // namespace phissl::service

@@ -502,8 +502,7 @@ DriverReport fold_driver_report(const ReactorStats& stats,
   report.cache_misses = cs.misses;
   report.cache_evictions = cs.evictions;
   const service::StatsSnapshot ss = svc.stats();
-  report.batches = ss.batches;
-  report.batch_lane_occupancy = ss.mean_lane_occupancy;
+  fold_service_stats(ss, report);
   return report;
 }
 

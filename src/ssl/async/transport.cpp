@@ -212,6 +212,14 @@ void SocketTransport::stop() {
   poller_.join();
 }
 
+std::optional<std::chrono::steady_clock::time_point>
+SocketTransport::first_accept() const {
+  const auto ticks = first_accept_.load(std::memory_order_acquire);
+  if (ticks == 0) return std::nullopt;
+  return std::chrono::steady_clock::time_point(
+      std::chrono::steady_clock::duration(ticks));
+}
+
 SocketTransportStats SocketTransport::stats() const {
   SocketTransportStats s;
   s.accepts = accepts_.load(std::memory_order_relaxed);
@@ -279,6 +287,11 @@ void SocketTransport::handle_accept_ready() {
     fs.saw_eof = false;
     fs.stash.clear();
     fs.stash_off = 0;
+    if (first_accept_.load(std::memory_order_relaxed) == 0) {
+      first_accept_.store(
+          std::chrono::steady_clock::now().time_since_epoch().count(),
+          std::memory_order_release);
+    }
     accepts_.fetch_add(1, std::memory_order_relaxed);
     PHISSL_OBS_COUNT_NAMED("phissl_transport_accepts_total",
                            "connections accepted by the socket transport",
@@ -490,10 +503,18 @@ SocketTransportStats SocketFrontend::transport_stats() const {
 }
 
 DriverReport SocketFrontend::run() {
+  // run() follows the bind directly, and a separate load generator may
+  // connect much later: the serving clock starts at the first accept.
   util::Stopwatch wall;
   const ReactorStats stats = impl_->reactor->run();
+  const auto first = impl_->transport.first_accept();
+  const double wall_s =
+      first ? std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                            *first)
+                  .count()
+            : wall.elapsed_s();
   DriverReport report =
-      fold_driver_report(stats, wall.elapsed_s(), impl_->cache, impl_->svc);
+      fold_driver_report(stats, wall_s, impl_->cache, impl_->svc);
   const SocketTransportStats ts = impl_->transport.stats();
   report.accepts = ts.accepts;
   report.eagain = ts.eagain_reads + ts.eagain_writes;
@@ -777,6 +798,10 @@ void SocketTransport::bind(Reactor&) {}
 void SocketTransport::start() {}
 void SocketTransport::stop() {}
 SocketTransportStats SocketTransport::stats() const { return {}; }
+std::optional<std::chrono::steady_clock::time_point>
+SocketTransport::first_accept() const {
+  return std::nullopt;
+}
 void SocketTransport::poll_loop() {}
 void SocketTransport::handle_accept_ready() {}
 void SocketTransport::arm(std::size_t, bool) {}

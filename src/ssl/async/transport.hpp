@@ -34,6 +34,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -194,6 +195,9 @@ class SocketTransport final : public Transport {
   /// The bound listen port (useful with cfg.port == 0).
   [[nodiscard]] std::uint16_t port() const { return port_; }
   [[nodiscard]] SocketTransportStats stats() const;
+  /// When the listener accepted its first connection; nullopt before.
+  [[nodiscard]] std::optional<std::chrono::steady_clock::time_point>
+  first_accept() const;
 
   void bind(Reactor& reactor) override;
   void start() override;
@@ -235,6 +239,9 @@ class SocketTransport final : public Transport {
   std::atomic<bool> stopping_{false};
 
   std::atomic<std::uint64_t> accepts_{0};
+  // steady_clock ticks at the first accept; 0 until there is one. Written
+  // once, by the poller.
+  std::atomic<std::chrono::steady_clock::rep> first_accept_{0};
   std::atomic<std::uint64_t> eagain_reads_{0};
   std::atomic<std::uint64_t> eagain_writes_{0};
   std::atomic<std::uint64_t> resets_{0};
@@ -253,7 +260,9 @@ class SocketFrontend {
   [[nodiscard]] std::uint16_t port() const;
   /// Serves cfg.num_handshakes connections, blocking until done. The
   /// report folds reactor outcomes, cache/batch counters, and the
-  /// transport's accepts/eagain totals.
+  /// transport's accepts/eagain totals. Its wall_seconds (and so
+  /// handshakes_per_s) runs from the first accepted connection to the last
+  /// completion, however long the listener waited for a client before.
   DriverReport run();
   [[nodiscard]] SocketTransportStats transport_stats() const;
 

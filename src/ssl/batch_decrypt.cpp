@@ -36,13 +36,13 @@ std::optional<std::vector<std::uint8_t>> BatchDecryptService::decrypt_premaster(
   if (ciphertext.size() != k_) return std::nullopt;
   if (bigint::BigInt::from_bytes_be(ciphertext) >= n_) return std::nullopt;
 
-  // Blocks this handshake thread until the 16-lane batch containing this
-  // request runs (at most ~max_linger of added wait at light load).
+  // Blocks this handshake thread until the flush containing this request
+  // runs (at most ~max_linger of added wait at light load).
   auto fut = svc_.private_op(kKeyId, ciphertext);
   const service::SignResult result = fut.get();
 
   // EME-PKCS1-v1_5 unpadding of the raw k-byte block, on the caller —
-  // the batch kernel stays a pure modular exponentiation.
+  // the service stays a pure modular exponentiation.
   return rsa::rsaes_pkcs1_v15_unpad(result.signature);
 }
 

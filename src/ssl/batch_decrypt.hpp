@@ -5,19 +5,20 @@
 // same irregular-arrivals-vs-16-wide-kernel mismatch the signing service
 // solves. This adapter closes the loop for the DECRYPT direction: it owns
 // a single-key service::SignService (whose raw private_op() path shares
-// the adaptive linger/backpressure scheduler and the 16-lane BatchEngine
-// with signing traffic) and exposes it through the ssl::KexDecrypter
-// interface, so ServerHandshake::on_key_exchange calls from concurrent
-// connections fill whole SIMD batches instead of each running a scalar
-// CRT exponentiation.
+// the adaptive linger/backpressure scheduler, the 16-lane BatchEngine and
+// the per-flush cost route with signing traffic) and exposes it through
+// the ssl::KexDecrypter interface, so ServerHandshake::on_key_exchange
+// calls from concurrent connections fill whole SIMD batches once enough
+// of them are in flight, and otherwise run single-stream CRT ops on the
+// dispatch thread — whichever the flush's measured costs say is cheaper.
 //
 // decrypt_premaster() blocks the calling handshake thread until its
-// batch completes — at most ~max_linger longer than a scalar call at
+// flush completes — at most ~max_linger longer than a scalar call at
 // light load, and strictly higher throughput once enough connections are
 // in flight to fill lanes (the bench_handshake sweep measures exactly
 // this crossover). PKCS#1 v1.5 unpadding runs on the caller after the
-// batch returns the raw k-byte block; a padding failure here is reported
-// as nullopt and absorbed by the handshake's random-premaster
+// service returns the raw k-byte block; a padding failure here is
+// reported as nullopt and absorbed by the handshake's random-premaster
 // substitution like any scalar-path failure.
 #pragma once
 
@@ -37,8 +38,9 @@ namespace phissl::ssl {
 
 /// Tuning knobs, forwarded to the underlying SignService.
 struct BatchDecryptConfig {
-  /// Workers running whole 16-lane batches. The handshake threads block
-  /// in decrypt_premaster(), so one or two dispatch workers suffice.
+  /// Dispatch workers, each running one flush at a time (a 16-lane batch
+  /// or a run of single-stream ops). The handshake threads block in
+  /// decrypt_premaster(), so one or two dispatch workers suffice.
   std::size_t dispatch_threads = 1;
   /// Partial-batch linger bound (see SignServiceConfig::max_linger).
   std::chrono::microseconds max_linger{500};
@@ -49,7 +51,8 @@ struct BatchDecryptConfig {
   bool full_batches_only = false;
   /// Redundant-radix digit width for the batch contexts (knc_vec only).
   unsigned digit_bits = 27;
-  /// Montgomery backend for the batched private ops (see rsa/backend.hpp).
+  /// Montgomery backend for the private ops, batched and single-stream
+  /// (see rsa/backend.hpp).
   rsa::Backend backend = rsa::Backend::kKncVec;
 };
 
@@ -89,7 +92,7 @@ class BatchDecryptService final : public KexDecrypter {
                          DecryptCompletion done);
 
   /// Scheduler counters of the underlying service (lane occupancy,
-  /// batch/padded-lane counts, queue-wait quantiles).
+  /// batch/padded-lane/single-stream counts, queue-wait quantiles).
   [[nodiscard]] service::StatsSnapshot stats() const { return svc_.stats(); }
 
  private:

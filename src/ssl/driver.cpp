@@ -81,6 +81,15 @@ HandshakeOutcome one_handshake(const rsa::Engine& server_engine,
 
 }  // namespace
 
+void fold_service_stats(const service::StatsSnapshot& s, DriverReport& report) {
+  report.service_requests = s.requests;
+  report.batches = s.batches;
+  report.lanes_signed = s.lanes_signed;
+  report.padded_lanes = s.padded_lanes;
+  report.single_ops = s.single_ops;
+  report.batch_lane_occupancy = s.mean_lane_occupancy;
+}
+
 DriverReport run_handshakes(const rsa::Engine& server_engine,
                             const DriverConfig& cfg) {
   if (cfg.frontend == Frontend::kEvent) {
@@ -211,8 +220,7 @@ DriverReport run_handshakes(const rsa::Engine& server_engine,
   report.cache_evictions = cs.evictions;
   if (batch_svc) {
     const service::StatsSnapshot ss = batch_svc->stats();
-    report.batches = ss.batches;
-    report.batch_lane_occupancy = ss.mean_lane_occupancy;
+    fold_service_stats(ss, report);
   }
   return report;
 }

@@ -12,6 +12,10 @@
 #include "ssl/async/admission.hpp"
 #include "util/stats.hpp"
 
+namespace phissl::service {
+struct StatsSnapshot;
+}  // namespace phissl::service
+
 namespace phissl::ssl {
 
 /// How the terminator maps connections to threads.
@@ -98,7 +102,14 @@ struct DriverReport {
   std::uint64_t cache_evictions = 0;
 
   // Batched-decrypt scheduler counters (zero when batch_private_ops off).
+  // Every request runs in a batch lane or single-stream, so once the run
+  // is over lanes_signed + single_ops == service_requests and
+  // padded_lanes == 16 * batches - lanes_signed.
+  std::uint64_t service_requests = 0;   ///< private ops the service took
   std::uint64_t batches = 0;            ///< 16-lane dispatches issued
+  std::uint64_t lanes_signed = 0;       ///< requests run in a batch lane
+  std::uint64_t padded_lanes = 0;       ///< dummy lanes across all batches
+  std::uint64_t single_ops = 0;         ///< requests run single-stream
   double batch_lane_occupancy = 0.0;    ///< real requests per dispatched lane
 
   // Event-frontend counters (zero under the threaded frontend).
@@ -112,6 +123,9 @@ struct DriverReport {
   std::uint64_t eagain = 0;   ///< recv/send cycles ended by EAGAIN
   std::uint64_t resets = 0;   ///< peer resets / premature EOFs observed
 };
+
+/// Copies the batch service's counters into the report's scheduler fields.
+void fold_service_stats(const service::StatsSnapshot& s, DriverReport& report);
 
 /// Runs cfg.num_handshakes full (or resumed) handshakes, each ending with
 /// one protected application-data echo, against a server using

@@ -536,8 +536,11 @@ TEST_F(AsyncDriverTest, EventFrontendTerminatesAllConnections) {
     EXPECT_EQ(report.completed, 64u);
     EXPECT_EQ(report.failed, 0u);
     EXPECT_EQ(report.shed, 0u);
-    EXPECT_GT(report.batches, 0u);
-    EXPECT_GT(report.batch_lane_occupancy, 0.0);
+    // Every full handshake's decryption went through the service.
+    EXPECT_EQ(report.service_requests, 64u);
+    EXPECT_EQ(report.lanes_signed + report.single_ops,
+              report.service_requests);
+    EXPECT_EQ(report.padded_lanes, report.batches * 16 - report.lanes_signed);
     EXPECT_GT(report.handshakes_per_s, 0.0);
     EXPECT_EQ(report.latency_us.count, 64u);
   }
@@ -570,7 +573,11 @@ TEST_F(AsyncDriverTest, DheConnectionsShareTheBatches) {
   const DriverReport report = run_handshakes(engine_, cfg);
   EXPECT_EQ(report.completed, 32u);
   EXPECT_EQ(report.failed, 0u);
-  EXPECT_GT(report.batches, 0u);
+  // One private op per connection — a decryption or a DHE signature —
+  // through the same service.
+  EXPECT_EQ(report.service_requests, 32u);
+  EXPECT_EQ(report.lanes_signed + report.single_ops, report.service_requests);
+  EXPECT_EQ(report.padded_lanes, report.batches * 16 - report.lanes_signed);
 }
 
 TEST_F(AsyncDriverTest, EventDheRatioNeedsValidRange) {

@@ -1,7 +1,8 @@
 // Unit tests for the trace-driven replay engine (src/phisim/replay.hpp)
 // and autotuner (src/phisim/autotune.hpp): scheduler-model behavior on
 // hand-built traces (threshold dispatch, linger flush behind a busy slot,
-// forced-full, admission shedding, the event-frontend resume stage),
+// forced-full, admission shedding, the event-frontend resume stage, the
+// per-flush single-stream route on a lone arrival and a sparse stream),
 // autotune determinism (the golden property: same trace + grid + cost +
 // seed -> identical recommendation), tuned-config JSON round-trip, and the
 // ssl::apply_tuned_config mapping onto live service configs.
@@ -42,6 +43,13 @@ std::vector<obs::WorkloadEvent> burst(std::uint64_t start_us, std::size_t n,
 
 ReplayCost cost_us(double batch, double slack = 0.0) {
   ReplayCost c = ReplayCost::from_measured(batch);
+  c.linger_slack_us = slack;
+  return c;
+}
+
+// Costs with a single-stream route: the service's per-flush choice.
+ReplayCost routed_us(double batch, double single, double slack = 0.0) {
+  ReplayCost c = ReplayCost::from_measured(batch, single);
   c.linger_slack_us = slack;
   return c;
 }
@@ -182,6 +190,77 @@ TEST(Replay, DeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(a.wait_us.p99, b.wait_us.p99);
   EXPECT_DOUBLE_EQ(a.sojourn_us.p99, b.sojourn_us.p99);
   EXPECT_DOUBLE_EQ(a.occupancy, b.occupancy);
+}
+
+
+// --- Per-flush route (service/route.hpp, shared with SignService) ----------
+
+TEST(ReplayRoute, LoneArrivalRunsSingleStream) {
+  // One op, which the stop() drain flushes at its arrival (the trace ends
+  // there), as one single-stream op: no batch, no padded lane, sojourn =
+  // one op.
+  const std::vector<obs::WorkloadEvent> evs = {arrival(0)};
+  ReplayConfig cfg;
+  cfg.linger_us = 500.0;
+  const ReplayResult r = replay_workload(evs, cfg, routed_us(1000, 120, 150));
+  EXPECT_EQ(r.admitted, 1u);
+  EXPECT_EQ(r.single_ops, 1u);
+  EXPECT_EQ(r.batches, 0u);
+  EXPECT_EQ(r.padded_lanes, 0u);
+  EXPECT_DOUBLE_EQ(r.occupancy, 0.0);
+  EXPECT_DOUBLE_EQ(r.wait_us.max, 0.0);
+  EXPECT_DOUBLE_EQ(r.sojourn_us.max, 120.0);
+  // Without a single-stream cost the same arrival pays a padded batch.
+  const ReplayResult b = replay_workload(evs, cfg, cost_us(1000, 150));
+  EXPECT_EQ(b.single_ops, 0u);
+  EXPECT_EQ(b.batches, 1u);
+  EXPECT_EQ(b.padded_lanes, 15u);
+  EXPECT_DOUBLE_EQ(b.sojourn_us.max, 1000.0);
+}
+
+TEST(ReplayRoute, SparseStreamRunsEveryFlushSingleStream) {
+  // Arrivals 5 ms apart, beyond every linger deadline: each is flushed
+  // alone (deadline + slack) on the single-stream route, and the dispatch
+  // slot is busy one op per arrival instead of one padded batch.
+  const auto evs = burst(0, 10, 5000);
+  ReplayConfig cfg;
+  cfg.linger_us = 500.0;
+  const ReplayResult r = replay_workload(evs, cfg, routed_us(1000, 120, 150));
+  EXPECT_EQ(r.single_ops, 10u);
+  EXPECT_EQ(r.batches, 0u);
+  // Nine linger flushes (the last arrival rides the drain).
+  EXPECT_DOUBLE_EQ(r.wait_us.max, 650.0);
+  EXPECT_DOUBLE_EQ(r.sojourn_us.max, 770.0);
+  const ReplayResult b = replay_workload(evs, cfg, cost_us(1000, 150));
+  EXPECT_EQ(b.batches, 10u);
+  EXPECT_DOUBLE_EQ(b.sojourn_us.max, 1650.0);
+}
+
+TEST(ReplayRoute, FlushAtTheBoundaryRunsTheBatch) {
+  // Four simultaneous ops, then the stop() drain: 4 x 250 == 1000 runs
+  // the batch (a tie is not cheaper); 4 x 249 < 1000 runs single-stream.
+  const auto evs = burst(0, 4, 0);
+  ReplayConfig cfg;
+  cfg.full_batches_only = true;
+  const ReplayResult tie = replay_workload(evs, cfg, routed_us(1000, 250));
+  EXPECT_EQ(tie.batches, 1u);
+  EXPECT_EQ(tie.single_ops, 0u);
+  const ReplayResult below = replay_workload(evs, cfg, routed_us(1000, 249));
+  EXPECT_EQ(below.batches, 0u);
+  EXPECT_EQ(below.single_ops, 4u);
+  // Ops complete one after another.
+  EXPECT_DOUBLE_EQ(below.sojourn_us.min, 249.0);
+  EXPECT_DOUBLE_EQ(below.sojourn_us.max, 4 * 249.0);
+}
+
+TEST(ReplayRoute, FullBurstStillRunsOneBatch) {
+  const auto evs = burst(100, 16, 0);
+  const ReplayResult r =
+      replay_workload(evs, ReplayConfig{}, routed_us(500, 1));
+  EXPECT_EQ(r.batches, 1u);
+  EXPECT_EQ(r.full_batches, 1u);
+  EXPECT_EQ(r.single_ops, 0u);
+  EXPECT_DOUBLE_EQ(r.occupancy, 1.0);
 }
 
 // --- autotune ---------------------------------------------------------------

@@ -1,0 +1,114 @@
+// Carry-ripple inputs for the radix-2^52 Montgomery kernels, shared by the
+// dispatched==portable IfmaMont tests and the ifma52 rows of VectorsTest.
+//
+// Random operands almost never make a carry ripple: after the vector
+// carry round a lane overflows only when its low 52 bits are within 2^12
+// of 2^52, and it passes a carry on only when it is exactly 2^52 - 1. So
+// these cases are built digit by digit, directly in the Montgomery domain
+// (IfmaMontCtx::pack), at 512-4096 bits:
+//   - runs of 2^52-1 digits, and all-ones moduli whose every digit is one;
+//   - a = 1 + beta against b = 1 + (2^52-1) beta + (2^52-1) beta^3 + ...,
+//     whose product column k is b_k + b_(k-1): one lane overflows and
+//     every lane above it is exactly 2^52-1, so the carry must ripple
+//     through the whole run;
+//   - all-(2^52-1) operands, whose product columns carry the most
+//     headroom bits;
+//   - m-1 times R mod m, whose result m-1 borrows through every digit of
+//     the final comparison with m.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "bigint/bigint.hpp"
+#include "mont/ifma_mont.hpp"
+#include "util/random.hpp"
+
+namespace phissl::mont::ripple {
+
+inline constexpr unsigned kDigitBits = 52;
+
+/// Digits d_k (low first) as an integer: sum of d_k * 2^(52k).
+inline bigint::BigInt from_digits(const std::vector<bigint::BigInt>& digits) {
+  bigint::BigInt x;
+  for (std::size_t k = digits.size(); k-- > 0;) {
+    x <<= kDigitBits;
+    x = x + digits[k];
+  }
+  return x;
+}
+
+inline bigint::BigInt max_digit() {
+  return (bigint::BigInt{1} << kDigitBits) - bigint::BigInt{1};
+}
+
+/// One modulus and the operand pairs (Montgomery-domain values < m) to
+/// multiply mod it; sqr cases square each `a`.
+struct Case {
+  std::string what;
+  bigint::BigInt m;
+  std::vector<std::pair<bigint::BigInt, bigint::BigInt>> pairs;
+};
+
+/// The modulus sizes the cases cover.
+inline constexpr std::size_t kBits[] = {512, 1024, 2048, 3072, 4096};
+
+inline std::vector<Case> cases() {
+  using bigint::BigInt;
+  util::Rng rng(0x52c4a77e);
+  std::vector<Case> out;
+  for (const std::size_t bits : kBits) {
+    const BigInt top = BigInt{1} << bits;
+    const std::vector<std::pair<std::string, BigInt>> moduli = {
+        {"all-ones", top - BigInt{1}},
+        {"random", BigInt::random_odd_exact_bits(bits, rng)},
+        {"sparse", (top >> 1) + BigInt{1}},
+    };
+    for (const auto& [name, m] : moduli) {
+      const IfmaMontCtx ctx(m);
+      const std::size_t d = ctx.digits();
+      // Every operand below fits d-1 digits, so it is below m (m has more
+      // than 52(d-1) bits).
+      std::vector<BigInt> run(d - 1, max_digit());  // 2^52-1 in each digit
+      std::vector<BigInt> ripple_b(d - 1);          // 1, M, 0, M, 0, M...
+      for (std::size_t k = 0; k + 1 < d; ++k) {
+        ripple_b[k] = k == 0 ? BigInt{1} : (k % 2 == 1 ? max_digit() : BigInt{});
+      }
+      const BigInt all_m = from_digits(run);
+      const BigInt one_beta = from_digits({BigInt{1}, BigInt{1}});
+      const BigInt r_mod_m = (BigInt{1} << (kDigitBits * d)).mod(m);
+      Case c{name + "/" + std::to_string(bits), m, {}};
+      c.pairs.emplace_back(one_beta, from_digits(ripple_b));
+      c.pairs.emplace_back(from_digits(ripple_b), one_beta);
+      c.pairs.emplace_back(all_m, all_m);
+      c.pairs.emplace_back(all_m, m - BigInt{1});
+      c.pairs.emplace_back(m - BigInt{1}, r_mod_m);
+      c.pairs.emplace_back(m - BigInt{1}, m - BigInt{1});
+      c.pairs.emplace_back(m - BigInt{2}, all_m);
+      c.pairs.emplace_back(BigInt::random_below(m, rng), all_m);
+      out.push_back(std::move(c));
+    }
+  }
+  return out;
+}
+
+/// a * b * R^-1 mod m for IfmaMontCtx's R = 2^(52d).
+inline bigint::BigInt mont_product(const IfmaMontCtx& ctx,
+                                   const bigint::BigInt& a,
+                                   const bigint::BigInt& b) {
+  const bigint::BigInt& m = ctx.modulus();
+  const bigint::BigInt r = bigint::BigInt{1} << (kDigitBits * ctx.digits());
+  return (a * b * r.mod_inverse(m)).mod(m);
+}
+
+/// A Montgomery residue's value.
+inline bigint::BigInt value(const IfmaMontCtx::Rep& rep) {
+  std::vector<bigint::BigInt> digits;
+  for (const std::uint64_t w : rep) digits.push_back(bigint::BigInt::from_u64(w));
+  return from_digits(digits);
+}
+
+}  // namespace phissl::mont::ripple

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "bigint/bigint.hpp"
+#include "ifma_ripple_cases.hpp"
 #include "mont/ifma_mont.hpp"
 #include "mont/mont32.hpp"
 #include "mont/mont64.hpp"
@@ -348,6 +349,42 @@ TEST(IfmaMont, MulAllowsAliasedOutput) {
   auto zm = ctx.to_mont(x);
   ctx.sqr(zm, zm);  // out aliases a in sqr too
   EXPECT_EQ(ctx.from_mont(zm), (x * x).mod(m));
+}
+
+TEST(IfmaMont, CarryRippleInputsMatchPortable) {
+  // Digit-built carry-ripple operands (tests/ifma_ripple_cases.hpp) at
+  // 512-4096 bits: the dispatched kernels (vpmadd52 on an IFMA host) must
+  // produce the portable kernels' words exactly, and both the true
+  // Montgomery product.
+  std::size_t checked = 0;
+  for (const ripple::Case& c : ripple::cases()) {
+    const IfmaMontCtx ctx(c.m);
+    const IfmaMontCtx pctx(c.m, /*force_portable=*/true);
+    for (const auto& [a, b] : c.pairs) {
+      IfmaMontCtx::Rep ar, br, out, pout;
+      ctx.pack(a, ar);
+      ctx.pack(b, br);
+      ctx.mul(ar, br, out);
+      pctx.mul(ar, br, pout);
+      ASSERT_EQ(out, pout) << "mul " << c.what << " a=" << a.to_hex();
+      EXPECT_EQ(ripple::value(out), ripple::mont_product(ctx, a, b))
+          << "mul " << c.what << " a=" << a.to_hex();
+      ctx.sqr(ar, out);
+      pctx.sqr(ar, pout);
+      ASSERT_EQ(out, pout) << "sqr " << c.what << " a=" << a.to_hex();
+      EXPECT_EQ(ripple::value(out), ripple::mont_product(ctx, a, a))
+          << "sqr " << c.what << " a=" << a.to_hex();
+      // A few squarings on from each start reach more carry shapes.
+      IfmaMontCtx::Rep s = ar, ps = ar;
+      for (int i = 0; i < 4; ++i) {
+        ctx.sqr(s, s);
+        pctx.sqr(ps, ps);
+      }
+      EXPECT_EQ(s, ps) << "sqr chain " << c.what << " a=" << a.to_hex();
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, std::size(ripple::kBits) * 3 * 8);
 }
 
 TEST(IfmaMont, SharedWorkspaceAcrossGeometries) {

@@ -25,9 +25,11 @@ namespace phissl {
 namespace {
 
 using bigint::BigInt;
+using service::RouteCosts;
 using service::SignResult;
 using service::SignService;
 using service::SignServiceConfig;
+using service::SignServiceTestPeer;
 using service::StatsSnapshot;
 
 util::Sha256::Digest digest_of(std::uint64_t seed) {
@@ -100,23 +102,28 @@ TEST(SignService, PartialBatchLingerFlush) {
   const StatsSnapshot s = svc.stats();
   EXPECT_EQ(s.requests, 3u);
   EXPECT_EQ(s.full_batches, 0u);
+  // Each request ran in a batch lane or single-stream, whichever route
+  // its flush took.
+  EXPECT_EQ(s.lanes_signed + s.single_ops, s.requests);
+  EXPECT_EQ(s.padded_lanes, s.batches * SignService::kBatch - s.lanes_signed);
   // The linger deadline starts no earlier than the first submission, so if
   // all three submissions landed within max_linger of each other they are
-  // guaranteed to flush as ONE batch. If scheduler contention stretched
-  // the submission loop past the deadline, the dispatcher may correctly
-  // split the flush — assert the shape invariants instead of the exact
-  // count rather than serializing the whole test run around a timing
-  // budget (this is CPU contention, not a race: certified under TSan).
+  // guaranteed to flush as ONE flush (a batch or a single-stream run). If
+  // scheduler contention stretched the submission loop past the deadline,
+  // the dispatcher may correctly split the flush — assert the shape
+  // invariants instead of the exact count rather than serializing the
+  // whole test run around a timing budget (this is CPU contention, not a
+  // race: certified under TSan).
   if (submit_window < cfg.max_linger) {
-    EXPECT_EQ(s.batches, 1u);
+    EXPECT_EQ(s.batches + (s.single_ops > 0 ? 1u : 0u), 1u);
   } else {
-    EXPECT_GE(s.batches, 1u);
     EXPECT_LE(s.batches, 3u);
   }
-  EXPECT_EQ(s.padded_lanes, s.batches * SignService::kBatch - 3);
   EXPECT_DOUBLE_EQ(
       s.mean_lane_occupancy,
-      3.0 / static_cast<double>(s.batches * SignService::kBatch));
+      s.batches == 0 ? 0.0
+                     : static_cast<double>(s.lanes_signed) /
+                           static_cast<double>(s.batches * SignService::kBatch));
 }
 
 TEST(SignService, MatchesSynchronousEngineSignature) {
@@ -291,19 +298,185 @@ TEST(SignService, StatsSnapshotSanity) {
   EXPECT_GE(s.full_batches, 2u);
   EXPECT_GT(s.mean_lane_occupancy, 0.0);
   EXPECT_LE(s.mean_lane_occupancy, 1.0);
+  // Each request ran in a batch lane or single-stream.
+  EXPECT_EQ(s.lanes_signed + s.single_ops, s.requests);
   // Every request contributes one queue-wait sample; every batch one
-  // service-time sample.
+  // service-time sample; every single-stream op one op-time sample.
   EXPECT_EQ(s.queue_wait_us.count, kRequests);
   EXPECT_EQ(s.service_us.count, s.batches);
+  EXPECT_EQ(s.single_op_us.count, s.single_ops);
   EXPECT_GE(s.queue_wait_us.p99, s.queue_wait_us.median);
   EXPECT_GE(s.service_us.min, 0.0);
   // Occupancy identity: signed lanes + padded lanes = batches * 16.
+  EXPECT_EQ(s.padded_lanes, s.batches * SignService::kBatch - s.lanes_signed);
   EXPECT_EQ(static_cast<std::uint64_t>(
                 s.mean_lane_occupancy *
                     static_cast<double>(s.batches * SignService::kBatch) +
-                0.5) +
-                s.padded_lanes,
-            s.batches * SignService::kBatch);
+                0.5),
+            s.lanes_signed);
+}
+
+
+// --- Per-flush route (service/route.hpp) -----------------------------------
+
+TEST(SignServiceRoute, DecisionAtTheBoundary) {
+  const RouteCosts c{.op_us = 100.0, .batch_us = 400.0};
+  EXPECT_TRUE(service::runs_single(1, c));
+  EXPECT_TRUE(service::runs_single(3, c));
+  EXPECT_FALSE(service::runs_single(4, c));  // k * op == batch: the batch
+  EXPECT_FALSE(service::runs_single(5, c));
+  // A full flush is always a batch, however cheap a single op is.
+  EXPECT_FALSE(service::runs_single(16, RouteCosts{.op_us = 1.0,
+                                                   .batch_us = 1e9}));
+  EXPECT_TRUE(service::runs_single(15, RouteCosts{.op_us = 1.0,
+                                                  .batch_us = 1e9}));
+}
+
+TEST(SignServiceRoute, LoneRequestRunsSingleOnEveryBatchedBackend) {
+  // Measured costs, nothing pinned: one request costs one single op, far
+  // below one 16-lane batch on every backend.
+  for (const rsa::Backend b : rsa::kAllBackends) {
+    if (!rsa::has_batch_form(b)) continue;
+    SCOPED_TRACE(rsa::to_string(b));
+    SignService svc(SignServiceConfig{.backend = b});
+    svc.add_key("k", rsa::test_key(512));
+    const RouteCosts c = SignServiceTestPeer::route_costs(svc, "k");
+    EXPECT_GT(c.op_us, 0.0);
+    EXPECT_GT(c.batch_us, c.op_us);
+    const auto digest = digest_of(500);
+    const SignResult r = svc.sign("k", digest).get();
+    EXPECT_TRUE(verifies(svc.public_key("k"), digest, r.signature));
+    const StatsSnapshot s = svc.stats();
+    EXPECT_EQ(s.single_ops, 1u);
+    EXPECT_EQ(s.batches, 0u);
+    EXPECT_EQ(s.single_op_us.count, 1u);
+  }
+}
+
+TEST(SignServiceRoute, BurstOfSixteenRunsOneFullBatch) {
+  SignServiceConfig cfg;
+  cfg.max_linger = std::chrono::milliseconds(200);  // the burst beats it
+  SignService svc(cfg);
+  svc.add_key("k", rsa::test_key(512));
+  std::vector<util::Sha256::Digest> digests;
+  std::vector<std::future<SignResult>> futs;
+  for (std::size_t i = 0; i < SignService::kBatch; ++i) {
+    digests.push_back(digest_of(600 + i));
+    futs.push_back(svc.sign("k", digests.back()));
+  }
+  for (std::size_t i = 0; i < futs.size(); ++i) {
+    EXPECT_TRUE(
+        verifies(svc.public_key("k"), digests[i], futs[i].get().signature));
+  }
+  const StatsSnapshot s = svc.stats();
+  EXPECT_EQ(s.batches, 1u);
+  EXPECT_EQ(s.full_batches, 1u);
+  EXPECT_EQ(s.lanes_signed, SignService::kBatch);
+  EXPECT_EQ(s.single_ops, 0u);
+}
+
+TEST(SignServiceRoute, PartialFlushTakesThePinnedRoute) {
+  // A 15-lane partial (drained by stop()) under costs pinned each way.
+  // Either route returns the same signatures.
+  for (const bool single : {false, true}) {
+    SCOPED_TRACE(single ? "single-stream" : "padded batch");
+    SignServiceConfig cfg;
+    cfg.full_batches_only = true;  // only the drain flushes
+    SignService svc(cfg);
+    svc.add_key("k", rsa::test_key(512));
+    SignServiceTestPeer::pin_route_costs(
+        svc, "k",
+        single ? RouteCosts{.op_us = 1.0, .batch_us = 1e9}
+               : RouteCosts{.op_us = 1e9, .batch_us = 1.0});
+    std::vector<util::Sha256::Digest> digests;
+    std::vector<std::future<SignResult>> futs;
+    for (std::size_t i = 0; i < SignService::kBatch - 1; ++i) {
+      digests.push_back(digest_of(700 + i));
+      futs.push_back(svc.sign("k", digests.back()));
+    }
+    svc.stop();
+    for (std::size_t i = 0; i < futs.size(); ++i) {
+      EXPECT_TRUE(
+          verifies(svc.public_key("k"), digests[i], futs[i].get().signature));
+    }
+    const StatsSnapshot s = svc.stats();
+    EXPECT_EQ(s.single_ops, single ? 15u : 0u);
+    EXPECT_EQ(s.batches, single ? 0u : 1u);
+    EXPECT_EQ(s.padded_lanes, single ? 0u : 1u);
+    EXPECT_EQ(s.lanes_signed + s.single_ops, s.requests);
+  }
+}
+
+TEST(SignServiceRoute, ThrowingSingleOpFailsOnlyItsOwnRequest) {
+  const rsa::PrivateKey& key = rsa::test_key(512);
+  const std::size_t k = key.pub.byte_size();
+  SignServiceConfig cfg;
+  cfg.full_batches_only = true;
+  SignService svc(cfg);
+  svc.add_key("k", key);
+  SignServiceTestPeer::pin_route_costs(
+      svc, "k", RouteCosts{.op_us = 1.0, .batch_us = 1e9});
+  const rsa::Engine engine(key, rsa::EngineOptions{});
+  util::Rng rng(808);
+  std::vector<std::vector<std::uint8_t>> blocks(2, std::vector<std::uint8_t>(k));
+  for (auto& b : blocks) {
+    rng.fill_bytes(b.data(), b.size());
+    b[0] = 0;
+  }
+  auto before = svc.private_op("k", blocks[0]);
+  // x = n skips the submission range check; the engine rejects it.
+  auto bad = SignServiceTestPeer::enqueue_unchecked(svc, "k", key.pub.n);
+  auto after = svc.private_op("k", blocks[1]);
+  svc.stop();
+  EXPECT_THROW((void)bad.get(), std::invalid_argument);
+  EXPECT_EQ(before.get().signature,
+            engine.private_op(BigInt::from_bytes_be(blocks[0])).to_bytes_be(k));
+  EXPECT_EQ(after.get().signature,
+            engine.private_op(BigInt::from_bytes_be(blocks[1])).to_bytes_be(k));
+  EXPECT_EQ(svc.stats().single_ops, 3u);
+}
+
+TEST(SignServiceRoute, OneSampleMovesTheEstimateAtMostAQuarter) {
+  // A run stalled by preemption counts for at most twice the estimate, so
+  // it moves the estimate by at most a quarter: one outlier must not push
+  // op_us past batch_us, where no flush would run single-stream again to
+  // bring it back. Pinned at 1 us, a real op (far slower) may only lift
+  // the estimate to 1.25 us.
+  SignService svc;
+  svc.add_key("k", rsa::test_key(512));
+  SignServiceTestPeer::pin_route_costs(
+      svc, "k", RouteCosts{.op_us = 1.0, .batch_us = 1e9});
+  (void)svc.sign("k", digest_of(950)).get();
+  ASSERT_EQ(svc.stats().single_ops, 1u);
+  EXPECT_LE(SignServiceTestPeer::route_costs(svc, "k").op_us, 1.25);
+}
+
+TEST(SignServiceRoute, BatchEstimateExcludesPoolWait) {
+  // Three full batches queued on a one-thread service: a full batch on a
+  // slower key holds the dispatch thread while they queue, so each waits
+  // several of its own execution times. The estimate must stay at one
+  // batch's execution time — with the wait it would climb toward the
+  // queued batches' service time.
+  SignServiceConfig cfg;
+  cfg.dispatch_threads = 1;
+  cfg.full_batches_only = true;  // however slowly the requests arrive
+  SignService svc(cfg);
+  svc.add_key("k", rsa::test_key(1024));
+  svc.add_key("slow", rsa::test_key(2048));
+  const double seed = SignServiceTestPeer::route_costs(svc, "k").batch_us;
+  ASSERT_GT(SignServiceTestPeer::route_costs(svc, "slow").batch_us,
+            3.0 * seed);
+  std::vector<std::future<SignResult>> futs;
+  for (std::size_t i = 0; i < SignService::kBatch; ++i) {
+    futs.push_back(svc.sign("slow", digest_of(800 + i)));
+  }
+  for (std::size_t i = 0; i < 3 * SignService::kBatch; ++i) {
+    futs.push_back(svc.sign("k", digest_of(900 + i)));
+  }
+  for (auto& f : futs) (void)f.get();
+  ASSERT_EQ(svc.stats().full_batches, 4u);
+  EXPECT_LT(SignServiceTestPeer::route_costs(svc, "k").batch_us,
+            1.5 * seed);
 }
 
 }  // namespace

@@ -179,9 +179,12 @@ TEST_F(HandshakeTest, BatchedDecrypterCompletesFullHandshake) {
     ASSERT_TRUE(fin.ok());
     EXPECT_TRUE(client.on_server_finished(fin.value()).ok());
     EXPECT_EQ(*client.master(), *server.master());
+    // The decryption went through the service: in a batch lane or
+    // single-stream.
     const auto st = svc.stats();
     EXPECT_EQ(st.requests, 1u);
-    EXPECT_GE(st.batches, 1u);
+    EXPECT_EQ(st.lanes_signed + st.single_ops, st.requests);
+    EXPECT_EQ(st.padded_lanes, st.batches * 16 - st.lanes_signed);
   }
 }
 
@@ -541,8 +544,11 @@ TEST(Driver, BatchedPrivateOpsCompleteAll) {
   const DriverReport r = run_handshakes(engine, cfg);
   EXPECT_EQ(r.completed, 16u);
   EXPECT_EQ(r.failed, 0u);
-  EXPECT_GE(r.batches, 1u);  // the decryptions went through the service
-  EXPECT_GT(r.batch_lane_occupancy, 0.0);
+  // The decryptions went through the service, each in a batch lane or
+  // single-stream.
+  EXPECT_EQ(r.service_requests, 16u);
+  EXPECT_EQ(r.lanes_signed + r.single_ops, r.service_requests);
+  EXPECT_EQ(r.padded_lanes, r.batches * 16 - r.lanes_signed);
   EXPECT_EQ(r.latency_us.count, 16u);
   // All full handshakes: 16 cache inserts, no hit.
   EXPECT_EQ(r.cache_hits, 0u);

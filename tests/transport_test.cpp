@@ -5,7 +5,8 @@
 // landing while the connection is parked on its batched private op (the
 // zombie-slot path: the slot must recycle and the stale batch result be
 // discarded), FIN-vs-alert close ordering (a protocol failure must reach
-// the client as an alert then a clean EOF, not a reset), and a
+// the client as an alert then a clean EOF, not a reset), a serving clock
+// that starts at the first accept rather than at listen, and a
 // 512-connection churn through the full socket driver path. Suite names
 // start with AsyncSocket so the CI TSan leg picks them up.
 #ifdef __linux__
@@ -260,6 +261,40 @@ TEST(AsyncSocketTest, ProtocolFailureAlertsThenFinsCleanly) {
   EXPECT_EQ(frontend.transport_stats().resets, 0u);
 }
 
+TEST(AsyncSocketTest, ServingClockStartsAtFirstAccept) {
+  // A separate load generator may connect long after the listener is up
+  // (phissl_loadgen --serve): the time before the first connection is not
+  // serving time, so it must not dilute the reported handshakes/s.
+  const rsa::PrivateKey& key = rsa::test_key(512);
+  const rsa::Engine engine(key, test_opts());
+  DriverConfig cfg;
+  cfg.num_handshakes = 8;
+  cfg.event_workers = 2;
+  SocketFrontend frontend(engine, cfg);
+  const auto idle = std::chrono::milliseconds(400);
+  const auto t0 = std::chrono::steady_clock::now();
+  DriverReport report;
+  std::thread server([&] { report = frontend.run(); });
+  std::this_thread::sleep_for(idle);  // the client connects late
+  const rsa::Engine client_engine(key.pub, test_opts());
+  LoadGenConfig lg;
+  lg.port = frontend.port();
+  lg.total_connections = cfg.num_handshakes;
+  lg.concurrency = 4;
+  const LoadGenStats client = run_load(client_engine, lg);
+  server.join();
+  const double elapsed_s = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+  EXPECT_EQ(client.completed, cfg.num_handshakes);
+  EXPECT_EQ(report.completed, cfg.num_handshakes);
+  EXPECT_GT(report.wall_seconds, 0.0);
+  EXPECT_LT(report.wall_seconds,
+            elapsed_s - 0.75 * std::chrono::duration<double>(idle).count());
+  EXPECT_DOUBLE_EQ(report.handshakes_per_s,
+                   static_cast<double>(report.completed) / report.wall_seconds);
+}
+
 TEST(AsyncSocketChurn, Churn512ConnectionsOver2Workers) {
   // The full socket driver path — epoll frontend plus the in-process
   // client fleet — at enough volume that slots recycle many times and
@@ -280,7 +315,11 @@ TEST(AsyncSocketChurn, Churn512ConnectionsOver2Workers) {
   EXPECT_EQ(r.shed, 0u);
   EXPECT_EQ(r.accepts, 512u);
   EXPECT_GT(r.resumed, 0u);
-  EXPECT_GT(r.batches, 0u);
+  // One private op per full handshake, each in a batch lane or
+  // single-stream.
+  EXPECT_EQ(r.service_requests, r.completed - r.resumed);
+  EXPECT_EQ(r.lanes_signed + r.single_ops, r.service_requests);
+  EXPECT_EQ(r.padded_lanes, r.batches * 16 - r.lanes_signed);
 }
 
 }  // namespace

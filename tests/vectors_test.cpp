@@ -9,7 +9,9 @@
 // bit-exactly on every vector — scalar32, scalar64, the KNC-style
 // redundant-radix vector context, both instantiations (native, portable)
 // of the radix-52 IFMA context, and the 16-lane batch contexts: knc_vec
-// and radix-52, the latter native and portable.
+// and radix-52, the latter native and portable. The radix-52 rows also
+// replay digit-built carry-ripple operands (ifma_ripple_cases.hpp), which
+// the file's integer-domain vectors cannot aim at the kernels' carries.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -21,6 +23,7 @@
 #include <vector>
 
 #include "bigint/bigint.hpp"
+#include "ifma_ripple_cases.hpp"
 #include "mont/batch.hpp"
 #include "mont/ifma_mont.hpp"
 #include "mont/modexp.hpp"
@@ -115,6 +118,32 @@ std::size_t replay_scalar(const char* backend, CtxArgs&&... args) {
   return n;
 }
 
+/// Replays the digit-built carry-ripple cases (ifma_ripple_cases.hpp)
+/// through the ifma52 context against the Montgomery-product oracle.
+/// Returns the number of products checked.
+std::size_t replay_ripple(const char* backend, bool force_portable) {
+  std::size_t n = 0;
+  for (const ripple::Case& c : ripple::cases()) {
+    const IfmaMontCtx ctx(c.m, force_portable);
+    for (const auto& [a, b] : c.pairs) {
+      IfmaMontCtx::Rep ar, br, out(ctx.rep_size());
+      ctx.pack(a, ar);
+      ctx.pack(b, br);
+      ctx.mul(ar, br, out);
+      const BigInt want_mul = ripple::mont_product(ctx, a, b);
+      ctx.sqr(ar, ar);
+      const BigInt want_sqr = ripple::mont_product(ctx, a, a);
+      if (ripple::value(out) != want_mul || ripple::value(ar) != want_sqr) {
+        ADD_FAILURE() << backend << " carry-ripple " << c.what
+                      << " a=" << a.to_hex() << " b=" << b.to_hex();
+        return n;
+      }
+      n += 2;
+    }
+  }
+  return n;
+}
+
 }  // namespace
 
 TEST(VectorsTest, Scalar32Agrees) {
@@ -131,12 +160,17 @@ TEST(VectorsTest, KncVectorAgrees) {
 
 TEST(VectorsTest, Ifma52Agrees) {
   // Auto backend: vpmadd52 when CPU + binary support it, else the same
-  // portable truncated-REDC — either way results must be bit-exact.
+  // portable truncated-REDC — either way results must be bit-exact, on
+  // the file's vectors and on the carry-ripple cases.
   EXPECT_GT(replay_scalar<IfmaMontCtx>("ifma52", false), 1000u);
+  EXPECT_EQ(replay_ripple("ifma52", false),
+            2 * std::size(ripple::kBits) * 3 * 8);
 }
 
 TEST(VectorsTest, Ifma52PortableAgrees) {
   EXPECT_GT(replay_scalar<IfmaMontCtx>("ifma52-portable", true), 1000u);
+  EXPECT_EQ(replay_ripple("ifma52-portable", true),
+            2 * std::size(ripple::kBits) * 3 * 8);
 }
 
 // Sliding-window vs fixed-window differential on the exp vectors: two

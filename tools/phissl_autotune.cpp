@@ -7,12 +7,14 @@
 //
 // The trace comes from any instrumented binary run with --workload (the
 // bench harnesses and examples all take the flag; see docs/AUTOTUNE.md).
-// Per-batch cost defaults to a live calibration: one 16-lane BatchEngine
-// private_op on this host, timed — the same probe bench_sign_service
-// uses — so the recommendation reflects the machine it runs on.
-// --batch-us X skips the probe (replaying a production trace on a dev
-// box against the production cost); --model prices batches with the
-// phisim PCIe offload model instead (tuning for the KNC deployment).
+// Costs default to a live calibration on this host: one 16-lane
+// BatchEngine private_op and, next to it, one single-stream Engine
+// private_op on the same key and backend, each timed — so the replay
+// routes partial flushes the way the live service would on the machine it
+// runs on. --batch-us X skips the probe (replaying a production trace on a
+// dev box against the production cost; the replay then always batches);
+// --model prices batches with the phisim PCIe offload model instead
+// (tuning for the KNC deployment).
 //
 // The winning config is written as JSON consumable by
 // ssl::load_tuned_config() / apply_tuned_config(). --all additionally
@@ -32,6 +34,7 @@
 #include "phisim/autotune.hpp"
 #include "phisim/profile.hpp"
 #include "rsa/batch_engine.hpp"
+#include "rsa/engine.hpp"
 #include "rsa/key.hpp"
 #include "util/random.hpp"
 #include "util/stats.hpp"
@@ -41,23 +44,31 @@ namespace {
 
 using namespace phissl;
 
-/// Median wall time of one full 16-lane batch private_op on this host, in
-/// microseconds (the capacity probe bench_sign_service runs).
-double calibrate_batch_us(std::size_t key_bits) {
+/// Median wall times on this host of one full 16-lane batch private_op
+/// and of one single-stream private op (CRT, fixed window) on the same key
+/// and backend — the two costs the service's per-flush route compares.
+phisim::ReplayCost calibrate(std::size_t key_bits) {
   const rsa::PrivateKey& key = rsa::test_key(key_bits);
-  const rsa::BatchEngine engine(key);
+  const rsa::BatchEngine batch(key);
+  const rsa::Engine single(key, rsa::EngineOptions{.kernel = batch.backend()});
   util::Rng rng(7);
   std::array<bigint::BigInt, rsa::BatchEngine::kBatch> xs;
   std::array<bigint::BigInt, rsa::BatchEngine::kBatch> out;
   for (auto& x : xs) x = bigint::BigInt::random_below(key.pub.n, rng);
-  engine.private_op(xs, out);  // warm-up (tables, allocator)
-  std::vector<double> samples;
-  for (int rep = 0; rep < 5; ++rep) {
-    util::Stopwatch sw;
-    engine.private_op(xs, out);
-    samples.push_back(static_cast<double>(sw.elapsed_ns()) * 1e-3);
-  }
-  return util::summarize(std::move(samples)).median;
+  bigint::BigInt one;
+  const auto median_us = [](auto&& op) {
+    op();  // warm-up (tables, allocator)
+    std::vector<double> samples;
+    for (int rep = 0; rep < 5; ++rep) {
+      util::Stopwatch sw;
+      op();
+      samples.push_back(static_cast<double>(sw.elapsed_ns()) * 1e-3);
+    }
+    return util::summarize(std::move(samples)).median;
+  };
+  return phisim::ReplayCost::from_measured(
+      median_us([&] { batch.private_op(xs, out); }),
+      median_us([&] { single.private_op_into(xs[0], one); }));
 }
 
 std::vector<std::size_t> parse_size_list(const char* s) {
@@ -155,9 +166,11 @@ int main(int argc, char** argv) {
     std::printf("batch cost: %.1f us (phisim offload model, RSA-%zu)\n",
                 cost.batch_us, key_bits);
   } else {
-    cost = phisim::ReplayCost::from_measured(calibrate_batch_us(key_bits));
-    std::printf("batch cost: %.1f us (calibrated on this host, RSA-%zu)\n",
-                cost.batch_us, key_bits);
+    cost = calibrate(key_bits);
+    std::printf(
+        "batch cost: %.1f us, single-stream op: %.1f us (calibrated on "
+        "this host, RSA-%zu)\n",
+        cost.batch_us, cost.single_op_us, key_bits);
   }
 
   const phisim::AutotuneReport report =

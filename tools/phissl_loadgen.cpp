@@ -12,9 +12,9 @@
 // frontend up and prints the bound port, so two processes — or two hosts
 // — can split the roles. --self wires both halves in one process over an
 // ephemeral loopback port and then ASSERTS the run looks sane (nonzero
-// completions, nonzero lane occupancy, and nonzero shed when an
-// admission cap was set), exiting nonzero otherwise; CI uses it as the
-// socket-path smoke.
+// completions, every private op accounted for in a batch lane or
+// single-stream, no shed without an admission cap and nonzero shed with
+// one), exiting nonzero otherwise; CI uses it as the socket-path smoke.
 //
 // Client knobs mirror ReactorConfig's workload shape so a loadgen run
 // reproduces the bench sweep mixes: --clients (concurrency window),
@@ -71,11 +71,13 @@ void print_report(const ssl::DriverReport& r) {
   std::printf(
       "server: completed %zu  failed %zu  shed %zu  resumed %zu\n"
       "        hs/s %.1f  p50 %.0fus  p99 %.0fus\n"
-      "        lane occupancy %.2f  batches %llu  res/wakeup %.1f\n"
+      "        lane occupancy %.2f  batches %llu  single ops %llu"
+      "  res/wakeup %.1f\n"
       "        accepts %llu  eagain %llu  resets %llu\n",
       r.completed, r.failed, static_cast<std::size_t>(r.shed), r.resumed,
       r.handshakes_per_s, r.latency_us.median, r.latency_us.p99,
       r.batch_lane_occupancy, static_cast<unsigned long long>(r.batches),
+      static_cast<unsigned long long>(r.single_ops),
       r.resumptions_per_wakeup, static_cast<unsigned long long>(r.accepts),
       static_cast<unsigned long long>(r.eagain),
       static_cast<unsigned long long>(r.resets));
@@ -225,8 +227,9 @@ int main(int argc, char** argv) {
         const ssl::DriverReport r = ssl::run_handshakes(server_engine, cfg);
         print_report(r);
         // Smoke assertions: the run must have actually terminated
-        // connections through real sockets and fed the batch engine —
-        // and, when an admission cap was set, actually shed under it.
+        // connections through real sockets and fed the batch service —
+        // every private op in a batch lane or single-stream — and shed
+        // exactly when an admission cap was set.
         bool ok = true;
         if (r.completed == 0) {
           std::fprintf(stderr, "FAIL: no connections completed\n");
@@ -244,8 +247,22 @@ int main(int argc, char** argv) {
           std::fprintf(stderr, "FAIL: accepts below completions\n");
           ok = false;
         }
-        if (!(r.batch_lane_occupancy > 0.0)) {
-          std::fprintf(stderr, "FAIL: zero lane occupancy\n");
+        if (r.service_requests == 0 ||
+            r.lanes_signed + r.single_ops != r.service_requests ||
+            r.padded_lanes != 16 * r.batches - r.lanes_signed) {
+          std::fprintf(stderr,
+                       "FAIL: %llu private ops, but %llu in batch lanes and "
+                       "%llu single-stream (%llu batches, %llu padded)\n",
+                       static_cast<unsigned long long>(r.service_requests),
+                       static_cast<unsigned long long>(r.lanes_signed),
+                       static_cast<unsigned long long>(r.single_ops),
+                       static_cast<unsigned long long>(r.batches),
+                       static_cast<unsigned long long>(r.padded_lanes));
+          ok = false;
+        }
+        if (max_pending == 0 && r.shed != 0) {
+          std::fprintf(stderr, "FAIL: %llu shed without an admission cap\n",
+                       static_cast<unsigned long long>(r.shed));
           ok = false;
         }
         if (max_pending != 0 && r.shed == 0) {
