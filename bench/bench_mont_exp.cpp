@@ -21,12 +21,19 @@
 // backend built to beat the host scalar64 baseline that KNC emulation
 // cannot (see DESIGN.md "Radix-52 truncated REDC").
 //
+// When the build found OpenSSL, a host-libcrypto column sits beside
+// ifma52: the installed libcrypto's constant-time fixed-window
+// exponentiation (BN_mod_exp_mont_consttime, Montgomery context cached
+// like ours), checked equal to the ifma52 result before timing (exit 1 on
+// a mismatch).
+//
 // Pass --json <path> to also write the rows as machine-readable JSON
 // (bench/results/BENCH_mont.json is the checked-in reference run).
 // Pass --smoke for a seconds-long CI-sized run (tiny rep budgets; the
 // sqr-ratio regression check degrades to a warning, since a 2-rep median
 // proves nothing).
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <utility>
@@ -42,10 +49,59 @@
 #include "phisim/core_model.hpp"
 #include "util/random.hpp"
 
+#ifdef PHISSL_BENCH_LIBCRYPTO
+#include <openssl/bn.h>
+#endif
+
 namespace {
 
 using phissl::bigint::BigInt;
 namespace mont = phissl::mont;
+
+#ifdef PHISSL_BENCH_LIBCRYPTO
+/// The host libcrypto's constant-time exponentiation mod one modulus.
+class LibcryptoModExp {
+ public:
+  explicit LibcryptoModExp(const BigInt& m)
+      : ctx_(BN_CTX_new()), mont_(BN_MONT_CTX_new()), m_(bn(m)),
+        r_(BN_new()) {
+    if (ctx_ == nullptr || mont_ == nullptr || m_ == nullptr ||
+        r_ == nullptr || BN_MONT_CTX_set(mont_, m_, ctx_) != 1) {
+      std::fprintf(stderr, "libcrypto: cannot set up the modulus\n");
+      std::exit(1);
+    }
+  }
+  ~LibcryptoModExp() {
+    for (BIGNUM* b : {m_, r_}) BN_free(b);
+    BN_MONT_CTX_free(mont_);
+    BN_CTX_free(ctx_);
+  }
+  LibcryptoModExp(const LibcryptoModExp&) = delete;
+  LibcryptoModExp& operator=(const LibcryptoModExp&) = delete;
+
+  static BIGNUM* bn(const BigInt& x) {
+    const std::vector<std::uint8_t> be = x.to_bytes_be();
+    return BN_bin2bn(be.data(), static_cast<int>(be.size()), nullptr);
+  }
+
+  /// base^exp mod m; base and exp from bn().
+  BigInt exp(const BIGNUM* base, const BIGNUM* e) {
+    if (BN_mod_exp_mont_consttime(r_, base, e, m_, ctx_, mont_) != 1) {
+      std::fprintf(stderr, "libcrypto: BN_mod_exp_mont_consttime failed\n");
+      std::exit(1);
+    }
+    std::vector<std::uint8_t> be(static_cast<std::size_t>(BN_num_bytes(r_)));
+    BN_bn2bin(r_, be.data());
+    return BigInt::from_bytes_be(be);
+  }
+
+ private:
+  BN_CTX* ctx_;
+  BN_MONT_CTX* mont_;
+  BIGNUM* m_;
+  BIGNUM* r_;
+};
+#endif
 
 // The vector context with the dedicated squaring kernel disabled: sqr
 // forwards to mul(a,a). Satisfies the same Montgomery-context concept, so
@@ -140,9 +196,9 @@ int main(int argc, char** argv) {
   bool sqr_regressed = false;
 
   std::printf("\n(a) measured on this host [median ms per exponentiation]\n");
-  std::printf("%8s %10s %12s %10s %10s %10s %10s %9s %9s %9s\n", "bits",
+  std::printf("%8s %10s %12s %10s %10s %10s %10s %10s %9s %9s %9s\n", "bits",
               "PHI(vec)", "PHI(no-sqr)", "MPSS(s32)", "OSSL(s64)", "ifma52",
-              "ifma52p", "sqr spd", "PHI/s64", "ifma/s64");
+              "ifma52p", "libcrypto", "sqr spd", "PHI/s64", "ifma/s64");
   for (const std::size_t bits : sizes) {
     util::Rng rng(bits);
     const BigInt m = BigInt::random_odd_exact_bits(bits, rng);
@@ -167,10 +223,28 @@ int main(int argc, char** argv) {
         median_ms([&] { mont::fixed_window_exp(ictx, base, exp); });
     const double if52p =
         median_ms([&] { mont::fixed_window_exp(pctx, base, exp); });
+    // Host libcrypto: checked equal to ifma52 first, then timed; 0 when
+    // the build has no OpenSSL.
+    double lib = 0.0;
+#ifdef PHISSL_BENCH_LIBCRYPTO
+    {
+      LibcryptoModExp lc(m);
+      BIGNUM* b = LibcryptoModExp::bn(base);
+      BIGNUM* e = LibcryptoModExp::bn(exp);
+      if (lc.exp(b, e) != mont::fixed_window_exp(ictx, base, exp)) {
+        std::fprintf(stderr, "libcrypto %zu-bit: result differs from ifma52\n",
+                     bits);
+        return 1;
+      }
+      lib = median_ms([&] { (void)lc.exp(b, e); });
+      BN_free(b);
+      BN_free(e);
+    }
+#endif
     const double sqr_spd = phi_nosqr / phi;
-    std::printf("%8zu %10.3f %12.3f %10.3f %10.3f %10.3f %10.3f %8.2fx "
+    std::printf("%8zu %10.3f %12.3f %10.3f %10.3f %10.3f %10.3f %10.3f %8.2fx "
                 "%8.2fx %8.2fx\n",
-                bits, phi, phi_nosqr, s32, s64, if52, if52p, sqr_spd,
+                bits, phi, phi_nosqr, s32, s64, if52, if52p, lib, sqr_spd,
                 s64 / phi, s64 / if52);
     // Squaring-kernel regression check: the dedicated-sqr configuration
     // must never lose measurably to the mul-only ablation. Where the
@@ -193,6 +267,7 @@ int main(int argc, char** argv) {
                   {"ossl_s64", s64},
                   {"ifma52", if52},
                   {"ifma52_portable", if52p},
+                  {"libcrypto", lib},
                   {"sqr_speedup", sqr_spd},
                   {"speedup_vs_s32", s32 / phi},
                   {"speedup_vs_s64", s64 / phi},

@@ -7,11 +7,18 @@
 // the dedicated squaring kernel against a general multiply of the same
 // operand (ideal symmetry win is ~0.75; modexp spends most of its
 // multiplies on squarings, so this ratio bounds the schedule-level gain).
+// BM_MontMul_ifma52-pair is one product of the dual-modulus CRT kernel —
+// two independent products, one per half (label: "2 x <bits>-bit").
+// BM_CtGather_* time the fixed-window schedule's constant-time table
+// gather over a 2^5-entry table: the generic word-at-a-time scan against
+// the register gather residues of 64-bit words take.
 #include <benchmark/benchmark.h>
 
 #include "harness.hpp"
 #include "bigint/bigint.hpp"
 #include "mont/ifma_mont.hpp"
+#include "mont/ifma_pair.hpp"
+#include "mont/modexp.hpp"
 #include "mont/mont32.hpp"
 #include "mont/mont64.hpp"
 #include "mont/vector_mont.hpp"
@@ -89,6 +96,60 @@ BENCHMARK_TEMPLATE(BM_MontSqr, mont::IfmaMontCtx)
 BENCHMARK_TEMPLATE(BM_MontSqr, IfmaPortableCtx)
     ->Name("BM_MontSqr_ifma52-portable")
     ->Arg(512)->Arg(1024)->Arg(2048)->Arg(4096);
+
+// One dual-modulus product: both halves (random odd moduli of `bits`
+// bits each) in one kernel call.
+void BM_PairMul(benchmark::State& state) {
+  const auto bits = static_cast<std::size_t>(state.range(0));
+  phissl::util::Rng rng(bits);
+  const BigInt p = BigInt::random_odd_exact_bits(bits, rng);
+  const BigInt q = BigInt::random_odd_exact_bits(bits, rng);
+  const mont::IfmaPairCtx ctx(p, q);
+  mont::IfmaPairCtx::Workspace ws;
+  mont::IfmaPairCtx::Rep a, b, out;
+  ctx.to_mont(BigInt::random_below(p, rng), BigInt::random_below(q, rng), a,
+              ws);
+  ctx.to_mont(BigInt::random_below(p, rng), BigInt::random_below(q, rng), b,
+              ws);
+  for (auto _ : state) {
+    ctx.mul(a, b, out, ws);
+    benchmark::DoNotOptimize(out.data());
+  }
+  ctx.publish_counts(ws);
+  state.SetLabel("2 x " + std::to_string(bits) + "-bit");
+}
+BENCHMARK(BM_PairMul)->Name("BM_MontMul_ifma52-pair")
+    ->Arg(512)->Arg(1024)->Arg(2048);
+
+// Gathers from a 32-entry table of residues of `words` 64-bit words: 24 is
+// one 1024-bit ifma52 residue, 48 one RSA-2048 pair residue.
+template <bool kGeneric>
+void BM_CtGather(benchmark::State& state) {
+  const auto words = static_cast<std::size_t>(state.range(0));
+  phissl::util::Rng rng(words);
+  std::vector<std::vector<std::uint64_t>> table(
+      32, std::vector<std::uint64_t>(words));
+  for (auto& entry : table) {
+    for (auto& w : entry) w = rng.next_u64();
+  }
+  std::vector<std::uint64_t> out;
+  std::uint32_t idx = 0;
+  for (auto _ : state) {
+    if constexpr (kGeneric) {
+      mont::ct_table_select<std::vector<std::uint64_t>, std::uint32_t>(
+          table.data(), table.size(), idx, out);
+    } else {
+      mont::ct_table_select(table.data(), table.size(), idx, out);
+    }
+    idx = (idx + 7) & 31;
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetLabel(std::to_string(words) + " words");
+}
+BENCHMARK_TEMPLATE(BM_CtGather, true)->Name("BM_CtGather_generic")
+    ->Arg(24)->Arg(40)->Arg(48);
+BENCHMARK_TEMPLATE(BM_CtGather, false)->Name("BM_CtGather_register")
+    ->Arg(24)->Arg(40)->Arg(48);
 
 // Same column algorithm without SIMD: isolates the pure vectorization win
 // on the host (the apples-to-apples ablation for the vector kernel).

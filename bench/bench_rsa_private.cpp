@@ -11,12 +11,15 @@
 // to the scalar64 reference on random inputs; a mismatch exits 1 before
 // anything is timed.
 //
-//   bench_rsa_private [--json [PATH]]
+//   bench_rsa_private [--json [PATH]] [--smoke]
 //
 // --json writes every row (bench/results/BENCH_rsa.json is the checked-in
-// reference run).
+// reference run). --smoke is the CI-sized run: 1024 and 2048 bits, a few
+// repetitions per row — the numbers mean little, the bit-identity gate of
+// table (c) runs in full.
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -129,8 +132,17 @@ int main(int argc, char** argv) {
   bench::print_header("E4 bench_rsa_private",
                       "RSA private-key op (CRT sign/decrypt), three systems");
   auto json = bench::JsonReporter::from_args("bench_rsa_private", argc, argv);
-
-  const std::size_t sizes[] = {1024, 2048, 4096};
+  bool smoke = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
+  }
+  const std::vector<std::size_t> sizes =
+      smoke ? std::vector<std::size_t>{1024, 2048}
+            : std::vector<std::size_t>{1024, 2048, 4096};
+  // Time budgets per row: (min reps, min seconds, max reps).
+  const int min_reps = smoke ? 2 : 5;
+  const double min_s = smoke ? 0.01 : 0.3;
+  const int max_reps = smoke ? 5 : 2000;
 
   std::printf("\n(a) measured on this host [median ms per op | ops/s]\n");
   std::printf("%8s", "bits");
@@ -148,7 +160,8 @@ int main(int argc, char** argv) {
     for (const auto s : baseline::all_systems()) {
       const rsa::Engine engine = baseline::make_engine(s, key);
       const util::Summary t = bench::time_op_ms(
-          [&] { (void)engine.private_op(msg); }, 3, 0.3, 200);
+          [&] { (void)engine.private_op(msg); }, smoke ? 2 : 3, min_s,
+          smoke ? max_reps : 200);
       lat[i] = t.median;
       std::printf(" %12.3f | %6.1f", lat[i], 1e3 / lat[i]);
       json.add_row("host_ms", std::string(baseline::name(s)) + "/" +
@@ -212,7 +225,7 @@ int main(int argc, char** argv) {
 #endif
     }
     const util::Summary t_ifma = bench::time_op_ms(
-        [&] { ifma.private_op_into(x, out); }, 5, 0.3, 2000);
+        [&] { ifma.private_op_into(x, out); }, min_reps, min_s, max_reps);
     std::printf("%8zu %10.1f (%6.1f..%6.1f)", bits, 1e3 * t_ifma.median,
                 1e3 * t_ifma.min, 1e3 * t_ifma.max);
     json.add_row("host_us", "ifma52_crt/" + std::to_string(bits),
@@ -221,7 +234,7 @@ int main(int argc, char** argv) {
                   {"max_us", 1e3 * t_ifma.max}});
 #ifdef PHISSL_BENCH_LIBCRYPTO
     const util::Summary t_lib = bench::time_op_ms(
-        [&] { (void)lib.private_op(x_be); }, 5, 0.3, 2000);
+        [&] { (void)lib.private_op(x_be); }, min_reps, min_s, max_reps);
     std::printf(" %10.1f (%6.1f..%6.1f)\n", 1e3 * t_lib.median,
                 1e3 * t_lib.min, 1e3 * t_lib.max);
     json.add_row("host_us", "libcrypto/" + std::to_string(bits),

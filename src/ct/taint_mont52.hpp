@@ -15,8 +15,15 @@
 // paths are setup/teardown, not the kernel under test. The modulus/mu
 // digit vectors come from the native context's n52()/mu52() accessors,
 // which exist exactly for this replay.
+//
+// TaintPairCtx52 does the same for the dual-modulus CRT context
+// (IfmaPairCtx): the pair schedule (fixed_window_exp_pair_rep with its
+// ct_table_select_split gather) runs unmodified over tainted pair
+// residues, each product the word-generic r52::amm_g that the portable
+// pair path compiles.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -24,6 +31,7 @@
 #include "bigint/bigint.hpp"
 #include "ct/taint.hpp"
 #include "mont/ifma_mont.hpp"
+#include "mont/ifma_pair.hpp"
 #include "mont/modexp.hpp"
 #include "mont/radix52_kernel.hpp"
 
@@ -127,6 +135,90 @@ class TaintCtx52 {
   bool secret_modulus_;
   Rep n_;   // modulus digits, tainted iff secret_modulus
   Rep mu_;  // -n^-1 mod beta^d digits, likewise
+  Rep one_m_;
+};
+
+class TaintPairCtx52 {
+ public:
+  /// [p half: d digits][q half: d digits] — the native layout without
+  /// its vector-lane padding.
+  using Rep = std::vector<TW64>;
+
+  struct Workspace {
+    std::vector<TW128> acc;  // d accumulator columns
+  };
+
+  /// secret_modulus taints both primes' digits and k0 (CRT: the moduli
+  /// are key material).
+  TaintPairCtx52(const bigint::BigInt& p, const bigint::BigInt& q,
+                 bool secret_modulus = false)
+      : native_(p, q, /*force_portable=*/true),
+        secret_modulus_(secret_modulus) {
+    n_ = taint_pair(native_.n52(), secret_modulus);
+    one_m_ = taint_pair(native_.one_mont_rep(), secret_modulus);
+    for (std::size_t h = 0; h < 2; ++h) {
+      k0_[h] = TW64(native_.k0()[h], secret_modulus);
+    }
+  }
+
+  [[nodiscard]] std::size_t half_words() const { return native_.digits(); }
+  [[nodiscard]] const Rep& one_mont_rep() const { return one_m_; }
+
+  /// Converts through the native context, then marks every digit.
+  [[nodiscard]] Rep to_mont(const bigint::BigInt& xp, const bigint::BigInt& xq,
+                            bool secret_value) const {
+    mont::IfmaPairCtx::Workspace ws;
+    mont::IfmaPairCtx::Rep r;
+    native_.to_mont(xp, xq, r, ws);
+    return taint_pair(r, secret_value || secret_modulus_);
+  }
+
+  /// Strips taint and leaves Montgomery form through the native context.
+  void from_mont_clear(const Rep& a, bigint::BigInt& out_p,
+                       bigint::BigInt& out_q) const {
+    const std::size_t d = native_.digits();
+    const std::size_t hw = native_.half_words();
+    mont::IfmaPairCtx::Rep plain(2 * hw, 0);
+    for (std::size_t j = 0; j < d; ++j) {
+      plain[j] = a[j].v;
+      plain[hw + j] = a[d + j].v;
+    }
+    mont::IfmaPairCtx::Workspace ws;
+    native_.from_mont(plain, out_p, out_q, ws);
+  }
+
+  void mul(const Rep& a, const Rep& b, Rep& out, Workspace& ws) const {
+    const std::size_t d = native_.digits();
+    ws.acc.resize(d);
+    out.resize(2 * d);
+    for (std::size_t h = 0; h < 2; ++h) {
+      mont::r52::amm_g<TW64, TW128>(a.data() + h * d, b.data() + h * d,
+                                    n_.data() + h * d, k0_[h], d,
+                                    ws.acc.data(), out.data() + h * d);
+    }
+  }
+
+  void sqr(const Rep& a, Rep& out, Workspace& ws) const { mul(a, a, out, ws); }
+
+ private:
+  /// The d digits of each half of a native pair residue, marked.
+  Rep taint_pair(const mont::IfmaPairCtx::Rep& r, bool secret) const {
+    const std::size_t d = native_.digits();
+    const std::size_t hw = native_.half_words();
+    Rep out;
+    out.reserve(2 * d);
+    for (std::size_t h = 0; h < 2; ++h) {
+      for (std::size_t j = 0; j < d; ++j) {
+        out.emplace_back(r[h * hw + j], secret);
+      }
+    }
+    return out;
+  }
+
+  mont::IfmaPairCtx native_;
+  bool secret_modulus_;
+  Rep n_;
+  std::array<TW64, 2> k0_;
   Rep one_m_;
 };
 

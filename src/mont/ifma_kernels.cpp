@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 #include "mont/radix52_kernel.hpp"
 
@@ -170,7 +171,8 @@ std::uint64_t normalize(const Src& src, std::size_t nblk, std::uint64_t* dst) {
     std::uint64_t prop = 0;
     for (std::size_t b = 0; b < nb; ++b) {
       const __m512i v = src(b0 + b);
-      const __m512i hi = _mm512_srli_epi64(v, kDb);
+      // All-lanes maskz form: the GCC 12 warning workaround of alignr.
+      const __m512i hi = _mm512_maskz_srli_epi64(0xFF, v, kDb);
       const __m512i x = _mm512_add_epi64(_mm512_and_si512(v, vmask),
                                          alignr<7>(hi, hi_prev));
       hi_prev = hi;
@@ -664,6 +666,156 @@ void batch_sqr(const std::uint64_t* a, const std::uint64_t* n,
   batch_redc(t, n, mu, sd, q, out);
 }
 
+// -- Dual-modulus mode ----------------------------------------------------
+//
+// r52::amm_g's digit-serial almost-Montgomery product, for the two CRT
+// halves at once. Each half keeps its whole accumulator in N registers
+// (lane j = column j of the running sum) and its column 0 in a scalar
+// register as well: per digit b_i, the scalar side forms
+// acc + a_0*b_i, the quotient digit y = that * k0 mod 2^52, and the exact
+// (acc + a_0*b_i + n_0*y) >> 52 with 64x64 multiplies, while the vector
+// side adds the low halves of a*b_i and n*y, shifts every lane down one
+// column (valignq), and adds the high halves. Lane 0 of the vector is
+// read once, right after the shift, into the scalar; what the vector adds
+// to lane 0 afterwards is already in the scalar and is shifted out
+// unread. The only serial chain per digit runs through y, so the two
+// halves' chains, interleaved digit by digit, hide each other's latency.
+// One carry normalization per product at the end; no conditional
+// subtract (see amm_g for the 2n bound). Nothing branches on digit
+// values; the quotient digits come from multiplies and masks.
+
+namespace {
+
+template <std::size_t N>
+struct AmmHalf {
+  __m512i r[N];
+  std::uint64_t acc = 0;  // column 0; lane 0 of r[0] is stale
+
+  AmmHalf() {
+#pragma GCC unroll 16
+    for (std::size_t k = 0; k < N; ++k) r[k] = _mm512_setzero_si512();
+  }
+
+  // One digit of b: acc, r <- (acc, r + a*bi + n*y) / beta.
+  inline void step(const std::uint64_t* a, const std::uint64_t* n,
+                   std::uint64_t bi, std::uint64_t k0) {
+    const __m512i vb = bcast(bi);
+    unsigned __int128 s = static_cast<unsigned __int128>(a[0]) * bi + acc;
+    const std::uint64_t y = (static_cast<std::uint64_t>(s) * k0) & kMask;
+    const __m512i vy = bcast(y);
+    s += static_cast<unsigned __int128>(n[0]) * y;
+    acc = static_cast<std::uint64_t>(s >> kDb);
+#pragma GCC unroll 16
+    for (std::size_t k = 0; k < N; ++k) {
+      r[k] = _mm512_madd52lo_epu64(r[k], vb, load(a + 8 * k));
+      r[k] = _mm512_madd52lo_epu64(r[k], vy, load(n + 8 * k));
+    }
+#pragma GCC unroll 16
+    for (std::size_t k = 0; k + 1 < N; ++k) r[k] = alignr<1>(r[k + 1], r[k]);
+    r[N - 1] = alignr<1>(_mm512_setzero_si512(), r[N - 1]);
+    acc += static_cast<std::uint64_t>(
+        _mm_cvtsi128_si64(_mm512_castsi512_si128(r[0])));
+#pragma GCC unroll 16
+    for (std::size_t k = 0; k < N; ++k) {
+      r[k] = _mm512_madd52hi_epu64(r[k], vb, load(a + 8 * k));
+      r[k] = _mm512_madd52hi_epu64(r[k], vy, load(n + 8 * k));
+    }
+  }
+
+  // Column 0 from the scalar, then the one carry normalization.
+  void finish(std::uint64_t* out) {
+    r[0] = _mm512_mask_set1_epi64(r[0], 1, static_cast<long long>(acc));
+    [[maybe_unused]] const std::uint64_t top =
+        normalize([&](std::size_t k) { return r[k]; }, N, out);
+    assert(top == 0);
+  }
+};
+
+template <std::size_t N>
+void pair_amm_n(const std::uint64_t* a, const std::uint64_t* b,
+                const std::uint64_t* n, const std::uint64_t* k0,
+                std::size_t d, std::uint64_t* out) {
+  constexpr std::size_t kHalf = 8 * N;
+  AmmHalf<N> p;
+  AmmHalf<N> q;
+  for (std::size_t i = 0; i < d; ++i) {
+    p.step(a, n, b[i], k0[0]);
+    q.step(a + kHalf, n + kHalf, b[kHalf + i], k0[1]);
+  }
+  p.finish(out);
+  q.finish(out + kHalf);
+}
+
+// Words [w0, w0 + 8R) of table[idx] (clipped at `end`) into out, in R
+// registers over one scan of the whole table: every entry is loaded, and
+// one vector compare per entry decides, as a mask, whether it is kept.
+template <std::size_t R>
+void gather_block(const std::vector<std::uint64_t>* table, std::size_t count,
+                  std::size_t w0, std::size_t end, std::uint32_t idx,
+                  std::uint64_t* out) {
+  __m512i acc[R];
+  __mmask8 live[R];  // lanes inside [w0, end); depends on sizes only
+#pragma GCC unroll 16
+  for (std::size_t k = 0; k < R; ++k) {
+    live[k] = low_lanes(std::min<std::size_t>(8, end - (w0 + 8 * k)));
+    acc[k] = _mm512_setzero_si512();
+  }
+  const __m512i vidx = bcast(idx);
+  __m512i ve = _mm512_setzero_si512();
+  for (std::size_t e = 0; e < count; ++e) {
+    const __mmask8 hit = _mm512_cmpeq_epu64_mask(vidx, ve);
+    const std::uint64_t* entry = table[e].data() + w0;
+#pragma GCC unroll 16
+    for (std::size_t k = 0; k < R; ++k) {
+      const __m512i v = _mm512_maskz_loadu_epi64(live[k], entry + 8 * k);
+      acc[k] = _mm512_mask_or_epi64(acc[k], hit, acc[k], v);
+    }
+    ve = _mm512_add_epi64(ve, bcast(1));
+  }
+#pragma GCC unroll 16
+  for (std::size_t k = 0; k < R; ++k) {
+    _mm512_mask_storeu_epi64(out + w0 + 8 * k, live[k], acc[k]);
+  }
+}
+
+}  // namespace
+
+void pair_amm(const std::uint64_t* a, const std::uint64_t* b,
+              const std::uint64_t* n, const std::uint64_t* k0, std::size_t d,
+              std::uint64_t* out) {
+  using Fn = void (*)(const std::uint64_t*, const std::uint64_t*,
+                      const std::uint64_t*, const std::uint64_t*, std::size_t,
+                      std::uint64_t*);
+  static constexpr Fn kByRegisters[] = {
+      pair_amm_n<1>, pair_amm_n<2>, pair_amm_n<3>, pair_amm_n<4>,
+      pair_amm_n<5>, pair_amm_n<6>, pair_amm_n<7>, pair_amm_n<8>,
+      pair_amm_n<9>, pair_amm_n<10>};
+  static_assert(std::size(kByRegisters) * 8 == kPairMaxDigits);
+  assert(d >= 1 && d <= kPairMaxDigits);
+  kByRegisters[round_up8(d) / 8 - 1](a, b, n, k0, d, out);
+}
+
+void ct_gather(const std::vector<std::uint64_t>* table, std::size_t count,
+               std::size_t words, std::uint32_t idx_lo, std::uint32_t idx_hi,
+               std::size_t split, std::uint64_t* out) {
+  using Fn = void (*)(const std::vector<std::uint64_t>*, std::size_t,
+                      std::size_t, std::size_t, std::uint32_t, std::uint64_t*);
+  static constexpr Fn kByRegisters[] = {
+      gather_block<1>, gather_block<2>, gather_block<3>, gather_block<4>,
+      gather_block<5>, gather_block<6>, gather_block<7>, gather_block<8>};
+  // [0, split) from idx_lo, [split, words) from idx_hi, each in blocks of
+  // up to 8 registers (64 words); the blocks depend on the sizes only.
+  const auto range = [&](std::size_t begin, std::size_t end,
+                         std::uint32_t idx) {
+    for (std::size_t w0 = begin; w0 < end; w0 += 64) {
+      const std::size_t regs = (std::min<std::size_t>(64, end - w0) + 7) / 8;
+      kByRegisters[regs - 1](table, count, w0, end, idx, out);
+    }
+  };
+  range(0, std::min(split, words), idx_lo);
+  range(std::min(split, words), words, idx_hi);
+}
+
 }  // namespace phissl::mont::ifma
 
 #else  // !PHISSL_IFMA_LIVE
@@ -699,6 +851,15 @@ void batch_mul(const std::uint64_t*, const std::uint64_t*,
 void batch_sqr(const std::uint64_t*, const std::uint64_t*,
                const std::uint64_t*, std::size_t, std::uint64_t*,
                std::uint64_t*, std::uint64_t*, std::uint64_t*) {
+  unavailable();
+}
+void pair_amm(const std::uint64_t*, const std::uint64_t*,
+              const std::uint64_t*, const std::uint64_t*, std::size_t,
+              std::uint64_t*) {
+  unavailable();
+}
+void ct_gather(const std::vector<std::uint64_t>*, std::size_t, std::size_t,
+               std::uint32_t, std::uint32_t, std::size_t, std::uint64_t*) {
   unavailable();
 }
 

@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace phissl::mont::ifma {
 
@@ -69,5 +70,31 @@ void batch_mul(const std::uint64_t* a, const std::uint64_t* b,
 void batch_sqr(const std::uint64_t* a, const std::uint64_t* n,
                const std::uint64_t* mu, std::size_t d, std::uint64_t* pad,
                std::uint64_t* t, std::uint64_t* q, std::uint64_t* out);
+
+// -- Dual-modulus mode: the two CRT halves of one private op together. ----
+// One call is an almost-Montgomery product (r52::amm_g) of a mod-p pair
+// and a mod-q pair of the same digit count d. Operands are laid out as
+// [p half: hw words][q half: hw words], hw = d rounded up to 8, each half d
+// digits then zeros: a, b (equal for a squaring) and n; k0 holds
+// -n^-1 mod 2^52 for each half. out (same layout) is written only after a
+// and b are last read, so it may alias either. Digits stay normalized;
+// residues stay below 2n when 4n < beta^d.
+
+inline constexpr std::size_t kPairMaxDigits = 80;  // 10 registers per half
+
+void pair_amm(const std::uint64_t* a, const std::uint64_t* b,
+              const std::uint64_t* n, const std::uint64_t* k0, std::size_t d,
+              std::uint64_t* out);
+
+// -- Constant-time table gather over residues of 64-bit words. ------------
+// Needs AVX-512F only. out[0, words) = table[idx_lo]'s words below `split`
+// and table[idx_hi]'s from `split` on; every word of each of the `count`
+// entries (each at least `words` long) is loaded, and the indices only
+// ever enter vector compares, so neither a branch nor an address depends
+// on them.
+
+void ct_gather(const std::vector<std::uint64_t>* table, std::size_t count,
+               std::size_t words, std::uint32_t idx_lo, std::uint32_t idx_hi,
+               std::size_t split, std::uint64_t* out);
 
 }  // namespace phissl::mont::ifma

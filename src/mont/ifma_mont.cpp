@@ -95,6 +95,7 @@ void IfmaMontCtx::prepare(Workspace& ws) const {
 IfmaMontCtx::Rep IfmaMontCtx::to_mont(const bigint::BigInt& x) const {
   Rep out;
   to_mont(x, out, tls_workspace());
+  publish_counts(tls_workspace());
   return out;
 }
 
@@ -125,18 +126,27 @@ void IfmaMontCtx::from_mont(const Rep& a, bigint::BigInt& out,
     ws.u32[2 * j + 1] = static_cast<std::uint32_t>(ws.rep[j] >> 26) & kHalfMask;
   }
   out.assign_from_digits(ws.u32, 26);
+  publish_counts(ws);
+}
+
+void IfmaMontCtx::publish_counts(Workspace& ws) const {
+#if PHISSL_OBS_ENABLED
+  if (ws.muls != 0) kernel_counters().mul.inc(ws.muls);
+  if (ws.sqrs != 0) kernel_counters().sqr.inc(ws.sqrs);
+  if (ws.muls + ws.sqrs != 0) kernel_counters().redc.inc(ws.muls + ws.sqrs);
+#endif
+  ws.muls = 0;
+  ws.sqrs = 0;
 }
 
 void IfmaMontCtx::mul(const Rep& a, const Rep& b, Rep& out) const {
   mul(a, b, out, tls_workspace());
+  publish_counts(tls_workspace());
 }
 
 void IfmaMontCtx::mul(const Rep& a, const Rep& b, Rep& out,
                       Workspace& ws) const {
-#if PHISSL_OBS_ENABLED
-  kernel_counters().mul.inc();
-  kernel_counters().redc.inc();
-#endif
+  ++ws.muls;
   assert(a.size() == pd_ && b.size() == pd_);
   prepare(ws);
   out.resize(pd_);
@@ -153,13 +163,11 @@ void IfmaMontCtx::mul(const Rep& a, const Rep& b, Rep& out,
 
 void IfmaMontCtx::sqr(const Rep& a, Rep& out) const {
   sqr(a, out, tls_workspace());
+  publish_counts(tls_workspace());
 }
 
 void IfmaMontCtx::sqr(const Rep& a, Rep& out, Workspace& ws) const {
-#if PHISSL_OBS_ENABLED
-  kernel_counters().sqr.inc();
-  kernel_counters().redc.inc();
-#endif
+  ++ws.sqrs;
   assert(a.size() == pd_);
   prepare(ws);
   out.resize(pd_);

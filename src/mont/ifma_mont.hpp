@@ -38,7 +38,8 @@ class IfmaMontCtx {
   /// vector loads). Value < modulus.
   using Rep = std::vector<std::uint64_t>;
 
-  /// Reusable scratch for mul/sqr/to_mont/from_mont.
+  /// Reusable scratch for mul/sqr/to_mont/from_mont, plus the products
+  /// counted since the last publish_counts().
   struct Workspace {
     std::vector<std::uint64_t> cols64;        // IFMA column sums
     std::vector<std::uint64_t> opad;          // zero-padded load operand
@@ -47,6 +48,8 @@ class IfmaMontCtx {
     std::vector<std::uint64_t> q;             // quotient digits (d)
     Rep rep;                                  // residue-sized scratch
     std::vector<std::uint32_t> u32;           // digit unpack scratch
+    std::uint64_t muls = 0;
+    std::uint64_t sqrs = 0;
   };
 
   /// Builds the context for an odd modulus m > 1 (throws
@@ -78,7 +81,7 @@ class IfmaMontCtx {
   [[nodiscard]] Rep to_mont(const bigint::BigInt& x) const;
   void to_mont(const bigint::BigInt& x, Rep& out, Workspace& ws) const;
 
-  /// x*R mod m -> x.
+  /// x*R mod m -> x. The workspace form publishes the workspace's counts.
   [[nodiscard]] bigint::BigInt from_mont(const Rep& a) const;
   void from_mont(const Rep& a, bigint::BigInt& out, Workspace& ws) const;
 
@@ -87,12 +90,19 @@ class IfmaMontCtx {
   [[nodiscard]] const Rep& one_mont_rep() const { return one_m_; }
 
   /// out = a*b*R^-1 mod m (truncated REDC). out may alias a or b.
+  /// The workspace form counts the product in ws; the other publishes it.
   void mul(const Rep& a, const Rep& b, Rep& out) const;
   void mul(const Rep& a, const Rep& b, Rep& out, Workspace& ws) const;
 
   /// out = a*a*R^-1 mod m (off-diagonal-once squaring + the same REDC).
   void sqr(const Rep& a, Rep& out) const;
   void sqr(const Rep& a, Rep& out, Workspace& ws) const;
+
+  /// Adds the workspace's counted products to
+  /// phissl_mont_{mul,sqr,redc}_total{ctx="ifma52"} and clears them. The
+  /// modexp schedules call it as they return, so the counters are exact
+  /// whenever an exponentiation has returned, at no atomic per product.
+  void publish_counts(Workspace& ws) const;
 
   /// Packs a non-negative BigInt (< beta^d) into padded 52-bit digits.
   void pack(const bigint::BigInt& x, Rep& out) const;

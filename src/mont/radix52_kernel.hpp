@@ -170,6 +170,35 @@ void mont_mul_g(const W64* a, const W64* b, const W64* n, const W64* mu,
   redc_trunc_g<W64, W128>(t, n, mu, d, cols, q, out);
 }
 
+/// Almost-Montgomery product (the dual-modulus CRT kernel's arithmetic,
+/// one modulus at a time): out = (a*b + Y*n) / R with R = beta^d and Y < R
+/// the unique value that makes the sum divisible, built one quotient digit
+/// per digit of b: y_i = (acc_0 * k0) mod beta, k0 = -n^-1 mod beta. No
+/// conditional subtract: when a, b < 2n and 4n < R, out < (4n^2 + R*n)/R
+/// < 2n, so residues stay in [0, 2n) and the output feeds the next product
+/// as is. Y is unique, so every schedule of this sum (the vpmadd52 pair
+/// kernel included) yields these exact digits. acc: d columns of scratch.
+/// out (d digits) may alias a or b — it is written only at the end.
+template <typename W64, typename W128 = bigint::kernels::wide128_t<W64>>
+void amm_g(const W64* a, const W64* b, const W64* n, W64 k0, std::size_t d,
+           W128* acc, W64* out) {
+  using bigint::kernels::lo64;
+  using bigint::kernels::wmul128;
+  for (std::size_t k = 0; k < d; ++k) acc[k] = W128{};
+  for (std::size_t i = 0; i < d; ++i) {
+    const W64 bi = b[i];
+    for (std::size_t j = 0; j < d; ++j) acc[j] = acc[j] + wmul128(a[j], bi);
+    const W64 y = (lo64(acc[0]) * k0) & kDigitMask;
+    for (std::size_t j = 0; j < d; ++j) acc[j] = acc[j] + wmul128(n[j], y);
+    // acc_0 is now a multiple of beta: divide the whole sum by beta.
+    const W128 carry = acc[0] >> kDigitBits;
+    for (std::size_t j = 0; j + 1 < d; ++j) acc[j] = acc[j + 1];
+    acc[d - 1] = W128{};
+    acc[0] = acc[0] + carry;
+  }
+  normalize_cols_g<W64, W128>(acc, d, out);
+}
+
 /// out = a^2*R^-1 mod n: off-diagonal products touched once and added
 /// twice (~d^2/2 multiplies), then the shared truncated REDC.
 template <typename W64, typename W128 = bigint::kernels::wide128_t<W64>>

@@ -51,7 +51,12 @@ Engine::Engine(PrivateKey key, EngineOptions opts)
     : pub_(key.pub), priv_(std::move(key)), opts_(opts) {
   ctx_n_ = std::make_unique<AnyCtx>(
       make_ctx(opts_.kernel, pub_.n, opts_.digit_bits));
-  if (opts_.use_crt) {
+  const bool ifma = opts_.kernel == Backend::kIfma52 ||
+                    opts_.kernel == Backend::kIfma52Portable;
+  if (opts_.use_crt && ifma && opts_.schedule == Schedule::kFixedWindow) {
+    pair_ = std::make_unique<mont::IfmaPairCtx>(
+        priv_->p, priv_->q, opts_.kernel == Backend::kIfma52Portable);
+  } else if (opts_.use_crt) {
     ctx_p_ = std::make_unique<AnyCtx>(
         make_ctx(opts_.kernel, priv_->p, opts_.digit_bits));
     ctx_q_ = std::make_unique<AnyCtx>(
@@ -115,13 +120,20 @@ void Engine::private_op_crt_into(const BigInt& x, BigInt& out) const {
     BigInt::divmod(x, k.p, s.quot, s.xp);
     BigInt::divmod(x, k.q, s.quot, s.xq);
   }
-  {
-    PHISSL_OBS_SPAN("rsa.mod_exp_p");
-    mod_exp_into(*ctx_p_, s.xp, k.dp, s.m1);
-  }
-  {
-    PHISSL_OBS_SPAN("rsa.mod_exp_q");
-    mod_exp_into(*ctx_q_, s.xq, k.dq, s.m2);
+  if (pair_) {
+    PHISSL_OBS_SPAN("rsa.mod_exp_pair");
+    static thread_local mont::ExpWorkspace<mont::IfmaPairCtx> ws;
+    mont::fixed_window_exp_pair(*pair_, s.xp, s.xq, k.dp, k.dq, s.m1, s.m2,
+                                ws, opts_.window);
+  } else {
+    {
+      PHISSL_OBS_SPAN("rsa.mod_exp_p");
+      mod_exp_into(*ctx_p_, s.xp, k.dp, s.m1);
+    }
+    {
+      PHISSL_OBS_SPAN("rsa.mod_exp_q");
+      mod_exp_into(*ctx_q_, s.xq, k.dq, s.m2);
+    }
   }
   PHISSL_OBS_SPAN("rsa.crt_recombine");
   // h = qinv * (m1 - m2) mod p. Track the sign of (m1 - m2) explicitly so

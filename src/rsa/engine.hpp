@@ -17,6 +17,7 @@
 #include <string>
 
 #include "bigint/bigint.hpp"
+#include "mont/ifma_pair.hpp"
 #include "rsa/backend.hpp"
 #include "rsa/key.hpp"
 
@@ -59,6 +60,9 @@ struct EngineOptions {
 /// EngineOptions. Montgomery contexts for n (and p/q when CRT) are
 /// precomputed at construction; all methods are const and safe to call
 /// concurrently (per-thread workspaces back the *_into fast paths).
+/// With CRT, the fixed-window schedule and an ifma52 backend, the two
+/// halves run together on one dual-modulus context (mont::IfmaPairCtx);
+/// every other combination runs them one after the other.
 /// Padding lives elsewhere: pkcs1.hpp / oaep.hpp consume these raw ops.
 class Engine {
  public:
@@ -108,8 +112,9 @@ class Engine {
   EngineOptions opts_;
 
   std::unique_ptr<AnyCtx> ctx_n_;  // modulus n (public op; non-CRT private)
-  std::unique_ptr<AnyCtx> ctx_p_;  // prime p (CRT)
-  std::unique_ptr<AnyCtx> ctx_q_;  // prime q (CRT)
+  std::unique_ptr<AnyCtx> ctx_p_;  // prime p (CRT, halves in sequence)
+  std::unique_ptr<AnyCtx> ctx_q_;  // prime q (CRT, halves in sequence)
+  std::unique_ptr<mont::IfmaPairCtx> pair_;  // p and q (CRT, halves together)
 };
 
 }  // namespace phissl::rsa

@@ -37,6 +37,7 @@
 #include "ct/taint_mont52.hpp"
 #include "mont/batch.hpp"
 #include "mont/ifma_mont.hpp"
+#include "mont/ifma_pair.hpp"
 #include "mont/modexp.hpp"
 #include "mont/mont32.hpp"
 #include "mont/mont64.hpp"
@@ -386,6 +387,43 @@ TEST_F(CtCheckTest, Radix52CrtPrivateOpUnderTaint) {
   EXPECT_EQ(violation_count(), 0u);
 }
 
+TEST_F(CtCheckTest, Radix52PairCrtPrivateOpUnderTaint) {
+  // What rsa::Engine runs for the ifma52 backends: both CRT halves in one
+  // dual-modulus schedule (fixed_window_exp_pair_rep) over secret prime
+  // moduli, with secret residues and secret exponents, every product the
+  // generic almost-Montgomery kernel and every window's two gathers one
+  // ct_table_select_split scan.
+  const rsa::PrivateKey& key = rsa::test_key(256);
+  const BigInt& n = key.pub.n;
+  util::Rng rng(26);
+  const BigInt x = BigInt::random_below(n, rng);
+
+  const TaintPairCtx52 ctx(key.p, key.q, /*secret_modulus=*/true);
+  BigInt xp, xq, quot;
+  {
+    DeclassifyScope blinded;
+    BigInt::divmod(x, key.p, quot, xp);
+    BigInt::divmod(x, key.q, quot, xq);
+  }
+  TaintPairCtx52::Rep res;
+  mont::ExpWorkspace<TaintPairCtx52> ws;
+  for (const int window : {1, 4, 5}) {
+    mont::fixed_window_exp_pair_rep(ctx, ctx.to_mont(xp, xq, true),
+                                    SecretExp(key.dp), SecretExp(key.dq),
+                                    window, res, ws);
+    EXPECT_EQ(violation_count(), 0u)
+        << "leak in the radix-52 dual-modulus CRT schedule, w=" << window;
+    BigInt m1, m2;
+    {
+      DeclassifyScope blinded;
+      ctx.from_mont_clear(res, m1, m2);
+    }
+    EXPECT_EQ(m1, xp.mod_pow(key.dp, key.p)) << window;
+    EXPECT_EQ(m2, xq.mod_pow(key.dq, key.q)) << window;
+  }
+  EXPECT_EQ(violation_count(), 0u);
+}
+
 // ---- Layer 3: negative controls -----------------------------------------
 
 TEST_F(CtCheckTest, SlidingWindowIsFlaggedVariableTime) {
@@ -601,6 +639,52 @@ TEST_F(CtCheckTest, PoisonedExponentDriverIfma52Portable) {
   const BigInt base = BigInt::random_below(key.pub.n, rng);
   run_poisoned_padded(mont::IfmaMontCtx(key.pub.n, /*force_portable=*/true),
                       base, key.d, base.mod_pow(key.d, key.pub.n));
+  EXPECT_EQ(violation_count(), 0u);
+}
+
+// The dual-modulus CRT schedule on the production pair context with both
+// exponents' limbs poisoned and both schedules padded to their primes'
+// sizes.
+void run_poisoned_pair(const mont::IfmaPairCtx& ctx, const rsa::PrivateKey& key,
+                       const BigInt& x) {
+  BigInt xp, xq, quot;
+  BigInt::divmod(x, key.p, quot, xp);
+  BigInt::divmod(x, key.q, quot, xq);
+  const BigInt dp = key.dp;  // private copies whose storage we poison
+  const BigInt dq = key.dq;
+  mont::ExpWorkspace<mont::IfmaPairCtx> ws;
+  mont::IfmaPairCtx::Rep base, out;
+  ctx.to_mont(xp, xq, base, ws.kernel);
+  poison_bigint(dp);
+  poison_bigint(dq);
+  mont::fixed_window_exp_pair_rep(ctx, base, PaddedExp(dp, key.p.bit_length()),
+                                  PaddedExp(dq, key.q.bit_length()), 5, out,
+                                  ws);
+  unpoison_bigint(dp);
+  unpoison_bigint(dq);
+  declassify_all(out);
+  BigInt m1, m2;
+  ctx.from_mont(out, m1, m2, ws.kernel);
+  EXPECT_EQ(m1, xp.mod_pow(key.dp, key.p));
+  EXPECT_EQ(m2, xq.mod_pow(key.dq, key.q));
+}
+
+TEST_F(CtCheckTest, PoisonedExponentPairDriverIfma52) {
+  // Whichever pair kernel the host dispatches (vpmadd52 or portable).
+  const rsa::PrivateKey& key = rsa::test_key(512);
+  util::Rng rng(27);
+  run_poisoned_pair(mont::IfmaPairCtx(key.p, key.q), key,
+                    BigInt::random_below(key.pub.n, rng));
+  EXPECT_EQ(violation_count(), 0u);
+}
+
+TEST_F(CtCheckTest, PoisonedExponentPairDriverIfma52Portable) {
+  // Pinned portable pair path: the amm_g instantiation TaintPairCtx52
+  // replays.
+  const rsa::PrivateKey& key = rsa::test_key(512);
+  util::Rng rng(28);
+  run_poisoned_pair(mont::IfmaPairCtx(key.p, key.q, /*force_portable=*/true),
+                    key, BigInt::random_below(key.pub.n, rng));
   EXPECT_EQ(violation_count(), 0u);
 }
 

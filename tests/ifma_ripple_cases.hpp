@@ -15,6 +15,9 @@
 //     headroom bits;
 //   - m-1 times R mod m, whose result m-1 borrows through every digit of
 //     the final comparison with m.
+// pair_cases() extends them for the dual-modulus kernel (IfmaPairCtx),
+// whose residues may reach 2m: operands in [m, 2m), and moduli of exactly
+// 52d - 2 bits, the tightest case of 4m < beta^d.
 #pragma once
 
 #include <cstddef>
@@ -25,6 +28,7 @@
 
 #include "bigint/bigint.hpp"
 #include "mont/ifma_mont.hpp"
+#include "mont/ifma_pair.hpp"
 #include "util/random.hpp"
 
 namespace phissl::mont::ripple {
@@ -108,6 +112,67 @@ inline bigint::BigInt mont_product(const IfmaMontCtx& ctx,
 inline bigint::BigInt value(const IfmaMontCtx::Rep& rep) {
   std::vector<bigint::BigInt> digits;
   for (const std::uint64_t w : rep) digits.push_back(bigint::BigInt::from_u64(w));
+  return from_digits(digits);
+}
+
+/// The cases again for the dual-modulus kernel, whose operands may be
+/// anything below 2m: each pair also as (a + m, b) and (a, b + m), plus
+/// moduli of exactly 52d - 2 bits for d = 10, 20, 30, 40 (all-ones,
+/// random, sparse) with operands at and just below 2m.
+inline std::vector<Case> pair_cases() {
+  using bigint::BigInt;
+  std::vector<Case> out = cases();
+  for (Case& c : out) {
+    const std::size_t n = c.pairs.size();
+    for (std::size_t k = 0; k < n; ++k) {
+      const auto [a, b] = c.pairs[k];
+      c.pairs.emplace_back(a + c.m, b);
+      c.pairs.emplace_back(a, b + c.m);
+    }
+  }
+  util::Rng rng(0x52d2);
+  for (const std::size_t d : {std::size_t{10}, std::size_t{20}, std::size_t{30},
+                              std::size_t{40}}) {
+    const std::size_t bits = kDigitBits * d - 2;
+    const BigInt top = BigInt{1} << bits;
+    const std::vector<std::pair<std::string, BigInt>> moduli = {
+        {"tight-all-ones", top - BigInt{1}},
+        {"tight-random", BigInt::random_odd_exact_bits(bits, rng)},
+        {"tight-sparse", (top >> 1) + BigInt{1}},
+    };
+    for (const auto& [name, m] : moduli) {
+      const BigInt two_m = m + m;
+      Case c{name + "/" + std::to_string(bits), m, {}};
+      c.pairs.emplace_back(two_m - BigInt{1}, two_m - BigInt{1});
+      c.pairs.emplace_back(two_m - BigInt{1}, m);
+      c.pairs.emplace_back(m, m);
+      c.pairs.emplace_back(two_m - BigInt{2}, BigInt{1});
+      c.pairs.emplace_back(BigInt::random_below(two_m, rng),
+                           BigInt::random_below(two_m, rng));
+      c.pairs.emplace_back(m - BigInt{1}, two_m - BigInt{1});
+      out.push_back(std::move(c));
+    }
+  }
+  return out;
+}
+
+/// The almost-Montgomery product (a*b + Y*m) / R, R = beta^d, for the one
+/// Y < R that makes it exact — the dual-modulus kernel's exact output.
+inline bigint::BigInt amm(const bigint::BigInt& a, const bigint::BigInt& b,
+                          const bigint::BigInt& m, std::size_t d) {
+  const bigint::BigInt r = bigint::BigInt{1} << (kDigitBits * d);
+  const bigint::BigInt ab = a * b;
+  const bigint::BigInt y = (r - (ab * m.mod_inverse(r)).mod(r)).mod(r);
+  return (ab + y * m) >> (kDigitBits * d);
+}
+
+/// One half of a pair residue, as a value.
+inline bigint::BigInt half_value(const IfmaPairCtx& ctx,
+                                 const IfmaPairCtx::Rep& rep, std::size_t h) {
+  std::vector<bigint::BigInt> digits;
+  for (std::size_t j = 0; j < ctx.half_words(); ++j) {
+    digits.push_back(bigint::BigInt::from_u64(rep[h * ctx.half_words() + j]));
+  }
   return from_digits(digits);
 }
 

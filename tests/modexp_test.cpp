@@ -54,6 +54,39 @@ TEST(CtTableSelect, WorksWithU64Words) {
   }
 }
 
+TEST(CtTableSelect, RegisterGatherReturnsEveryEntry) {
+  // Residues of 64-bit words take the register gather (on an IFMA host;
+  // the generic scan elsewhere): for windows w = 1..6 and residues of
+  // 8..48 words, every index must return exactly its entry, alone and as
+  // either side of a split gather, and agree with the generic template.
+  util::Rng rng(0x6a7e);
+  for (std::size_t w = 1; w <= 6; ++w) {
+    const std::size_t count = std::size_t{1} << w;
+    for (std::size_t words = 8; words <= 48; ++words) {
+      std::vector<std::vector<std::uint64_t>> table(count);
+      for (auto& entry : table) {
+        entry.resize(words);
+        for (auto& word : entry) word = rng.next_u64();
+      }
+      const std::size_t split = words / 2;
+      std::vector<std::uint64_t> out, generic;
+      for (std::uint32_t idx = 0; idx < count; ++idx) {
+        ct_table_select(table, idx, out);
+        ASSERT_EQ(out, table[idx]) << "w=" << w << " words=" << words;
+        const auto other = static_cast<std::uint32_t>(count - 1 - idx);
+        ct_table_select_split(table.data(), count, idx, other, split, out);
+        ct_table_select_split<std::vector<std::uint64_t>, std::uint32_t>(
+            table.data(), count, idx, other, split, generic);
+        ASSERT_EQ(out, generic) << "w=" << w << " words=" << words;
+        for (std::size_t k = 0; k < words; ++k) {
+          ASSERT_EQ(out[k], table[k < split ? idx : other][k])
+              << "w=" << w << " words=" << words << " word " << k;
+        }
+      }
+    }
+  }
+}
+
 template <typename Ctx>
 class ModExpTyped : public ::testing::Test {};
 

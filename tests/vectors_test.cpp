@@ -12,6 +12,10 @@
 // and radix-52, the latter native and portable. The radix-52 rows also
 // replay digit-built carry-ripple operands (ifma_ripple_cases.hpp), which
 // the file's integer-domain vectors cannot aim at the kernels' carries.
+// The dual-modulus CRT context (IfmaPairCtx, native and portable) replays
+// the exp vectors two at a time against the references and two scalar64
+// exponentiations, and the ripple cases against the exact
+// almost-Montgomery product.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -26,6 +30,7 @@
 #include "ifma_ripple_cases.hpp"
 #include "mont/batch.hpp"
 #include "mont/ifma_mont.hpp"
+#include "mont/ifma_pair.hpp"
 #include "mont/modexp.hpp"
 #include "mont/mont32.hpp"
 #include "mont/mont64.hpp"
@@ -144,6 +149,77 @@ std::size_t replay_ripple(const char* backend, bool force_portable) {
   return n;
 }
 
+/// Replays the file's exp vectors through the pair context two at a time —
+/// vector k's modulus as p, vector k+1's as q, so most pairs have halves
+/// of unequal size — and checks each half against its reference and a
+/// scalar64 exponentiation. Returns the number of halves checked.
+std::size_t replay_pair(const char* backend, bool force_portable) {
+  std::vector<std::pair<const BigInt*, const Vec*>> exps;
+  for (const auto& g : groups()) {
+    for (const auto& v : g.vecs) {
+      if (v.op == "exp") exps.emplace_back(&g.m, &v);
+    }
+  }
+  std::size_t n = 0;
+  ExpWorkspace<IfmaPairCtx> ws;
+  for (std::size_t k = 0; k < exps.size(); ++k) {
+    const auto& [mp, vp] = exps[k];
+    const auto& [mq, vq] = exps[(k + 1) % exps.size()];
+    const IfmaPairCtx ctx(*mp, *mq, force_portable);
+    BigInt rp, rq;
+    fixed_window_exp_pair(ctx, vp->a, vq->a, vp->b, vq->b, rp, rq, ws);
+    const BigInt sp = fixed_window_exp(MontCtx64(*mp), vp->a, vp->b);
+    const BigInt sq = fixed_window_exp(MontCtx64(*mq), vq->a, vq->b);
+    if (rp != vp->r || rq != vq->r || sp != vp->r || sq != vq->r) {
+      ADD_FAILURE() << backend << " pair exp p=" << mp->to_hex()
+                    << " q=" << mq->to_hex() << " got " << rp.to_hex() << ", "
+                    << rq.to_hex() << " want " << vp->r.to_hex() << ", "
+                    << vq->r.to_hex();
+      return n;
+    }
+    n += 2;
+  }
+  return n;
+}
+
+/// Replays ripple::pair_cases() through the pair kernel, case k as the p
+/// half and case k+1 as the q half (operand lists zipped), mul and sqr,
+/// against the exact almost-Montgomery product. Returns the number of
+/// half-products checked.
+std::size_t replay_pair_ripple(const char* backend, bool force_portable) {
+  const std::vector<ripple::Case> cs = ripple::pair_cases();
+  std::size_t n = 0;
+  IfmaPairCtx::Workspace ws;
+  for (std::size_t k = 0; k < cs.size(); ++k) {
+    const ripple::Case& cp = cs[k];
+    const ripple::Case& cq = cs[(k + 1) % cs.size()];
+    const IfmaPairCtx ctx(cp.m, cq.m, force_portable);
+    const std::size_t d = ctx.digits();
+    const std::size_t count = std::max(cp.pairs.size(), cq.pairs.size());
+    for (std::size_t i = 0; i < count; ++i) {
+      const auto& [ap, bp] = cp.pairs[i % cp.pairs.size()];
+      const auto& [aq, bq] = cq.pairs[i % cq.pairs.size()];
+      IfmaPairCtx::Rep a, b, prod, sq;
+      ctx.pack(ap, aq, a);
+      ctx.pack(bp, bq, b);
+      ctx.mul(a, b, prod, ws);
+      ctx.sqr(a, sq, ws);
+      if (ripple::half_value(ctx, prod, 0) != ripple::amm(ap, bp, cp.m, d) ||
+          ripple::half_value(ctx, prod, 1) != ripple::amm(aq, bq, cq.m, d) ||
+          ripple::half_value(ctx, sq, 0) != ripple::amm(ap, ap, cp.m, d) ||
+          ripple::half_value(ctx, sq, 1) != ripple::amm(aq, aq, cq.m, d)) {
+        ADD_FAILURE() << backend << " pair carry-ripple " << cp.what << " x "
+                      << cq.what << " ap=" << ap.to_hex()
+                      << " bp=" << bp.to_hex() << " aq=" << aq.to_hex()
+                      << " bq=" << bq.to_hex();
+        return n;
+      }
+      n += 4;
+    }
+  }
+  return n;
+}
+
 }  // namespace
 
 TEST(VectorsTest, Scalar32Agrees) {
@@ -171,6 +247,19 @@ TEST(VectorsTest, Ifma52PortableAgrees) {
   EXPECT_GT(replay_scalar<IfmaMontCtx>("ifma52-portable", true), 1000u);
   EXPECT_EQ(replay_ripple("ifma52-portable", true),
             2 * std::size(ripple::kBits) * 3 * 8);
+}
+
+TEST(VectorsTest, Ifma52PairAgrees) {
+  // The dual-modulus CRT context on the dispatched kernel (vpmadd52 when
+  // the CPU has it): every exp vector's half equals the reference and the
+  // scalar64 exponentiation; every ripple product is exact.
+  EXPECT_GT(replay_pair("ifma52 pair", false), 800u);
+  EXPECT_GT(replay_pair_ripple("ifma52 pair", false), 1000u);
+}
+
+TEST(VectorsTest, Ifma52PortablePairAgrees) {
+  EXPECT_GT(replay_pair("ifma52-portable pair", true), 800u);
+  EXPECT_GT(replay_pair_ripple("ifma52-portable pair", true), 1000u);
 }
 
 // Sliding-window vs fixed-window differential on the exp vectors: two
