@@ -167,10 +167,15 @@ void socket_cell(phissl::bench::JsonReporter& json,
   std::snprintf(name, sizeof(name), "socket_c%zu_w%zu%s%s", conns, workers,
                 max_pending != 0 ? "_overload" : "",
                 ratio > 0.0 ? "_resume" : "");
-  std::printf("%7zu %3zu %10.1f %9.0f %9.0f %6.2f %7zu %8zu %7zu/%zu\n",
-              conns, workers, r.handshakes_per_s, r.latency_us.median,
-              r.latency_us.p99, r.batch_lane_occupancy, r.shed, r.eagain,
-              r.completed, conns);
+  std::printf(
+      "%7zu %3zu %10.1f %9.0f %9.0f %6.2f %7zu %8zu %7zu/%zu %8llu %8llu "
+      "%6llu %8llu\n",
+      conns, workers, r.handshakes_per_s, r.latency_us.median,
+      r.latency_us.p99, r.batch_lane_occupancy, r.shed, r.eagain, r.completed,
+      conns, static_cast<unsigned long long>(r.io_wakeups),
+      static_cast<unsigned long long>(r.io_events),
+      static_cast<unsigned long long>(r.interest_changes),
+      static_cast<unsigned long long>(r.handoffs));
   if (r.failed != 0) std::printf("  (FAILED %zu)\n", r.failed);
   json.add_row("socket_sweep", name,
                {{"connections", static_cast<double>(conns)},
@@ -190,7 +195,11 @@ void socket_cell(phissl::bench::JsonReporter& json,
                 {"resumptions_per_wakeup", r.resumptions_per_wakeup},
                 {"accepts", static_cast<double>(r.accepts)},
                 {"eagain", static_cast<double>(r.eagain)},
-                {"resets", static_cast<double>(r.resets)}});
+                {"resets", static_cast<double>(r.resets)},
+                {"io_wakeups", static_cast<double>(r.io_wakeups)},
+                {"io_events", static_cast<double>(r.io_events)},
+                {"interest_changes", static_cast<double>(r.interest_changes)},
+                {"handoffs", static_cast<double>(r.handoffs)}});
 }
 
 }  // namespace
@@ -319,11 +328,13 @@ int main(int argc, char** argv) {
   // percent means the kernel transport isn't draining the batches.
   if (run_socket) {
     std::printf("\n    socket-frontend sweep, RSA-%zu, backend %s "
-                "[hs/s | p50 us | p99 us | lane occ | shed | eagain]\n",
+                "[hs/s | p50 us | p99 us | lane occ | shed | eagain | "
+                "epoll wakeups | events | EPOLL_CTL_MODs | hand-offs]\n",
                 sweep_bits, rsa::to_string(backend));
-    std::printf("%7s %3s %10s %9s %9s %6s %7s %8s %9s\n", "conns", "wrk",
-                "hs/s", "p50_us", "p99_us", "occ", "shed", "eagain",
-                "completed");
+    std::printf("%7s %3s %10s %9s %9s %6s %7s %8s %9s %8s %8s %6s %8s\n",
+                "conns", "wrk", "hs/s", "p50_us", "p99_us", "occ", "shed",
+                "eagain", "completed", "wakeups", "events", "mods",
+                "handoffs");
     const std::vector<std::size_t> socket_conns =
         smoke ? std::vector<std::size_t>{64} : std::vector<std::size_t>{1024};
     const std::vector<std::size_t> socket_workers =

@@ -1,6 +1,7 @@
 #include "ssl/async/reactor.hpp"
 
 #include <algorithm>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -17,14 +18,11 @@ using Clock = std::chrono::steady_clock;
 
 /// One open connection: the server machine and the bookkeeping for the
 /// crypto op it may be parked on (the peer lives in the transport's
-/// per-slot state). The connection fields are owned by exactly one worker
-/// at a time, so they need no lock; the scheduling flags at the bottom
-/// are what ENFORCE that ownership and are only touched under the reactor
-/// mutex. Latency samples accumulate per slot and merge after the run —
+/// per-slot state). Only the slot's owning worker touches it, so it needs
+/// no lock. Latency samples accumulate per slot and merge after the run —
 /// nothing shared on the measurement path.
 struct Reactor::Slot {
   std::optional<ServerConnection> server;
-  std::size_t conn_idx = 0;
   Clock::time_point started{};
   // The op in flight, for admission feedback on resume.
   std::size_t depth_at_admit = 0;
@@ -35,27 +33,22 @@ struct Reactor::Slot {
   // discarded safely instead of resuming a recycled connection.
   bool peer_gone = false;
   std::vector<double> latencies_us;
-
-  // --- Scheduling flags, guarded by Reactor::mu_ ----------------------
-  // queued/running say the slot has an event in the ready queue / is
-  // being processed; the pending_* flags hold events that arrived while
-  // it was, replayed one at a time by release_event_slot().
-  bool queued = false;
-  bool running = false;
-  bool repump = false;         // coalesced I/O readiness
-  bool has_result = false;     // coalesced crypto completion
-  bool start_pending = false;  // recycle / accepted connection waiting
-  bool release_pending = false;  // return to the free table when quiet
-  std::size_t pending_conn = 0;
-  std::optional<std::vector<std::uint8_t>> pending_result;
 };
 
-struct Reactor::Event {
-  enum class Kind { kStart, kResume, kIo };
-  Kind kind{};
+/// Cross-thread input for a slot's owner: a slot the acceptor handed over
+/// (start), or a crypto completion and its result.
+struct Reactor::Post {
   std::size_t slot = 0;
-  std::size_t conn_idx = 0;  // kStart only
-  std::optional<std::vector<std::uint8_t>> result;  // kResume only
+  bool start = false;
+  std::optional<std::vector<std::uint8_t>> result;
+};
+
+struct Reactor::Worker {
+  std::mutex mu;            // guards inbox
+  std::vector<Post> inbox;  // filled by other threads, drained per wakeup
+  // Touched by this worker only: slots whose next connection starts here
+  // (recycled by a reactor-paced transport, or accepted by worker 0).
+  std::vector<std::size_t> run;
 };
 
 Reactor::Reactor(const rsa::Engine& server_engine, BatchDecryptService& svc,
@@ -78,7 +71,6 @@ Reactor::Reactor(const rsa::Engine& server_engine, BatchDecryptService& svc,
       reset_counter_(&obs::Registry::global().counter(
           "phissl_reactor_peer_resets_total",
           "connections torn down by peer reset or premature EOF")) {
-  if (cfg_.workers == 0) cfg_.workers = 1;
   if (cfg_.max_open_connections == 0) cfg_.max_open_connections = 1;
   if (cfg_.identity_pool == 0) cfg_.identity_pool = 1;
   if (cfg_.dhe_ratio > 0.0 && dhe_group_ == nullptr) {
@@ -90,6 +82,12 @@ Reactor::Reactor(const rsa::Engine& server_engine, BatchDecryptService& svc,
   for (std::size_t i = 0; i < open; ++i) {
     slots_.push_back(std::make_unique<Slot>());
   }
+  // A worker that owns no slot would have nothing to do.
+  const std::size_t workers =
+      std::max<std::size_t>(1, std::min(cfg_.workers, open));
+  for (std::size_t w = 0; w < workers; ++w) {
+    workers_.push_back(std::make_unique<Worker>());
+  }
   transport_.bind(*this);
 }
 
@@ -98,35 +96,23 @@ Reactor::~Reactor() = default;
 ReactorStats Reactor::run() {
   PHISSL_OBS_SPAN("ssl.reactor_run");
 
-  {
-    std::lock_guard<std::mutex> l(mu_);
-    if (transport_.reactor_paced()) {
-      // Seed the queue with one start per slot; every further connection
-      // is started by the worker that frees the slot.
-      for (std::size_t i = 0; i < slots_.size(); ++i) {
-        const std::size_t conn = next_conn_.fetch_add(1);
-        if (conn >= cfg_.total_connections) break;
-        slots_[i]->queued = true;
-        ready_.push_back(Event{Event::Kind::kStart, i, conn, std::nullopt});
-      }
-    } else {
-      // Accept-paced: every slot starts free; the transport claims them
-      // as connections arrive.
-      free_slots_.reserve(slots_.size());
-      for (std::size_t i = slots_.size(); i-- > 0;) {
-        free_slots_.push_back(i);
-      }
+  if (transport_.reactor_paced()) {
+    // Every worker starts a connection on each slot it owns; each further
+    // one is started by the same worker when the slot frees.
+    for (std::size_t i = slots_.size(); i-- > 0;) {
+      workers_[owner(i)]->run.push_back(i);
     }
-    if (cfg_.total_connections == 0) done_ = true;
   }
-  transport_.start();
+  // Accept-paced: every slot starts free; the acceptor claims them as
+  // connections arrive.
+  if (cfg_.total_connections == 0) done_ = true;
 
-  std::vector<std::thread> workers;
-  workers.reserve(cfg_.workers);
-  for (std::size_t w = 0; w < cfg_.workers; ++w) {
-    workers.emplace_back([this] { worker_loop(); });
+  std::vector<std::thread> threads;
+  threads.reserve(workers_.size());
+  for (std::size_t w = 0; w < workers_.size(); ++w) {
+    threads.emplace_back([this, w] { worker_loop(w); });
   }
-  for (auto& t : workers) t.join();
+  for (auto& t : threads) t.join();
   transport_.stop();
 
   ReactorStats stats;
@@ -150,175 +136,89 @@ ReactorStats Reactor::run() {
   return stats;
 }
 
-std::optional<std::size_t> Reactor::claim_slot() {
-  std::lock_guard<std::mutex> l(mu_);
-  if (free_slots_.empty()) return std::nullopt;
-  const std::size_t idx = free_slots_.back();
-  free_slots_.pop_back();
-  return idx;
-}
-
-void Reactor::release_slot(std::size_t slot_idx) {
-  std::lock_guard<std::mutex> l(mu_);
-  free_slots_.push_back(slot_idx);
-}
-
-void Reactor::start_accepted(std::size_t slot_idx) {
-  const std::size_t conn = next_conn_.fetch_add(1);
-  std::lock_guard<std::mutex> l(mu_);
-  Slot& slot = *slots_[slot_idx];
-  if (slot.queued || slot.running) {
-    // A stale readiness event for the slot's previous occupant is still
-    // draining; the start replays after it (release_event_slot).
-    slot.pending_conn = conn;
-    slot.start_pending = true;
-    return;
+bool Reactor::accepted(std::size_t slot_idx) {
+  if (owner(slot_idx) == 0) {
+    // The caller is worker 0 itself: start after its current wait.
+    workers_[0]->run.push_back(slot_idx);
+    return false;
   }
-  slot.queued = true;
-  ready_.push_back(Event{Event::Kind::kStart, slot_idx, conn, std::nullopt});
-  cv_.notify_one();
+  post(Post{slot_idx, /*start=*/true, std::nullopt});
+  return true;
 }
 
-void Reactor::notify_io(std::size_t slot_idx) {
-  std::lock_guard<std::mutex> l(mu_);
-  Slot& slot = *slots_[slot_idx];
-  if (slot.queued || slot.running) {
-    slot.repump = true;
-    return;
-  }
-  slot.queued = true;
-  ready_.push_back(Event{Event::Kind::kIo, slot_idx, 0, std::nullopt});
-  cv_.notify_one();
+void Reactor::post(Post p) {
+  const std::size_t w = owner(p.slot);
+  Worker& dst = *workers_[w];
+  std::lock_guard<std::mutex> l(dst.mu);
+  dst.inbox.push_back(std::move(p));
+  // The owner consumes its wake before it drains the whole inbox, so only
+  // the post that finds the inbox empty needs to wake it. The wake stays
+  // under the lock: once the owner can drain this post the run may end
+  // and the transport be destroyed, so a dispatch thread must be done
+  // with both before then.
+  if (dst.inbox.size() == 1) transport_.wake(w);
 }
 
-void Reactor::worker_loop() {
+void Reactor::worker_loop(std::size_t w) {
   auto& wakeup_counter = obs::Registry::global().counter(
       "phissl_reactor_wakeups_total",
       "reactor worker wakeups that resumed parked connections");
   auto& resume_counter = obs::Registry::global().counter(
       "phissl_reactor_resumptions_total",
       "parked connections resumed by reactor workers");
+  Worker& me = *workers_[w];
+  std::vector<std::size_t> ready;
+  std::vector<Post> posts;
   for (;;) {
-    std::vector<Event> batch;
+    while (!me.run.empty()) {
+      const std::size_t slot_idx = me.run.back();
+      me.run.pop_back();
+      start_connection(slot_idx);
+    }
+    if (done_.load(std::memory_order_acquire)) return;
+
+    ready.clear();
+    transport_.wait(w, ready);
+    for (const std::size_t slot_idx : ready) {
+      // A slot's fd leaves the set when it closes, so a ready slot has a
+      // connection; the check keeps a stale event harmless regardless.
+      if (slots_[slot_idx]->server.has_value()) pump(slot_idx);
+    }
+
     {
-      std::unique_lock<std::mutex> l(mu_);
-      cv_.wait(l, [this] { return done_ || !ready_.empty(); });
-      if (ready_.empty()) return;  // done_ and drained
-      // Take a bounded chunk, not the whole queue: the whole-queue grab
-      // would serialize everything onto one worker; a chunk still
-      // amortizes the wakeup across completions that landed together
-      // (typically lanemates of one 16-wide batch).
-      const std::size_t take =
-          std::min<std::size_t>(ready_.size(), std::max<std::size_t>(
-              std::size_t{1}, ready_.size() / cfg_.workers + 1));
-      batch.reserve(take);
-      for (std::size_t i = 0; i < take; ++i) {
-        Event& ev = ready_.front();
-        // Ownership transfer: queued -> running while still under the
-        // lock, so any event source that fires from here on coalesces
-        // into the slot's pending flags.
-        Slot& slot = *slots_[ev.slot];
-        slot.queued = false;
-        slot.running = true;
-        batch.push_back(std::move(ev));
-        ready_.pop_front();
+      std::lock_guard<std::mutex> l(me.mu);
+      posts.swap(me.inbox);
+    }
+    // Resumptions-per-wakeup counts crypto completions only (hand-overs
+    // would dilute the metric it exists to expose: how many lanemates of
+    // one 16-wide batch each wakeup brings back).
+    std::size_t resumes = 0;
+    for (Post& p : posts) {
+      if (p.start) {
+        start_connection(p.slot);
+      } else {
+        ++resumes;
+        resume(p.slot, std::move(p.result));
       }
     }
-    // Resumptions-per-wakeup counts crypto resumes only (starts and I/O
-    // readiness would dilute the metric it exists to expose: how many
-    // lanemates of one 16-wide batch each wakeup brings back).
-    std::size_t resumes = 0;
-    for (const auto& ev : batch) {
-      if (ev.kind == Event::Kind::kResume) ++resumes;
-    }
+    posts.clear();
     if (resumes > 0) {
       wakeups_.fetch_add(1, std::memory_order_relaxed);
       events_.fetch_add(resumes, std::memory_order_relaxed);
       wakeup_counter.inc();
       resume_counter.inc(resumes);
     }
-    for (auto& ev : batch) {
-      handle_event(ev);
-      release_event_slot(ev.slot);
-    }
   }
 }
 
-void Reactor::handle_event(Event& ev) {
-  Slot& slot = *slots_[ev.slot];
-  switch (ev.kind) {
-    case Event::Kind::kStart:
-      start_connection(ev.slot, ev.conn_idx);
-      return;
-    case Event::Kind::kIo:
-      // Readiness can outlive its connection (the poller saw the event
-      // before the worker closed the fd) — then there is nothing to pump.
-      if (slot.server.has_value()) pump(ev.slot);
-      return;
-    case Event::Kind::kResume: {
-      // Close the admission loop first (the pending-op slot frees before
-      // the connection runs on, so a waiting arrival can admit), then
-      // re-arm the state machine with the batch result.
-      slot.op_in_flight = false;
-      const double latency_us =
-          std::chrono::duration<double, std::micro>(Clock::now() -
-                                                    slot.op_submitted)
-              .count();
-      admission_.on_complete(slot.depth_at_admit, latency_us);
-      if (slot.peer_gone) {
-        // The peer reset while the op was in flight; the result is
-        // discarded and the zombie slot can finally tear down.
-        finish_connection(ev.slot);
-        return;
-      }
-      slot.server->on_crypto_result(std::move(ev.result));
-      pump(ev.slot);
-      return;
-    }
+void Reactor::start_connection(std::size_t slot_idx) {
+  const std::size_t conn_idx = next_conn_.fetch_add(1);
+  // A reactor-paced run draws connections until the total; an accepted
+  // peer is served whatever its index.
+  if (transport_.reactor_paced() && conn_idx >= cfg_.total_connections) {
+    return;
   }
-}
-
-// The slot's owning worker is done with this event: replay whatever
-// arrived meanwhile (completion first — it unparks the machine — then
-// readiness, then a waiting start), or return the slot to the free table.
-void Reactor::release_event_slot(std::size_t slot_idx) {
-  bool freed = false;
-  {
-    std::lock_guard<std::mutex> l(mu_);
-    Slot& slot = *slots_[slot_idx];
-    slot.running = false;
-    if (slot.has_result) {
-      slot.has_result = false;
-      slot.queued = true;
-      ready_.push_back(Event{Event::Kind::kResume, slot_idx, 0,
-                             std::move(slot.pending_result)});
-      slot.pending_result.reset();
-      cv_.notify_one();
-    } else if (slot.repump) {
-      slot.repump = false;
-      slot.queued = true;
-      ready_.push_back(Event{Event::Kind::kIo, slot_idx, 0, std::nullopt});
-      cv_.notify_one();
-    } else if (slot.start_pending) {
-      slot.start_pending = false;
-      slot.queued = true;
-      ready_.push_back(Event{Event::Kind::kStart, slot_idx,
-                             slot.pending_conn, std::nullopt});
-      cv_.notify_one();
-    } else if (slot.release_pending) {
-      slot.release_pending = false;
-      free_slots_.push_back(slot_idx);
-      freed = true;
-    }
-  }
-  // Outside the lock: the transport may call straight back into
-  // claim_slot from its accept path.
-  if (freed) transport_.on_slot_freed(slot_idx);
-}
-
-void Reactor::start_connection(std::size_t slot_idx, std::size_t conn_idx) {
   Slot& slot = *slots_[slot_idx];
-  slot.conn_idx = conn_idx;
   slot.started = Clock::now();
   slot.peer_gone = false;
   slot.op_in_flight = false;
@@ -351,15 +251,14 @@ void Reactor::pump(std::size_t slot_idx) {
     if (slot.op_in_flight) {
       // Zombie: an earlier op is still behind the batch service. The slot
       // must not recycle until its completion lands (a new occupant would
-      // otherwise receive a stale result), so teardown waits in the
-      // kResume handler.
+      // otherwise receive a stale result), so teardown waits in resume().
       return;
     }
     finish_connection(slot_idx);
     return;
   }
   // Did the server park on a crypto step? Submit and yield the slot —
-  // the completion will bring it back through the ready queue.
+  // the completion will bring it back through the owner's inbox.
   if (slot.server->has_pending_op()) {
     auto op = slot.server->take_pending_op();
     submit(slot_idx, std::move(*op));
@@ -379,14 +278,14 @@ void Reactor::submit(std::size_t slot_idx, PendingOp op) {
   slot.depth_at_admit = op.depth_at_admit;
   slot.op_submitted = Clock::now();
   // Before the async call: the completion can run INLINE (malformed
-  // ciphertext short-circuits before the service), and the kResume
-  // handler keys off this flag.
+  // ciphertext short-circuits before the service), and resume() keys off
+  // this flag.
   slot.op_in_flight = true;
-  // The completion callback runs on a batch-service dispatch thread; per
-  // the Completion contract it only enqueues the resume event. Safe here
-  // because enqueue_resume never re-enters the slot.
+  // The completion callback runs on a batch-service dispatch thread (or
+  // inline, on this worker); per the Completion contract it only posts
+  // the result to the slot's owner, never touching the slot itself.
   auto done = [this, slot_idx](std::optional<std::vector<std::uint8_t>> r) {
-    enqueue_resume(slot_idx, std::move(r));
+    post(Post{slot_idx, /*start=*/false, std::move(r)});
   };
   if (op.kind == PendingOp::Kind::kPrivateOp) {
     svc_.decrypt_premaster_async(op.payload, std::move(done));
@@ -395,21 +294,25 @@ void Reactor::submit(std::size_t slot_idx, PendingOp op) {
   }
 }
 
-void Reactor::enqueue_resume(std::size_t slot_idx,
-                             std::optional<std::vector<std::uint8_t>> result) {
-  std::lock_guard<std::mutex> l(mu_);
+void Reactor::resume(std::size_t slot_idx,
+                     std::optional<std::vector<std::uint8_t>> result) {
   Slot& slot = *slots_[slot_idx];
-  if (slot.queued || slot.running) {
-    // The owning worker is mid-event (inline completion, or readiness
-    // beat us here); it replays the resume when it releases the slot.
-    slot.pending_result = std::move(result);
-    slot.has_result = true;
+  // Close the admission loop first (the pending-op slot frees before the
+  // connection runs on, so a waiting arrival can admit), then re-arm the
+  // state machine with the batch result.
+  slot.op_in_flight = false;
+  const double latency_us = std::chrono::duration<double, std::micro>(
+                                Clock::now() - slot.op_submitted)
+                                .count();
+  admission_.on_complete(slot.depth_at_admit, latency_us);
+  if (slot.peer_gone) {
+    // The peer reset while the op was in flight; the result is discarded
+    // and the zombie slot can finally tear down.
+    finish_connection(slot_idx);
     return;
   }
-  slot.queued = true;
-  ready_.push_back(
-      Event{Event::Kind::kResume, slot_idx, 0, std::move(result)});
-  cv_.notify_one();
+  slot.server->on_crypto_result(std::move(result));
+  pump(slot_idx);
 }
 
 void Reactor::finish_connection(std::size_t slot_idx) {
@@ -453,29 +356,20 @@ void Reactor::finish_connection(std::size_t slot_idx) {
   } else {
     failed_.fetch_add(1, std::memory_order_relaxed);
   }
-  transport_.on_close(slot_idx, conn);
   slot.server.reset();
   open_gauge_->sub(1);
-
-  // Recycle the slot. The next connection goes through the ready queue
-  // rather than starting inline: a shed storm would otherwise recurse
-  // finish -> start -> pump -> finish thousands of frames deep. The
-  // pending flags (not a direct push) keep the replay ordered behind
-  // whatever else raced in — release_event_slot does the actual enqueue.
-  const std::size_t finished = finished_.fetch_add(1) + 1;
-  std::lock_guard<std::mutex> l(mu_);
+  // Last: a socket transport returns the slot to its free table here, and
+  // the acceptor may claim it at once.
+  transport_.on_close(slot_idx);
   if (transport_.reactor_paced()) {
-    const std::size_t conn_next = next_conn_.fetch_add(1);
-    if (conn_next < cfg_.total_connections) {
-      slot.pending_conn = conn_next;
-      slot.start_pending = true;
-    }
-  } else {
-    slot.release_pending = true;
+    // The next connection starts from the run list, not inline (see the
+    // header on recursion). This worker owns the slot, so it is our list.
+    workers_[owner(slot_idx)]->run.push_back(slot_idx);
   }
-  if (finished >= cfg_.total_connections) {
-    done_ = true;
-    cv_.notify_all();
+
+  if (finished_.fetch_add(1) + 1 >= cfg_.total_connections) {
+    done_.store(true, std::memory_order_release);
+    for (std::size_t w = 0; w < workers_.size(); ++w) transport_.wake(w);
   }
 }
 

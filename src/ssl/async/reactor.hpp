@@ -11,38 +11,37 @@
 // BatchDecryptService through the *_async completion bridge, and the
 // connection becomes a heap object in a slot table. When the batch
 // completes — on a service dispatch thread — the completion callback does
-// exactly one thing: it enqueues a resume event. Reactor workers drain
-// the ready queue in chunks, so one wakeup typically resumes several
-// connections whose ops completed in the same 16-lane batch
-// (resumptions-per-wakeup is a direct measure of that amortization).
+// exactly one thing: it posts the result to the slot's owning worker.
 //
-// Concurrency invariant: at most one thread touches a given slot at a
-// time, with no per-connection lock. The queue mutex enforces it
-// explicitly: each slot carries queued/running flags, and any event
-// source (a crypto completion, socket readiness from the poller, a
-// recycle) that fires while the slot is queued or being processed folds
-// into per-slot pending flags instead of entering the queue a second
-// time — the owning worker replays them when it releases the slot. So a
-// readiness event racing a batch completion can never put two events for
-// one slot in flight.
+// Ownership: slot i belongs to worker i mod W for its whole life, and
+// only that worker starts, pumps, resumes and closes it. The single-owner
+// invariant is structural — no per-connection lock, no per-slot
+// scheduling flags. A worker takes input from other threads only through
+// its inbox (a mutex, a vector and a transport wake): batch completions
+// from the dispatch thread, and slots the acceptor hands over. It drains
+// the whole inbox per wakeup, so one wakeup typically resumes several
+// lanemates of one 16-lane batch (resumptions-per-wakeup measures that
+// amortization). A connection that finishes and starts the next one on
+// the same slot goes through the worker's local run list instead of
+// recursing: a shed storm would otherwise nest finish -> start -> pump ->
+// finish thousands of frames deep.
 //
 // The reactor also OWNS admission (admission.hpp): connections consult
 // the shared AdmissionController at their PendingOp creation point, and
 // shed connections never reach the batch service.
 //
-// Byte movement is delegated to a Transport (transport.hpp): the
-// simulated vector-swap transport (deterministic, reactor-paced) and the
-// epoll socket transport (real fds, accept-paced) are two implementations
-// of the same seam. This file knows nothing about sockets.
+// Byte movement and waiting are delegated to a Transport (transport.hpp):
+// the simulated vector-swap transport (deterministic, reactor-paced) and
+// the epoll socket transport (real fds, accept-paced, one epoll set per
+// worker) are two implementations of the same seam. This file knows
+// nothing about sockets.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -63,11 +62,13 @@ class Transport;
 /// Reactor geometry and workload shape.
 struct ReactorConfig {
   /// Event-loop worker threads (NOT one per connection — 2–4 suffice to
-  /// keep tens of thousands of connections moving).
+  /// keep tens of thousands of connections moving). The slots are split
+  /// across them (slot i belongs to worker i mod workers); a run with
+  /// fewer slots than workers starts only one worker per slot.
   std::size_t workers = 2;
-  /// Connection slots open concurrently; further connections start as
-  /// slots free up. This bounds memory, and is the "connections" axis of
-  /// the bench sweep.
+  /// Connection slots open concurrently, split across the workers; further
+  /// connections start as slots free up. This bounds memory, and is the
+  /// "connections" axis of the bench sweep.
   std::size_t max_open_connections = 1024;
   /// Total connections to terminate before run() returns.
   std::size_t total_connections = 1024;
@@ -96,9 +97,9 @@ struct ReactorStats {
   /// simulated transport unless the state machine stalls).
   std::size_t resets = 0;
   std::uint64_t wakeups = 0;
-  std::uint64_t resumptions = 0;  ///< events processed across all wakeups
-  /// Mean events per worker wakeup — >1 means batch completions are
-  /// amortizing wakeup cost across lanemates.
+  std::uint64_t resumptions = 0;  ///< crypto completions across all wakeups
+  /// Mean crypto completions per inbox drain — >1 means batch completions
+  /// are amortizing wakeup cost across lanemates.
   double resumptions_per_wakeup = 0.0;
   util::Summary latency_us;  ///< per-connection accept-to-close latency
 };
@@ -126,35 +127,30 @@ class Reactor {
 
   /// Slots in the table (transports size their per-slot state to this).
   [[nodiscard]] std::size_t slot_count() const { return slots_.size(); }
+  /// Worker threads run() starts: cfg.workers, but no more than slots.
+  [[nodiscard]] std::size_t worker_count() const { return workers_.size(); }
+  /// The worker that owns `slot` for its whole life.
+  [[nodiscard]] std::size_t owner(std::size_t slot) const {
+    return slot % workers_.size();
+  }
 
-  // --- Transport entry points (socket poller thread) -------------------
-  // An accept-paced transport claims a free slot, wires its fd, then
-  // hands the slot to the workers; readiness events arrive as notify_io.
-
-  /// Pops a quiescent free slot, or nullopt when the table is full (the
-  /// transport should pause accepting; on_slot_freed re-arms it).
-  std::optional<std::size_t> claim_slot();
-  /// Returns a claimed slot unused (accept raced to EAGAIN).
-  void release_slot(std::size_t slot_idx);
-  /// Hands a claimed slot (peer already wired) to the workers: draws the
-  /// next connection index and enqueues the start event.
-  void start_accepted(std::size_t slot_idx);
-  /// Readiness for an open slot's fd. Coalesces: safe to call while the
-  /// slot is queued, being pumped, or already closed (no-op then).
-  void notify_io(std::size_t slot_idx);
+  /// Accept-paced transports: the acceptor (worker 0) wired a peer into a
+  /// free slot. Queues the start on worker 0's run list when worker 0 owns
+  /// the slot, else posts it to the owner's inbox; true for a hand-off.
+  bool accepted(std::size_t slot_idx);
 
  private:
   struct Slot;
-  struct Event;
+  struct Worker;
+  struct Post;
 
-  void worker_loop();
-  void handle_event(Event& ev);
-  void release_event_slot(std::size_t slot_idx);
-  void start_connection(std::size_t slot_idx, std::size_t conn_idx);
+  void worker_loop(std::size_t w);
+  void start_connection(std::size_t slot_idx);
   void pump(std::size_t slot_idx);
   void submit(std::size_t slot_idx, PendingOp op);
-  void enqueue_resume(std::size_t slot_idx,
-                      std::optional<std::vector<std::uint8_t>> result);
+  void resume(std::size_t slot_idx,
+              std::optional<std::vector<std::uint8_t>> result);
+  void post(Post p);
   void finish_connection(std::size_t slot_idx);
 
   const rsa::Engine& engine_;
@@ -166,13 +162,8 @@ class Reactor {
   ReactorConfig cfg_;
 
   std::vector<std::unique_ptr<Slot>> slots_;
-
-  // Ready queue: completions, starts, and readiness waiting for a worker.
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<Event> ready_;
-  std::vector<std::size_t> free_slots_;  // accept-paced transports only
-  bool done_ = false;
+  std::vector<std::unique_ptr<Worker>> workers_;
+  std::atomic<bool> done_{false};
 
   std::atomic<std::size_t> next_conn_{0};
   std::atomic<std::size_t> finished_{0};

@@ -37,6 +37,25 @@ SimulatedTransport::SimulatedTransport(const rsa::Engine& client_engine,
 
 void SimulatedTransport::bind(Reactor& reactor) {
   slots_.resize(reactor.slot_count());
+  wakers_ = std::make_unique<Waker[]>(reactor.worker_count());
+}
+
+void SimulatedTransport::wait(std::size_t worker,
+                              std::vector<std::size_t>& ready) {
+  // No peer is ever "ready" here: exchange() runs each connection until
+  // it settles or parks on its op, so a worker only waits for its inbox.
+  (void)ready;
+  Waker& wk = wakers_[worker];
+  std::unique_lock<std::mutex> l(wk.mu);
+  wk.cv.wait(l, [&] { return wk.woken; });
+  wk.woken = false;
+}
+
+void SimulatedTransport::wake(std::size_t worker) {
+  Waker& wk = wakers_[worker];
+  std::lock_guard<std::mutex> l(wk.mu);
+  wk.woken = true;
+  wk.cv.notify_one();
 }
 
 void SimulatedTransport::open(std::size_t slot, std::size_t conn_idx,
@@ -92,9 +111,7 @@ IoStatus SimulatedTransport::exchange(std::size_t slot,
   }
 }
 
-void SimulatedTransport::on_close(std::size_t slot,
-                                  const ServerConnection& conn) {
-  (void)conn;
+void SimulatedTransport::on_close(std::size_t slot) {
   SimSlot& s = slots_[slot];
   if (s.client.has_value() && s.client->done() && !s.client->resumed() &&
       s.client->has_resumable()) {
@@ -142,13 +159,15 @@ SocketTransport::SocketTransport(SocketTransportConfig cfg)
   if (listen_fd_ < 0) throw_errno("SocketTransport: socket");
   const auto fail = [this](const char* what) {
     const int err = errno;
-    if (listen_fd_ >= 0) ::close(listen_fd_);
-    if (epoll_fd_ >= 0) ::close(epoll_fd_);
+    ::close(listen_fd_);
     errno = err;
     throw_errno(what);
   };
   int one = 1;
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  // Accepted sockets inherit TCP_NODELAY from the listener, which saves a
+  // setsockopt per accept.
+  ::setsockopt(listen_fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(cfg_.port);
@@ -165,51 +184,45 @@ SocketTransport::SocketTransport(SocketTransportConfig cfg)
   socklen_t blen = sizeof(bound);
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &blen);
   port_ = ntohs(bound.sin_port);
-  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  if (epoll_fd_ < 0) fail("SocketTransport: epoll_create1");
-  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (wake_fd_ < 0) fail("SocketTransport: eventfd");
 }
 
 SocketTransport::~SocketTransport() {
-  stop();
-  for (auto& fs : fds_) {
-    if (fs.fd >= 0) {
-      ::close(fs.fd);
-      fs.fd = -1;
-    }
+  for (const FdSlot& fs : fds_) {
+    if (fs.fd >= 0) ::close(fs.fd);
   }
-  if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  if (wake_fd_ >= 0) ::close(wake_fd_);
-  if (listen_fd_ >= 0) ::close(listen_fd_);
+  for (const Poller& p : pollers_) {
+    if (p.epoll_fd >= 0) ::close(p.epoll_fd);
+    if (p.wake_fd >= 0) ::close(p.wake_fd);
+  }
+  ::close(listen_fd_);
 }
 
 void SocketTransport::bind(Reactor& reactor) {
   reactor_ = &reactor;
   fds_.resize(reactor.slot_count());
-}
-
-void SocketTransport::start() {
+  pollers_.resize(reactor.worker_count());
+  free_.resize(reactor.worker_count());
+  for (std::size_t s = reactor.slot_count(); s-- > 0;) {
+    free_[reactor.owner(s)].push_back(s);
+  }
   epoll_event ev{};
   ev.events = EPOLLIN;
-  ev.data.u64 = kWakeTag;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
-  // The listener is EPOLLONESHOT like the connection fds: the poller
-  // re-arms after draining the backlog, and leaves it DISARMED when the
-  // slot table fills — on_slot_freed re-arms, so a full table pauses
-  // accepting instead of spinning on a readable listener.
-  ev.events = EPOLLIN | EPOLLONESHOT;
+  for (Poller& p : pollers_) {
+    p.epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
+    if (p.epoll_fd < 0) throw_errno("SocketTransport: epoll_create1");
+    p.wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+    if (p.wake_fd < 0) throw_errno("SocketTransport: eventfd");
+    p.buf.resize(cfg_.read_chunk);
+    ev.data.u64 = kWakeTag;
+    ::epoll_ctl(p.epoll_fd, EPOLL_CTL_ADD, p.wake_fd, &ev);
+  }
+  // Worker 0 is the acceptor.
   ev.data.u64 = kListenTag;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
-  poller_ = std::thread([this] { poll_loop(); });
+  ::epoll_ctl(pollers_[0].epoll_fd, EPOLL_CTL_ADD, listen_fd_, &ev);
 }
 
 void SocketTransport::stop() {
-  if (!poller_.joinable()) return;
-  stopping_.store(true, std::memory_order_release);
-  const std::uint64_t one = 1;
-  [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
-  poller_.join();
+  for (Poller& p : pollers_) flush(p.tally);
 }
 
 std::optional<std::chrono::steady_clock::time_point>
@@ -221,97 +234,126 @@ SocketTransport::first_accept() const {
 }
 
 SocketTransportStats SocketTransport::stats() const {
-  SocketTransportStats s;
-  s.accepts = accepts_.load(std::memory_order_relaxed);
-  s.eagain_reads = eagain_reads_.load(std::memory_order_relaxed);
-  s.eagain_writes = eagain_writes_.load(std::memory_order_relaxed);
-  s.resets = resets_.load(std::memory_order_relaxed);
-  return s;
+  std::lock_guard<std::mutex> l(stats_mu_);
+  return totals_;
 }
 
-void SocketTransport::poll_loop() {
+void SocketTransport::flush(SocketTransportStats& t) {
+  {
+    std::lock_guard<std::mutex> l(stats_mu_);
+    totals_.accepts += t.accepts;
+    totals_.eagain_reads += t.eagain_reads;
+    totals_.eagain_writes += t.eagain_writes;
+    totals_.resets += t.resets;
+    totals_.wakeups += t.wakeups;
+    totals_.events += t.events;
+    totals_.interest_changes += t.interest_changes;
+    totals_.handoffs += t.handoffs;
+  }
+  PHISSL_OBS_COUNT_NAMED("phissl_transport_accepts_total",
+                         "connections accepted by the socket transport", "",
+                         t.accepts);
+  PHISSL_OBS_COUNT_NAMED(
+      "phissl_transport_eagain_total",
+      "send() cycles backpressured by a full socket buffer", "",
+      t.eagain_writes);
+  PHISSL_OBS_COUNT_NAMED("phissl_transport_resets_total",
+                         "connections torn down by peer reset", "", t.resets);
+  PHISSL_OBS_COUNT_NAMED("phissl_transport_wakeups_total",
+                         "epoll_wait returns that delivered an event", "",
+                         t.wakeups);
+  PHISSL_OBS_COUNT_NAMED("phissl_transport_events_total",
+                         "readiness events delivered by epoll_wait", "",
+                         t.events);
+  PHISSL_OBS_COUNT_NAMED("phissl_transport_interest_changes_total",
+                         "EPOLL_CTL_MOD calls (EPOLLOUT or listener pause)",
+                         "", t.interest_changes);
+  PHISSL_OBS_COUNT_NAMED("phissl_transport_handoffs_total",
+                         "accepted connections posted to another worker", "",
+                         t.handoffs);
+  t = {};
+}
+
+void SocketTransport::wait(std::size_t worker,
+                           std::vector<std::size_t>& ready) {
+  Poller& p = pollers_[worker];
+  flush(p.tally);  // what the previous wakeup did
   std::array<epoll_event, 64> events;
-  while (!stopping_.load(std::memory_order_acquire)) {
-    const int n = ::epoll_wait(epoll_fd_, events.data(),
-                               static_cast<int>(events.size()), -1);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return;
-    }
-    for (int i = 0; i < n; ++i) {
-      const std::uint64_t tag = events[i].data.u64;
-      if (tag == kWakeTag) {
-        std::uint64_t buf = 0;
-        while (::read(wake_fd_, &buf, sizeof(buf)) > 0) {
-        }
-        continue;  // the while condition re-checks stopping_
-      }
-      if (tag == kListenTag) {
-        handle_accept_ready();
-        continue;
-      }
-      // Connection readiness. The worker that owns the slot re-arms the
-      // (oneshot) interest when it finishes pumping; notify_io coalesces
-      // if the slot is already queued or running, so this thread can
-      // never put a second event for one slot in flight.
-      reactor_->notify_io(static_cast<std::size_t>(tag));
+  const int n = ::epoll_wait(p.epoll_fd, events.data(),
+                             static_cast<int>(events.size()), -1);
+  if (n <= 0) return;  // EINTR
+  ++p.tally.wakeups;
+  p.tally.events += static_cast<std::uint64_t>(n);
+  for (int i = 0; i < n; ++i) {
+    const std::uint64_t tag = events[static_cast<std::size_t>(i)].data.u64;
+    if (tag == kWakeTag) {
+      // Consumed before the reactor drains the inbox, so a post landing
+      // after the drain wakes the set again.
+      std::uint64_t count = 0;
+      [[maybe_unused]] const ssize_t r =
+          ::read(p.wake_fd, &count, sizeof(count));
+    } else if (tag == kListenTag) {
+      accept_one(p);
+    } else {
+      ready.push_back(static_cast<std::size_t>(tag));
     }
   }
 }
 
-void SocketTransport::handle_accept_ready() {
-  for (;;) {
-    // Claim the slot BEFORE accepting: an accepted fd with nowhere to go
-    // would have to be dropped (a reset the client would see as server
-    // failure) or parked in a side queue. Claim-first means a full table
-    // simply leaves arrivals in the backlog, listener disarmed.
-    const auto slot = reactor_->claim_slot();
-    if (!slot.has_value()) return;  // on_slot_freed re-arms
-    const int fd = ::accept4(listen_fd_, nullptr, nullptr,
-                             SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) {
-      reactor_->release_slot(*slot);
-      // Backlog drained (EAGAIN) or a transient (ECONNABORTED etc.):
-      // either way, wait for the next arrival.
-      rearm_listen();
-      return;
-    }
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    if (cfg_.accepted_sndbuf > 0) {
-      ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &cfg_.accepted_sndbuf,
-                   sizeof(cfg_.accepted_sndbuf));
-    }
-    FdSlot& fs = fds_[*slot];
-    fs.fd = fd;
-    fs.saw_eof = false;
-    fs.stash.clear();
-    fs.stash_off = 0;
-    if (first_accept_.load(std::memory_order_relaxed) == 0) {
-      first_accept_.store(
-          std::chrono::steady_clock::now().time_since_epoch().count(),
-          std::memory_order_release);
-    }
-    accepts_.fetch_add(1, std::memory_order_relaxed);
-    PHISSL_OBS_COUNT_NAMED("phissl_transport_accepts_total",
-                           "connections accepted by the socket transport",
-                           "", 1);
-    // The fd enters the epoll set in open() — on the worker, after the
-    // start event — so no readiness can precede the connection object.
-    reactor_->start_accepted(*slot);
-  }
+void SocketTransport::wake(std::size_t worker) {
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const ssize_t n =
+      ::write(pollers_[worker].wake_fd, &one, sizeof(one));
 }
 
-void SocketTransport::rearm_listen() {
+void SocketTransport::set_listen_interest(Poller& p, std::uint32_t events) {
   epoll_event ev{};
-  ev.events = EPOLLIN | EPOLLONESHOT;
+  ev.events = events;
   ev.data.u64 = kListenTag;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, listen_fd_, &ev);
+  ::epoll_ctl(pollers_[0].epoll_fd, EPOLL_CTL_MOD, listen_fd_, &ev);
+  ++p.tally.interest_changes;
 }
 
-void SocketTransport::on_slot_freed(std::size_t slot) {
-  (void)slot;
-  if (!stopping_.load(std::memory_order_acquire)) rearm_listen();
+void SocketTransport::accept_one(Poller& p) {
+  // Claim the slot BEFORE accepting: an accepted fd with nowhere to go
+  // would have to be dropped (a reset the client would see as server
+  // failure) or parked in a side queue. Claim-first means a full table
+  // simply leaves arrivals in the backlog, listener paused. One accept per
+  // readiness event: the level-triggered listener reports the rest.
+  std::size_t slot = 0;
+  {
+    std::lock_guard<std::mutex> l(free_mu_);
+    const auto most = std::max_element(
+        free_.begin(), free_.end(),
+        [](const auto& a, const auto& b) { return a.size() < b.size(); });
+    if (most->empty()) {
+      accept_paused_ = true;
+      set_listen_interest(p, 0);  // on_close resumes it
+      return;
+    }
+    slot = most->back();
+    most->pop_back();
+  }
+  const int fd = ::accept4(listen_fd_, nullptr, nullptr,
+                           SOCK_NONBLOCK | SOCK_CLOEXEC);
+  if (fd < 0) {
+    // Nothing to accept after all (EAGAIN, ECONNABORTED): give it back.
+    std::lock_guard<std::mutex> l(free_mu_);
+    free_[reactor_->owner(slot)].push_back(slot);
+    return;
+  }
+  if (cfg_.accepted_sndbuf > 0) {
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &cfg_.accepted_sndbuf,
+                 sizeof(cfg_.accepted_sndbuf));
+  }
+  fds_[slot].fd = fd;
+  if (first_accept_.load(std::memory_order_relaxed) == 0) {
+    first_accept_.store(
+        std::chrono::steady_clock::now().time_since_epoch().count(),
+        std::memory_order_release);
+  }
+  ++p.tally.accepts;
+  if (reactor_->accepted(slot)) ++p.tally.handoffs;
 }
 
 void SocketTransport::open(std::size_t slot, std::size_t conn_idx,
@@ -319,56 +361,58 @@ void SocketTransport::open(std::size_t slot, std::size_t conn_idx,
   (void)conn_idx;
   (void)seed;
   FdSlot& fs = fds_[slot];
-  if (fs.fd < 0) return;
   epoll_event ev{};
-  ev.events = EPOLLIN | EPOLLRDHUP | EPOLLONESHOT;
+  ev.events = EPOLLIN | EPOLLRDHUP;
   ev.data.u64 = slot;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fs.fd, &ev);
-}
-
-void SocketTransport::arm(std::size_t slot, bool want_out) {
-  FdSlot& fs = fds_[slot];
-  epoll_event ev{};
-  ev.events = EPOLLIN | EPOLLRDHUP | EPOLLONESHOT |
-              (want_out ? EPOLLOUT : 0u);
-  ev.data.u64 = slot;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fs.fd, &ev);
+  ::epoll_ctl(pollers_[reactor_->owner(slot)].epoll_fd, EPOLL_CTL_ADD, fs.fd,
+              &ev);
 }
 
 void SocketTransport::close_fd(std::size_t slot) {
   FdSlot& fs = fds_[slot];
   if (fs.fd < 0) return;
   ::close(fs.fd);  // close drops the fd from the epoll set too
-  fs.fd = -1;
-  fs.saw_eof = false;
-  fs.stash.clear();
-  fs.stash_off = 0;
+  fs = FdSlot{};
+}
+
+void SocketTransport::on_close(std::size_t slot) {
+  close_fd(slot);
+  const std::size_t w = reactor_->owner(slot);
+  std::lock_guard<std::mutex> l(free_mu_);
+  free_[w].push_back(slot);
+  if (accept_paused_) {
+    accept_paused_ = false;
+    set_listen_interest(pollers_[w], EPOLLIN);
+  }
 }
 
 IoStatus SocketTransport::exchange(std::size_t slot, ServerConnection& conn) {
   FdSlot& fs = fds_[slot];
   if (fs.fd < 0) return IoStatus::kPeerGone;  // already torn down
+  Poller& p = pollers_[reactor_->owner(slot)];
   bool peer_gone = false;
 
-  // Read until the kernel runs dry. on_input consumes everything it is
-  // fed (frames buffer inside the connection), so level-triggered
-  // readiness can never storm on unconsumed input. Reading also proceeds
-  // while the connection is parked on a crypto op — that is how a peer
-  // RST during kAwaitPrivateOp is noticed immediately.
-  std::vector<std::uint8_t> buf(cfg_.read_chunk);
+  // Read until a short read: level-triggered interest reports whatever
+  // arrives later, so reading on to EAGAIN would only add a recv that
+  // finds nothing. on_input consumes everything it is fed (frames buffer
+  // inside the connection), so readiness can never storm on unconsumed
+  // input. Reading also proceeds while the connection is parked on a
+  // crypto op — that is how a peer RST during kAwaitPrivateOp is noticed
+  // immediately.
   for (;;) {
-    const ssize_t n = ::recv(fs.fd, buf.data(), buf.size(), 0);
+    const ssize_t n = ::recv(fs.fd, p.buf.data(), p.buf.size(), 0);
     if (n > 0) {
       conn.on_input(std::span<const std::uint8_t>(
-          buf.data(), static_cast<std::size_t>(n)));
-      continue;
+          p.buf.data(), static_cast<std::size_t>(n)));
+      if (static_cast<std::size_t>(n) < p.buf.size()) break;
+      continue;  // a full buffer: more may be queued
     }
     if (n == 0) {
       fs.saw_eof = true;
       break;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      eagain_reads_.fetch_add(1, std::memory_order_relaxed);
+      ++p.tally.eagain_reads;
       break;
     }
     if (errno == EINTR) continue;
@@ -378,7 +422,7 @@ IoStatus SocketTransport::exchange(std::size_t slot, ServerConnection& conn) {
 
   // Write: flush the stashed remainder of the previous chunk first, then
   // pull fresh output in read_chunk slices. A short send keeps the rest
-  // stashed and arms EPOLLOUT — kSendingFlight holds inside the
+  // stashed and turns EPOLLOUT on — kSendingFlight holds inside the
   // connection until the whole flight has really left.
   while (!peer_gone) {
     if (fs.stash_off >= fs.stash.size()) {
@@ -394,48 +438,38 @@ IoStatus SocketTransport::exchange(std::size_t slot, ServerConnection& conn) {
       continue;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      eagain_writes_.fetch_add(1, std::memory_order_relaxed);
-      PHISSL_OBS_COUNT_NAMED(
-          "phissl_transport_eagain_total",
-          "send() cycles backpressured by a full socket buffer", "", 1);
+      ++p.tally.eagain_writes;
       break;
     }
     if (errno == EINTR) continue;
     peer_gone = true;  // EPIPE / ECONNRESET
   }
 
-  if (peer_gone) {
-    resets_.fetch_add(1, std::memory_order_relaxed);
-    PHISSL_OBS_COUNT_NAMED("phissl_transport_resets_total",
-                           "connections torn down by peer reset", "", 1);
-    close_fd(slot);
-    return IoStatus::kPeerGone;
-  }
-
   const bool flushed =
       fs.stash_off >= fs.stash.size() && conn.output_pending() == 0;
-  if (conn.state() == ConnState::kClosed && flushed) {
+  if (conn.state() == ConnState::kClosed && flushed && !peer_gone) {
     // Orderly close: everything (a close-after-alert drain included) hit
     // the kernel buffer before the FIN goes out.
     close_fd(slot);
     return IoStatus::kSettled;
   }
-  if (fs.saw_eof && flushed && !conn.has_pending_op()) {
-    // Peer finished sending and nothing is owed, but the connection
-    // didn't reach kClosed: a premature FIN (mid-handshake hangup).
-    resets_.fetch_add(1, std::memory_order_relaxed);
-    PHISSL_OBS_COUNT_NAMED("phissl_transport_resets_total",
-                           "connections torn down by peer reset", "", 1);
+  if (peer_gone || (fs.saw_eof && flushed && !conn.has_pending_op())) {
+    // A reset, or the peer finished sending with nothing owed but the
+    // connection didn't reach kClosed: a premature FIN (mid-handshake
+    // hangup).
+    ++p.tally.resets;
     close_fd(slot);
     return IoStatus::kPeerGone;
   }
-  arm(slot, /*want_out=*/!flushed);
+  if (fs.want_out == flushed) {
+    fs.want_out = !flushed;
+    epoll_event ev{};
+    ev.events = EPOLLIN | EPOLLRDHUP | (fs.want_out ? EPOLLOUT : 0u);
+    ev.data.u64 = slot;
+    ::epoll_ctl(p.epoll_fd, EPOLL_CTL_MOD, fs.fd, &ev);
+    ++p.tally.interest_changes;
+  }
   return IoStatus::kOk;
-}
-
-void SocketTransport::on_close(std::size_t slot, const ServerConnection& conn) {
-  (void)conn;
-  close_fd(slot);
 }
 
 // ---------------------------------------------------------------------------
@@ -518,6 +552,10 @@ DriverReport SocketFrontend::run() {
   const SocketTransportStats ts = impl_->transport.stats();
   report.accepts = ts.accepts;
   report.eagain = ts.eagain_reads + ts.eagain_writes;
+  report.io_wakeups = ts.wakeups;
+  report.io_events = ts.events;
+  report.interest_changes = ts.interest_changes;
+  report.handoffs = ts.handoffs;
   return report;
 }
 
@@ -795,24 +833,19 @@ SocketTransport::SocketTransport(SocketTransportConfig cfg)
 }
 SocketTransport::~SocketTransport() = default;
 void SocketTransport::bind(Reactor&) {}
-void SocketTransport::start() {}
 void SocketTransport::stop() {}
 SocketTransportStats SocketTransport::stats() const { return {}; }
 std::optional<std::chrono::steady_clock::time_point>
 SocketTransport::first_accept() const {
   return std::nullopt;
 }
-void SocketTransport::poll_loop() {}
-void SocketTransport::handle_accept_ready() {}
-void SocketTransport::arm(std::size_t, bool) {}
-void SocketTransport::rearm_listen() {}
-void SocketTransport::close_fd(std::size_t) {}
 void SocketTransport::open(std::size_t, std::size_t, std::uint64_t) {}
 IoStatus SocketTransport::exchange(std::size_t, ServerConnection&) {
   return IoStatus::kPeerGone;
 }
-void SocketTransport::on_close(std::size_t, const ServerConnection&) {}
-void SocketTransport::on_slot_freed(std::size_t) {}
+void SocketTransport::on_close(std::size_t) {}
+void SocketTransport::wait(std::size_t, std::vector<std::size_t>&) {}
+void SocketTransport::wake(std::size_t) {}
 
 struct SocketFrontend::Impl {};
 SocketFrontend::SocketFrontend(const rsa::Engine&, const DriverConfig&,

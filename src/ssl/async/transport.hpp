@@ -4,28 +4,33 @@
 //
 // The Reactor (reactor.hpp) schedules ServerConnection state machines and
 // bridges their crypto waits to the batch service; everything about HOW
-// bytes reach a connection lives behind Transport. The reactor calls
-// exchange() whenever a slot becomes runnable (start, I/O readiness,
-// crypto resume) and the transport moves as many bytes as it can in both
-// directions through the connection's on_input/take_output interface,
-// reporting whether the connection settled, the peer vanished, or the
-// slot simply parked again (awaiting readiness or a crypto result).
+// bytes reach a connection — and how a worker waits for them — lives
+// behind Transport. Each reactor worker blocks in wait(), which returns
+// the worker's slots whose peer is ready (or nothing, after a wake()).
+// The reactor calls exchange() whenever a slot becomes runnable (start,
+// readiness, crypto resume) and the transport moves as many bytes as it
+// can in both directions through the connection's on_input/take_output
+// interface, reporting whether the connection settled, the peer vanished,
+// or the slot simply parked again (awaiting readiness or a crypto result).
 //
 // SimulatedTransport pairs each slot with a ScriptedClient and swaps byte
 // vectors — no kernel, fully deterministic, the reactor paces connection
-// starts itself. It is the PR 7 reactor loop factored behind the seam,
-// and stays the default for unit tests and the in-process event sweep.
+// starts itself, and a worker's wait() is a condition variable that only
+// wake() signals. It stays the default for unit tests and the in-process
+// event sweep.
 //
-// SocketTransport owns a loopback/any-interface listener and an epoll
-// poller thread. Readiness is level-triggered with EPOLLONESHOT interest
-// per slot: the poller delivers one readiness event and the fd goes
-// quiet until the worker that pumped the slot re-arms it at the end of
-// exchange() — so the poller can never spin on a readable fd that a busy
-// worker hasn't drained yet, and the single-owner slot invariant holds
-// even when readiness races a batch completion (the reactor coalesces
-// per-slot events; see reactor.hpp). EPOLLIN stays armed while a
-// connection is parked on a crypto op, which is how a peer RST during
-// kAwaitPrivateOp is noticed immediately rather than at the next write.
+// SocketTransport owns a loopback/any-interface listener and one epoll set
+// per reactor worker, holding that worker's connection fds, its wake
+// eventfd and, on worker 0 only, the listener. Worker 0 is the acceptor:
+// it claims a free slot (from the worker with the most) before accepting,
+// and the reactor starts the connection on the slot's owner. Interest is
+// level-triggered with no one-shot re-arm: the fd joins its owner's set
+// once at open() and leaves it at close, and EPOLL_CTL_MOD runs only to turn
+// EPOLLOUT on or off around a backpressured send. Only the owner waits on
+// the set, so readiness can never reach a second thread. EPOLLIN stays
+// armed while a connection is parked on a crypto op, which is how a peer
+// RST during kAwaitPrivateOp is noticed immediately rather than at the
+// next write.
 //
 // The client fleet (run_load) is the other half of the loopback story: N
 // concurrent nonblocking ScriptedClients over real sockets, with Poisson
@@ -35,12 +40,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "rsa/engine.hpp"
@@ -80,47 +85,50 @@ enum class IoStatus {
   kPeerGone,  ///< peer reset / vanished / protocol stall — tear down
 };
 
-/// The byte-moving half of the terminator. All methods except bind()/
-/// start()/stop() are called by reactor workers, at most one per slot at
-/// a time (the reactor's single-owner invariant covers the transport's
-/// per-slot state too).
+/// The byte-moving and waiting half of the terminator. exchange(), open()
+/// and on_close() run on the slot's owning worker (Reactor::owner), and
+/// wait(w) on worker w only, so per-slot and per-worker transport state
+/// needs no lock; wake() may come from any thread.
 class Transport {
  public:
   virtual ~Transport() = default;
 
-  /// One-time wiring; the reactor calls this from its constructor so the
-  /// transport can size its per-slot tables.
+  /// One-time wiring; the reactor calls this from its constructor, once
+  /// its slot table and worker count are fixed.
   virtual void bind(Reactor& reactor) = 0;
-  /// Start/stop I/O threads (the socket poller; no-ops for the simulated
-  /// transport). Called by Reactor::run() around the worker pool.
-  virtual void start() {}
+  /// Reactor::run() calls this after its workers joined (the socket
+  /// transport folds in its workers' last counts).
   virtual void stop() {}
 
   /// True when the reactor paces connection starts itself by drawing the
   /// next connection index as slots free (simulated transport). A socket
-  /// transport paces via its accept loop instead.
+  /// transport paces via its acceptor instead (Reactor::accepted).
   [[nodiscard]] virtual bool reactor_paced() const = 0;
 
   /// A connection just started in `slot` (index conn_idx, per-connection
   /// seed `seed`): wire up the peer side. The simulated transport builds
-  /// its ScriptedClient here; the socket transport arms read interest.
+  /// its ScriptedClient here; the socket transport adds the fd to the
+  /// owner's epoll set.
   virtual void open(std::size_t slot, std::size_t conn_idx,
                     std::uint64_t seed) = 0;
 
   /// Move bytes both directions until nothing further can move. Returns
   /// early (kOk) when the connection parks on a PendingOp — the reactor
-  /// owns op submission. Must leave readiness armed so a later event
-  /// reaches the slot.
+  /// owns op submission.
   virtual IoStatus exchange(std::size_t slot, ServerConnection& conn) = 0;
 
-  /// The reactor is closing `slot` (conn carries the final state). The
+  /// The reactor closed the connection in `slot` and is done with it. The
   /// simulated transport banks resumable sessions here; the socket
-  /// transport has usually already closed the fd.
-  virtual void on_close(std::size_t slot, const ServerConnection& conn) = 0;
+  /// transport closes the fd if still open and frees the slot for the
+  /// acceptor.
+  virtual void on_close(std::size_t slot) = 0;
 
-  /// A slot returned to the free table (socket transports re-arm their
-  /// paused accept loop). Called WITHOUT the reactor lock held.
-  virtual void on_slot_freed(std::size_t slot) { (void)slot; }
+  /// Blocks worker `worker` until it may have work: appends its slots
+  /// whose peer is ready to `ready`, or returns with nothing appended
+  /// after a wake(). Called by that worker only.
+  virtual void wait(std::size_t worker, std::vector<std::size_t>& ready) = 0;
+  /// Makes `worker`'s current or next wait() return. Any thread.
+  virtual void wake(std::size_t worker) = 0;
 };
 
 /// Deterministic in-process transport: each slot pairs the server with a
@@ -138,17 +146,25 @@ class SimulatedTransport final : public Transport {
   void open(std::size_t slot, std::size_t conn_idx,
             std::uint64_t seed) override;
   IoStatus exchange(std::size_t slot, ServerConnection& conn) override;
-  void on_close(std::size_t slot, const ServerConnection& conn) override;
+  void on_close(std::size_t slot) override;
+  void wait(std::size_t worker, std::vector<std::size_t>& ready) override;
+  void wake(std::size_t worker) override;
 
  private:
   struct SimSlot {
     std::optional<ScriptedClient> client;
     std::size_t identity = 0;
   };
+  struct Waker {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool woken = false;
+  };
 
   const rsa::Engine& client_engine_;
   ReactorConfig cfg_;
   std::vector<SimSlot> slots_;
+  std::unique_ptr<Waker[]> wakers_;  // one per worker
 
   // Client identities: identity i's latest resumable session, offered by
   // the next connection drawn for that identity. Workers touch different
@@ -165,8 +181,9 @@ struct SocketTransportConfig {
   /// same host in every current deployment of this repo.
   std::string bind_addr = "127.0.0.1";
   int backlog = 256;
-  /// Per-read buffer; flights larger than this arrive across multiple
-  /// recv() calls (partial-read handling is exercised either way).
+  /// Per-worker read buffer, and the slice size of each send; flights
+  /// larger than this arrive across multiple recv() calls (partial-read
+  /// handling is exercised either way).
   std::size_t read_chunk = 16 * 1024;
   /// Test knob: SO_SNDBUF for accepted sockets (0 = kernel default).
   /// Shrinking it forces the server flight to split across EAGAIN.
@@ -174,18 +191,25 @@ struct SocketTransportConfig {
 };
 
 /// Transport-level counters (reactor-level outcomes live in ReactorStats).
+/// Each worker tallies its own and folds them in once per wakeup.
 struct SocketTransportStats {
   std::uint64_t accepts = 0;        ///< connections accepted
   std::uint64_t eagain_reads = 0;   ///< recv() cycles ended by EAGAIN
   std::uint64_t eagain_writes = 0;  ///< send() cycles ended by EAGAIN
   std::uint64_t resets = 0;         ///< peer resets / premature EOFs
+  std::uint64_t wakeups = 0;  ///< epoll_wait returns with at least one event
+  std::uint64_t events = 0;   ///< readiness events those wakeups delivered
+  /// EPOLL_CTL_MOD calls: EPOLLOUT on/off, listener pause/resume.
+  std::uint64_t interest_changes = 0;
+  std::uint64_t handoffs = 0;  ///< accepted slots posted to another worker
 };
 
-/// Real sockets under the reactor: nonblocking accept loop plus an epoll
-/// poller thread that turns readiness into reactor events. Linux-only;
-/// constructing it elsewhere throws.
+/// Real sockets under the reactor: a nonblocking listener on worker 0
+/// and one level-triggered epoll set per worker. Linux-only; constructing
+/// it elsewhere throws.
 class SocketTransport final : public Transport {
  public:
+  /// Binds and listens; throws std::system_error when the port is taken.
   explicit SocketTransport(SocketTransportConfig cfg = {});
   ~SocketTransport() override;
 
@@ -200,51 +224,60 @@ class SocketTransport final : public Transport {
   first_accept() const;
 
   void bind(Reactor& reactor) override;
-  void start() override;
   void stop() override;
   [[nodiscard]] bool reactor_paced() const override { return false; }
   void open(std::size_t slot, std::size_t conn_idx,
             std::uint64_t seed) override;
   IoStatus exchange(std::size_t slot, ServerConnection& conn) override;
-  void on_close(std::size_t slot, const ServerConnection& conn) override;
-  void on_slot_freed(std::size_t slot) override;
+  void on_close(std::size_t slot) override;
+  void wait(std::size_t worker, std::vector<std::size_t>& ready) override;
+  void wake(std::size_t worker) override;
 
  private:
-  /// Per-slot socket state. Owned by whichever thread owns the slot —
-  /// the poller hands it to the workers through Reactor::start_accepted.
+  /// Per-slot socket state, owned by the slot's worker (the acceptor
+  /// writes fd between claiming the slot and handing it over).
   struct FdSlot {
     int fd = -1;
     bool saw_eof = false;
+    bool want_out = false;  // EPOLLOUT is in the fd's interest
     // Unsent remainder of the last take_output() chunk; kSendingFlight
     // holds in the connection until this drains (close-after-alert flushes
     // it before the fd closes).
     std::vector<std::uint8_t> stash;
     std::size_t stash_off = 0;
   };
+  /// Per-worker epoll state, touched by that worker only.
+  struct Poller {
+    int epoll_fd = -1;
+    int wake_fd = -1;  // eventfd in the set; wake() writes it
+    std::vector<std::uint8_t> buf;  // read buffer
+    SocketTransportStats tally;     // counts since the last flush
+  };
 
-  void poll_loop();
-  void handle_accept_ready();
-  void arm(std::size_t slot, bool want_out);
-  void rearm_listen();
+  void accept_one(Poller& p);
+  void set_listen_interest(Poller& p, std::uint32_t events);
   void close_fd(std::size_t slot);
+  void flush(SocketTransportStats& tally);
 
   SocketTransportConfig cfg_;
   Reactor* reactor_ = nullptr;
   int listen_fd_ = -1;
-  int epoll_fd_ = -1;
-  int wake_fd_ = -1;  // eventfd: stop() pokes the poller out of epoll_wait
   std::uint16_t port_ = 0;
   std::vector<FdSlot> fds_;
-  std::thread poller_;
-  std::atomic<bool> stopping_{false};
+  std::vector<Poller> pollers_;
 
-  std::atomic<std::uint64_t> accepts_{0};
+  // Free slots per owning worker. The listener pauses when all are empty,
+  // and the next on_close resumes it — both under free_mu_, so a free
+  // cannot race the pause.
+  std::mutex free_mu_;
+  std::vector<std::vector<std::size_t>> free_;
+  bool accept_paused_ = false;
+
   // steady_clock ticks at the first accept; 0 until there is one. Written
-  // once, by the poller.
+  // once, by the acceptor.
   std::atomic<std::chrono::steady_clock::rep> first_accept_{0};
-  std::atomic<std::uint64_t> eagain_reads_{0};
-  std::atomic<std::uint64_t> eagain_writes_{0};
-  std::atomic<std::uint64_t> resets_{0};
+  mutable std::mutex stats_mu_;
+  SocketTransportStats totals_;  // guarded by stats_mu_
 };
 
 /// One server stack on real sockets: batch service + cache + admission +

@@ -122,6 +122,10 @@ struct DriverReport {
   std::uint64_t accepts = 0;  ///< connections accepted by the listener
   std::uint64_t eagain = 0;   ///< recv/send cycles ended by EAGAIN
   std::uint64_t resets = 0;   ///< peer resets / premature EOFs observed
+  std::uint64_t io_wakeups = 0;  ///< epoll_wait returns with an event
+  std::uint64_t io_events = 0;   ///< readiness events they delivered
+  std::uint64_t interest_changes = 0;  ///< EPOLL_CTL_MOD calls
+  std::uint64_t handoffs = 0;  ///< accepted slots posted to another worker
 };
 
 /// Copies the batch service's counters into the report's scheduler fields.

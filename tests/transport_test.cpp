@@ -6,7 +6,9 @@
 // zombie-slot path: the slot must recycle and the stale batch result be
 // discarded), FIN-vs-alert close ordering (a protocol failure must reach
 // the client as an alert then a clean EOF, not a reset), a serving clock
-// that starts at the first accept rather than at listen, and a
+// that starts at the first accept rather than at listen, the per-wakeup
+// I/O counters, a full slot table pausing and resuming the acceptor, more
+// workers than slots, a 16-byte read buffer, a taken port, and a
 // 512-connection churn through the full socket driver path. Suite names
 // start with AsyncSocket so the CI TSan leg picks them up.
 #ifdef __linux__
@@ -24,14 +26,21 @@
 #include <cstdint>
 #include <cstring>
 #include <optional>
+#include <sstream>
+#include <system_error>
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "rsa/key.hpp"
+#include "ssl/async/admission.hpp"
 #include "ssl/async/connection.hpp"
+#include "ssl/async/reactor.hpp"
 #include "ssl/async/transport.hpp"
 #include "ssl/async/wire.hpp"
+#include "ssl/batch_decrypt.hpp"
 #include "ssl/driver.hpp"
+#include "ssl/session_cache.hpp"
 
 namespace phissl::ssl::async {
 namespace {
@@ -161,6 +170,8 @@ TEST(AsyncSocketTest, ServerFlightSplitsAcrossEagain) {
   EXPECT_EQ(report.failed, 0u);
   const SocketTransportStats stats = frontend.transport_stats();
   EXPECT_GT(stats.eagain_writes, 0u);
+  // EPOLLOUT went on for the backpressured flight.
+  EXPECT_GE(stats.interest_changes, 1u);
 }
 
 TEST(AsyncSocketTest, ClientRstDuringAwaitPrivateOpRecyclesSlot) {
@@ -293,6 +304,155 @@ TEST(AsyncSocketTest, ServingClockStartsAtFirstAccept) {
             elapsed_s - 0.75 * std::chrono::duration<double>(idle).count());
   EXPECT_DOUBLE_EQ(report.handshakes_per_s,
                    static_cast<double>(report.completed) / report.wall_seconds);
+}
+
+TEST(AsyncSocketTest, DefaultSendBufferNeedsNoInterestChanges) {
+  // Level-triggered interest is set once at open: with the default send
+  // buffer no flight backpressures, so no EPOLL_CTL_MOD runs at all. The
+  // per-wakeup counters reach both the stats and the scrape.
+  const rsa::PrivateKey& key = rsa::test_key(512);
+  const rsa::Engine engine(key, test_opts());
+  DriverConfig cfg;
+  cfg.num_handshakes = 32;
+  cfg.event_workers = 2;
+  SocketFrontend frontend(engine, cfg);
+  DriverReport report;
+  std::thread server([&] { report = frontend.run(); });
+  const rsa::Engine client_engine(key.pub, test_opts());
+  LoadGenConfig lg;
+  lg.port = frontend.port();
+  lg.total_connections = cfg.num_handshakes;
+  lg.concurrency = 4;
+  lg.resumption_ratio = 0.5;
+  const LoadGenStats client = run_load(client_engine, lg);
+  server.join();
+
+  EXPECT_EQ(client.completed, cfg.num_handshakes);
+  EXPECT_EQ(report.completed, cfg.num_handshakes);
+  const SocketTransportStats stats = frontend.transport_stats();
+  EXPECT_EQ(stats.accepts, cfg.num_handshakes);
+  EXPECT_EQ(stats.interest_changes, 0u);
+  EXPECT_GT(stats.wakeups, 0u);
+  EXPECT_GE(stats.events, stats.wakeups);
+  EXPECT_LE(stats.handoffs, stats.accepts);
+  EXPECT_EQ(report.io_wakeups, stats.wakeups);
+  EXPECT_EQ(report.io_events, stats.events);
+  EXPECT_EQ(report.interest_changes, 0u);
+  EXPECT_EQ(report.handoffs, stats.handoffs);
+  std::ostringstream scrape;
+  obs::render_prometheus(scrape);
+  for (const char* name :
+       {"phissl_transport_wakeups_total", "phissl_transport_events_total",
+        "phissl_transport_interest_changes_total",
+        "phissl_transport_handoffs_total"}) {
+    EXPECT_NE(scrape.str().find(name), std::string::npos) << name;
+  }
+}
+
+TEST(AsyncSocketTest, FullSlotTablePausesAndResumesAccepting) {
+  // 64 clients against 3 slots: the acceptor finds the table full, pauses
+  // the listener, and every freed slot must resume it. A lost resume
+  // shows up as a hang.
+  const rsa::Engine engine(rsa::test_key(512), test_opts());
+  DriverConfig cfg;
+  cfg.frontend = Frontend::kSocket;
+  cfg.num_handshakes = 256;
+  cfg.event_workers = 2;
+  cfg.max_open_connections = 3;
+  cfg.socket_clients = 64;
+  cfg.resumption_ratio = 0.5;
+  const DriverReport r = run_handshakes(engine, cfg);
+
+  EXPECT_EQ(r.completed, 256u);
+  EXPECT_EQ(r.failed, 0u);
+  EXPECT_EQ(r.shed, 0u);
+  EXPECT_EQ(r.resets, 0u);
+  EXPECT_EQ(r.accepts, 256u);
+  EXPECT_GT(r.interest_changes, 0u);  // the listener paused at least once
+}
+
+TEST(AsyncSocketTest, FewerSlotsThanWorkersStillServes) {
+  // 4 workers asked for, 2 slots: only the workers that own a slot run,
+  // so no connection can be handed to a worker without one.
+  const rsa::PrivateKey& key = rsa::test_key(512);
+  const rsa::Engine engine(key, test_opts());
+  BatchDecryptService svc(engine.priv(), BatchDecryptConfig{});
+  SessionCache cache(SessionCacheConfig{});
+  AdmissionController admission;
+  SocketTransport transport;
+  Reactor reactor(engine, svc, cache, admission, nullptr, transport,
+                  ReactorConfig{.workers = 4,
+                                .max_open_connections = 2,
+                                .total_connections = 64});
+  ASSERT_EQ(reactor.slot_count(), 2u);
+  ASSERT_EQ(reactor.worker_count(), 2u);
+
+  ReactorStats stats;
+  std::thread server([&] { stats = reactor.run(); });
+  const rsa::Engine client_engine(key.pub, test_opts());
+  LoadGenConfig lg;
+  lg.port = transport.port();
+  lg.total_connections = 64;
+  lg.concurrency = 8;
+  const LoadGenStats client = run_load(client_engine, lg);
+  server.join();
+
+  EXPECT_EQ(client.completed, 64u);
+  EXPECT_EQ(stats.completed, 64u);
+  EXPECT_EQ(stats.failed, 0u);
+  const SocketTransportStats ts = transport.stats();
+  EXPECT_EQ(ts.accepts, 64u);
+  // Slot 0 is worker 0's own: the first accept (a tie) starts inline.
+  EXPECT_LT(ts.handoffs, ts.accepts);
+}
+
+TEST(AsyncSocketTest, TinyReadChunkStillTerminates) {
+  // A 16-byte read buffer fills on almost every recv, so the transport
+  // must keep reading after a full chunk (and only stop at a short read)
+  // to see a whole flight. Sends go out in 16-byte slices too.
+  const rsa::PrivateKey& key = rsa::test_key(512);
+  const rsa::Engine engine(key, test_opts());
+  DriverConfig cfg;
+  cfg.num_handshakes = 2;
+  cfg.event_workers = 2;
+  SocketTransportConfig tcfg;
+  tcfg.read_chunk = 16;
+  SocketFrontend frontend(engine, cfg, tcfg);
+  DriverReport report;
+  std::thread server([&] { report = frontend.run(); });
+
+  const rsa::Engine pub(key.pub, test_opts());
+  ScriptedClient full(pub, 21);
+  full.start();
+  const int fd1 = connect_loopback(frontend.port());
+  pump_client(fd1, full, /*write_chunk=*/4096);
+  ::close(fd1);
+  ASSERT_TRUE(full.done());
+  ASSERT_TRUE(full.has_resumable());
+
+  ScriptedClient resumed(pub, 22, full.resumable(), /*use_dhe=*/false);
+  resumed.start();
+  const int fd2 = connect_loopback(frontend.port());
+  pump_client(fd2, resumed, /*write_chunk=*/4096);
+  ::close(fd2);
+  server.join();
+
+  // done() implies each client checked its echo byte-exact.
+  EXPECT_FALSE(full.resumed());
+  EXPECT_TRUE(resumed.done());
+  EXPECT_TRUE(resumed.resumed());
+  EXPECT_EQ(report.completed, 2u);
+  EXPECT_EQ(report.resumed, 1u);
+  EXPECT_EQ(report.failed, 0u);
+}
+
+TEST(AsyncSocketTest, SecondListenerOnSamePortThrows) {
+  // Without SO_REUSEPORT a second server on a taken --port fails loudly
+  // instead of silently splitting the traffic with the first.
+  const SocketTransport first;
+  SocketTransportConfig cfg;
+  cfg.port = first.port();
+  EXPECT_THROW(SocketTransport second(cfg), std::system_error);
 }
 
 TEST(AsyncSocketChurn, Churn512ConnectionsOver2Workers) {

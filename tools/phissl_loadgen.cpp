@@ -73,14 +73,20 @@ void print_report(const ssl::DriverReport& r) {
       "        hs/s %.1f  p50 %.0fus  p99 %.0fus\n"
       "        lane occupancy %.2f  batches %llu  single ops %llu"
       "  res/wakeup %.1f\n"
-      "        accepts %llu  eagain %llu  resets %llu\n",
+      "        accepts %llu  eagain %llu  resets %llu\n"
+      "        epoll wakeups %llu  events %llu  interest changes %llu"
+      "  hand-offs %llu\n",
       r.completed, r.failed, static_cast<std::size_t>(r.shed), r.resumed,
       r.handshakes_per_s, r.latency_us.median, r.latency_us.p99,
       r.batch_lane_occupancy, static_cast<unsigned long long>(r.batches),
       static_cast<unsigned long long>(r.single_ops),
       r.resumptions_per_wakeup, static_cast<unsigned long long>(r.accepts),
       static_cast<unsigned long long>(r.eagain),
-      static_cast<unsigned long long>(r.resets));
+      static_cast<unsigned long long>(r.resets),
+      static_cast<unsigned long long>(r.io_wakeups),
+      static_cast<unsigned long long>(r.io_events),
+      static_cast<unsigned long long>(r.interest_changes),
+      static_cast<unsigned long long>(r.handoffs));
 }
 
 }  // namespace
