@@ -9,7 +9,6 @@
 #include <cstdint>
 
 #include "rsa/engine.hpp"
-#include "ssl/gcm_record.hpp"
 #include "ssl/record.hpp"
 
 namespace phissl::fuzz {
@@ -22,9 +21,6 @@ inline constexpr std::uint8_t kFuzzMacKey[ssl::kMacKeySize] = {
     0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99, 0xaa,
     0xbb, 0xcc, 0xdd, 0xee, 0xff, 0x0f, 0x1e, 0x2d, 0x3c, 0x4b, 0x5a,
     0x69, 0x78, 0x87, 0x96, 0xa5, 0xb4, 0xc3, 0xd2, 0xe1, 0xf0};
-
-inline constexpr std::uint8_t kFuzzGcmSalt[ssl::GcmRecordChannel::kSaltSize] =
-    {0xde, 0xad, 0xbe, 0xef};
 
 /// Seed for every util::Rng a target constructs (record IVs, the server
 /// connection's randoms).

@@ -111,22 +111,15 @@ std::vector<std::vector<std::uint8_t>> seed_inputs(std::string_view target) {
     seeds.push_back(with_mode(0, raw_frame(1, 64, Bytes(10, 0xab))));
     return seeds;
   }
-  if (target == "record_cbc" || target == "record_gcm") {
-    const bool gcm = target == "record_gcm";
+  if (target == "record_cbc") {
     const Bytes ping = str_bytes("ping");
-    Bytes sealed;
-    if (gcm) {
-      ssl::GcmRecordChannel ch(kFuzzEncKey, kFuzzGcmSalt);
-      sealed = ch.seal(ssl::kContentApplicationData, ping);
-    } else {
-      ssl::RecordChannel ch(kFuzzEncKey, kFuzzMacKey);
-      util::Rng rng(kFuzzRngSeed);
-      sealed = ch.seal(ssl::kContentApplicationData, ping, rng);
-    }
+    ssl::RecordChannel ch(kFuzzEncKey, kFuzzMacKey);
+    util::Rng rng(kFuzzRngSeed);
+    const Bytes sealed = ch.seal(ssl::kContentApplicationData, ping, rng);
     std::vector<Bytes> seeds;
     // Mode 0 (even first byte): open the tail as a wire record. The
-    // genuinely-sealed seed authenticates; its mutants probe the
-    // MAC/tag boundary. A one-bit-flipped copy starts on the reject path.
+    // genuinely-sealed seed authenticates; its mutants probe the MAC
+    // boundary. A one-bit-flipped copy starts on the reject path.
     seeds.push_back(with_mode(0, sealed));
     Bytes flipped = sealed;
     flipped[flipped.size() / 2] ^= 0x01;

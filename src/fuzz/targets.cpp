@@ -14,7 +14,6 @@
 #include "rsa/pkcs1.hpp"
 #include "ssl/async/connection.hpp"
 #include "ssl/async/wire.hpp"
-#include "ssl/gcm_record.hpp"
 #include "ssl/record.hpp"
 #include "util/base64.hpp"
 #include "util/hex.hpp"
@@ -125,23 +124,6 @@ void target_record_cbc(std::span<const std::uint8_t> data) {
   }
 }
 
-void target_record_gcm(std::span<const std::uint8_t> data) {
-  data = clamp(data);
-  ssl::GcmRecordChannel seal_ch(kFuzzEncKey, kFuzzGcmSalt);
-  ssl::GcmRecordChannel open_ch(kFuzzEncKey, kFuzzGcmSalt);
-  if (!data.empty() && (data[0] & 1) != 0) {
-    const auto pt = data.subspan(1);
-    const auto rec = seal_ch.seal(ssl::kContentApplicationData, pt);
-    const auto back = open_ch.open(ssl::kContentApplicationData, rec);
-    if (!back || !std::equal(back->begin(), back->end(), pt.begin(), pt.end())) {
-      throw std::logic_error("GCM record round-trip mismatch");
-    }
-  } else {
-    (void)open_ch.open(ssl::kContentApplicationData,
-                       data.subspan(std::min<std::size_t>(1, data.size())));
-  }
-}
-
 void target_handshake(std::span<const std::uint8_t> data) {
   data = clamp(data);
   ssl::async::ServerConnection conn(fuzz_engine(), kFuzzRngSeed,
@@ -228,7 +210,6 @@ std::span<const TargetInfo> targets() {
   static constexpr TargetInfo kTargets[] = {
       {"frame_reader", &target_frame_reader, /*framed=*/true},
       {"record_cbc", &target_record_cbc, /*framed=*/false},
-      {"record_gcm", &target_record_gcm, /*framed=*/false},
       {"handshake", &target_handshake, /*framed=*/true},
       {"der_key", &target_der_key, /*framed=*/false},
       {"b64hex", &target_b64hex, /*framed=*/false},

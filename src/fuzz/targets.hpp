@@ -46,7 +46,6 @@ const TargetInfo* find_target(std::string_view name);
 // The individual targets (also reachable through the registry).
 void target_frame_reader(std::span<const std::uint8_t> data);
 void target_record_cbc(std::span<const std::uint8_t> data);
-void target_record_gcm(std::span<const std::uint8_t> data);
 void target_handshake(std::span<const std::uint8_t> data);
 void target_der_key(std::span<const std::uint8_t> data);
 void target_b64hex(std::span<const std::uint8_t> data);

@@ -8,26 +8,33 @@ std::vector<std::uint8_t> prf_sha256(std::span<const std::uint8_t> secret,
                                      std::string_view label,
                                      std::span<const std::uint8_t> seed,
                                      std::size_t len) {
-  // label_seed = label || seed
-  std::vector<std::uint8_t> label_seed;
-  label_seed.reserve(label.size() + seed.size());
-  label_seed.insert(label_seed.end(), label.begin(), label.end());
-  label_seed.insert(label_seed.end(), seed.begin(), seed.end());
+  // P_SHA256 over label_seed = label || seed:
+  //   A(0) = label_seed; A(i) = HMAC(secret, A(i-1));
+  //   output = HMAC(secret, A(1) || label_seed) || HMAC(secret, A(2) || ...)
+  // Every HMAC is a copy of one keyed object, so the secret is absorbed
+  // once per call rather than twice per output block.
+  const util::HmacSha256 keyed(secret);
+  const std::span<const std::uint8_t> label_bytes(
+      reinterpret_cast<const std::uint8_t*>(label.data()), label.size());
+  const auto mac_label_seed = [&](std::span<const std::uint8_t> prefix) {
+    util::HmacSha256 h = keyed;
+    h.update(prefix);
+    h.update(label_bytes);
+    h.update(seed);
+    return h.finish();
+  };
 
-  // P_SHA256: A(0) = label_seed; A(i) = HMAC(secret, A(i-1));
-  // output = HMAC(secret, A(1) || label_seed) || HMAC(secret, A(2) || ...)
   std::vector<std::uint8_t> out;
-  out.reserve(len + 32);
-  std::vector<std::uint8_t> a(label_seed);
+  out.reserve(len + util::Sha256::kDigestSize);
+  util::Sha256::Digest a = mac_label_seed({});  // A(1)
   while (out.size() < len) {
-    const auto a_digest = util::HmacSha256::mac(secret, a);
-    a.assign(a_digest.begin(), a_digest.end());
-
-    util::HmacSha256 h(secret);
-    h.update(a);
-    h.update(label_seed);
-    const auto block = h.finish();
+    const auto block = mac_label_seed(a);
     out.insert(out.end(), block.begin(), block.end());
+    if (out.size() < len) {
+      util::HmacSha256 h = keyed;
+      h.update(a);
+      a = h.finish();
+    }
   }
   out.resize(len);
   return out;

@@ -2,10 +2,10 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <type_traits>
 
 #include "ssl/prf.hpp"
 #include "util/ct_bytes.hpp"
-#include "util/hmac.hpp"
 #include "util/wipe.hpp"
 
 namespace phissl::ssl {
@@ -17,15 +17,20 @@ constexpr std::uint8_t kVersionMinor = 3;
 
 RecordChannel::RecordChannel(std::span<const std::uint8_t> enc_key,
                              std::span<const std::uint8_t> mac_key)
-    : cipher_(enc_key), mac_key_(mac_key.begin(), mac_key.end()) {}
+    : cipher_(enc_key), mac_(mac_key) {}
 
-RecordChannel::~RecordChannel() { util::secure_wipe_all(mac_key_); }
+RecordChannel::~RecordChannel() {
+  // The midstates are a function of the MAC key alone, so they are as
+  // secret as the key they replace.
+  static_assert(std::is_trivially_destructible_v<util::HmacSha256>);
+  util::secure_wipe(&mac_, sizeof mac_);
+}
 
 std::array<std::uint8_t, 32> RecordChannel::mac_header(
     std::uint64_t seq, std::uint8_t type, std::size_t len,
     const std::uint8_t* data, std::size_t n) const {
   // MAC(seq_num || type || version || length || fragment), RFC 5246 §6.2.3.1.
-  util::HmacSha256 h(mac_key_);
+  util::HmacSha256 h = mac_;
   std::uint8_t header[13];
   for (int i = 0; i < 8; ++i) {
     header[i] = static_cast<std::uint8_t>(seq >> (56 - 8 * i));

@@ -1,7 +1,9 @@
 // TLS 1.2 record protection for AES-128-CBC + HMAC-SHA256
 // (TLS_RSA_WITH_AES_128_CBC_SHA256, the suite the handshake negotiates):
 // key-block derivation from the master secret, and the MAC-then-encrypt
-// record transform with explicit IVs and sequence numbers.
+// record transform with explicit IVs and sequence numbers. A channel keys
+// its cipher and its HMAC once, at construction; each record copies the
+// keyed HMAC instead of re-absorbing the MAC key.
 #pragma once
 
 #include <array>
@@ -12,6 +14,7 @@
 
 #include "ssl/messages.hpp"
 #include "util/aes.hpp"
+#include "util/hmac.hpp"
 #include "util/random.hpp"
 
 namespace phissl::ssl {
@@ -34,7 +37,8 @@ class RecordChannel {
   RecordChannel(std::span<const std::uint8_t> enc_key,
                 std::span<const std::uint8_t> mac_key);
 
-  /// Wipes the MAC key (util::secure_wipe) before the buffer is freed.
+  /// Wipes the keyed-HMAC midstates (util::secure_wipe); util::Aes wipes
+  /// its own round keys. No key material outlives the channel.
   ~RecordChannel();
 
   RecordChannel(const RecordChannel&) = default;
@@ -76,7 +80,7 @@ class RecordChannel {
                                           std::size_t n) const;
 
   util::Aes cipher_;
-  std::vector<std::uint8_t> mac_key_;
+  util::HmacSha256 mac_;  // keyed, never updated: copied per record
   std::uint64_t seal_seq_ = 0;
   std::uint64_t open_seq_ = 0;
 };

@@ -1,217 +1,140 @@
 #include "util/aes.hpp"
 
-#include <cstring>
 #include <stdexcept>
 
+#include "util/aes_generic.hpp"
+#include "util/cpu.hpp"
 #include "util/ct_bytes.hpp"
+#include "util/wipe.hpp"
+
+#if defined(__x86_64__) || defined(__i386__)
+#define PHISSL_AES_NI 1
+#include <immintrin.h>
+#else
+#define PHISSL_AES_NI 0
+#endif
 
 namespace phissl::util {
 
 namespace {
 
-constexpr std::uint8_t kSbox[256] = {
-    0x63, 0x7c, 0x77, 0x7b, 0xf2, 0x6b, 0x6f, 0xc5, 0x30, 0x01, 0x67, 0x2b,
-    0xfe, 0xd7, 0xab, 0x76, 0xca, 0x82, 0xc9, 0x7d, 0xfa, 0x59, 0x47, 0xf0,
-    0xad, 0xd4, 0xa2, 0xaf, 0x9c, 0xa4, 0x72, 0xc0, 0xb7, 0xfd, 0x93, 0x26,
-    0x36, 0x3f, 0xf7, 0xcc, 0x34, 0xa5, 0xe5, 0xf1, 0x71, 0xd8, 0x31, 0x15,
-    0x04, 0xc7, 0x23, 0xc3, 0x18, 0x96, 0x05, 0x9a, 0x07, 0x12, 0x80, 0xe2,
-    0xeb, 0x27, 0xb2, 0x75, 0x09, 0x83, 0x2c, 0x1a, 0x1b, 0x6e, 0x5a, 0xa0,
-    0x52, 0x3b, 0xd6, 0xb3, 0x29, 0xe3, 0x2f, 0x84, 0x53, 0xd1, 0x00, 0xed,
-    0x20, 0xfc, 0xb1, 0x5b, 0x6a, 0xcb, 0xbe, 0x39, 0x4a, 0x4c, 0x58, 0xcf,
-    0xd0, 0xef, 0xaa, 0xfb, 0x43, 0x4d, 0x33, 0x85, 0x45, 0xf9, 0x02, 0x7f,
-    0x50, 0x3c, 0x9f, 0xa8, 0x51, 0xa3, 0x40, 0x8f, 0x92, 0x9d, 0x38, 0xf5,
-    0xbc, 0xb6, 0xda, 0x21, 0x10, 0xff, 0xf3, 0xd2, 0xcd, 0x0c, 0x13, 0xec,
-    0x5f, 0x97, 0x44, 0x17, 0xc4, 0xa7, 0x7e, 0x3d, 0x64, 0x5d, 0x19, 0x73,
-    0x60, 0x81, 0x4f, 0xdc, 0x22, 0x2a, 0x90, 0x88, 0x46, 0xee, 0xb8, 0x14,
-    0xde, 0x5e, 0x0b, 0xdb, 0xe0, 0x32, 0x3a, 0x0a, 0x49, 0x06, 0x24, 0x5c,
-    0xc2, 0xd3, 0xac, 0x62, 0x91, 0x95, 0xe4, 0x79, 0xe7, 0xc8, 0x37, 0x6d,
-    0x8d, 0xd5, 0x4e, 0xa9, 0x6c, 0x56, 0xf4, 0xea, 0x65, 0x7a, 0xae, 0x08,
-    0xba, 0x78, 0x25, 0x2e, 0x1c, 0xa6, 0xb4, 0xc6, 0xe8, 0xdd, 0x74, 0x1f,
-    0x4b, 0xbd, 0x8b, 0x8a, 0x70, 0x3e, 0xb5, 0x66, 0x48, 0x03, 0xf6, 0x0e,
-    0x61, 0x35, 0x57, 0xb9, 0x86, 0xc1, 0x1d, 0x9e, 0xe1, 0xf8, 0x98, 0x11,
-    0x69, 0xd9, 0x8e, 0x94, 0x9b, 0x1e, 0x87, 0xe9, 0xce, 0x55, 0x28, 0xdf,
-    0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f,
-    0xb0, 0x54, 0xbb, 0x16};
+constexpr std::size_t kB = Aes::kBlockSize;
+static_assert(aesct::kRoundKeyWords == 88);
 
-constexpr std::uint8_t kInvSbox[256] = {
-    0x52, 0x09, 0x6a, 0xd5, 0x30, 0x36, 0xa5, 0x38, 0xbf, 0x40, 0xa3, 0x9e,
-    0x81, 0xf3, 0xd7, 0xfb, 0x7c, 0xe3, 0x39, 0x82, 0x9b, 0x2f, 0xff, 0x87,
-    0x34, 0x8e, 0x43, 0x44, 0xc4, 0xde, 0xe9, 0xcb, 0x54, 0x7b, 0x94, 0x32,
-    0xa6, 0xc2, 0x23, 0x3d, 0xee, 0x4c, 0x95, 0x0b, 0x42, 0xfa, 0xc3, 0x4e,
-    0x08, 0x2e, 0xa1, 0x66, 0x28, 0xd9, 0x24, 0xb2, 0x76, 0x5b, 0xa2, 0x49,
-    0x6d, 0x8b, 0xd1, 0x25, 0x72, 0xf8, 0xf6, 0x64, 0x86, 0x68, 0x98, 0x16,
-    0xd4, 0xa4, 0x5c, 0xcc, 0x5d, 0x65, 0xb6, 0x92, 0x6c, 0x70, 0x48, 0x50,
-    0xfd, 0xed, 0xb9, 0xda, 0x5e, 0x15, 0x46, 0x57, 0xa7, 0x8d, 0x9d, 0x84,
-    0x90, 0xd8, 0xab, 0x00, 0x8c, 0xbc, 0xd3, 0x0a, 0xf7, 0xe4, 0x58, 0x05,
-    0xb8, 0xb3, 0x45, 0x06, 0xd0, 0x2c, 0x1e, 0x8f, 0xca, 0x3f, 0x0f, 0x02,
-    0xc1, 0xaf, 0xbd, 0x03, 0x01, 0x13, 0x8a, 0x6b, 0x3a, 0x91, 0x11, 0x41,
-    0x4f, 0x67, 0xdc, 0xea, 0x97, 0xf2, 0xcf, 0xce, 0xf0, 0xb4, 0xe6, 0x73,
-    0x96, 0xac, 0x74, 0x22, 0xe7, 0xad, 0x35, 0x85, 0xe2, 0xf9, 0x37, 0xe8,
-    0x1c, 0x75, 0xdf, 0x6e, 0x47, 0xf1, 0x1a, 0x71, 0x1d, 0x29, 0xc5, 0x89,
-    0x6f, 0xb7, 0x62, 0x0e, 0xaa, 0x18, 0xbe, 0x1b, 0xfc, 0x56, 0x3e, 0x4b,
-    0xc6, 0xd2, 0x79, 0x20, 0x9a, 0xdb, 0xc0, 0xfe, 0x78, 0xcd, 0x5a, 0xf4,
-    0x1f, 0xdd, 0xa8, 0x33, 0x88, 0x07, 0xc7, 0x31, 0xb1, 0x12, 0x10, 0x59,
-    0x27, 0x80, 0xec, 0x5f, 0x60, 0x51, 0x7f, 0xa9, 0x19, 0xb5, 0x4a, 0x0d,
-    0x2d, 0xe5, 0x7a, 0x9f, 0x93, 0xc9, 0x9c, 0xef, 0xa0, 0xe0, 0x3b, 0x4d,
-    0xae, 0x2a, 0xf5, 0xb0, 0xc8, 0xeb, 0xbb, 0x3c, 0x83, 0x53, 0x99, 0x61,
-    0x17, 0x2b, 0x04, 0x7e, 0xba, 0x77, 0xd6, 0x26, 0xe1, 0x69, 0x14, 0x63,
-    0x55, 0x21, 0x0c, 0x7d};
-
-std::uint8_t xtime(std::uint8_t x) {
-  return static_cast<std::uint8_t>((x << 1) ^ ((x >> 7) * 0x1b));
-}
-
-std::uint8_t gmul(std::uint8_t a, std::uint8_t b) {
-  std::uint8_t p = 0;
-  for (int i = 0; i < 8; ++i) {
-    if (b & 1) p ^= a;
-    a = xtime(a);
-    b >>= 1;
+void bitsliced_block(const std::uint32_t* rk, bool enc, const std::uint8_t* in,
+                     std::uint8_t* out) {
+  std::uint32_t w[kB];
+  for (std::size_t i = 0; i < kB; ++i) w[i] = in[i];
+  if (enc) {
+    aesct::encrypt(rk, w, w);
+  } else {
+    aesct::decrypt(rk, w, w);
   }
-  return p;
+  for (std::size_t i = 0; i < kB; ++i) out[i] = static_cast<std::uint8_t>(w[i]);
 }
 
-std::uint32_t sub_word(std::uint32_t w) {
-  return (static_cast<std::uint32_t>(kSbox[(w >> 24) & 0xff]) << 24) |
-         (static_cast<std::uint32_t>(kSbox[(w >> 16) & 0xff]) << 16) |
-         (static_cast<std::uint32_t>(kSbox[(w >> 8) & 0xff]) << 8) |
-         kSbox[w & 0xff];
+#if PHISSL_AES_NI
+
+#define PHISSL_AES_TARGET __attribute__((target("aes,sse2")))
+
+PHISSL_AES_TARGET inline __m128i expand_step(__m128i key, __m128i assist) {
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  return _mm_xor_si128(key, _mm_shuffle_epi32(assist, 0xff));
 }
 
-std::uint32_t rot_word(std::uint32_t w) { return (w << 8) | (w >> 24); }
+/// rk[0..10]: encryption round keys; rk[11..21]: the equivalent inverse
+/// cipher's (aesimc of the middle nine, in reverse order).
+PHISSL_AES_TARGET void ni_expand(const std::uint8_t* key, __m128i* rk) {
+  __m128i k = _mm_loadu_si128(reinterpret_cast<const __m128i*>(key));
+  rk[0] = k;
+  // aeskeygenassist takes Rcon as an immediate.
+#define PHISSL_AES_STEP(i, rcon) \
+  rk[i] = k = expand_step(k, _mm_aeskeygenassist_si128(k, rcon))
+  PHISSL_AES_STEP(1, 0x01);
+  PHISSL_AES_STEP(2, 0x02);
+  PHISSL_AES_STEP(3, 0x04);
+  PHISSL_AES_STEP(4, 0x08);
+  PHISSL_AES_STEP(5, 0x10);
+  PHISSL_AES_STEP(6, 0x20);
+  PHISSL_AES_STEP(7, 0x40);
+  PHISSL_AES_STEP(8, 0x80);
+  PHISSL_AES_STEP(9, 0x1b);
+  PHISSL_AES_STEP(10, 0x36);
+#undef PHISSL_AES_STEP
+  __m128i* dk = rk + 11;
+  dk[0] = rk[10];
+  for (int i = 1; i < 10; ++i) dk[i] = _mm_aesimc_si128(rk[10 - i]);
+  dk[10] = rk[0];
+}
+
+PHISSL_AES_TARGET void ni_block(const std::uint32_t* round_keys, bool enc,
+                                const std::uint8_t* in, std::uint8_t* out) {
+  const auto* rk =
+      reinterpret_cast<const __m128i*>(round_keys) + (enc ? 0 : 11);
+  __m128i s = _mm_xor_si128(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(in)), rk[0]);
+  for (int r = 1; r < 10; ++r) {
+    s = enc ? _mm_aesenc_si128(s, rk[r]) : _mm_aesdec_si128(s, rk[r]);
+  }
+  s = enc ? _mm_aesenclast_si128(s, rk[10]) : _mm_aesdeclast_si128(s, rk[10]);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out), s);
+}
+
+#endif  // PHISSL_AES_NI
 
 }  // namespace
 
-Aes::Aes(std::span<const std::uint8_t> key) {
-  const std::size_t nk = key.size() / 4;
-  if (key.size() != 16 && key.size() != 24 && key.size() != 32) {
-    throw std::invalid_argument("Aes: key must be 16/24/32 bytes");
+Aes::Aes(std::span<const std::uint8_t> key, bool force_portable)
+    : hardware_(PHISSL_AES_NI && !force_portable && cpu_features().aes) {
+  if (key.size() != kKeySize) {
+    throw std::invalid_argument("Aes: key must be 16 bytes (AES-128)");
   }
-  rounds_ = static_cast<int>(nk) + 6;
-  const std::size_t total = 4 * (static_cast<std::size_t>(rounds_) + 1);
-
-  for (std::size_t i = 0; i < nk; ++i) {
-    round_keys_[i] = (static_cast<std::uint32_t>(key[4 * i]) << 24) |
-                     (static_cast<std::uint32_t>(key[4 * i + 1]) << 16) |
-                     (static_cast<std::uint32_t>(key[4 * i + 2]) << 8) |
-                     key[4 * i + 3];
+#if PHISSL_AES_NI
+  if (hardware_) {
+    ni_expand(key.data(), reinterpret_cast<__m128i*>(rk_.data()));
+    return;
   }
-  std::uint32_t rcon = 0x01000000;
-  for (std::size_t i = nk; i < total; ++i) {
-    std::uint32_t temp = round_keys_[i - 1];
-    if (i % nk == 0) {
-      temp = sub_word(rot_word(temp)) ^ rcon;
-      rcon = static_cast<std::uint32_t>(xtime(static_cast<std::uint8_t>(rcon >> 24))) << 24;
-    } else if (nk > 6 && i % nk == 4) {
-      temp = sub_word(temp);
-    }
-    round_keys_[i] = round_keys_[i - nk] ^ temp;
-  }
+#endif
+  std::uint32_t w[kKeySize];
+  for (std::size_t i = 0; i < kKeySize; ++i) w[i] = key[i];
+  aesct::expand_key(w, rk_.data());
+  secure_wipe(w, sizeof w);
 }
 
-void Aes::encrypt_block(const std::uint8_t* in, std::uint8_t* out) const {
-  std::uint8_t s[16];
-  std::memcpy(s, in, 16);
-  const auto add_round_key = [&](int round) {
-    for (int c = 0; c < 4; ++c) {
-      const std::uint32_t w = round_keys_[static_cast<std::size_t>(4 * round + c)];
-      s[4 * c + 0] ^= static_cast<std::uint8_t>(w >> 24);
-      s[4 * c + 1] ^= static_cast<std::uint8_t>(w >> 16);
-      s[4 * c + 2] ^= static_cast<std::uint8_t>(w >> 8);
-      s[4 * c + 3] ^= static_cast<std::uint8_t>(w);
-    }
-  };
+Aes::~Aes() { secure_wipe(rk_.data(), sizeof rk_); }
 
-  add_round_key(0);
-  for (int round = 1; round <= rounds_; ++round) {
-    // SubBytes
-    for (auto& b : s) b = kSbox[b];
-    // ShiftRows (state is column-major: s[4c + r])
-    std::uint8_t t[16];
-    for (int c = 0; c < 4; ++c) {
-      for (int r = 0; r < 4; ++r) {
-        t[4 * c + r] = s[4 * ((c + r) % 4) + r];
-      }
-    }
-    std::memcpy(s, t, 16);
-    // MixColumns (skipped in the final round)
-    if (round != rounds_) {
-      for (int c = 0; c < 4; ++c) {
-        std::uint8_t* col = &s[4 * c];
-        const std::uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-        col[0] = static_cast<std::uint8_t>(xtime(a0) ^ xtime(a1) ^ a1 ^ a2 ^ a3);
-        col[1] = static_cast<std::uint8_t>(a0 ^ xtime(a1) ^ xtime(a2) ^ a2 ^ a3);
-        col[2] = static_cast<std::uint8_t>(a0 ^ a1 ^ xtime(a2) ^ xtime(a3) ^ a3);
-        col[3] = static_cast<std::uint8_t>(xtime(a0) ^ a0 ^ a1 ^ a2 ^ xtime(a3));
-      }
-    }
-    add_round_key(round);
-  }
-  std::memcpy(out, s, 16);
+void Aes::encrypt_block(const std::uint8_t* in, std::uint8_t* out) const {
+#if PHISSL_AES_NI
+  if (hardware_) return ni_block(rk_.data(), true, in, out);
+#endif
+  bitsliced_block(rk_.data(), true, in, out);
 }
 
 void Aes::decrypt_block(const std::uint8_t* in, std::uint8_t* out) const {
-  std::uint8_t s[16];
-  std::memcpy(s, in, 16);
-  const auto add_round_key = [&](int round) {
-    for (int c = 0; c < 4; ++c) {
-      const std::uint32_t w = round_keys_[static_cast<std::size_t>(4 * round + c)];
-      s[4 * c + 0] ^= static_cast<std::uint8_t>(w >> 24);
-      s[4 * c + 1] ^= static_cast<std::uint8_t>(w >> 16);
-      s[4 * c + 2] ^= static_cast<std::uint8_t>(w >> 8);
-      s[4 * c + 3] ^= static_cast<std::uint8_t>(w);
-    }
-  };
-
-  add_round_key(rounds_);
-  for (int round = rounds_ - 1; round >= 0; --round) {
-    // InvShiftRows
-    std::uint8_t t[16];
-    for (int c = 0; c < 4; ++c) {
-      for (int r = 0; r < 4; ++r) {
-        t[4 * ((c + r) % 4) + r] = s[4 * c + r];
-      }
-    }
-    std::memcpy(s, t, 16);
-    // InvSubBytes
-    for (auto& b : s) b = kInvSbox[b];
-    add_round_key(round);
-    // InvMixColumns (skipped after the last add_round_key)
-    if (round != 0) {
-      for (int c = 0; c < 4; ++c) {
-        std::uint8_t* col = &s[4 * c];
-        const std::uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-        col[0] = static_cast<std::uint8_t>(gmul(a0, 14) ^ gmul(a1, 11) ^
-                                           gmul(a2, 13) ^ gmul(a3, 9));
-        col[1] = static_cast<std::uint8_t>(gmul(a0, 9) ^ gmul(a1, 14) ^
-                                           gmul(a2, 11) ^ gmul(a3, 13));
-        col[2] = static_cast<std::uint8_t>(gmul(a0, 13) ^ gmul(a1, 9) ^
-                                           gmul(a2, 14) ^ gmul(a3, 11));
-        col[3] = static_cast<std::uint8_t>(gmul(a0, 11) ^ gmul(a1, 13) ^
-                                           gmul(a2, 9) ^ gmul(a3, 14));
-      }
-    }
-  }
-  std::memcpy(out, s, 16);
+#if PHISSL_AES_NI
+  if (hardware_) return ni_block(rk_.data(), false, in, out);
+#endif
+  bitsliced_block(rk_.data(), false, in, out);
 }
 
 std::vector<std::uint8_t> aes_cbc_encrypt(
     const Aes& cipher, std::span<const std::uint8_t> iv,
     std::span<const std::uint8_t> plaintext) {
-  if (iv.size() != Aes::kBlockSize) {
+  if (iv.size() != kB) {
     throw std::invalid_argument("aes_cbc_encrypt: iv must be 16 bytes");
   }
   // PKCS#7 pad to a whole number of blocks (always adds 1..16 bytes).
-  const std::size_t pad = Aes::kBlockSize - plaintext.size() % Aes::kBlockSize;
+  const std::size_t pad = kB - plaintext.size() % kB;
   std::vector<std::uint8_t> buf(plaintext.begin(), plaintext.end());
   buf.insert(buf.end(), pad, static_cast<std::uint8_t>(pad));
 
-  std::uint8_t chain[Aes::kBlockSize];
-  std::memcpy(chain, iv.data(), Aes::kBlockSize);
-  for (std::size_t off = 0; off < buf.size(); off += Aes::kBlockSize) {
-    for (std::size_t i = 0; i < Aes::kBlockSize; ++i) buf[off + i] ^= chain[i];
+  const std::uint8_t* chain = iv.data();
+  for (std::size_t off = 0; off < buf.size(); off += kB) {
+    for (std::size_t i = 0; i < kB; ++i) buf[off + i] ^= chain[i];
     cipher.encrypt_block(&buf[off], &buf[off]);
-    std::memcpy(chain, &buf[off], Aes::kBlockSize);
+    chain = &buf[off];
   }
   return buf;
 }
@@ -220,19 +143,18 @@ bool aes_cbc_decrypt(const Aes& cipher, std::span<const std::uint8_t> iv,
                      std::span<const std::uint8_t> ciphertext,
                      std::vector<std::uint8_t>& out) {
   out.clear();
-  if (iv.size() != Aes::kBlockSize) {
+  if (iv.size() != kB) {
     throw std::invalid_argument("aes_cbc_decrypt: iv must be 16 bytes");
   }
-  if (ciphertext.empty() || ciphertext.size() % Aes::kBlockSize != 0) {
+  if (ciphertext.empty() || ciphertext.size() % kB != 0) {
     throw std::invalid_argument("aes_cbc_decrypt: bad ciphertext length");
   }
   std::vector<std::uint8_t> buf(ciphertext.size());
-  std::uint8_t chain[Aes::kBlockSize];
-  std::memcpy(chain, iv.data(), Aes::kBlockSize);
-  for (std::size_t off = 0; off < buf.size(); off += Aes::kBlockSize) {
+  const std::uint8_t* chain = iv.data();
+  for (std::size_t off = 0; off < buf.size(); off += kB) {
     cipher.decrypt_block(&ciphertext[off], &buf[off]);
-    for (std::size_t i = 0; i < Aes::kBlockSize; ++i) buf[off + i] ^= chain[i];
-    std::memcpy(chain, &ciphertext[off], Aes::kBlockSize);
+    for (std::size_t i = 0; i < kB; ++i) buf[off + i] ^= chain[i];
+    chain = &ciphertext[off];
   }
   // Branch-free PKCS#7 unpad: the shared word-generic kernel in
   // util/ct_bytes.hpp (the shadow-taint checker replays the same template
@@ -241,11 +163,9 @@ bool aes_cbc_decrypt(const Aes& cipher, std::span<const std::uint8_t> iv,
   // validator to stop at the first bad pad byte; the kernel folds every
   // candidate pad position into one accumulator instead, so all invalid
   // paddings cost the same.
-  std::uint32_t tail[Aes::kBlockSize];
-  for (std::size_t i = 0; i < Aes::kBlockSize; ++i) {
-    tail[i] = buf[buf.size() - Aes::kBlockSize + i];
-  }
-  const auto pc = ctb::cbc_pad_check(tail, Aes::kBlockSize);
+  std::uint32_t tail[kB];
+  for (std::size_t i = 0; i < kB; ++i) tail[i] = buf[buf.size() - kB + i];
+  const auto pc = ctb::cbc_pad_check(tail, kB);
   const bool pad_valid = pc.valid_mask != 0;
   // RFC 5246 §6.2.3.2 countermeasure shape: on invalid padding, hand back
   // the WHOLE decrypted buffer (zero-length-pad semantics — pc.strip is

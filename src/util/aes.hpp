@@ -1,9 +1,9 @@
-// AES-128/192/256 block cipher (FIPS 197) and CBC mode with PKCS#7
-// padding — the symmetric half of the TLS record layer. Implemented from
-// scratch (S-box + xtime MixColumns) like every other substrate here.
-//
-// Note on side channels: this is a table-lookup implementation (as the
-// KNC-era OpenSSL's C fallback was); it is not cache-timing hardened.
+// AES-128 block cipher (FIPS 197) and CBC mode with PKCS#7 padding: the
+// symmetric half of the TLS record layer. AES-NI runs when
+// util::cpu_features() reports it, else the constant-time bitsliced
+// fallback in util/aes_generic.hpp, which src/ct/ certifies; neither loads
+// from a table at a secret address. The round keys are wiped
+// (util::secure_wipe) when the object dies.
 #pragma once
 
 #include <array>
@@ -16,21 +16,28 @@ namespace phissl::util {
 class Aes {
  public:
   static constexpr std::size_t kBlockSize = 16;
+  static constexpr std::size_t kKeySize = 16;
 
-  /// Key must be 16, 24 or 32 bytes (AES-128/192/256).
-  /// Throws std::invalid_argument otherwise.
-  explicit Aes(std::span<const std::uint8_t> key);
+  /// Key must be 16 bytes (AES-128); throws std::invalid_argument
+  /// otherwise. force_portable pins the bitsliced fallback.
+  explicit Aes(std::span<const std::uint8_t> key, bool force_portable = false);
+  ~Aes();
+
+  Aes(const Aes&) = default;
+  Aes& operator=(const Aes&) = default;
 
   /// Encrypts/decrypts exactly one 16-byte block, out may alias in.
   void encrypt_block(const std::uint8_t* in, std::uint8_t* out) const;
   void decrypt_block(const std::uint8_t* in, std::uint8_t* out) const;
 
-  [[nodiscard]] int rounds() const { return rounds_; }
+  /// True when this key runs on AES-NI.
+  [[nodiscard]] bool hardware() const { return hardware_; }
 
  private:
-  int rounds_;
-  // Round keys: 4*(rounds+1) 32-bit words.
-  std::array<std::uint32_t, 60> round_keys_{};
+  bool hardware_;
+  // AES-NI: 11 encryption then 11 decryption round keys of 16 bytes.
+  // Fallback: 11 bitsliced round keys of eight planes. Both are 88 words.
+  alignas(16) std::array<std::uint32_t, 88> rk_{};
 };
 
 /// CBC encryption with PKCS#7 padding. iv must be 16 bytes.

@@ -1,21 +1,24 @@
 #include "util/hmac.hpp"
 
+#include <algorithm>
+
+#include "util/wipe.hpp"
+
 namespace phissl::util {
 
 HmacSha256::HmacSha256(std::span<const std::uint8_t> key) {
-  std::array<std::uint8_t, 64> block{};
+  std::array<std::uint8_t, Sha256::kBlockSize> block{};
   if (key.size() > block.size()) {
     const auto digest = Sha256::hash(key);
     std::copy(digest.begin(), digest.end(), block.begin());
   } else {
     std::copy(key.begin(), key.end(), block.begin());
   }
-  std::array<std::uint8_t, 64> ipad_key;
-  for (std::size_t i = 0; i < block.size(); ++i) {
-    ipad_key[i] = static_cast<std::uint8_t>(block[i] ^ 0x36);
-    opad_key_[i] = static_cast<std::uint8_t>(block[i] ^ 0x5c);
-  }
-  inner_.update(ipad_key);
+  for (auto& b : block) b ^= 0x36;
+  inner_.update(block);
+  for (auto& b : block) b ^= 0x36 ^ 0x5c;
+  outer_.update(block);
+  secure_wipe(block.data(), block.size());
 }
 
 void HmacSha256::update(std::span<const std::uint8_t> data) {
@@ -23,11 +26,8 @@ void HmacSha256::update(std::span<const std::uint8_t> data) {
 }
 
 Sha256::Digest HmacSha256::finish() {
-  const auto inner_digest = inner_.finish();
-  Sha256 outer;
-  outer.update(opad_key_);
-  outer.update(inner_digest);
-  return outer.finish();
+  outer_.update(inner_.finish());
+  return outer_.finish();
 }
 
 Sha256::Digest HmacSha256::mac(std::span<const std::uint8_t> key,

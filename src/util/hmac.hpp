@@ -1,4 +1,7 @@
-// HMAC-SHA-256 (RFC 2104 / FIPS 198-1).
+// HMAC-SHA-256 (RFC 2104 / FIPS 198-1). The object keeps only the
+// midstates after key ^ ipad and key ^ opad, so callers that MAC many
+// messages under one key (the TLS PRF, the record layer) key once and copy
+// the keyed object, saving the two compressions keying costs.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +17,8 @@ class HmacSha256 {
   explicit HmacSha256(std::span<const std::uint8_t> key);
 
   void update(std::span<const std::uint8_t> data);
+  /// Returns the MAC. The object must not be used afterwards; copy a keyed
+  /// object before its first update to MAC the next message.
   Sha256::Digest finish();
 
   /// One-shot convenience.
@@ -21,8 +26,8 @@ class HmacSha256 {
                             std::span<const std::uint8_t> data);
 
  private:
-  std::array<std::uint8_t, 64> opad_key_{};
-  Sha256 inner_;
+  Sha256 inner_;  // has absorbed key ^ ipad, then the message so far
+  Sha256 outer_;  // has absorbed key ^ opad
 };
 
 }  // namespace phissl::util

@@ -44,6 +44,7 @@
 #include "mont/vector_mont.hpp"
 #include "rsa/key.hpp"
 #include "rsa/pkcs1.hpp"
+#include "util/aes_generic.hpp"
 #include "util/ct_bytes.hpp"
 #include "util/random.hpp"
 
@@ -925,6 +926,93 @@ TEST_F(CtCheckTest, LeakyCbcPadCheckIsDetected) {
   EXPECT_FALSE(leaky_cbc_pad_check(twb.data(), 16));
   EXPECT_EQ(violation_count(ViolationKind::kIndex), 1u);
   EXPECT_EQ(violation_count(ViolationKind::kBranch), 2u);
+}
+
+// ---- AES fallback certification ---------------------------------------
+//
+// util::Aes's portable path is util/aes_generic.hpp instantiated with
+// std::uint32_t. Replaying the same templates over secret TW32 words --
+// key bytes for the expansion, key and block for encryption and
+// decryption -- must record nothing and give the native words exactly.
+
+namespace aesct = util::aesct;
+
+struct AesReplay {
+  std::array<std::uint32_t, aesct::kRoundKeyWords> rk{};
+  std::array<TW32, aesct::kRoundKeyWords> trk{};
+};
+
+AesReplay expand_both(std::span<const std::uint8_t> key) {
+  AesReplay r;
+  std::uint32_t k[16];
+  for (std::size_t i = 0; i < 16; ++i) k[i] = key[i];
+  aesct::expand_key(k, r.rk.data());
+  auto tk = taint_bytes(key);
+  aesct::expand_key(tk.data(), r.trk.data());
+  return r;
+}
+
+TEST_F(CtCheckTest, AesFallbackIsConstantTime) {
+  util::Rng rng(0xae5c7);
+  std::vector<std::vector<std::uint8_t>> keys = {
+      {0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0a,
+       0x0b, 0x0c, 0x0d, 0x0e, 0x0f}};  // FIPS 197 C.1
+  keys.push_back(std::vector<std::uint8_t>(16, 0x00));
+  keys.push_back(std::vector<std::uint8_t>(16, 0xff));
+  for (int i = 0; i < 4; ++i) keys.push_back(rng.bytes(16));
+
+  for (std::size_t ki = 0; ki < keys.size(); ++ki) {
+    const AesReplay r = expand_both(keys[ki]);
+    EXPECT_EQ(violation_count(), 0u) << "key expansion, key " << ki;
+    for (std::size_t i = 0; i < r.rk.size(); ++i) {
+      ASSERT_EQ(peek32(r.trk[i]), r.rk[i]) << "round-key word " << i;
+      ASSERT_TRUE(r.trk[i].secret);
+    }
+
+    std::vector<std::uint8_t> block = rng.bytes(16);
+    if (ki == 0) {
+      block = {0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77,
+               0x88, 0x99, 0xaa, 0xbb, 0xcc, 0xdd, 0xee, 0xff};
+    }
+    std::uint32_t in[16], enc[16], dec[16];
+    for (std::size_t i = 0; i < 16; ++i) in[i] = block[i];
+    aesct::encrypt(r.rk.data(), in, enc);
+    aesct::decrypt(r.rk.data(), in, dec);
+
+    const auto tin = taint_bytes(block);
+    std::array<TW32, 16> tenc, tdec;
+    aesct::encrypt(r.trk.data(), tin.data(), tenc.data());
+    aesct::decrypt(r.trk.data(), tin.data(), tdec.data());
+    EXPECT_EQ(violation_count(), 0u) << "encrypt/decrypt, key " << ki;
+    for (std::size_t i = 0; i < 16; ++i) {
+      EXPECT_EQ(peek32(tenc[i]), enc[i]);
+      EXPECT_EQ(peek32(tdec[i]), dec[i]);
+      EXPECT_TRUE(tenc[i].secret && tdec[i].secret);
+    }
+    if (ki == 0) {  // FIPS 197 Appendix C.1 ciphertext
+      const std::uint8_t want[16] = {0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b,
+                                     0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80,
+                                     0x70, 0xb4, 0xc5, 0x5a};
+      for (std::size_t i = 0; i < 16; ++i) EXPECT_EQ(enc[i], want[i]);
+    }
+  }
+}
+
+TEST_F(CtCheckTest, LeakyTableSboxIsDetected) {
+  // The deleted table SubBytes over one secret state: one kIndex per
+  // byte, no branch, and the same bytes as the bitsliced SubBytes the
+  // fallback certified above computes.
+  const std::vector<std::uint8_t> state = util::Rng(0x5b0c).bytes(16);
+  const auto tw = taint_bytes(state);
+  std::uint32_t table_out[16];
+  leaky_table_sub_bytes(tw.data(), table_out, tw.size());
+  EXPECT_EQ(violation_count(ViolationKind::kIndex), 16u);
+  EXPECT_EQ(violation_count(ViolationKind::kBranch), 0u);
+
+  std::uint32_t in[16], bitsliced[16];
+  for (std::size_t i = 0; i < 16; ++i) in[i] = state[i];
+  aesct::unpack(aesct::sub_bytes(aesct::pack(in, 16)), bitsliced, 16);
+  for (std::size_t i = 0; i < 16; ++i) EXPECT_EQ(table_out[i], bitsliced[i]);
 }
 
 }  // namespace

@@ -65,6 +65,22 @@ TEST(HmacSha256, IncrementalMatchesOneShot) {
   EXPECT_EQ(h.finish(), whole);
 }
 
+TEST(HmacSha256, KeyedCopiesMacIndependently) {
+  // A keyed object is reused by copying it: each copy must MAC exactly as
+  // a freshly keyed object does, and finishing one copy must not disturb
+  // the original or its other copies.
+  const auto key = bytes("a key that is keyed only once");
+  const util::HmacSha256 keyed(key);
+  for (const auto& msg :
+       {bytes(""), bytes("first"), bytes(std::string(200, 'x'))}) {
+    util::HmacSha256 h = keyed;
+    h.update(msg);
+    EXPECT_EQ(h.finish(), util::HmacSha256::mac(key, msg));
+  }
+  util::HmacSha256 again = keyed;
+  EXPECT_EQ(again.finish(), util::HmacSha256::mac(key, {}));
+}
+
 TEST(TlsPrf, KnownVector100Bytes) {
   const auto secret = util::hex_decode("9bbe436ba940f017b17652849a71db35");
   const auto seed = util::hex_decode("a0ba9f936cda311827a6f796ffd5198c");

@@ -1,10 +1,14 @@
 // TLS 1.2 record layer tests: key derivation, duplex sessions, sequence
-// discipline, tampering, truncation, and cross-side key agreement.
+// discipline, tampering, truncation, cross-side key agreement, and that a
+// closed channel leaves no key material behind.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstring>
+#include <new>
 #include <stdexcept>
 
-#include "ssl/gcm_record.hpp"
 #include "ssl/record.hpp"
 #include "util/random.hpp"
 
@@ -198,72 +202,45 @@ TEST_F(RecordTest, SequenceExhaustionFailsClosed) {
   EXPECT_EQ(receiver.open_seq(), RecordChannel::kSeqLimit);
 }
 
-}  // namespace
-}  // namespace phissl::ssl
-
-namespace phissl::ssl {
-namespace {
-
-class GcmRecordTest : public ::testing::Test {
- protected:
-  GcmRecordTest() {
-    util::Rng rng(88);
-    key_ = rng.bytes(GcmRecordChannel::kKeySize);
-    salt_ = rng.bytes(GcmRecordChannel::kSaltSize);
-  }
-  std::vector<std::uint8_t> key_, salt_;
+/// The storage a channel leaves after its destructor ran (`dead`) and
+/// while it was alive and had sealed one record (`live`).
+struct ChannelRemains {
+  std::array<unsigned char, sizeof(RecordChannel)> live{};
+  std::array<unsigned char, sizeof(RecordChannel)> dead{};
 };
 
-TEST_F(GcmRecordTest, RoundTripAndSequenceDiscipline) {
-  GcmRecordChannel sender(key_, salt_);
-  GcmRecordChannel receiver(key_, salt_);
-  for (int i = 0; i < 20; ++i) {
-    const std::vector<std::uint8_t> msg(static_cast<std::size_t>(i) + 1,
-                                        static_cast<std::uint8_t>(i));
-    const auto wire = sender.seal(kContentApplicationData, msg);
-    const auto got = receiver.open(kContentApplicationData, wire);
-    ASSERT_TRUE(got.has_value()) << i;
-    EXPECT_EQ(*got, msg) << i;
+ChannelRemains remains(std::span<const std::uint8_t> enc,
+                       std::span<const std::uint8_t> mac) {
+  alignas(RecordChannel) unsigned char storage[sizeof(RecordChannel)];
+  std::fill(std::begin(storage), std::end(storage), 0xa5);
+  auto* ch = ::new (static_cast<void*>(storage)) RecordChannel(enc, mac);
+  util::Rng rng(5);
+  (void)ch->seal(kContentApplicationData, std::vector<std::uint8_t>(40, 7),
+                 rng);
+  ChannelRemains r;
+  std::memcpy(r.live.data(), storage, sizeof storage);
+  ch->~RecordChannel();
+  asm volatile("" : : "r"(storage) : "memory");
+  std::memcpy(r.dead.data(), storage, sizeof storage);
+  return r;
+}
+
+TEST_F(RecordTest, ClosedChannelLeavesNoKeyByte) {
+  // The AES round keys and the keyed-HMAC midstates both live inline in
+  // the channel. Two channels under different keys, same sequence history:
+  // every byte that differs while they live is key-derived, and after
+  // destruction none may differ. The raw keys may not appear either.
+  const auto a = remains(keys_.client_enc_key, keys_.client_mac_key);
+  const auto b = remains(keys_.server_enc_key, keys_.server_mac_key);
+  EXPECT_NE(a.live, b.live);
+  EXPECT_EQ(a.dead, b.dead);
+  for (const auto& key :
+       {std::span<const std::uint8_t>(keys_.client_enc_key),
+        std::span<const std::uint8_t>(keys_.client_mac_key)}) {
+    EXPECT_EQ(std::search(a.dead.begin(), a.dead.end(), key.begin(),
+                          key.begin() + 4),
+              a.dead.end());
   }
-}
-
-TEST_F(GcmRecordTest, ReplayTamperAndTypeRejected) {
-  GcmRecordChannel sender(key_, salt_);
-  GcmRecordChannel receiver(key_, salt_);
-  const std::vector<std::uint8_t> msg = {1, 2, 3, 4};
-  const auto wire = sender.seal(kContentApplicationData, msg);
-  ASSERT_TRUE(receiver.open(kContentApplicationData, wire).has_value());
-  // Replay: receiver sequence advanced -> AAD mismatch.
-  EXPECT_FALSE(receiver.open(kContentApplicationData, wire).has_value());
-  // Tamper.
-  GcmRecordChannel receiver2(key_, salt_);
-  auto bad = wire;
-  bad[bad.size() / 2] ^= 1;
-  EXPECT_FALSE(receiver2.open(kContentApplicationData, bad).has_value());
-  // Wrong content type (AAD covers it).
-  GcmRecordChannel receiver3(key_, salt_);
-  EXPECT_FALSE(receiver3.open(22, wire).has_value());
-  // Truncation.
-  EXPECT_FALSE(receiver3
-                   .open(kContentApplicationData,
-                         std::vector<std::uint8_t>(5, 0))
-                   .has_value());
-}
-
-TEST_F(GcmRecordTest, GcmRecordsSmallerThanCbc) {
-  // AEAD overhead (8B nonce + 16B tag) < CBC overhead (16B IV + 32B MAC
-  // + padding): the reason TLS moved to GCM.
-  GcmRecordChannel gcm(key_, salt_);
-  const std::vector<std::uint8_t> msg(100, 0x7);
-  const auto gcm_wire = gcm.seal(kContentApplicationData, msg);
-  EXPECT_EQ(gcm_wire.size(), 100u + 8u + 16u);
-}
-
-TEST_F(GcmRecordTest, RejectsBadKeyOrSalt) {
-  EXPECT_THROW(GcmRecordChannel(std::vector<std::uint8_t>(8), salt_),
-               std::invalid_argument);
-  EXPECT_THROW(GcmRecordChannel(key_, std::vector<std::uint8_t>(3)),
-               std::invalid_argument);
 }
 
 }  // namespace
