@@ -16,10 +16,11 @@
 //   (b) simulated on the KNC cost model (phisim) — the apples-to-apples
 //       reproduction of the paper's hardware ratio.
 //
-// The host table also carries the radix-52 truncated-REDC backend
-// (mont::IfmaMontCtx) in both its vpmadd52 and portable-u128 forms — the
-// backend built to beat the host scalar64 baseline that KNC emulation
-// cannot (see DESIGN.md "Radix-52 truncated REDC").
+// The host table also carries the radix-52 backend (mont::IfmaMontCtx,
+// the one-half almost-Montgomery product) in both its vpmadd52 and
+// portable-u128 forms — the backend built to beat the host scalar64
+// baseline that KNC emulation cannot (see DESIGN.md "Radix-52
+// almost-Montgomery products").
 //
 // When the build found OpenSSL, a host-libcrypto column sits beside
 // ifma52: the installed libcrypto's constant-time fixed-window

@@ -1,31 +1,32 @@
-// Shadow-taint radix-52 Montgomery context.
+// Shadow-taint radix-52 Montgomery contexts.
 //
-// TaintCtx52 is to the ifma52 backend what TaintCtx32 is to MontCtx32: it
-// satisfies the modexp Ctx concept with Rep = vector<Tainted<u64>>, so the
-// UNMODIFIED production schedules — fixed_window_exp_rep,
-// sliding_window_exp_rep, ct_table_select — run over tainted radix-52
-// residues. Its mul/sqr instantiate the SAME word-generic truncated-REDC
-// kernels (mont/radix52_kernel.hpp) that IfmaMontCtx's portable path
+// Each is to a radix-52 production context what TaintCtx32 is to
+// MontCtx32: it satisfies the modexp Ctx concept with Rep =
+// vector<Tainted<u64>>, so the UNMODIFIED production schedules —
+// fixed_window_exp_rep, fixed_window_exp_pair_rep, sliding_window_exp_rep,
+// ct_table_select(_split) — run over tainted radix-52 residues, and every
+// product instantiates the SAME word-generic kernel
+// (mont/radix52_kernel.hpp) that the production context's portable path
 // compiles, just with TW64/TW128 words: what gets verified is the shipped
-// algorithm, including the ceiling-trick carry recovery and the masked
-// conditional subtract, not a model of it.
+// algorithm, not a model of it.
 //
-// Conversions in/out of Montgomery form go through an embedded native
-// IfmaMontCtx and then wrap digits with the requested secrecy — those
-// paths are setup/teardown, not the kernel under test. The modulus/mu
-// digit vectors come from the native context's n52()/mu52() accessors,
-// which exist exactly for this replay.
-//
-// TaintPairCtx52 does the same for the dual-modulus CRT context
-// (IfmaPairCtx): the pair schedule (fixed_window_exp_pair_rep with its
-// ct_table_select_split gather) runs unmodified over tainted pair
-// residues, each product the word-generic r52::amm_g that the portable
-// pair path compiles.
+//  - TaintAmmCtx52 (one half) and TaintPairCtx52 (two halves) replay
+//    r52::amm_g, the almost-Montgomery product of the ifma52 latency
+//    contexts IfmaMontCtx and IfmaPairCtx. Conversions in and out of
+//    Montgomery form go through an embedded native context pinned to its
+//    portable path and then wrap digits with the requested secrecy — those
+//    paths are setup/teardown, not the kernel under test.
+//  - TaintCtx52 replays r52::mont_mul_g/mont_sqr_g, the truncated REDC of
+//    BatchIfmaMontCtx's portable lane kernels — the only truncated REDC
+//    left — including the ceiling-trick carry recovery and the masked
+//    conditional subtract. It derives n, mu and the Montgomery conversions
+//    from the modulus itself, in the batch's geometry.
 #pragma once
 
-#include <array>
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "bigint/bigint.hpp"
@@ -51,53 +52,53 @@ class TaintCtx52 {
   /// the CRT case, where the primes are private key material and even the
   /// reduction constants are secret-derived.
   explicit TaintCtx52(const bigint::BigInt& m, bool secret_modulus = false)
-      : native_(m), secret_modulus_(secret_modulus) {
-    const std::size_t d = native_.digits();
-    n_ = taint_digits(native_.n52(), d, secret_modulus);
-    mu_ = taint_digits(native_.mu52(), d, secret_modulus);
-    one_m_ = taint_digits(native_.one_mont_rep(), d, secret_modulus);
+      : m_(m),
+        secret_modulus_(secret_modulus),
+        // BatchIfmaMontCtx's d: the truncated REDC reads columns d-3 .. d-1.
+        d_(std::max<std::size_t>(
+            3, (m.bit_length() + mont::r52::kDigitBits - 1) /
+                   mont::r52::kDigitBits)),
+        r_(bigint::BigInt{1} << (mont::r52::kDigitBits * d_)),
+        r_inv_(r_.mod_inverse(m)) {
+    n_ = digits(m, secret_modulus);
+    mu_ = digits(r_ - m.mod_inverse(r_), secret_modulus);
+    one_m_ = digits(r_.mod(m), secret_modulus);
   }
 
-  /// Residues carry the d significant digits only (the native context's
-  /// vector-lane padding is a kernel-layout concern the generic replay
-  /// does not have).
-  [[nodiscard]] std::size_t rep_size() const { return n_.size(); }
-  [[nodiscard]] const bigint::BigInt& modulus() const {
-    return native_.modulus();
-  }
+  [[nodiscard]] std::size_t rep_size() const { return d_; }
+  [[nodiscard]] const bigint::BigInt& modulus() const { return m_; }
   [[nodiscard]] const Rep& one_mont_rep() const { return one_m_; }
   [[nodiscard]] Rep one_mont() const { return one_m_; }
 
-  /// Converts through the native context, then marks every digit with the
-  /// requested secrecy (joined with the modulus secrecy: a residue mod a
-  /// secret prime is secret-derived).
+  /// x*R mod m, every digit marked with the requested secrecy (joined with
+  /// the modulus secrecy: a residue mod a secret prime is secret-derived).
   [[nodiscard]] Rep to_mont(const bigint::BigInt& x, bool secret_value) const {
-    return taint_digits(native_.to_mont(x), n_.size(),
-                        secret_value || secret_modulus_);
+    return digits((x * r_).mod(m_), secret_value || secret_modulus_);
   }
 
-  /// Strips taint and converts back — verification path for tests, which
-  /// compare the tainted kernel's output against IfmaMontCtx's.
+  /// Strips taint and leaves Montgomery form — the verification path for
+  /// tests, which compare against a plain modular exponentiation.
   [[nodiscard]] bigint::BigInt from_mont_clear(const Rep& a) const {
-    mont::IfmaMontCtx::Rep plain(native_.padded_digits(), 0);
-    for (std::size_t i = 0; i < a.size(); ++i) plain[i] = a[i].v;
-    return native_.from_mont(plain);
+    std::vector<std::uint64_t> plain(d_);
+    for (std::size_t j = 0; j < d_; ++j) plain[j] = a[j].v;
+    std::vector<std::uint32_t> u32;
+    bigint::BigInt v;
+    mont::r52::unpack52(plain.data(), d_, 1, u32, v);
+    return (v * r_inv_).mod(m_);
   }
 
   void mul(const Rep& a, const Rep& b, Rep& out, Workspace& ws) const {
-    const std::size_t d = n_.size();
-    prepare(ws, d);
-    out.resize(d);
+    prepare(ws);
+    out.resize(d_);
     mont::r52::mont_mul_g<TW64, TW128>(a.data(), b.data(), n_.data(),
-                                       mu_.data(), d, ws.cols.data(),
+                                       mu_.data(), d_, ws.cols.data(),
                                        ws.t.data(), ws.q.data(), out.data());
   }
 
   void sqr(const Rep& a, Rep& out, Workspace& ws) const {
-    const std::size_t d = n_.size();
-    prepare(ws, d);
-    out.resize(d);
-    mont::r52::mont_sqr_g<TW64, TW128>(a.data(), n_.data(), mu_.data(), d,
+    prepare(ws);
+    out.resize(d_);
+    mont::r52::mont_sqr_g<TW64, TW128>(a.data(), n_.data(), mu_.data(), d_,
                                        ws.cols.data(), ws.t.data(),
                                        ws.q.data(), out.data());
   }
@@ -111,87 +112,56 @@ class TaintCtx52 {
     sqr(a, out, ws);
   }
 
-  /// Wraps the first d digits of a native residue with a secrecy mark.
-  static Rep taint_digits(const mont::IfmaMontCtx::Rep& r, std::size_t d,
-                          bool secret_value) {
-    Rep out;
-    out.reserve(d);
-    for (std::size_t i = 0; i < d; ++i) {
-      out.emplace_back(r[i], secret_value);
-    }
-    return out;
-  }
-
  private:
   // The kernels overwrite every scratch word before reading it; only the
   // sizes matter here (capacity is retained across calls).
-  static void prepare(Workspace& ws, std::size_t d) {
-    ws.cols.resize(2 * d);
-    ws.t.resize(2 * d);
-    ws.q.resize(d);
+  void prepare(Workspace& ws) const {
+    ws.cols.resize(2 * d_);
+    ws.t.resize(2 * d_);
+    ws.q.resize(d_);
   }
 
-  mont::IfmaMontCtx native_;
+  /// The d digits of x, each marked with `secret`.
+  [[nodiscard]] Rep digits(const bigint::BigInt& x, bool secret) const {
+    std::vector<std::uint64_t> plain(d_);
+    mont::r52::pack52(x, d_, plain.data());
+    Rep out;
+    out.reserve(d_);
+    for (const std::uint64_t w : plain) out.emplace_back(w, secret);
+    return out;
+  }
+
+  bigint::BigInt m_;
   bool secret_modulus_;
+  std::size_t d_;
+  bigint::BigInt r_;      // R = beta^d
+  bigint::BigInt r_inv_;  // R^-1 mod m
   Rep n_;   // modulus digits, tainted iff secret_modulus
-  Rep mu_;  // -n^-1 mod beta^d digits, likewise
+  Rep mu_;  // -n^-1 mod R digits, likewise
   Rep one_m_;
 };
 
-class TaintPairCtx52 {
+/// The almost-Montgomery replay over a native context's halves (one for
+/// IfmaMontCtx, two for IfmaPairCtx): residues are [half 0: d digits]
+/// [half 1: d digits], the native layout without its vector-lane padding.
+template <typename Native>
+class TaintAmm52 {
  public:
-  /// [p half: d digits][q half: d digits] — the native layout without
-  /// its vector-lane padding.
   using Rep = std::vector<TW64>;
 
   struct Workspace {
-    std::vector<TW128> acc;  // d accumulator columns
+    std::vector<TW128> acc;  // 2d accumulator columns
   };
 
-  /// secret_modulus taints both primes' digits and k0 (CRT: the moduli
-  /// are key material).
-  TaintPairCtx52(const bigint::BigInt& p, const bigint::BigInt& q,
-                 bool secret_modulus = false)
-      : native_(p, q, /*force_portable=*/true),
-        secret_modulus_(secret_modulus) {
-    n_ = taint_pair(native_.n52(), secret_modulus);
-    one_m_ = taint_pair(native_.one_mont_rep(), secret_modulus);
-    for (std::size_t h = 0; h < 2; ++h) {
-      k0_[h] = TW64(native_.k0()[h], secret_modulus);
-    }
-  }
-
+  /// Words per half: where the pair schedule splits its gather.
   [[nodiscard]] std::size_t half_words() const { return native_.digits(); }
   [[nodiscard]] const Rep& one_mont_rep() const { return one_m_; }
 
-  /// Converts through the native context, then marks every digit.
-  [[nodiscard]] Rep to_mont(const bigint::BigInt& xp, const bigint::BigInt& xq,
-                            bool secret_value) const {
-    mont::IfmaPairCtx::Workspace ws;
-    mont::IfmaPairCtx::Rep r;
-    native_.to_mont(xp, xq, r, ws);
-    return taint_pair(r, secret_value || secret_modulus_);
-  }
-
-  /// Strips taint and leaves Montgomery form through the native context.
-  void from_mont_clear(const Rep& a, bigint::BigInt& out_p,
-                       bigint::BigInt& out_q) const {
-    const std::size_t d = native_.digits();
-    const std::size_t hw = native_.half_words();
-    mont::IfmaPairCtx::Rep plain(2 * hw, 0);
-    for (std::size_t j = 0; j < d; ++j) {
-      plain[j] = a[j].v;
-      plain[hw + j] = a[d + j].v;
-    }
-    mont::IfmaPairCtx::Workspace ws;
-    native_.from_mont(plain, out_p, out_q, ws);
-  }
-
   void mul(const Rep& a, const Rep& b, Rep& out, Workspace& ws) const {
     const std::size_t d = native_.digits();
-    ws.acc.resize(d);
-    out.resize(2 * d);
-    for (std::size_t h = 0; h < 2; ++h) {
+    ws.acc.resize(2 * d);
+    out.resize(native_.halves() * d);
+    for (std::size_t h = 0; h < native_.halves(); ++h) {
       mont::r52::amm_g<TW64, TW128>(a.data() + h * d, b.data() + h * d,
                                     n_.data() + h * d, k0_[h], d,
                                     ws.acc.data(), out.data() + h * d);
@@ -200,26 +170,97 @@ class TaintPairCtx52 {
 
   void sqr(const Rep& a, Rep& out, Workspace& ws) const { mul(a, a, out, ws); }
 
- private:
-  /// The d digits of each half of a native pair residue, marked.
-  Rep taint_pair(const mont::IfmaPairCtx::Rep& r, bool secret) const {
+ protected:
+  /// secret_modulus taints every modulus digit and k0 (CRT: the moduli
+  /// are key material).
+  TaintAmm52(Native native, bool secret_modulus)
+      : native_(std::move(native)), secret_modulus_(secret_modulus) {
+    n_ = taint(native_.n52(), secret_modulus);
+    one_m_ = taint(native_.one_mont_rep(), secret_modulus);
+    for (std::size_t h = 0; h < native_.halves(); ++h) {
+      k0_.emplace_back(native_.k0()[h], secret_modulus);
+    }
+  }
+
+  /// The d digits of each half of a native residue, marked.
+  [[nodiscard]] Rep taint(const mont::IfmaAmmCtx::Rep& r, bool secret) const {
     const std::size_t d = native_.digits();
-    const std::size_t hw = native_.half_words();
     Rep out;
-    out.reserve(2 * d);
-    for (std::size_t h = 0; h < 2; ++h) {
+    out.reserve(native_.halves() * d);
+    for (std::size_t h = 0; h < native_.halves(); ++h) {
       for (std::size_t j = 0; j < d; ++j) {
-        out.emplace_back(r[h * hw + j], secret);
+        out.emplace_back(r[h * native_.half_words() + j], secret);
       }
     }
     return out;
   }
 
-  mont::IfmaPairCtx native_;
+  /// A residue back in the native layout, taint stripped.
+  [[nodiscard]] mont::IfmaAmmCtx::Rep clear(const Rep& a) const {
+    const std::size_t d = native_.digits();
+    mont::IfmaAmmCtx::Rep plain(native_.rep_size(), 0);
+    for (std::size_t h = 0; h < native_.halves(); ++h) {
+      for (std::size_t j = 0; j < d; ++j) {
+        plain[h * native_.half_words() + j] = a[h * d + j].v;
+      }
+    }
+    return plain;
+  }
+
+  Native native_;
   bool secret_modulus_;
   Rep n_;
-  std::array<TW64, 2> k0_;
+  std::vector<TW64> k0_;
   Rep one_m_;
+};
+
+/// IfmaMontCtx's one-half product: the one-modulus exponentiations of
+/// Dh, Dsa, the public op and non-CRT private ops.
+class TaintAmmCtx52 : public TaintAmm52<mont::IfmaMontCtx> {
+ public:
+  explicit TaintAmmCtx52(const bigint::BigInt& m, bool secret_modulus = false)
+      : TaintAmm52(mont::IfmaMontCtx(m, /*force_portable=*/true),
+                   secret_modulus) {}
+
+  [[nodiscard]] const bigint::BigInt& modulus() const {
+    return native_.modulus();
+  }
+
+  /// Converts through the native context, then marks every digit (joined
+  /// with the modulus secrecy).
+  [[nodiscard]] Rep to_mont(const bigint::BigInt& x, bool secret_value) const {
+    return taint(native_.to_mont(x), secret_value || secret_modulus_);
+  }
+
+  /// Strips taint and leaves Montgomery form through the native context.
+  [[nodiscard]] bigint::BigInt from_mont_clear(const Rep& a) const {
+    return native_.from_mont(clear(a));
+  }
+};
+
+/// IfmaPairCtx's two-half product: both CRT halves of one private op.
+class TaintPairCtx52 : public TaintAmm52<mont::IfmaPairCtx> {
+ public:
+  TaintPairCtx52(const bigint::BigInt& p, const bigint::BigInt& q,
+                 bool secret_modulus = false)
+      : TaintAmm52(mont::IfmaPairCtx(p, q, /*force_portable=*/true),
+                   secret_modulus) {}
+
+  /// Converts through the native context, then marks every digit.
+  [[nodiscard]] Rep to_mont(const bigint::BigInt& xp, const bigint::BigInt& xq,
+                            bool secret_value) const {
+    mont::IfmaPairCtx::Workspace ws;
+    mont::IfmaPairCtx::Rep r;
+    native_.to_mont(xp, xq, r, ws);
+    return taint(r, secret_value || secret_modulus_);
+  }
+
+  /// Strips taint and leaves Montgomery form through the native context.
+  void from_mont_clear(const Rep& a, bigint::BigInt& out_p,
+                       bigint::BigInt& out_q) const {
+    mont::IfmaPairCtx::Workspace ws;
+    native_.from_mont(clear(a), out_p, out_q, ws);
+  }
 };
 
 }  // namespace phissl::ct

@@ -377,38 +377,23 @@ BatchIfmaMontCtx::BatchIfmaMontCtx(const bigint::BigInt& m,
   use_ifma_ = !force_portable && ifma::compiled() &&
               util::cpu_features().avx512ifma;
 
-  const auto pack_plain = [this](const bigint::BigInt& x,
-                                 std::vector<std::uint64_t>& out) {
-    out.assign(d_, 0);
-    for (std::size_t j = 0; j < d_; ++j) {
-      const std::size_t lo = j * kDb52;
-      out[j] = x.bits_window(lo, 32) |
-               (static_cast<std::uint64_t>(x.bits_window(lo + 32, 20)) << 32);
-    }
-  };
-  pack_plain(m, n52_);
   bigint::BigInt r{1};
   r <<= kDb52 * d_;
-  pack_plain(r - m.mod_inverse(r), mu52_);
   // The vpmadd52 batch kernels read n and mu past both ends.
-  for (auto* v : {&n52_, &mu52_}) {
-    v->insert(v->begin(), ifma::kBatchPad, 0);
-    v->resize(d_ + 2 * ifma::kBatchPad, 0);
-  }
+  n52_.assign(d_ + 2 * ifma::kBatchPad, 0);
+  mu52_ = n52_;
+  r52::pack52(m, d_, n52_.data() + ifma::kBatchPad);
+  r52::pack52(r - m.mod_inverse(r), d_, mu52_.data() + ifma::kBatchPad);
 
-  std::vector<std::uint64_t> rr_digits, om_digits;
-  pack_plain((r * r).mod(m_), rr_digits);
-  pack_plain(r.mod(m_), om_digits);
   rr_rep_.assign(d_ * kBatch, 0);
-  one_plain_.assign(d_ * kBatch, 0);
-  one_m_.assign(d_ * kBatch, 0);
-  for (std::size_t j = 0; j < d_; ++j) {
-    for (std::size_t l = 0; l < kBatch; ++l) {
-      rr_rep_[j * kBatch + l] = rr_digits[j];
-      one_m_[j * kBatch + l] = om_digits[j];
-    }
+  one_plain_ = one_m_ = rr_rep_;
+  const bigint::BigInt rr = (r * r).mod(m_);
+  const bigint::BigInt rm = r.mod(m_);
+  for (std::size_t l = 0; l < kBatch; ++l) {
+    r52::pack52(rr, d_, rr_rep_.data() + l, kBatch);
+    r52::pack52(rm, d_, one_m_.data() + l, kBatch);
+    one_plain_[l] = 1;
   }
-  for (std::size_t l = 0; l < kBatch; ++l) one_plain_[l] = 1;
 }
 
 void BatchIfmaMontCtx::prepare(Workspace& ws) const {
@@ -423,16 +408,6 @@ void BatchIfmaMontCtx::prepare(Workspace& ws) const {
     if (ws.lb.size() < d_) ws.lb.resize(d_);
     if (ws.lt.size() < 2 * d_) ws.lt.resize(2 * d_);
     if (ws.lq.size() < d_) ws.lq.resize(d_);
-  }
-}
-
-void BatchIfmaMontCtx::pack_lane(const bigint::BigInt& x, std::size_t lane,
-                                 Rep& out) const {
-  for (std::size_t j = 0; j < d_; ++j) {
-    const std::size_t lo = j * kDb52;
-    out[j * kBatch + lane] =
-        x.bits_window(lo, 32) |
-        (static_cast<std::uint64_t>(x.bits_window(lo + 32, 20)) << 32);
   }
 }
 
@@ -454,7 +429,7 @@ void BatchIfmaMontCtx::to_mont(std::span<const bigint::BigInt> xs, Rep& out,
       throw std::invalid_argument(
           "BatchIfmaMontCtx::to_mont: values must be in [0, m)");
     }
-    pack_lane(xs[l], l, ws.rep);
+    r52::pack52(xs[l], d_, ws.rep.data() + l, kBatch);
   }
   mul(ws.rep, rr_rep_, out, ws);
 }
@@ -473,16 +448,8 @@ void BatchIfmaMontCtx::from_mont(const Rep& a, std::span<bigint::BigInt> out,
         "BatchIfmaMontCtx::from_mont: need 16 outputs");
   }
   mul(a, one_plain_, ws.rep, ws);
-  // assign_from_digits caps digits at 32 bits: two 26-bit halves per digit.
-  ws.u32.assign(2 * d_, 0);
-  constexpr std::uint32_t kHalfMask = (1u << 26) - 1;
   for (std::size_t l = 0; l < kBatch; ++l) {
-    for (std::size_t j = 0; j < d_; ++j) {
-      const std::uint64_t dig = ws.rep[j * kBatch + l];
-      ws.u32[2 * j] = static_cast<std::uint32_t>(dig) & kHalfMask;
-      ws.u32[2 * j + 1] = static_cast<std::uint32_t>(dig >> 26) & kHalfMask;
-    }
-    out[l].assign_from_digits(ws.u32, 26);
+    r52::unpack52(ws.rep.data() + l, d_, kBatch, ws.u32, out[l]);
   }
 }
 

@@ -120,8 +120,9 @@ class BatchVectorMontCtx {
   Rep one_m_;      // R mod m in every lane
 };
 
-/// 16-lane batched radix-2^52 Montgomery context with truncated REDC —
-/// the throughput-mode sibling of mont::IfmaMontCtx, same layout contract
+/// 16-lane batched radix-2^52 Montgomery context with truncated REDC
+/// (see DESIGN.md "Radix-52 truncated REDC") — the throughput-mode
+/// sibling of mont::IfmaMontCtx, same layout contract
 /// as BatchVectorMontCtx (digit-major transposed: digit j of lane l at
 /// rep[j*16 + l], all lanes sharing modulus and exponent) but with 52-bit
 /// digits in 64-bit words, two 8-lane zmm registers per digit row when the
@@ -197,7 +198,6 @@ class BatchIfmaMontCtx {
 
  private:
   void prepare(Workspace& ws) const;
-  void pack_lane(const bigint::BigInt& x, std::size_t lane, Rep& out) const;
 
   bigint::BigInt m_;
   std::size_t d_ = 0;

@@ -11,8 +11,9 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <array>
 #include <cassert>
-#include <iterator>
+#include <utility>
 
 #include "mont/radix52_kernel.hpp"
 
@@ -39,6 +40,11 @@ inline std::size_t round_up8(std::size_t x) {
   return (x + 7) & ~std::size_t{7};
 }
 
+// Lanes [0, k) of a register.
+inline __mmask8 low_lanes(std::size_t k) {
+  return static_cast<__mmask8>((1u << k) - 1);
+}
+
 // Lanes k of the result take lane k + S of the 16-lane pair (lo, hi)
 // (valignq). The all-lanes maskz form spares GCC 12 a false
 // uninitialized warning about the plain intrinsic's pass-through operand.
@@ -47,358 +53,7 @@ inline __m512i alignr(__m512i hi, __m512i lo) {
   return _mm512_maskz_alignr_epi64(0xFF, hi, lo, S);
 }
 
-// -- Latency mode ---------------------------------------------------------
-//
-// All three product sweeps (full A*B, quotient T_lo*mu, upper Q*N) are
-// COLUMN-blocked: each 8-column block accumulates its entire value in four
-// register chains and stores once, so no store-to-load forwarding chain
-// connects the rows (the row-major formulation serializes on exactly that
-// and runs several times slower). Column k of the block takes low halves
-// of the digit products at band k (operand offset c-i) and high halves of
-// band k-1 (offset c-i-1). The load operands are zero-padded copies, so
-// every offset is in bounds and out-of-range digits vanish.
-//
-// Column blocks are read back at the 8-word offsets they were stored at
-// and shifted in registers (valignq, vpermt2q) to the digit offset the
-// next step needs: a vector load straddling two recent vector stores
-// cannot be forwarded and waits for both to reach the cache. The product's
-// upper columns are left as raw sums for the final normalization, which
-// carries them anyway.
-//
-// Carries never run digit by digit. A column sum holds at most
-// 52 + log2(2d) bits; one vector round adds every column's bits above 52
-// into the next lane (valignq carries lane 7 across blocks), which leaves
-// each lane below 2^52 + 2^12, so at most a carry of 1 still leaves any
-// lane. Those carries ripple through bit masks: lane k GENERATES when it is
-// >= 2^52 and PROPAGATES when it is exactly 2^52 - 1 (never both), and the
-// lanes that receive a carry are ((G << 1) + P) ^ P — one 64-bit add per
-// 64 lanes. Borrows of the final subtract ripple the same way (generate:
-// digit < n's digit; propagate: equal). Nothing branches on digit values.
-
-// The four register chains of one column block: low and high halves of
-// the even rows (v[0], v[1]) and of the odd rows (v[2], v[3]).
-struct Acc {
-  __m512i v[4] = {_mm512_setzero_si512(), _mm512_setzero_si512(),
-                  _mm512_setzero_si512(), _mm512_setzero_si512()};
-  [[nodiscard]] __m512i sum() const {
-    return _mm512_add_epi64(_mm512_add_epi64(v[0], v[1]),
-                            _mm512_add_epi64(v[2], v[3]));
-  }
-};
-
-// Zero-padded copy of x: [16 zeros][pd words][8 zeros]; returns the copy's
-// digit 0.
-const std::uint64_t* pad_copy(const std::uint64_t* x, std::size_t pd,
-                              std::uint64_t* buf) {
-  store(buf, _mm512_setzero_si512());
-  store(buf + 8, _mm512_setzero_si512());
-  for (std::size_t k = 0; k < pd; k += 8) store(buf + 16 + k, load(x + k));
-  store(buf + 16 + pd, _mm512_setzero_si512());
-  return buf + 16;
-}
-
-// cols[c..c+8) = column sums of bc * ld for every block c = c_begin,
-// c_begin + 8, ... below c_end, blocks overwritten (not accumulated). A
-// block may start below 0 or end past 2d, so cols must have 8 writable
-// words on either side. bc: d plain digits, broadcast per row. ld: the
-// other operand, zero-padded so it can be loaded at any offset in
-// [-16, pd].
-void product_blocks(const std::uint64_t* bc, const std::uint64_t* ld,
-                    std::ptrdiff_t d, std::ptrdiff_t c_begin,
-                    std::ptrdiff_t c_end, std::uint64_t* cols) {
-  for (std::ptrdiff_t c = c_begin; c < c_end; c += 8) {
-    std::ptrdiff_t i = std::max<std::ptrdiff_t>(0, c - d);
-    const std::ptrdiff_t i1 = std::min(d - 1, c + 7);
-    Acc acc;
-    for (; i + 1 <= i1; i += 2) {
-      const __m512i va0 = bcast(bc[i]);
-      const __m512i va1 = bcast(bc[i + 1]);
-      const __m512i v0 = load(ld + (c - i));
-      const __m512i v1 = load(ld + (c - i - 1));  // band k-1 for row i,
-      const __m512i v2 = load(ld + (c - i - 2));  // band k for row i+1
-      acc.v[0] = _mm512_madd52lo_epu64(acc.v[0], va0, v0);
-      acc.v[1] = _mm512_madd52hi_epu64(acc.v[1], va0, v1);
-      acc.v[2] = _mm512_madd52lo_epu64(acc.v[2], va1, v1);
-      acc.v[3] = _mm512_madd52hi_epu64(acc.v[3], va1, v2);
-    }
-    if (i == i1) {
-      const __m512i va = bcast(bc[i]);
-      acc.v[0] = _mm512_madd52lo_epu64(acc.v[0], va, load(ld + (c - i)));
-      acc.v[1] = _mm512_madd52hi_epu64(acc.v[1], va, load(ld + (c - i - 1)));
-    }
-    store(cols + c, acc.sum());
-  }
-}
-
-// Lanes [0, k) of a block.
-inline __mmask8 low_lanes(std::size_t k) {
-  return static_cast<__mmask8>((1u << k) - 1);
-}
-
-// Lanes k of the result take lane k + s of the 16-lane pair (lo, hi),
-// s in [0, 8): the block at offset s of two consecutive blocks.
-inline __m512i shift_in(__m512i lo, __m512i hi, std::size_t s) {
-  const __m512i idx = _mm512_add_epi64(_mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0),
-                                       bcast(s));
-  return _mm512_permutex2var_epi64(lo, idx, hi);
-}
-
-// Carry (or borrow) ripple over one chunk of `lanes` <= 64 lanes. gen and
-// prop are disjoint lane bit masks; `carry` enters into lane 0 and leaves
-// as the carry out of lane lanes-1. Returns the lanes that receive one.
-inline std::uint64_t ripple(std::uint64_t gen, std::uint64_t prop,
-                            std::size_t lanes, std::uint64_t& carry) {
-  const std::uint64_t a = (gen << 1) | carry;
-  const std::uint64_t s = a + prop;
-  // Below 64 lanes the carry out lands in bit `lanes` of s; at 64 it is
-  // the top generate bit or the add's own overflow (they never coincide:
-  // an overflow needs lane 63 to propagate).
-  carry = lanes == 64 ? (gen >> 63) | static_cast<std::uint64_t>(s < a)
-                      : (s >> lanes) & 1;
-  return s ^ prop;
-}
-
-// Carry-normalizes the column blocks src(b), b in [0, nblk), into 52-bit
-// digits at dst[0, 8*nblk); returns the carry out of the top lane.
-template <class Src>
-std::uint64_t normalize(const Src& src, std::size_t nblk, std::uint64_t* dst) {
-  const __m512i vmask = bcast(kMask);
-  __m512i hi_prev = _mm512_setzero_si512();
-  std::uint64_t carry = 0;
-  for (std::size_t b0 = 0; b0 < nblk; b0 += 8) {
-    const std::size_t nb = std::min<std::size_t>(8, nblk - b0);
-    std::uint64_t gen = 0;
-    std::uint64_t prop = 0;
-    for (std::size_t b = 0; b < nb; ++b) {
-      const __m512i v = src(b0 + b);
-      // All-lanes maskz form: the GCC 12 warning workaround of alignr.
-      const __m512i hi = _mm512_maskz_srli_epi64(0xFF, v, kDb);
-      const __m512i x = _mm512_add_epi64(_mm512_and_si512(v, vmask),
-                                         alignr<7>(hi, hi_prev));
-      hi_prev = hi;
-      store(dst + 8 * (b0 + b), x);
-      gen |= std::uint64_t{_mm512_cmpgt_epu64_mask(x, vmask)} << (8 * b);
-      prop |= std::uint64_t{_mm512_cmpeq_epu64_mask(x, vmask)} << (8 * b);
-    }
-    const std::uint64_t fix = ripple(gen, prop, 8 * nb, carry);
-    for (std::size_t b = 0; b < nb; ++b) {
-      std::uint64_t* w = dst + 8 * (b0 + b);
-      const __m512i x = load(w);
-      store(w, _mm512_and_si512(
-                   _mm512_mask_add_epi64(
-                       x, static_cast<__mmask8>(fix >> (8 * b)), x, bcast(1)),
-                   vmask));
-    }
-  }
-  // Lane 7 of the top block's high bits, which no lane above absorbed.
-  const __m128i top = _mm512_extracti32x4_epi32(hi_prev, 3);
-  return carry + static_cast<std::uint64_t>(_mm_extract_epi64(top, 1));
-}
-
-// Constant-time conditional subtract: reduces out[0, d) plus the overflow
-// bit `top` from [0, 2n) to [0, n) and zeroes the words past d. The
-// borrow scan of out - n decides; the difference is always formed and
-// selected by mask. fix: one word of scratch per 64 lanes.
-void sub_mod(std::uint64_t* out, std::uint64_t top, const std::uint64_t* np,
-             std::size_t d, std::uint64_t* fix) {
-  const __m512i vmask = bcast(kMask);
-  const std::size_t nd = round_up8(d) / 8;
-  const auto lanes = [&](std::size_t b) {
-    return b + 1 < nd ? low_lanes(8) : low_lanes(d - 8 * b);
-  };
-  std::uint64_t borrow = 0;
-  for (std::size_t b0 = 0; b0 < nd; b0 += 8) {
-    const std::size_t nb = std::min<std::size_t>(8, nd - b0);
-    std::uint64_t gen = 0;
-    std::uint64_t prop = 0;
-    for (std::size_t b = 0; b < nb; ++b) {
-      const std::size_t k = 8 * (b0 + b);
-      const __m512i u =
-          _mm512_maskz_mov_epi64(lanes(b0 + b), load(out + k));
-      const __m512i vn = load(np + k);
-      gen |= std::uint64_t{_mm512_cmplt_epu64_mask(u, vn)} << (8 * b);
-      prop |= std::uint64_t{_mm512_cmpeq_epu64_mask(u, vn)} << (8 * b);
-    }
-    fix[b0 / 8] = ripple(gen, prop, 8 * nb, borrow);
-  }
-  // Subtract iff the overflow bit is set or out >= n (no borrow emerged).
-  const auto take = static_cast<__mmask8>(
-      std::uint64_t{0} - ((top | (borrow ^ 1)) & 1));
-  for (std::size_t b = 0; b < nd; ++b) {
-    const std::size_t k = 8 * b;
-    const __m512i u = load(out + k);
-    const __m512i raw = _mm512_sub_epi64(u, load(np + k));
-    const __m512i diff = _mm512_mask_sub_epi64(
-        raw, static_cast<__mmask8>(fix[b / 8] >> (8 * (b % 8))), raw,
-        bcast(1));
-    store(out + k, _mm512_maskz_mov_epi64(
-                       lanes(b), _mm512_mask_mov_epi64(
-                                     u, take, _mm512_and_si512(diff, vmask))));
-  }
-}
-
-// Shared truncated REDC over the product t: digits below column
-// round_up(d, 8), raw column sums from there to the end of its last block
-// (zero past 2d).
-void redc(const std::uint64_t* t, const std::uint64_t* np,
-          const std::uint64_t* mup, std::size_t d, std::uint64_t* cols,
-          std::uint64_t* q, std::uint64_t* out) {
-  const std::ptrdiff_t sd = static_cast<std::ptrdiff_t>(d);
-  const std::size_t nd = round_up8(d) / 8;
-  const __m512i zero = _mm512_setzero_si512();
-
-  // Q = T_lo * mu mod R: columns < d only, in blocks that end at column d
-  // (a whole block of columns >= d would be wasted work), shifted back
-  // onto q's block grid as they are read. The carry past column d-1, and
-  // the digits of q past d, which nothing reads, are dropped.
-  const std::size_t qs = 8 * nd - d;  // q block b starts at lane qs of block b
-  product_blocks(t, mup, sd,
-                 sd - static_cast<std::ptrdiff_t>(8 * nd), sd, cols);
-  const std::uint64_t* qcols = cols + d - 8 * nd;
-  normalize(
-      [&](std::size_t b) {
-        return shift_in(load(qcols + 8 * b),
-                        b + 1 < nd ? load(qcols + 8 * (b + 1)) : zero, qs);
-      },
-      nd, q);
-
-  // Upper product Q*N from column d-2 up — columns below it are never
-  // read. Block m holds columns d-2+8m .. d+5+8m.
-  product_blocks(q, np, sd, sd - 2, 2 * sd, cols);
-  const std::uint64_t* qn = cols + d - 2;
-  const std::size_t qn_blocks = (d + 2 + 7) / 8;
-
-  // Exact low-half carry c3 = ceil of the two-column fixed-point estimate
-  // (see radix52_kernel.hpp: the dropped tail is < 2d/2^52 < 1 and the
-  // true carry is an integer, so the ceiling is exact).
-  const std::uint64_t x = qn[0] + t[d - 2];
-  const std::uint64_t y = qn[1] + t[d - 1];
-  const unsigned __int128 s =
-      (static_cast<unsigned __int128>(y & kMask) << kDb) + x;
-  const std::uint64_t frac_low = static_cast<std::uint64_t>(s);
-  const std::uint64_t frac_mid = static_cast<std::uint64_t>(s >> 64) &
-                                 ((std::uint64_t{1} << 40) - 1);
-  const std::uint64_t c3 = (y >> kDb) + static_cast<std::uint64_t>(s >> 104) +
-                           static_cast<std::uint64_t>((frac_low | frac_mid) != 0);
-
-  // result = T_hi + floor(Q*N / R) + c3, then one conditional subtract.
-  // Columns past 2d are zero, so when d is not a whole number of blocks
-  // the carry out of digit d-1 comes to rest in lane d.
-  const std::size_t t_blocks = round_up8(2 * d) / 8;
-  const auto qn_block = [&](std::size_t m) {
-    return m < qn_blocks ? load(qn + 8 * m) : zero;
-  };
-  const auto t_block = [&](std::size_t j) {
-    return j < t_blocks ? load(t + 8 * j) : zero;
-  };
-  std::uint64_t top = normalize(
-      [&](std::size_t b) {
-        const std::size_t j = d / 8 + b;
-        const __m512i v = _mm512_add_epi64(
-            alignr<2>(qn_block(b + 1), qn_block(b)),
-            shift_in(t_block(j), t_block(j + 1), d % 8));
-        return b == 0 ? _mm512_mask_add_epi64(v, 1, v, bcast(c3)) : v;
-      },
-      nd, out);
-  if (d % 8 != 0) top = out[d];
-  assert(top <= 1);
-  sub_mod(out, top, np, d, q);
-}
-
-// The product T's low columns (blocks [0, nd), in cols) become digits in
-// t; its high blocks are already in t as raw column sums, and the final
-// normalization after the REDC carries them. The carry out of the low
-// blocks joins lane 0 of the first high block.
-void normalize_low(const std::uint64_t* cols, std::size_t d,
-                   std::uint64_t* t) {
-  const std::size_t nd = round_up8(d) / 8;
-  const std::uint64_t carry = normalize(
-      [&](std::size_t b) { return load(cols + 8 * b); }, nd, t);
-  if (8 * nd < 2 * d) {
-    const __m512i v = load(t + 8 * nd);
-    store(t + 8 * nd, _mm512_mask_add_epi64(v, 1, v, bcast(carry)));
-  } else {
-    assert(carry == 0);
-  }
-}
-
 }  // namespace
-
-void mul(const std::uint64_t* a, const std::uint64_t* b,
-         const std::uint64_t* np, const std::uint64_t* mup, std::size_t d,
-         std::uint64_t* pad, std::uint64_t* cols, std::uint64_t* t,
-         std::uint64_t* q, std::uint64_t* out) {
-  const auto sd = static_cast<std::ptrdiff_t>(d);
-  const auto lo = static_cast<std::ptrdiff_t>(round_up8(d));
-  const std::uint64_t* bp = pad_copy(b, round_up8(d), pad);
-  product_blocks(a, bp, sd, 0, lo, cols);
-  product_blocks(a, bp, sd, lo, 2 * sd, t);
-  normalize_low(cols, d, t);
-  redc(t, np, mup, d, cols, q, out);
-}
-
-void sqr(const std::uint64_t* a, const std::uint64_t* np,
-         const std::uint64_t* mup, std::size_t d, std::uint64_t* pad,
-         std::uint64_t* cols, std::uint64_t* t, std::uint64_t* q,
-         std::uint64_t* out) {
-  const auto sd = static_cast<std::ptrdiff_t>(d);
-  const auto lo = static_cast<std::ptrdiff_t>(round_up8(d));
-  const std::uint64_t* ap = pad_copy(a, round_up8(d), pad);
-  // Lane pairs (2j, 2j+1) of a diagonal block both hold digit c/2 + j.
-  const __m512i dup = _mm512_set_epi64(3, 3, 2, 2, 1, 1, 0, 0);
-
-  // Off-diagonal products (j > i) accumulated once per block, the block
-  // doubled in registers, then the diagonal a_i^2 added: 2*a_i cannot be
-  // fed to vpmadd52 (it reads only 52 operand bits), so the doubling
-  // happens on the accumulated sums, where headroom is free. Rows
-  // i < m = c/2 are whole (every block lane is a j > i pair); the four
-  // rows m .. m+3 cross the diagonal and add only their lanes with j > i.
-  for (std::ptrdiff_t c = 0; c < 2 * sd; c += 8) {
-    const std::ptrdiff_t m = c / 2;  // < d
-    std::ptrdiff_t i = std::max<std::ptrdiff_t>(0, c - sd);
-    const std::ptrdiff_t fe = std::min(sd - 1, m - 1);
-    Acc acc;
-    __m512i* v = acc.v;
-    for (; i + 1 <= fe; i += 2) {
-      const __m512i va0 = bcast(ap[i]);
-      const __m512i va1 = bcast(ap[i + 1]);
-      const __m512i v0 = load(ap + (c - i));
-      const __m512i v1 = load(ap + (c - i - 1));
-      const __m512i v2 = load(ap + (c - i - 2));
-      v[0] = _mm512_madd52lo_epu64(v[0], va0, v0);
-      v[1] = _mm512_madd52hi_epu64(v[1], va0, v1);
-      v[2] = _mm512_madd52lo_epu64(v[2], va1, v1);
-      v[3] = _mm512_madd52hi_epu64(v[3], va1, v2);
-    }
-    if (i == fe) {
-      const __m512i va = bcast(ap[i]);
-      v[0] = _mm512_madd52lo_epu64(v[0], va, load(ap + (c - i)));
-      v[1] = _mm512_madd52hi_epu64(v[1], va, load(ap + (c - i - 1)));
-    }
-    // Diagonal rows m + j (m < d because c < 2d; digits past d are the
-    // padding's zeros): low halves in lanes >= 2j+1, high halves in lanes
-    // >= 2j+2, alternating accumulator pairs to halve the chains.
-    const __m512i r0 = bcast(ap[m]);
-    const __m512i r1 = bcast(ap[m + 1]);
-    const __m512i r2 = bcast(ap[m + 2]);
-    const __m512i r3 = bcast(ap[m + 3]);
-    v[0] = _mm512_mask_madd52lo_epu64(v[0], 0xFE, r0, load(ap + m));
-    v[1] = _mm512_mask_madd52hi_epu64(v[1], 0xFC, r0, load(ap + (m - 1)));
-    v[2] = _mm512_mask_madd52lo_epu64(v[2], 0xF8, r1, load(ap + (m - 1)));
-    v[3] = _mm512_mask_madd52hi_epu64(v[3], 0xF0, r1, load(ap + (m - 2)));
-    v[0] = _mm512_mask_madd52lo_epu64(v[0], 0xE0, r2, load(ap + (m - 2)));
-    v[1] = _mm512_mask_madd52hi_epu64(v[1], 0xC0, r2, load(ap + (m - 3)));
-    v[2] = _mm512_mask_madd52lo_epu64(v[2], 0x80, r3, load(ap + (m - 3)));
-    const __m512i s = acc.sum();
-    const __m512i diag = _mm512_permutexvar_epi64(dup, load(ap + m));
-    __m512i col = _mm512_add_epi64(s, s);
-    col = _mm512_mask_madd52lo_epu64(col, 0x55, diag, diag);
-    col = _mm512_mask_madd52hi_epu64(col, 0xAA, diag, diag);
-    store((c < lo ? cols : t) + c, col);
-  }
-  normalize_low(cols, d, t);
-  redc(t, np, mup, d, cols, q, out);
-}
 
 // -- Batch mode -----------------------------------------------------------
 //
@@ -548,8 +203,8 @@ inline __m512i low_half_carry(__m512i x, __m512i y) {
   return _mm512_mask_add_epi64(floor, nonzero, floor, bcast(1));
 }
 
-// Truncated REDC of the normalized 2d-row product t, lane-wise: the
-// arithmetic of redc() above, band-scanned.
+// Truncated REDC of the normalized 2d-row product t, lane-wise:
+// r52::redc_trunc_g's arithmetic, band-scanned.
 void batch_redc(const std::uint64_t* t, const std::uint64_t* n,
                 const std::uint64_t* mu, std::ptrdiff_t d, std::uint64_t* q,
                 std::uint64_t* out) {
@@ -621,7 +276,7 @@ void batch_sqr(const std::uint64_t* a, const std::uint64_t* n,
                const std::uint64_t* mu, std::size_t d, std::uint64_t* pad,
                std::uint64_t* t, std::uint64_t* q, std::uint64_t* out) {
   // Each off-diagonal product a_i * a_j (i < j) once, the columns doubled
-  // in registers, then the diagonal squares added — the latency sqr's
+  // in registers, then the diagonal squares added — r52::mont_sqr_g's
   // scheme, band-scanned. Block k0 = 2m (kCols = 4) gets every pair with
   // i < m from whole rows; rows m and m+1 cross the diagonal and add only
   // their pairs with j > i.
@@ -666,9 +321,79 @@ void batch_sqr(const std::uint64_t* a, const std::uint64_t* n,
   batch_redc(t, n, mu, sd, q, out);
 }
 
-// -- Dual-modulus mode ----------------------------------------------------
+// -- Carry normalization --------------------------------------------------
 //
-// r52::amm_g's digit-serial almost-Montgomery product, for the two CRT
+// A column sum leaving an almost-Montgomery product holds at most
+// 52 + log2(4d) bits, and a word-serial carry pass over it would be a
+// chain of dependent add-shift-mask steps. Instead, one vector round adds
+// every column's bits above 52 into the next lane (valignq carries lane 7
+// across registers), which leaves each lane below 2^52 + 2^12, so at most
+// a carry of 1 still leaves any lane. Those carries ripple through bit
+// masks: lane k GENERATES when it is >= 2^52 and PROPAGATES when it is
+// exactly 2^52 - 1 (never both), and the lanes that receive a carry are
+// ((G << 1) + P) ^ P — one 64-bit add per 64 lanes. Nothing branches on
+// digit values.
+
+namespace {
+
+// Carry ripple over one chunk of `lanes` <= 64 lanes. gen and prop are
+// disjoint lane bit masks; `carry` enters into lane 0 and leaves as the
+// carry out of lane lanes-1. Returns the lanes that receive one.
+inline std::uint64_t ripple(std::uint64_t gen, std::uint64_t prop,
+                            std::size_t lanes, std::uint64_t& carry) {
+  const std::uint64_t a = (gen << 1) | carry;
+  const std::uint64_t s = a + prop;
+  // Below 64 lanes the carry out lands in bit `lanes` of s; at 64 it is
+  // the top generate bit or the add's own overflow (they never coincide:
+  // an overflow needs lane 63 to propagate).
+  carry = lanes == 64 ? (gen >> 63) | static_cast<std::uint64_t>(s < a)
+                      : (s >> lanes) & 1;
+  return s ^ prop;
+}
+
+// Carry-normalizes the column sums v[0, N) into 52-bit digits at
+// dst[0, 8N); returns the carry out of the top lane. Every loop unrolls
+// fully, so v stays in registers.
+template <std::size_t N>
+std::uint64_t normalize(const __m512i (&v)[N], std::uint64_t* dst) {
+  const __m512i vmask = bcast(kMask);
+  __m512i hi_prev = _mm512_setzero_si512();
+  std::uint64_t carry = 0;
+#pragma GCC unroll kAmmRegisters
+  for (std::size_t b0 = 0; b0 < N; b0 += 8) {
+    const std::size_t nb = std::min<std::size_t>(8, N - b0);
+    std::uint64_t gen = 0;
+    std::uint64_t prop = 0;
+#pragma GCC unroll 8
+    for (std::size_t b = 0; b < nb; ++b) {
+      // All-lanes maskz form: the GCC 12 warning workaround of alignr.
+      const __m512i hi = _mm512_maskz_srli_epi64(0xFF, v[b0 + b], kDb);
+      const __m512i x = _mm512_add_epi64(_mm512_and_si512(v[b0 + b], vmask),
+                                         alignr<7>(hi, hi_prev));
+      hi_prev = hi;
+      store(dst + 8 * (b0 + b), x);
+      gen |= std::uint64_t{_mm512_cmpgt_epu64_mask(x, vmask)} << (8 * b);
+      prop |= std::uint64_t{_mm512_cmpeq_epu64_mask(x, vmask)} << (8 * b);
+    }
+    const std::uint64_t fix = ripple(gen, prop, 8 * nb, carry);
+#pragma GCC unroll 8
+    for (std::size_t b = 0; b < nb; ++b) {
+      std::uint64_t* w = dst + 8 * (b0 + b);
+      const __m512i x = load(w);
+      store(w, _mm512_and_si512(
+                   _mm512_mask_add_epi64(
+                       x, static_cast<__mmask8>(fix >> (8 * b)), x, bcast(1)),
+                   vmask));
+    }
+  }
+  // Lane 7 of the top register's high bits, which no lane above absorbed.
+  const __m128i top = _mm512_extracti32x4_epi32(hi_prev, 3);
+  return carry + static_cast<std::uint64_t>(_mm_extract_epi64(top, 1));
+}
+
+// -- Almost-Montgomery mode -----------------------------------------------
+//
+// r52::amm_g's digit-serial almost-Montgomery product, for H = 1 or 2
 // halves at once. Each half keeps its whole accumulator in N registers
 // (lane j = column j of the running sum) and its column 0 in a scalar
 // register as well: per digit b_i, the scalar side forms
@@ -678,13 +403,13 @@ void batch_sqr(const std::uint64_t* a, const std::uint64_t* n,
 // column (valignq), and adds the high halves. Lane 0 of the vector is
 // read once, right after the shift, into the scalar; what the vector adds
 // to lane 0 afterwards is already in the scalar and is shifted out
-// unread. The only serial chain per digit runs through y, so the two
-// halves' chains, interleaved digit by digit, hide each other's latency.
-// One carry normalization per product at the end; no conditional
-// subtract (see amm_g for the 2n bound). Nothing branches on digit
-// values; the quotient digits come from multiplies and masks.
-
-namespace {
+// unread. The only serial chain per digit runs through y; with two halves
+// the chains, interleaved digit by digit, hide each other's latency. One
+// carry normalization per product at the end; no conditional subtract
+// (see amm_g for the 2n bound). Nothing branches on digit values; the
+// quotient digits come from multiplies and masks. Every loop over the
+// registers unrolls fully: an accumulator indexed at run time would live
+// in memory.
 
 template <std::size_t N>
 struct AmmHalf {
@@ -692,7 +417,7 @@ struct AmmHalf {
   std::uint64_t acc = 0;  // column 0; lane 0 of r[0] is stale
 
   AmmHalf() {
-#pragma GCC unroll 16
+#pragma GCC unroll kAmmRegisters
     for (std::size_t k = 0; k < N; ++k) r[k] = _mm512_setzero_si512();
   }
 
@@ -705,17 +430,17 @@ struct AmmHalf {
     const __m512i vy = bcast(y);
     s += static_cast<unsigned __int128>(n[0]) * y;
     acc = static_cast<std::uint64_t>(s >> kDb);
-#pragma GCC unroll 16
+#pragma GCC unroll kAmmRegisters
     for (std::size_t k = 0; k < N; ++k) {
       r[k] = _mm512_madd52lo_epu64(r[k], vb, load(a + 8 * k));
       r[k] = _mm512_madd52lo_epu64(r[k], vy, load(n + 8 * k));
     }
-#pragma GCC unroll 16
+#pragma GCC unroll kAmmRegisters
     for (std::size_t k = 0; k + 1 < N; ++k) r[k] = alignr<1>(r[k + 1], r[k]);
     r[N - 1] = alignr<1>(_mm512_setzero_si512(), r[N - 1]);
     acc += static_cast<std::uint64_t>(
         _mm_cvtsi128_si64(_mm512_castsi512_si128(r[0])));
-#pragma GCC unroll 16
+#pragma GCC unroll kAmmRegisters
     for (std::size_t k = 0; k < N; ++k) {
       r[k] = _mm512_madd52hi_epu64(r[k], vb, load(a + 8 * k));
       r[k] = _mm512_madd52hi_epu64(r[k], vy, load(n + 8 * k));
@@ -725,25 +450,41 @@ struct AmmHalf {
   // Column 0 from the scalar, then the one carry normalization.
   void finish(std::uint64_t* out) {
     r[0] = _mm512_mask_set1_epi64(r[0], 1, static_cast<long long>(acc));
-    [[maybe_unused]] const std::uint64_t top =
-        normalize([&](std::size_t k) { return r[k]; }, N, out);
+    [[maybe_unused]] const std::uint64_t top = normalize(r, out);
     assert(top == 0);
   }
 };
 
-template <std::size_t N>
-void pair_amm_n(const std::uint64_t* a, const std::uint64_t* b,
-                const std::uint64_t* n, const std::uint64_t* k0,
-                std::size_t d, std::uint64_t* out) {
+// H halves of N registers each, half 1 at word offset 8*N. The halves are
+// two named objects, not an array, so each one's scalar column stays in a
+// register across the loop.
+template <std::size_t N, std::size_t H>
+void amm_n(const std::uint64_t* a, const std::uint64_t* b,
+           const std::uint64_t* n, const std::uint64_t* k0, std::size_t d,
+           std::uint64_t* out) {
+  static_assert((H == 1 || H == 2) && N * H <= kAmmRegisters);
   constexpr std::size_t kHalf = 8 * N;
   AmmHalf<N> p;
-  AmmHalf<N> q;
+  AmmHalf<N> q;  // unused when H == 1
   for (std::size_t i = 0; i < d; ++i) {
     p.step(a, n, b[i], k0[0]);
-    q.step(a + kHalf, n + kHalf, b[kHalf + i], k0[1]);
+    if constexpr (H == 2) {
+      q.step(a + kHalf, n + kHalf, b[kHalf + i], k0[1]);
+    }
   }
   p.finish(out);
-  q.finish(out + kHalf);
+  if constexpr (H == 2) q.finish(out + kHalf);
+}
+
+using AmmFn = void (*)(const std::uint64_t*, const std::uint64_t*,
+                       const std::uint64_t*, const std::uint64_t*,
+                       std::size_t, std::uint64_t*);
+
+// amm_n<1, H> .. amm_n<kAmmRegisters / H, H>, by register count.
+template <std::size_t H, std::size_t... I>
+constexpr std::array<AmmFn, sizeof...(I)> amm_table(
+    std::index_sequence<I...>) {
+  return {amm_n<I + 1, H>...};
 }
 
 // Words [w0, w0 + 8R) of table[idx] (clipped at `end`) into out, in R
@@ -780,19 +521,17 @@ void gather_block(const std::vector<std::uint64_t>* table, std::size_t count,
 
 }  // namespace
 
-void pair_amm(const std::uint64_t* a, const std::uint64_t* b,
-              const std::uint64_t* n, const std::uint64_t* k0, std::size_t d,
-              std::uint64_t* out) {
-  using Fn = void (*)(const std::uint64_t*, const std::uint64_t*,
-                      const std::uint64_t*, const std::uint64_t*, std::size_t,
-                      std::uint64_t*);
-  static constexpr Fn kByRegisters[] = {
-      pair_amm_n<1>, pair_amm_n<2>, pair_amm_n<3>, pair_amm_n<4>,
-      pair_amm_n<5>, pair_amm_n<6>, pair_amm_n<7>, pair_amm_n<8>,
-      pair_amm_n<9>, pair_amm_n<10>};
-  static_assert(std::size(kByRegisters) * 8 == kPairMaxDigits);
-  assert(d >= 1 && d <= kPairMaxDigits);
-  kByRegisters[round_up8(d) / 8 - 1](a, b, n, k0, d, out);
+void amm(const std::uint64_t* a, const std::uint64_t* b,
+         const std::uint64_t* n, const std::uint64_t* k0, std::size_t d,
+         std::size_t halves, std::uint64_t* out) {
+  static constexpr auto kOne =
+      amm_table<1>(std::make_index_sequence<kAmmRegisters>{});
+  static constexpr auto kTwo =
+      amm_table<2>(std::make_index_sequence<kAmmRegisters / 2>{});
+  assert((halves == 1 || halves == 2) && d >= 1 &&
+         d <= amm_max_digits(halves));
+  const std::size_t regs = round_up8(d) / 8;
+  (halves == 1 ? kOne[regs - 1] : kTwo[regs - 1])(a, b, n, k0, d, out);
 }
 
 void ct_gather(const std::vector<std::uint64_t>* table, std::size_t count,
@@ -826,22 +565,13 @@ namespace phissl::mont::ifma {
 
 bool compiled() { return false; }
 
-// The dispatch layer (IfmaMontCtx) never calls these when compiled() is
-// false; aborting keeps any future misuse loud instead of silently wrong.
+// The dispatch layers (IfmaAmmCtx, BatchIfmaMontCtx) never call these
+// when compiled() is false; aborting keeps any future misuse loud instead
+// of silently wrong.
 namespace {
 [[noreturn]] void unavailable() { std::abort(); }
 }  // namespace
 
-void mul(const std::uint64_t*, const std::uint64_t*, const std::uint64_t*,
-         const std::uint64_t*, std::size_t, std::uint64_t*, std::uint64_t*,
-         std::uint64_t*, std::uint64_t*, std::uint64_t*) {
-  unavailable();
-}
-void sqr(const std::uint64_t*, const std::uint64_t*, const std::uint64_t*,
-         std::size_t, std::uint64_t*, std::uint64_t*, std::uint64_t*,
-         std::uint64_t*, std::uint64_t*) {
-  unavailable();
-}
 void batch_mul(const std::uint64_t*, const std::uint64_t*,
                const std::uint64_t*, const std::uint64_t*, std::size_t,
                std::uint64_t*, std::uint64_t*, std::uint64_t*,
@@ -853,9 +583,8 @@ void batch_sqr(const std::uint64_t*, const std::uint64_t*,
                std::uint64_t*, std::uint64_t*, std::uint64_t*) {
   unavailable();
 }
-void pair_amm(const std::uint64_t*, const std::uint64_t*,
-              const std::uint64_t*, const std::uint64_t*, std::size_t,
-              std::uint64_t*) {
+void amm(const std::uint64_t*, const std::uint64_t*, const std::uint64_t*,
+         const std::uint64_t*, std::size_t, std::size_t, std::uint64_t*) {
   unavailable();
 }
 void ct_gather(const std::vector<std::uint64_t>*, std::size_t, std::size_t,

@@ -1,16 +1,16 @@
 // vpmadd52-based radix-52 Montgomery kernels (internal).
 //
-// These are the AVX-512 IFMA instantiations of the truncated-REDC
-// algorithm in radix52_kernel.hpp, kept in their own translation unit so
-// the build can compile them with -mavx512ifma even when the rest of the
-// tree targets a baseline ISA. Nothing here may be called unless BOTH
-// compiled() returns true AND util::cpu_features().avx512ifma is set —
-// mont::IfmaMontCtx / mont::BatchIfmaMontCtx own that dispatch.
+// These are the AVX-512 IFMA twins of the word-generic kernels in
+// radix52_kernel.hpp, kept in their own translation unit so the build can
+// compile them with -mavx512ifma even when the rest of the tree targets a
+// baseline ISA. Nothing here may be called unless BOTH compiled() returns
+// true AND util::cpu_features().avx512ifma is set — mont::IfmaAmmCtx /
+// mont::BatchIfmaMontCtx own that dispatch.
 //
 // Representation: 52-bit digits in 64-bit words. Products are accumulated
 // SPLIT — low-52 halves of the digit products land in their own column,
 // high-52 halves one column up (vpmadd52huq's band) — so no carry
-// propagates inside the product sweeps; one normalization per sweep
+// propagates inside the product sweeps; one normalization per product
 // recovers the digits (in latency mode a vector carry round plus a
 // bit-mask ripple across the columns, in batch mode lane-wise).
 #pragma once
@@ -25,29 +25,32 @@ namespace phissl::mont::ifma {
 /// compiled with AVX-512 IFMA support).
 bool compiled();
 
-// -- Latency mode: one operand set, column-blocked register accumulation. --
-// Operands a and b (sqr: a) are d digits zero-padded to pd words (pd = d
-// rounded up to 8); the kernel copies the one it loads at every offset
-// into `pad` (pd + 24 words of scratch). np and mup point 16 words into a
-// buffer laid out as [16 zero words][d digits][zero words through index
-// 16 + pd + 7], so the sweeps can load them at any offset in [-16, pd].
-// cols: points 8 words into round_up(2d, 8) + 16 words of scratch (column
-// blocks may start below 0 and end past 2d). t: round_up(2d, 8) words. q:
-// pd words. out: pd words — d digits, then zeros — written only after
-// every operand is last read, so it may alias any operand. Every scratch
-// word is written before it is read.
+// -- Latency mode: almost-Montgomery products of 1 or 2 halves. -----------
+// One call is r52::amm_g's product for each of `halves` operand sets of
+// the same digit count d, the halves interleaved digit by digit so their
+// quotient chains hide each other's latency (IfmaMontCtx runs one half,
+// IfmaPairCtx the two CRT halves). Operands are laid out as
+// [half 0: hw words][half 1: hw words], hw = d rounded up to 8, each half
+// d digits then zeros: a, b (equal for a squaring) and n; k0 holds
+// -n^-1 mod 2^52 for each half. out (same layout) is written only after a
+// and b are last read, so it may alias either. Digits stay normalized;
+// residues stay below 2n when 4n < beta^d. Each half's accumulator takes
+// hw / 8 zmm registers, and all halves together at most kAmmRegisters.
 
-void mul(const std::uint64_t* a, const std::uint64_t* b,
-         const std::uint64_t* np, const std::uint64_t* mup, std::size_t d,
-         std::uint64_t* pad, std::uint64_t* cols, std::uint64_t* t,
-         std::uint64_t* q, std::uint64_t* out);
+inline constexpr std::size_t kAmmRegisters = 20;
 
-void sqr(const std::uint64_t* a, const std::uint64_t* np,
-         const std::uint64_t* mup, std::size_t d, std::uint64_t* pad,
-         std::uint64_t* cols, std::uint64_t* t, std::uint64_t* q,
-         std::uint64_t* out);
+/// Largest d the vpmadd52 kernel takes for `halves` halves: 160 digits
+/// (8318-bit moduli) for one, 80 for two.
+constexpr std::size_t amm_max_digits(std::size_t halves) {
+  return 8 * (kAmmRegisters / halves);
+}
+
+void amm(const std::uint64_t* a, const std::uint64_t* b,
+         const std::uint64_t* n, const std::uint64_t* k0, std::size_t d,
+         std::size_t halves, std::uint64_t* out);
 
 // -- Batch mode: 16 independent lanes, band-scanned register accumulation.
+// The truncated REDC of radix52_kernel.hpp (r52::mont_mul_g/mont_sqr_g).
 // Digit-major transposed layout rep[j*16 + l]: one digit row is two 8-lane
 // registers. Output columns are summed in registers, a block of four at a
 // time, and each is stored once as a digit row. The band operand is read
@@ -70,21 +73,6 @@ void batch_mul(const std::uint64_t* a, const std::uint64_t* b,
 void batch_sqr(const std::uint64_t* a, const std::uint64_t* n,
                const std::uint64_t* mu, std::size_t d, std::uint64_t* pad,
                std::uint64_t* t, std::uint64_t* q, std::uint64_t* out);
-
-// -- Dual-modulus mode: the two CRT halves of one private op together. ----
-// One call is an almost-Montgomery product (r52::amm_g) of a mod-p pair
-// and a mod-q pair of the same digit count d. Operands are laid out as
-// [p half: hw words][q half: hw words], hw = d rounded up to 8, each half d
-// digits then zeros: a, b (equal for a squaring) and n; k0 holds
-// -n^-1 mod 2^52 for each half. out (same layout) is written only after a
-// and b are last read, so it may alias either. Digits stay normalized;
-// residues stay below 2n when 4n < beta^d.
-
-inline constexpr std::size_t kPairMaxDigits = 80;  // 10 registers per half
-
-void pair_amm(const std::uint64_t* a, const std::uint64_t* b,
-              const std::uint64_t* n, const std::uint64_t* k0, std::size_t d,
-              std::uint64_t* out);
 
 // -- Constant-time table gather over residues of 64-bit words. ------------
 // Needs AVX-512F only. out[0, words) = table[idx_lo]'s words below `split`

@@ -1,12 +1,17 @@
-// Word-generic radix-2^52 Montgomery kernels with TRUNCATED REDC.
+// Word-generic radix-2^52 Montgomery kernels, and the one digit packer.
 //
-// This is the portable form of the IFMA backend's algorithm (see
-// mont/ifma_mont.hpp for the backend and DESIGN.md for the math). Digits
-// are 52-bit values held in 64-bit words; products are accumulated in
-// 128-bit columns, so carries propagate once per normalization pass
-// instead of once per word — the redundant-carry schedule that makes the
-// algorithm vectorizable. The REDC step never forms the full quotient
-// product Q*N:
+// Digits are 52-bit values held in 64-bit words; products are accumulated
+// in 128-bit columns, so carries propagate once per normalization pass
+// instead of once per word (see DESIGN.md for the math). Two products:
+//
+//   amm_g — the digit-serial almost-Montgomery product every ifma52
+//       latency product runs (IfmaMontCtx one modulus at a time,
+//       IfmaPairCtx both CRT halves; vpmadd52 twin ifma::amm). Residues
+//       stay in [0, 2n) and nothing subtracts until they leave Montgomery
+//       form.
+//   mont_mul_g / mont_sqr_g — the TRUNCATED REDC the 16-lane batch runs
+//       (BatchIfmaMontCtx; vpmadd52 twins ifma::batch_mul/batch_sqr),
+//       whose REDC never forms the full quotient product Q*N:
 //
 //   T = A*B, split T = T_hi*R + T_lo (R = beta^d, beta = 2^52)
 //   Q = T_lo * mu mod R            mu = -N^-1 mod R, d digits
@@ -20,17 +25,15 @@
 //          delta < 2d/beta < 1, and T_lo + Q*N === 0 (mod R) makes the
 //          true carry an integer, so the ceiling is always exact.
 //
-// Cost: ~2d^2 digit products, the same as CIOS — but with NO serial
-// quotient chain, which is what the SIMD (IFMA) instantiation exploits.
-//
 // Templated over the 64-bit word type W64 and its 128-bit widening type
 // W128 and instantiated twice, exactly like scalar32_kernel.hpp:
 //   - std::uint64_t / unsigned __int128 (the shipped portable fallback),
 //   - ct::Tainted<u64> / ct::Tainted<u128> (the shadow-taint checker's
-//     TaintCtx52, which replays THIS code over poisoned operands).
+//     TaintAmmCtx52 and TaintCtx52, which replay THIS code over poisoned
+//     operands).
 // Every step is branch-free on the data path: the low-half carry uses
-// is_nonzero64 (a value computation) and the final reduction is a masked
-// constant-time conditional subtract.
+// is_nonzero64 (a value computation) and the reductions are masked
+// constant-time conditional subtracts.
 //
 // phissl:ct-kernel — tools/phissl_lint.py bans raw index extraction here.
 #pragma once
@@ -38,7 +41,9 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
+#include "bigint/bigint.hpp"
 #include "bigint/kernels_generic.hpp"
 
 namespace phissl::mont::r52 {
@@ -46,6 +51,38 @@ namespace phissl::mont::r52 {
 inline constexpr unsigned kDigitBits = 52;
 inline constexpr std::uint64_t kDigitMask =
     (std::uint64_t{1} << kDigitBits) - 1;
+
+/// Writes the d 52-bit digits of x (non-negative, below beta^d) to
+/// out[0], out[stride], ..., out[(d - 1) * stride].
+inline void pack52(const bigint::BigInt& x, std::size_t d, std::uint64_t* out,
+                   std::size_t stride = 1) {
+  assert(!x.is_negative() && x.bit_length() <= kDigitBits * d);
+  for (std::size_t j = 0; j < d; ++j) {
+    // bits_window reads at most 32 bits: a 32-bit low and a 20-bit high
+    // part.
+    const std::size_t lo = j * kDigitBits;
+    out[j * stride] =
+        x.bits_window(lo, 32) |
+        (static_cast<std::uint64_t>(x.bits_window(lo + 32, 20)) << 32);
+  }
+}
+
+/// out = the value of the d 52-bit digits x[0], x[stride], ...; u32 is
+/// scratch.
+inline void unpack52(const std::uint64_t* x, std::size_t d,
+                     std::size_t stride, std::vector<std::uint32_t>& u32,
+                     bigint::BigInt& out) {
+  // assign_from_digits takes digits of at most 32 bits: two 26-bit halves
+  // per 52-bit digit.
+  constexpr std::uint32_t kHalfMask = (1u << 26) - 1;
+  u32.resize(2 * d);
+  for (std::size_t j = 0; j < d; ++j) {
+    const std::uint64_t v = x[j * stride];
+    u32[2 * j] = static_cast<std::uint32_t>(v) & kHalfMask;
+    u32[2 * j + 1] = static_cast<std::uint32_t>(v >> 26) & kHalfMask;
+  }
+  out.assign_from_digits(u32, 26);
+}
 
 /// Constant-time conditional subtract: reduces t[0..d) (plus the overflow
 /// word `top`, 0 or 1) from [0, 2n) to [0, n). A full branchless borrow
@@ -170,33 +207,34 @@ void mont_mul_g(const W64* a, const W64* b, const W64* n, const W64* mu,
   redc_trunc_g<W64, W128>(t, n, mu, d, cols, q, out);
 }
 
-/// Almost-Montgomery product (the dual-modulus CRT kernel's arithmetic,
-/// one modulus at a time): out = (a*b + Y*n) / R with R = beta^d and Y < R
+/// Almost-Montgomery product (every ifma52 latency product, one modulus
+/// at a time): out = (a*b + Y*n) / R with R = beta^d and Y < R
 /// the unique value that makes the sum divisible, built one quotient digit
 /// per digit of b: y_i = (acc_0 * k0) mod beta, k0 = -n^-1 mod beta. No
 /// conditional subtract: when a, b < 2n and 4n < R, out < (4n^2 + R*n)/R
 /// < 2n, so residues stay in [0, 2n) and the output feeds the next product
-/// as is. Y is unique, so every schedule of this sum (the vpmadd52 pair
-/// kernel included) yields these exact digits. acc: d columns of scratch.
-/// out (d digits) may alias a or b — it is written only at the end.
+/// as is. Y is unique, so every schedule of this sum (the vpmadd52 kernel
+/// ifma::amm included) yields these exact digits. acc: 2d columns of
+/// scratch. out (d digits) may alias a or b — it is written only at the
+/// end.
 template <typename W64, typename W128 = bigint::kernels::wide128_t<W64>>
 void amm_g(const W64* a, const W64* b, const W64* n, W64 k0, std::size_t d,
            W128* acc, W64* out) {
   using bigint::kernels::lo64;
   using bigint::kernels::wmul128;
-  for (std::size_t k = 0; k < d; ++k) acc[k] = W128{};
+  for (std::size_t k = 0; k < 2 * d; ++k) acc[k] = W128{};
+  // Digit i's products land at columns i .. i+d-1, so the sum never
+  // shifts; each column sums at most 2d products, well inside 128 bits.
   for (std::size_t i = 0; i < d; ++i) {
     const W64 bi = b[i];
-    for (std::size_t j = 0; j < d; ++j) acc[j] = acc[j] + wmul128(a[j], bi);
-    const W64 y = (lo64(acc[0]) * k0) & kDigitMask;
-    for (std::size_t j = 0; j < d; ++j) acc[j] = acc[j] + wmul128(n[j], y);
-    // acc_0 is now a multiple of beta: divide the whole sum by beta.
-    const W128 carry = acc[0] >> kDigitBits;
-    for (std::size_t j = 0; j + 1 < d; ++j) acc[j] = acc[j + 1];
-    acc[d - 1] = W128{};
-    acc[0] = acc[0] + carry;
+    const W64 y = (lo64(acc[i] + wmul128(a[0], bi)) * k0) & kDigitMask;
+    for (std::size_t j = 0; j < d; ++j) {
+      acc[i + j] = acc[i + j] + wmul128(a[j], bi) + wmul128(n[j], y);
+    }
+    // Column i is now a multiple of beta: carry it into column i + 1.
+    acc[i + 1] = acc[i + 1] + (acc[i] >> kDigitBits);
   }
-  normalize_cols_g<W64, W128>(acc, d, out);
+  normalize_cols_g<W64, W128>(acc + d, d, out);
 }
 
 /// out = a^2*R^-1 mod n: off-diagonal products touched once and added

@@ -82,30 +82,35 @@ KernelProfile profile_scalar64_mont_mul(std::size_t bits) {
 }
 
 KernelProfile profile_ifma52_mont_mul(std::size_t bits) {
-  // Mirrors the column-blocked ifma_kernels.cpp mul: two product sweeps
-  // (a*b and the truncated q*n REDC) of ~d rows x pd/8 column blocks,
-  // each row contributing 2 vpmadd52 ops + 3 loads into register
-  // accumulators, one store per block; plus two scalar normalization
-  // passes and the scalar quotient loop (multiplies folded into the
-  // sweeps — there is NO serial quotient recurrence, which is what drops
-  // serial_fraction well below the CIOS kernels').
-  const double d = std::ceil(static_cast<double>(bits) / 52.0);
-  const double pd = std::ceil(d / 8.0) * 8.0;
-  const double blocks = pd / 8.0;
+  // Mirrors one half of ifma::amm (IfmaMontCtx::mul on the vpmadd52
+  // path): d digit steps over an accumulator of N = ceil(d/8) registers.
+  // Per step, a low and a high vpmadd52 of a*b_i and of n*y_i into every
+  // register (4N), one valignq per register (N), two broadcasts (b_i,
+  // y_i), the a and n blocks (2N loads, shared by the low and high
+  // halves), and the scalar column-0 chain: three 64x64 multiplies
+  // (a_0*b_i, y_i = s*k0 mod 2^52, n_0*y_i) and about six adds, masks and
+  // shifts. Then one carry normalization, about six vector ops and two
+  // stores per register.
+  const double d = std::ceil((static_cast<double>(bits) + 2.0) / 52.0);
+  const double regs = std::ceil(d / 8.0);
 
   KernelProfile p;
   p.label = "ifma52_mont_mul_" + std::to_string(bits);
-  const double rows = 2.0 * d * blocks;  // both sweeps
-  p.vec_mul = rows * 2.0;                // vpmadd52lo + vpmadd52hi
-  p.vec_load = rows * 3.0;
-  p.vec_alu = rows * 1.0 + 2.0 * blocks * 3.0;  // chain merges + block sums
-  p.vec_store = 2.0 * blocks;
-  p.scalar_alu = 4.0 * d * 4.0;  // two normalize passes + q + result loops
-  p.scalar_ldst = 4.0 * d * 2.0;
-  // Only the normalization/carry passes between sweeps are serial; the
-  // sweeps themselves run 4 independent accumulator chains per block.
-  p.serial_fraction = 0.15;
-  p.bytes_touched = (6.0 * pd + 2.0 * d) * 8.0;
+  p.vec_mul = 4.0 * regs * d;
+  p.vec_alu = (regs + 2.0) * d + 6.0 * regs;
+  p.vec_load = 2.0 * regs * d;
+  p.vec_store = 2.0 * regs;
+  p.scalar_mul64 = 3.0 * d;
+  p.scalar_alu = 6.0 * d + regs;
+  p.scalar_ldst = d;  // b_i
+  // The serial part is the per-digit quotient chain: the nine scalar
+  // steps, then y_i's broadcast, its madd into register 0, that
+  // register's valignq and the lane-0 read back into the scalar. The
+  // other registers' work is independent of it.
+  const double chain = 9.0 + 4.0;
+  const double per_digit = 4.0 * regs + regs + 2.0 + 2.0 * regs + 9.0 + 1.0;
+  p.serial_fraction = chain / per_digit;
+  p.bytes_touched = 4.0 * (8.0 * regs) * 8.0;  // a, b, n, out
   return p;
 }
 

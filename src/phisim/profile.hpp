@@ -49,9 +49,10 @@ KernelProfile profile_scalar32_mont_mul(std::size_t bits);
 /// Profile of one scalar CIOS Montgomery multiplication with 64-bit limbs.
 KernelProfile profile_scalar64_mont_mul(std::size_t bits);
 
-/// Profile of one radix-2^52 truncated-REDC Montgomery multiplication
-/// (IfmaMontCtx::mul on the vpmadd52 path: column-blocked product sweeps,
-/// no serial quotient chain).
+/// Profile of one radix-2^52 almost-Montgomery multiplication
+/// (IfmaMontCtx::mul on the vpmadd52 path: 4*N*d vpmadd52 and N*d valignq
+/// over N = ceil(d/8) accumulator registers, with the per-digit scalar
+/// quotient chain as its serial part).
 KernelProfile profile_ifma52_mont_mul(std::size_t bits);
 
 /// Profile of a full modular exponentiation: `exp_bits`-bit exponent over

@@ -7,10 +7,12 @@
 //                     the OpenSSL-like baseline),
 //   knc_vec         - the paper-faithful 16-lane redundant-radix kernels
 //                     (mont::VectorMontCtx / mont::BatchVectorMontCtx),
-//   ifma52          - radix-2^52 truncated REDC (mont::IfmaMontCtx /
-//                     mont::BatchIfmaMontCtx), vpmadd52 when the CPU has
-//                     AVX-512 IFMA, the portable u128 instantiation
-//                     otherwise,
+//   ifma52          - radix-2^52 digits: the almost-Montgomery product for
+//                     single streams (mont::IfmaMontCtx, and
+//                     mont::IfmaPairCtx for the CRT op), truncated REDC
+//                     across 16 lanes (mont::BatchIfmaMontCtx); vpmadd52
+//                     when the CPU has AVX-512 IFMA, the portable u128
+//                     instantiations otherwise,
 //   ifma52-portable - the same contexts pinned to the portable u128 path.
 //
 // Every layer takes the choice as data: EngineOptions::kernel, Dh, Dsa,
@@ -38,8 +40,8 @@ enum class Backend {
   kScalar32,        ///< word-serial CIOS, 32-bit limbs (MPSS-like)
   kScalar64,        ///< word-serial CIOS, 64-bit limbs (OpenSSL-like)
   kKncVec,          ///< 16-lane redundant-radix SIMD (PhiOpenSSL)
-  kIfma52,          ///< radix-2^52 truncated REDC, vpmadd52 when available
-  kIfma52Portable,  ///< radix-2^52 truncated REDC, portable u128 path only
+  kIfma52,          ///< radix-2^52 kernels, vpmadd52 when available
+  kIfma52Portable,  ///< radix-2^52 kernels, portable u128 path only
 };
 
 /// The engine-level name of the same knob (EngineOptions::kernel). The

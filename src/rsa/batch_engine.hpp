@@ -5,9 +5,9 @@
 //
 // Two batched Montgomery context families implement the lane math (see
 // rsa/backend.hpp): the KNC-faithful redundant-radix kernels (knc_vec)
-// and the host-side radix-2^52 truncated-REDC kernels (ifma52,
-// ifma52-portable). The choice is made at construction and is invisible
-// to callers — private_op has one shape.
+// and the host-side radix-2^52 lane kernels with truncated REDC
+// (BatchIfmaMontCtx for ifma52 and ifma52-portable). The choice is made at
+// construction and is invisible to callers — private_op has one shape.
 #pragma once
 
 #include <array>

@@ -286,7 +286,10 @@ TEST_F(CtCheckTest, CrtPrivateOpUnderTaint) {
   EXPECT_EQ(violation_count(), 0u);
 }
 
-// ---- Layer 2b: the radix-52 truncated-REDC kernels (TaintCtx52) ---------
+// ---- Layer 2b: the radix-52 kernels --------------------------------------
+// TaintCtx52: the truncated REDC of BatchIfmaMontCtx's lane kernels.
+// TaintAmmCtx52 / TaintPairCtx52: the almost-Montgomery product of the
+// latency contexts IfmaMontCtx (one half) and IfmaPairCtx (two halves).
 
 TEST_F(CtCheckTest, TaintedRadix52KernelsMatchNativeMulSqr) {
   const rsa::PrivateKey& key = rsa::test_key(256);
@@ -334,9 +337,10 @@ TEST_F(CtCheckTest, FixedWindowModexpIsConstantTimeRadix52) {
 
 TEST_F(CtCheckTest, Radix52CrtPrivateOpUnderTaint) {
   // Both CRT exponentiation halves over secret prime moduli (modulus, mu,
-  // residues and exponents all tainted), mirroring what rsa::Engine runs
-  // when the ifma52 kernel is selected; recombination declassified per
-  // the blinding policy, exactly like the 32-bit CRT test above.
+  // residues and exponents all tainted) on the truncated REDC, mirroring
+  // the per-prime arithmetic of an ifma52 BatchEngine batch;
+  // recombination declassified per the blinding policy, exactly like the
+  // 32-bit CRT test above.
   const rsa::PrivateKey& key = rsa::test_key(256);
   const BigInt& n = key.pub.n;
   util::Rng rng(21);
@@ -421,6 +425,42 @@ TEST_F(CtCheckTest, Radix52PairCrtPrivateOpUnderTaint) {
     }
     EXPECT_EQ(m1, xp.mod_pow(key.dp, key.p)) << window;
     EXPECT_EQ(m2, xq.mod_pow(key.dq, key.q)) << window;
+  }
+  EXPECT_EQ(violation_count(), 0u);
+}
+
+TEST_F(CtCheckTest, Radix52OneHalfExpUnderTaint) {
+  // What the ifma52 backends run for one modulus (Dh, Dsa, the public op,
+  // non-CRT private ops): the one-half almost-Montgomery product under the
+  // unmodified fixed-window schedule, here over a secret prime modulus
+  // with a secret base and a secret exponent. The residue words must equal
+  // IfmaMontCtx's (the dispatched kernel) after every exponentiation.
+  const rsa::PrivateKey& key = rsa::test_key(512);
+  util::Rng rng(29);
+  const BigInt base = BigInt::random_below(key.p, rng);
+  const TaintAmmCtx52 tctx(key.p, /*secret_modulus=*/true);
+  const mont::IfmaMontCtx native(key.p);
+  TaintAmmCtx52::Rep res;
+  mont::ExpWorkspace<TaintAmmCtx52> ws;
+  mont::IfmaMontCtx::Rep want;
+  mont::ExpWorkspace<mont::IfmaMontCtx> native_ws;
+  for (const int window : {1, 4, 5}) {
+    mont::fixed_window_exp_rep(tctx, tctx.to_mont(base, true),
+                               SecretExp(key.dp), window, res, ws);
+    EXPECT_EQ(violation_count(), 0u)
+        << "leak in the radix-52 one-half schedule, w=" << window;
+    mont::fixed_window_exp_rep(native, native.to_mont(base), key.dp, window,
+                               want, native_ws);
+    ASSERT_EQ(res.size(), native.digits());
+    for (std::size_t j = 0; j < want.size(); ++j) {
+      EXPECT_EQ(j < res.size() ? res[j].v : 0, want[j]) << window << " " << j;
+    }
+    BigInt got;
+    {
+      DeclassifyScope blinded;
+      got = tctx.from_mont_clear(res);
+    }
+    EXPECT_EQ(got, base.mod_pow(key.dp, key.p)) << window;
   }
   EXPECT_EQ(violation_count(), 0u);
 }
@@ -632,9 +672,9 @@ TEST_F(CtCheckTest, PoisonedExponentDriverIfma52) {
 }
 
 TEST_F(CtCheckTest, PoisonedExponentDriverIfma52Portable) {
-  // Pinned portable path: the instantiation TaintCtx52 replays, so the
-  // sanitizer backends exercise the exact generic-kernel code the shadow
-  // checker certifies.
+  // Pinned portable path: the amm_g instantiation TaintAmmCtx52 replays,
+  // so the sanitizer backends exercise the exact generic-kernel code the
+  // shadow checker certifies.
   const rsa::PrivateKey& key = rsa::test_key(256);
   util::Rng rng(25);
   const BigInt base = BigInt::random_below(key.pub.n, rng);

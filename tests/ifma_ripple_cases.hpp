@@ -1,5 +1,6 @@
-// Carry-ripple inputs for the radix-2^52 Montgomery kernels, shared by the
-// dispatched==portable IfmaMont tests and the ifma52 rows of VectorsTest.
+// Carry-ripple inputs for the radix-2^52 almost-Montgomery kernel, shared
+// by the dispatched==portable IfmaMont tests and the ifma52 rows of
+// VectorsTest (one half, IfmaMontCtx, and two, IfmaPairCtx).
 //
 // Random operands almost never make a carry ripple: after the vector
 // carry round a lane overflows only when its low 52 bits are within 2^12
@@ -13,15 +14,16 @@
 //     through the whole run;
 //   - all-(2^52-1) operands, whose product columns carry the most
 //     headroom bits;
-//   - m-1 times R mod m, whose result m-1 borrows through every digit of
-//     the final comparison with m.
-// pair_cases() extends them for the dual-modulus kernel (IfmaPairCtx),
-// whose residues may reach 2m: operands in [m, 2m), and moduli of exactly
-// 52d - 2 bits, the tightest case of 4m < beta^d.
+//   - m-1 times R mod m, whose value m-1 borrows through every digit of
+//     a comparison with m.
+// pair_cases() extends them to residues that may reach 2m, as the
+// kernel's do: operands in [m, 2m), and moduli of exactly 52d - 2 bits,
+// the tightest case of 4m < beta^d.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -99,15 +101,6 @@ inline std::vector<Case> cases() {
   return out;
 }
 
-/// a * b * R^-1 mod m for IfmaMontCtx's R = 2^(52d).
-inline bigint::BigInt mont_product(const IfmaMontCtx& ctx,
-                                   const bigint::BigInt& a,
-                                   const bigint::BigInt& b) {
-  const bigint::BigInt& m = ctx.modulus();
-  const bigint::BigInt r = bigint::BigInt{1} << (kDigitBits * ctx.digits());
-  return (a * b * r.mod_inverse(m)).mod(m);
-}
-
 /// A Montgomery residue's value.
 inline bigint::BigInt value(const IfmaMontCtx::Rep& rep) {
   std::vector<bigint::BigInt> digits;
@@ -115,10 +108,10 @@ inline bigint::BigInt value(const IfmaMontCtx::Rep& rep) {
   return from_digits(digits);
 }
 
-/// The cases again for the dual-modulus kernel, whose operands may be
-/// anything below 2m: each pair also as (a + m, b) and (a, b + m), plus
-/// moduli of exactly 52d - 2 bits for d = 10, 20, 30, 40 (all-ones,
-/// random, sparse) with operands at and just below 2m.
+/// The cases again for operands anywhere below 2m: each pair also as
+/// (a + m, b) and (a, b + m), plus moduli of exactly 52d - 2 bits for
+/// d = 10, 20, 30, 40 (all-ones, random, sparse) with operands at and
+/// just below 2m.
 inline std::vector<Case> pair_cases() {
   using bigint::BigInt;
   std::vector<Case> out = cases();
@@ -156,8 +149,13 @@ inline std::vector<Case> pair_cases() {
   return out;
 }
 
+/// Products in pair_cases(): three per pair of cases(), six per tight
+/// modulus.
+inline constexpr std::size_t kPairCaseProducts =
+    std::size(kBits) * 3 * 8 * 3 + 4 * 3 * 6;
+
 /// The almost-Montgomery product (a*b + Y*m) / R, R = beta^d, for the one
-/// Y < R that makes it exact — the dual-modulus kernel's exact output.
+/// Y < R that makes it exact — the kernel's exact output.
 inline bigint::BigInt amm(const bigint::BigInt& a, const bigint::BigInt& b,
                           const bigint::BigInt& m, std::size_t d) {
   const bigint::BigInt r = bigint::BigInt{1} << (kDigitBits * d);

@@ -1,7 +1,7 @@
 // Unit + differential tests for the Montgomery contexts.
 //
 // Every context (32-bit scalar, 64-bit scalar, vectorized redundant-radix,
-// radix-52 truncated-REDC) is checked against the BigInt division-based
+// radix-52 almost-Montgomery) is checked against the BigInt division-based
 // oracle, and against each other, on randomized inputs across modulus
 // sizes.
 #include <gtest/gtest.h>
@@ -12,10 +12,12 @@
 
 #include "bigint/bigint.hpp"
 #include "ifma_ripple_cases.hpp"
+#include "mont/ifma_kernels.hpp"
 #include "mont/ifma_mont.hpp"
 #include "mont/mont32.hpp"
 #include "mont/mont64.hpp"
 #include "mont/vector_mont.hpp"
+#include "util/cpu.hpp"
 #include "util/random.hpp"
 
 namespace phissl::mont {
@@ -244,9 +246,10 @@ TEST(IfmaMont, RejectsBadModulus) {
 }
 
 TEST(IfmaMont, PortablePathMatchesDispatchedPath) {
-  // The vpmadd52 kernels (when the host dispatches them) and the portable
-  // u128-column instantiation implement the same truncated REDC: their
-  // residue representations must be bit-identical, not merely congruent.
+  // The vpmadd52 kernel (when the host dispatches it) and the portable
+  // u128-column instantiation compute the same almost-Montgomery product:
+  // their residue representations must be bit-identical, not merely
+  // congruent.
   util::Rng rng(31);
   for (std::size_t bits : {128u, 512u, 2048u}) {
     const BigInt m = random_odd_modulus(bits, rng);
@@ -271,8 +274,8 @@ TEST(IfmaMont, DigitEdgeValues) {
   // Operands and moduli sitting on 52-bit digit boundaries: single-digit
   // saturation (2^52 - 1), the digit rollover (2^52, 2^52 + 1), two-digit
   // saturation (2^104 - 1), and a dense modulus — the patterns that stress
-  // the 52-bit masking, the column carries, and the ceiling-trick carry
-  // recovery in the truncated REDC.
+  // the 52-bit masking, the column carries, and the final conditional
+  // subtract out of [0, 2m).
   const BigInt beta = BigInt{1} << 52;
   for (const BigInt& m : {(BigInt{1} << 416) - BigInt{189},   // dense
                           (BigInt{1} << 208) + BigInt{1},     // 4 digits + 1
@@ -353,13 +356,15 @@ TEST(IfmaMont, MulAllowsAliasedOutput) {
 
 TEST(IfmaMont, CarryRippleInputsMatchPortable) {
   // Digit-built carry-ripple operands (tests/ifma_ripple_cases.hpp) at
-  // 512-4096 bits: the dispatched kernels (vpmadd52 on an IFMA host) must
-  // produce the portable kernels' words exactly, and both the true
-  // Montgomery product.
+  // 512-4096 bits, also with operands in [m, 2m) and on moduli of exactly
+  // 52d - 2 bits: the dispatched kernel (vpmadd52 on an IFMA host) must
+  // produce the portable kernel's words exactly, and both the exact
+  // almost-Montgomery product, which may itself lie in [m, 2m).
   std::size_t checked = 0;
-  for (const ripple::Case& c : ripple::cases()) {
+  for (const ripple::Case& c : ripple::pair_cases()) {
     const IfmaMontCtx ctx(c.m);
     const IfmaMontCtx pctx(c.m, /*force_portable=*/true);
+    const std::size_t d = ctx.digits();
     for (const auto& [a, b] : c.pairs) {
       IfmaMontCtx::Rep ar, br, out, pout;
       ctx.pack(a, ar);
@@ -367,12 +372,12 @@ TEST(IfmaMont, CarryRippleInputsMatchPortable) {
       ctx.mul(ar, br, out);
       pctx.mul(ar, br, pout);
       ASSERT_EQ(out, pout) << "mul " << c.what << " a=" << a.to_hex();
-      EXPECT_EQ(ripple::value(out), ripple::mont_product(ctx, a, b))
+      EXPECT_EQ(ripple::value(out), ripple::amm(a, b, c.m, d))
           << "mul " << c.what << " a=" << a.to_hex();
       ctx.sqr(ar, out);
       pctx.sqr(ar, pout);
       ASSERT_EQ(out, pout) << "sqr " << c.what << " a=" << a.to_hex();
-      EXPECT_EQ(ripple::value(out), ripple::mont_product(ctx, a, a))
+      EXPECT_EQ(ripple::value(out), ripple::amm(a, a, c.m, d))
           << "sqr " << c.what << " a=" << a.to_hex();
       // A few squarings on from each start reach more carry shapes.
       IfmaMontCtx::Rep s = ar, ps = ar;
@@ -384,17 +389,62 @@ TEST(IfmaMont, CarryRippleInputsMatchPortable) {
       ++checked;
     }
   }
-  EXPECT_EQ(checked, std::size(ripple::kBits) * 3 * 8);
+  EXPECT_EQ(checked, ripple::kPairCaseProducts);
+}
+
+TEST(IfmaMont, LargeAndDigitBoundaryModuli) {
+  // The register counts at the top of the one-half kernel (6144 bits:
+  // N = 15; 8192 bits: N = 20) and the sizes where d gains a digit
+  // (52k - 2 bits still fit k digits, 52k - 1 bits need k + 1): an IFMA
+  // host dispatches the vpmadd52 kernel up to d = 160 and the portable
+  // one past it, the two give the same words, and from_mont gives the
+  // BigInt product.
+  const bool ifma_host = ifma::compiled() && util::cpu_features().avx512ifma;
+  util::Rng rng(35);
+  std::vector<BigInt> moduli = {BigInt::random_odd_exact_bits(6144, rng),
+                                BigInt::random_odd_exact_bits(8192, rng),
+                                (BigInt{1} << 8192) - BigInt{1}};
+  for (const std::size_t k : {std::size_t{10}, std::size_t{20},
+                              std::size_t{40}, std::size_t{120},
+                              std::size_t{158}, std::size_t{160}}) {
+    for (const std::size_t bits : {52 * k - 2, 52 * k - 1, 52 * k}) {
+      moduli.push_back(BigInt::random_odd_exact_bits(bits, rng));
+    }
+  }
+  for (const BigInt& m : moduli) {
+    const IfmaMontCtx ctx(m);
+    const IfmaMontCtx pctx(m, /*force_portable=*/true);
+    const std::size_t bits = m.bit_length();
+    ASSERT_EQ(ctx.digits(), (bits + 2 + 51) / 52) << bits;
+    EXPECT_EQ(ctx.uses_ifma(),
+              ifma_host && ctx.digits() <= ifma::amm_max_digits(1))
+        << bits;
+    EXPECT_FALSE(pctx.uses_ifma());
+    for (int i = 0; i < 3; ++i) {
+      const BigInt x = BigInt::random_below(m, rng);
+      const BigInt y = BigInt::random_below(m, rng);
+      const IfmaMontCtx::Rep xm = ctx.to_mont(x);
+      const IfmaMontCtx::Rep ym = ctx.to_mont(y);
+      IfmaMontCtx::Rep out, pout;
+      ctx.mul(xm, ym, out);
+      pctx.mul(xm, ym, pout);
+      ASSERT_EQ(out, pout) << "mul bits=" << bits;
+      EXPECT_EQ(ctx.from_mont(out), (x * y).mod(m)) << "mul bits=" << bits;
+      ctx.sqr(out, out);
+      pctx.sqr(pout, pout);
+      ASSERT_EQ(out, pout) << "sqr bits=" << bits;
+      EXPECT_EQ(ctx.from_mont(out), (x * y * x * y).mod(m))
+          << "sqr bits=" << bits;
+    }
+  }
 }
 
 TEST(IfmaMont, SharedWorkspaceAcrossGeometries) {
-  // Regression: one Workspace serves contexts of different digit geometry
-  // (rsa::Engine keeps a single thread_local ExpWorkspace<IfmaMontCtx>
-  // that is shared between the full-size public ctx and the half-size CRT
-  // ctxs). A mul mod the big modulus used to leave its digits in ws.opad
-  // past the small context's padded_digits(), exactly where the
-  // column-blocked IFMA kernels issue unmasked 8-word loads — the small
-  // context must re-zero that tail on every call.
+  // One Workspace serves contexts of different digit geometry (rsa::Engine
+  // keeps a single thread_local ExpWorkspace<IfmaMontCtx> that the
+  // full-size public ctx and the half-size CRT ctxs share): big-geometry
+  // traffic must leave nothing in the shared scratch that changes a
+  // half-size result.
   util::Rng rng(34);
   const BigInt mbig = random_odd_modulus(2048, rng);
   const BigInt mhalf = random_odd_modulus(1024, rng);
@@ -409,8 +459,8 @@ TEST(IfmaMont, SharedWorkspaceAcrossGeometries) {
       const BigInt x = BigInt::random_below(mhalf, rng);
       const BigInt y = BigInt::random_below(mhalf, rng);
       IfmaMontCtx::Rep am, bm, o, xm, ym;
-      // Big-geometry traffic first: fills the shared scratch (opad
-      // included) with the large modulus' digits.
+      // Big-geometry traffic first: fills the shared scratch with the
+      // large modulus' digits.
       big.to_mont(a, am, ws);
       big.to_mont(b, bm, ws);
       big.mul(am, bm, o, ws);
@@ -426,26 +476,6 @@ TEST(IfmaMont, SharedWorkspaceAcrossGeometries) {
       half.from_mont(o, got, ws);
       EXPECT_EQ(got, (x * x).mod(mhalf)) << "portable=" << portable;
     }
-    // Same hazard made deterministic: dirty every word past the half-size
-    // context's digit window (the region big-geometry traffic leaves
-    // stale) and check the half-size results are unaffected.
-    const BigInt x = BigInt::random_below(mhalf, rng);
-    const BigInt y = BigInt::random_below(mhalf, rng);
-    IfmaMontCtx::Rep xm, ym, o;
-    half.to_mont(x, xm, ws);
-    half.to_mont(y, ym, ws);
-    for (std::size_t k = 16 + half.padded_digits(); k < ws.opad.size(); ++k) {
-      ws.opad[k] = (std::uint64_t{1} << 52) - 1;
-    }
-    half.mul(xm, ym, o, ws);
-    half.from_mont(o, got, ws);
-    EXPECT_EQ(got, (x * y).mod(mhalf)) << "portable=" << portable;
-    for (std::size_t k = 16 + half.padded_digits(); k < ws.opad.size(); ++k) {
-      ws.opad[k] = (std::uint64_t{1} << 52) - 1;
-    }
-    half.sqr(xm, o, ws);
-    half.from_mont(o, got, ws);
-    EXPECT_EQ(got, (x * x).mod(mhalf)) << "portable=" << portable;
   }
 }
 
