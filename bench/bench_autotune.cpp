@@ -23,7 +23,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <future>
 #include <string>
 #include <thread>
@@ -135,10 +134,7 @@ double err_pct(double predicted, double measured) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
+  const bool smoke = bench::has_flag(argc, argv, "--smoke");
 
   bench::print_header("E15 bench_autotune",
                       "replay-model fidelity vs live sweep cells + "

@@ -3,33 +3,31 @@
 // introduction motivates (handshake throughput limited by RSA private ops).
 //
 // Usage:
-//   ./bench_handshake [--smoke] [--json [path]]
-//                     [--frontend threaded|event|socket|both|all]
+//   ./bench_handshake [--smoke] [--json [path]] [--frontend event|socket|all]
+//                     [--backend knc_vec|ifma52|ifma52-portable]
 //                     [--trace [path]] [--metrics [path]] [--workload [path]]
 //
-// The termination sweep (threads x resumption ratio x scalar/batched)
-// measures the lane-coalescing ClientKeyExchange path: with
-// batch_private_ops on, concurrent full handshakes fill 16-lane SIMD
-// batches through the shared BatchDecryptService instead of each running
-// a scalar CRT decryption. The scalar rows of the same run are the
-// baseline the batched rows are judged against.
+// Every row runs the reactor terminator (ssl/async/). The event sweep
+// (connections x reactor workers) measures the batched decrypter: parked
+// connections, not blocked threads, fill the 16-lane batches, so lane
+// occupancy saturates from a handful of workers. Its smallest connection
+// count also runs a scalar row per worker count (batch_private_ops off:
+// each private op resolved inline on its worker), so scalar-vs-batched is
+// an A/B inside one process. Extra rows inject overload (admission cap,
+// expect nonzero shed with bounded p99), a resumption mix, and a DHE mix.
 //
-// The event sweep (connections x reactor workers) measures the
-// event-driven frontend: parked connections, not blocked threads, fill
-// the batches — so lane occupancy should saturate from a handful of
-// workers where the threaded frontend needs >= 16 threads. Extra rows
-// inject overload (admission cap, expect nonzero shed with bounded p99),
-// a resumption mix, and a DHE mix.
+// The three-system table (a) and the resumption-ratio sweep are the
+// paper's scalar baselines: batch_private_ops off with one open
+// connection per worker, so each worker runs one handshake at a time.
 //
 // --smoke shrinks everything to a seconds-long CI run (512-bit key, small
-// counts, legacy tables skipped) while keeping every code path exercised.
-// --frontend selects which sweeps run (default both). The obs export
-// flags (src/obs/export.hpp) capture the run; --workload in particular
-// records the driver's shed/resumed/dhe_sign tagging for the autotuner
-// (docs/AUTOTUNE.md).
+// counts, the three-system tables skipped) while keeping every code path
+// exercised. --frontend selects the sweeps (default event; socket adds
+// the loopback-socket sweep). The obs export flags (src/obs/export.hpp)
+// capture the run; --workload in particular records the driver's
+// shed/resumed/dhe_sign tagging for the autotuner (docs/AUTOTUNE.md).
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
 #include "baseline/systems.hpp"
@@ -45,53 +43,30 @@
 
 namespace {
 
-// One sweep cell: runs the driver and reports + records one row.
-void sweep_cell(phissl::bench::JsonReporter& json, const phissl::rsa::Engine& engine,
-                bool batched, std::size_t threads, double ratio,
-                std::size_t handshakes, phissl::rsa::Backend batch_backend) {
-  using namespace phissl;
-  ssl::DriverConfig cfg;
+// The paper's scalar baseline on the reactor: every private op resolved
+// inline, and one open connection per worker, so each worker runs one
+// handshake at a time.
+phissl::ssl::DriverConfig scalar_config(std::size_t handshakes,
+                                        std::size_t workers) {
+  phissl::ssl::DriverConfig cfg;
   cfg.num_handshakes = handshakes;
-  cfg.num_threads = threads;
-  cfg.resumption_ratio = ratio;
-  cfg.batch_private_ops = batched;
-  cfg.batch_backend = batch_backend;
-  const ssl::DriverReport r = ssl::run_handshakes(engine, cfg);
-
-  char name[64];
-  std::snprintf(name, sizeof(name), "%s_t%zu_r%.1f",
-                batched ? "batched" : "scalar", threads, ratio);
-  std::printf("%-8s %4zu %6.1f %12.1f %10.0f %10.0f %7.2f %6zu/%zu\n",
-              batched ? "batched" : "scalar", threads, ratio,
-              r.handshakes_per_s, r.latency_us.median, r.latency_us.p99,
-              r.batch_lane_occupancy, r.resumed, r.completed);
-  if (r.failed != 0) std::printf("  (FAILED %zu)\n", r.failed);
-  json.add_row("termination_sweep", name,
-               {{"threads", static_cast<double>(threads)},
-                {"resumption_ratio", ratio},
-                {"batched", batched ? 1.0 : 0.0},
-                {"hs_per_s", r.handshakes_per_s},
-                {"p50_us", r.latency_us.median},
-                {"p99_us", r.latency_us.p99},
-                {"completed", static_cast<double>(r.completed)},
-                {"failed", static_cast<double>(r.failed)},
-                {"resumed", static_cast<double>(r.resumed)},
-                {"cache_hits", static_cast<double>(r.cache_hits)},
-                {"cache_misses", static_cast<double>(r.cache_misses)},
-                {"cache_evictions", static_cast<double>(r.cache_evictions)},
-                {"batches", static_cast<double>(r.batches)},
-                {"single_ops", static_cast<double>(r.single_ops)},
-                {"lane_occupancy", r.batch_lane_occupancy}});
+  cfg.event_workers = workers;
+  cfg.max_open_connections = workers;
+  cfg.batch_private_ops = false;
+  return cfg;
 }
 
-// One event-sweep cell: runs the reactor frontend and reports one row.
+// One event-sweep cell: runs the reactor over the simulated transport and
+// reports one row. `batched` picks the decrypter.
 void event_cell(phissl::bench::JsonReporter& json,
                 const phissl::rsa::Engine& engine, std::size_t conns,
                 std::size_t workers, double ratio, double dhe_ratio,
-                std::size_t max_pending, phissl::rsa::Backend batch_backend) {
+                std::size_t max_pending, phissl::rsa::Backend batch_backend,
+                bool batched = true) {
   using namespace phissl;
   ssl::DriverConfig cfg;
   cfg.frontend = ssl::Frontend::kEvent;
+  cfg.batch_private_ops = batched;
   cfg.num_handshakes = conns;
   cfg.event_workers = workers;
   // Slot table bound: everything up to 16k connections runs fully open;
@@ -111,17 +86,20 @@ void event_cell(phissl::bench::JsonReporter& json,
   const ssl::DriverReport r = ssl::run_handshakes(engine, cfg);
 
   char name[96];
-  std::snprintf(name, sizeof(name), "event_c%zu_w%zu%s%s%s", conns, workers,
+  std::snprintf(name, sizeof(name), "event_c%zu_w%zu%s%s%s%s", conns, workers,
                 max_pending != 0 ? "_overload" : "",
-                ratio > 0.0 ? "_resume" : "", dhe_ratio > 0.0 ? "_dhe" : "");
-  std::printf("%7zu %3zu %10.1f %9.0f %9.0f %6.2f %7zu %6.1f %7zu/%zu\n",
-              conns, workers, r.handshakes_per_s, r.latency_us.median,
-              r.latency_us.p99, r.batch_lane_occupancy, r.shed,
-              r.resumptions_per_wakeup, r.completed, conns);
+                ratio > 0.0 ? "_resume" : "", dhe_ratio > 0.0 ? "_dhe" : "",
+                batched ? "" : "_scalar");
+  std::printf("%-7s %7zu %3zu %10.1f %9.0f %9.0f %6.2f %7zu %6.1f %7zu/%zu\n",
+              batched ? "batched" : "scalar", conns, workers,
+              r.handshakes_per_s, r.latency_us.median, r.latency_us.p99,
+              r.batch_lane_occupancy, r.shed, r.resumptions_per_wakeup,
+              r.completed, conns);
   if (r.failed != 0) std::printf("  (FAILED %zu)\n", r.failed);
   json.add_row("event_sweep", name,
                {{"connections", static_cast<double>(conns)},
                 {"workers", static_cast<double>(workers)},
+                {"batched", batched ? 1.0 : 0.0},
                 {"resumption_ratio", ratio},
                 {"dhe_ratio", dhe_ratio},
                 {"max_pending_ops", static_cast<double>(max_pending)},
@@ -207,98 +185,48 @@ void socket_cell(phissl::bench::JsonReporter& json,
 int main(int argc, char** argv) {
   using namespace phissl;
 
-  bool smoke = false;
-  bool run_threaded = true;
-  bool run_event = true;
-  bool run_socket = false;  // opt-in: needs a Linux host with loopback
-  // --backend pins the termination sweep's Montgomery backend: both the
-  // server engine's scalar kernel and the batched-decrypt contexts, so
-  // scalar and batched rows stay an apples-to-apples A/B.
+  const bool smoke = bench::has_flag(argc, argv, "--smoke");
+  const bench::FrontendChoice frontends =
+      bench::frontend_from_args(argc, argv);
+  // --backend pins the sweeps' Montgomery backend: both the server
+  // engine's scalar kernel and the batched-decrypt contexts, so scalar
+  // and batched rows stay an apples-to-apples A/B.
   const rsa::Backend backend = bench::batch_backend_from_args(argc, argv);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--frontend") == 0 && i + 1 < argc) {
-      const char* f = argv[i + 1];
-      if (std::strcmp(f, "threaded") == 0) {
-        run_event = false;
-      } else if (std::strcmp(f, "event") == 0) {
-        run_threaded = false;
-      } else if (std::strcmp(f, "socket") == 0) {
-        run_threaded = false;
-        run_event = false;
-        run_socket = true;
-      } else if (std::strcmp(f, "all") == 0) {
-        run_socket = true;
-      } else if (std::strcmp(f, "both") != 0) {
-        std::fprintf(stderr,
-                     "unknown --frontend %s (threaded|event|socket|both|all)\n",
-                     f);
-        return 2;
-      }
-    }
-  }
   auto json = bench::JsonReporter::from_args("bench_handshake", argc, argv);
   auto obs_out = obs::ExportConfig::from_args(argc, argv);
 
   bench::print_header("E10 bench_handshake",
                       "SSL handshake throughput, three systems");
 
-  // --- Termination sweep: threads x resumption ratio, scalar vs batched.
-  // Both modes run the SAME sweep in the SAME process, so the batched
-  // rows are compared against a baseline captured under identical
-  // conditions. Handshake counts scale with the thread count so every
-  // configuration gives each worker enough work to fill batches.
   const std::size_t sweep_bits = smoke ? 512 : 2048;
-  // 16 and 32 threads matter even on small hosts: a handshake thread
-  // BLOCKS while its decryption waits in a batch, so the number of
-  // threads bounds the number of lanes a batch can fill (8 threads can
-  // never fill more than half a 16-lane batch). The batched path's
-  // crossover therefore appears once threads >= the batch width.
-  const std::vector<std::size_t> sweep_threads =
-      smoke ? std::vector<std::size_t>{1, 2}
-            : std::vector<std::size_t>{1, 2, 4, 8, 16, 32};
-  const std::vector<double> sweep_ratios =
-      smoke ? std::vector<double>{0.0} : std::vector<double>{0.0, 0.5, 0.9};
   rsa::EngineOptions sweep_opts =
       baseline::options_for(baseline::System::kPhiOpenSSL);
   sweep_opts.kernel = backend;
   const rsa::Engine sweep_engine(rsa::test_key(sweep_bits), sweep_opts);
 
-  if (run_threaded) {
-    std::printf("\n    termination sweep, RSA-%zu, backend %s "
-                "[hs/s | p50 us | p99 us | lane occ | resumed]\n",
-                sweep_bits, rsa::to_string(backend));
-    std::printf("%-8s %4s %6s %12s %10s %10s %7s %9s\n", "mode", "thr",
-                "ratio", "hs/s", "p50_us", "p99_us", "occ", "resumed");
-    for (const bool batched : {false, true}) {
-      for (const std::size_t threads : sweep_threads) {
-        for (const double ratio : sweep_ratios) {
-          const std::size_t handshakes =
-              smoke ? 6 * threads : (sweep_bits >= 2048 ? 12 : 24) * threads;
-          sweep_cell(json, sweep_engine, batched, threads, ratio, handshakes,
-                     backend);
-        }
-      }
-    }
-  }
-
-  // --- Event sweep: connections x reactor workers, always batched (the
-  // frontend exists to feed the batch service from parked connections).
-  // Occupancy here is decoupled from the worker count — the acceptance
-  // target is >= 0.9 from <= 4 workers at >= 1k connections, where the
-  // threaded sweep above needs >= 16 threads for the same occupancy.
-  if (run_event) {
+  // --- Event sweep: connections x reactor workers. Occupancy here is
+  // decoupled from the worker count — the acceptance target is >= 0.9
+  // from <= 4 workers at >= 1k connections, where a thread-per-connection
+  // server needs >= 16 threads (one blocked thread per lane). The scalar
+  // rows at the smallest connection count are the same geometry with the
+  // inline decrypter.
+  if (frontends.event) {
     std::printf("\n    event-frontend sweep, RSA-%zu, backend %s "
                 "[hs/s | p50 us | p99 us | lane occ | shed | res/wakeup]\n",
                 sweep_bits, rsa::to_string(backend));
-    std::printf("%7s %3s %10s %9s %9s %6s %7s %6s %9s\n", "conns", "wrk",
-                "hs/s", "p50_us", "p99_us", "occ", "shed", "r/w",
-                "completed");
+    std::printf("%-7s %7s %3s %10s %9s %9s %6s %7s %6s %9s\n", "mode",
+                "conns", "wrk", "hs/s", "p50_us", "p99_us", "occ", "shed",
+                "r/w", "completed");
     const std::vector<std::size_t> event_conns =
         smoke ? std::vector<std::size_t>{64, 256}
               : std::vector<std::size_t>{1024, 4096, 16384};
     const std::vector<std::size_t> event_workers =
         smoke ? std::vector<std::size_t>{2} : std::vector<std::size_t>{2, 4, 8};
+    for (const std::size_t workers : event_workers) {
+      event_cell(json, sweep_engine, event_conns.front(), workers,
+                 /*ratio=*/0.0, /*dhe_ratio=*/0.0, /*max_pending=*/0, backend,
+                 /*batched=*/false);
+    }
     for (const std::size_t conns : event_conns) {
       for (const std::size_t workers : event_workers) {
         event_cell(json, sweep_engine, conns, workers, /*ratio=*/0.0,
@@ -326,7 +254,7 @@ int main(int argc, char** argv) {
   // (Frontend::kSocket). The comparison row for each cell is the
   // simulated event row at the same geometry: occupancy within a few
   // percent means the kernel transport isn't draining the batches.
-  if (run_socket) {
+  if (frontends.socket) {
     std::printf("\n    socket-frontend sweep, RSA-%zu, backend %s "
                 "[hs/s | p50 us | p99 us | lane occ | shed | eagain | "
                 "epoll wakeups | events | EPOLL_CTL_MODs | hand-offs]\n",
@@ -352,9 +280,9 @@ int main(int argc, char** argv) {
                 backend);
   }
 
-  if (!smoke && run_threaded) {
+  if (!smoke && frontends.event) {
     std::printf("\n(a) measured on this host [handshakes/s | p50 latency us], "
-                "2 worker threads\n");
+                "scalar, 2 reactor workers, one connection each\n");
     std::printf("%8s", "bits");
     for (const auto s : baseline::all_systems()) {
       std::printf(" %24s", baseline::name(s));
@@ -365,10 +293,8 @@ int main(int argc, char** argv) {
       std::printf("%8zu", bits);
       for (const auto s : baseline::all_systems()) {
         const rsa::Engine engine = baseline::make_engine(s, key);
-        ssl::DriverConfig cfg;
-        cfg.num_handshakes = bits >= 2048 ? 12 : 24;
-        cfg.num_threads = 2;
-        const auto r = ssl::run_handshakes(engine, cfg);
+        const auto r = ssl::run_handshakes(
+            engine, scalar_config(bits >= 2048 ? 12 : 24, 2));
         std::printf(" %12.1f | %9.0f", r.handshakes_per_s, r.latency_us.median);
         if (r.failed != 0) std::printf("(FAILED %zu)", r.failed);
       }
@@ -427,17 +353,17 @@ int main(int argc, char** argv) {
     // Session-resumption sweep: abbreviated handshakes skip the RSA private
     // op entirely, so throughput rises steeply with the resumption ratio —
     // and the advantage of a faster private op shrinks, which bounds how
-    // much PhiOpenSSL can help a resumption-heavy terminator.
-    std::printf("\n    resumption-ratio sweep, RSA-2048, PhiOpenSSL, "
-                "host-measured [hs/s | %% resumed]\n");
+    // much PhiOpenSSL can help a resumption-heavy terminator. Each client
+    // identity's first visit (identity_pool_for(24) = 3 of them) cannot
+    // resume, so even ratio 1.0 tops out below 24.
+    std::printf("\n    resumption-ratio sweep, RSA-2048, PhiOpenSSL, scalar, "
+                "2 reactor workers [hs/s | resumed/completed]\n");
     std::printf("%8s %14s %12s\n", "ratio", "hs/s", "resumed");
     {
       const rsa::Engine engine = baseline::make_engine(
           baseline::System::kPhiOpenSSL, rsa::test_key(2048));
       for (const double ratio : {0.0, 0.5, 0.9, 1.0}) {
-        ssl::DriverConfig cfg;
-        cfg.num_handshakes = 24;
-        cfg.num_threads = 2;
+        ssl::DriverConfig cfg = scalar_config(24, 2);
         cfg.resumption_ratio = ratio;
         const auto r = ssl::run_handshakes(engine, cfg);
         std::printf("%8.2f %14.1f %9zu/%zu\n", ratio, r.handshakes_per_s,

@@ -35,7 +35,6 @@
 // proves nothing).
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -156,10 +155,7 @@ int main(int argc, char** argv) {
       "Montgomery exponentiation latency: PhiOpenSSL vs MPSS-like vs "
       "OpenSSL-like vs ifma52 (+ dedicated-squaring ablation)");
   auto json = bench::JsonReporter::from_args("bench_mont_exp", argc, argv);
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
+  const bool smoke = bench::has_flag(argc, argv, "--smoke");
   // Smoke mode: just prove every backend runs end-to-end (the CI docs job
   // invokes this); the numbers are not meaningful at these budgets.
   const int min_reps = smoke ? 2 : 5;

@@ -23,7 +23,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
-#include <cstring>
 #include <future>
 #include <vector>
 
@@ -81,10 +80,7 @@ double run_saturated_pass(const rsa::PrivateKey& key, std::size_t requests,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
+  const bool smoke = bench::has_flag(argc, argv, "--smoke");
 
   bench::print_header("E14 bench_obs",
                       "observability record-path nanocost + tracing on/off "

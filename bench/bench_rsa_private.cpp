@@ -19,7 +19,6 @@
 // table (c) runs in full.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -132,10 +131,7 @@ int main(int argc, char** argv) {
   bench::print_header("E4 bench_rsa_private",
                       "RSA private-key op (CRT sign/decrypt), three systems");
   auto json = bench::JsonReporter::from_args("bench_rsa_private", argc, argv);
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
+  const bool smoke = bench::has_flag(argc, argv, "--smoke");
   const std::vector<std::size_t> sizes =
       smoke ? std::vector<std::size_t>{1024, 2048}
             : std::vector<std::size_t>{1024, 2048, 4096};

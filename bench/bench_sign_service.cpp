@@ -34,7 +34,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -124,10 +123,7 @@ CellResult run_cell(const rsa::PrivateKey& key, double rate_rps,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
+  const bool smoke = bench::has_flag(argc, argv, "--smoke");
   const rsa::Backend backend = bench::batch_backend_from_args(argc, argv);
 
   bench::print_header("E13 bench_sign_service",

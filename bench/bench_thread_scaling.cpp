@@ -1,8 +1,8 @@
 // E8: thread scaling on the Xeon Phi. The physical 61-core / 244-thread
 // card is the hardware gate of this reproduction, so the scaling curve is
 // produced by the phisim KNC cost model (DESIGN.md documents the
-// substitution); host-measured thread-pool points are printed alongside as
-// a functional sanity check (this host may have very few cores — the
+// substitution); host-measured reactor points are printed alongside as a
+// functional sanity check (this host may have very few cores — the
 // absolute numbers are not comparable, only the plumbing is exercised).
 #include <cstdio>
 #include <thread>
@@ -49,18 +49,23 @@ int main() {
                                       phisim::Affinity::kCompact));
   }
 
-  std::printf("\n(b) host thread-pool sanity points "
+  // Scalar private ops resolved on the reactor workers, one open
+  // connection per worker: each worker runs one handshake at a time, as
+  // one thread per connection would.
+  std::printf("\n(b) host reactor sanity points, scalar private ops "
               "(host has %u hardware threads) [handshakes/s]\n",
               std::thread::hardware_concurrency());
   const rsa::Engine engine = baseline::make_engine(
       baseline::System::kPhiOpenSSL, rsa::test_key(2048));
-  std::printf("%8s %14s\n", "threads", "PhiOpenSSL");
-  for (const std::size_t threads : {1u, 2u, 4u}) {
+  std::printf("%8s %14s\n", "workers", "PhiOpenSSL");
+  for (const std::size_t workers : {1u, 2u, 4u}) {
     ssl::DriverConfig cfg;
     cfg.num_handshakes = 8;
-    cfg.num_threads = threads;
+    cfg.event_workers = workers;
+    cfg.max_open_connections = workers;
+    cfg.batch_private_ops = false;
     const auto r = ssl::run_handshakes(engine, cfg);
-    std::printf("%8zu %14.1f\n", threads, r.handshakes_per_s);
+    std::printf("%8zu %14.1f\n", workers, r.handshakes_per_s);
   }
   return 0;
 }

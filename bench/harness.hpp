@@ -61,6 +61,42 @@ inline rsa::Backend batch_backend_from_args(int argc, char** argv) {
   return rsa::Backend::kKncVec;
 }
 
+/// True when `flag` appears among the harness's arguments (e.g. "--smoke").
+inline bool has_flag(int argc, char** argv, const char* flag) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], flag) == 0) return true;
+  }
+  return false;
+}
+
+/// Which terminator sweeps a handshake harness runs.
+struct FrontendChoice {
+  bool event = true;    ///< the reactor over the simulated transport
+  bool socket = false;  ///< the reactor over loopback sockets
+};
+
+/// Parses `--frontend event|socket|all` (default: event only; socket is
+/// opt-in, it needs a Linux host with loopback), and prints usage and
+/// exits 2 on any other value.
+inline FrontendChoice frontend_from_args(int argc, char** argv) {
+  FrontendChoice choice;
+  for (int i = 1; i + 1 < argc; ++i) {
+    if (std::strcmp(argv[i], "--frontend") != 0) continue;
+    const char* f = argv[i + 1];
+    if (std::strcmp(f, "event") == 0) {
+      choice = {.event = true, .socket = false};
+    } else if (std::strcmp(f, "socket") == 0) {
+      choice = {.event = false, .socket = true};
+    } else if (std::strcmp(f, "all") == 0) {
+      choice = {.event = true, .socket = true};
+    } else {
+      std::fprintf(stderr, "unknown --frontend %s (event|socket|all)\n", f);
+      std::exit(2);
+    }
+  }
+  return choice;
+}
+
 /// Prints the standard harness header naming the experiment.
 inline void print_header(const char* experiment, const char* description) {
   std::printf("=============================================================\n");

@@ -63,7 +63,7 @@ std::optional<WorkloadOp> workload_op_from_string(std::string_view s) noexcept;
 /// lanes_filled describe the batch it rode in (batch_id is a nonzero
 /// process-wide dispatch ordinal; lanes_filled is the REAL lanes of that
 /// dispatch, so occupancy is reconstructible per batch). A scalar-path op
-/// (threaded frontend without batching, or a SignService flush run
+/// (the reactor's scalar decrypter, or a SignService flush run
 /// single-stream) records batch_id 0, lanes 0.
 /// `shed` marks an arrival rejected by admission control before any op was
 /// submitted; `resumed` marks an abbreviated handshake whose private op

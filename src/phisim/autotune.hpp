@@ -52,8 +52,8 @@ struct AutotuneGrid {
   std::vector<std::size_t> dispatch_slots = {1};
   /// 0 = admission off.
   std::vector<double> admission_max_wait_us = {0.0, 5000.0, 20000.0};
-  /// 0 = threaded frontend (skip the resume-stage model and the
-  /// event-worker dimension entirely).
+  /// 0 = no reactor (direct SignService callers: skip the resume-stage
+  /// model and the event-worker dimension entirely).
   std::vector<std::size_t> event_workers = {0};
 };
 
@@ -67,7 +67,7 @@ struct TunedConfig {
   double linger_us = 500.0;           ///< -> max_linger / batch_linger
   std::size_t max_batch_lanes = 16;   ///< -> max_batch_lanes
   std::size_t dispatch_threads = 1;   ///< -> dispatch_threads
-  std::size_t event_workers = 0;      ///< -> event_workers (0 = threaded)
+  std::size_t event_workers = 0;      ///< -> event_workers (0 = no reactor)
   double admission_max_wait_us = 0.0; ///< -> admission.max_predicted_wait
   std::size_t cache_shards = 16;      ///< -> cache_shards (heuristic, see
                                       ///< autotune() docs)

@@ -55,8 +55,8 @@ struct ReplayConfig {
   /// Linger term of the admission predictor (AdmissionConfig::
   /// linger_hint); 0 = use linger_us.
   double admission_linger_hint_us = 0.0;
-  /// Event-frontend reactor workers handling batch-completion resumes;
-  /// 0 = threaded frontend (no resume stage modeled).
+  /// Reactor workers handling batch-completion resumes; 0 = no reactor
+  /// (direct SignService callers: no resume stage modeled).
   std::size_t event_workers = 0;
   /// Forced-full baseline: no deadline flush (final drain only).
   bool full_batches_only = false;

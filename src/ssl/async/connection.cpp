@@ -4,10 +4,11 @@
 #include <cstring>
 #include <utility>
 
+#include "rsa/pkcs1.hpp"
+
 namespace phissl::ssl::async {
 
 namespace {
-
 
 void append(std::vector<std::uint8_t>& out,
             const std::vector<std::uint8_t>& bytes) {
@@ -29,6 +30,18 @@ const char* to_string(ConnState s) {
     case ConnState::kClosed: return "closed";
   }
   return "?";
+}
+
+std::optional<std::vector<std::uint8_t>> resolve_pending_op(
+    const rsa::Engine& engine, const PendingOp& op, util::Rng& rng) {
+  util::Rng* blinding_rng = engine.options().blinding ? &rng : nullptr;
+  if (op.kind == PendingOp::Kind::kPrivateOp) {
+    return rsa::decrypt_pkcs1(engine, op.payload, blinding_rng);
+  }
+  const std::size_t k = engine.pub().byte_size();
+  const auto em = rsa::emsa_pkcs1_v15_from_digest(op.payload, k);
+  return engine.private_op(bigint::BigInt::from_bytes_be(em), blinding_rng)
+      .to_bytes_be(k);
 }
 
 // --- ServerConnection -------------------------------------------------------
@@ -163,7 +176,7 @@ void ServerConnection::handle_frame(const Frame& f) {
         state_ = ConnState::kAwaitSignature;
         return;
       }
-      hs_.emplace(engine_, rng_, cache_, /*kex_decrypter=*/nullptr);
+      hs_.emplace(engine_, rng_, cache_);
       auto flight = hs_->on_client_hello(*hello);
       if (!flight.ok()) {
         fail(flight.alert());

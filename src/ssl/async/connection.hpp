@@ -1,16 +1,17 @@
 // Nonblocking per-connection handshake + record state machines for the
-// event-driven TLS terminator.
+// TLS terminator's reactor.
 //
-// The threaded frontend burns one thread per in-flight handshake, parked
-// inside a future.get() for the whole batch linger window — so lane
-// occupancy is bounded by thread count (16 lanes need 16 blocked
-// threads). A ServerConnection instead makes every wait explicit state:
-// it consumes whatever bytes have arrived, runs the handshake until the
-// next blocking point, and then EXPOSES the blocking crypto step as a
-// PendingOp for its owner (the Reactor) to submit to the batch service.
-// While the batch lingers, the connection object just sits in a table —
-// no stack, no thread — and thousands of connections can be awaiting the
-// same 16-lane batch from two worker threads.
+// A thread-per-connection server burns one thread per in-flight
+// handshake, parked for the whole batch linger window — so lane occupancy
+// is bounded by thread count (16 lanes need 16 blocked threads). A
+// ServerConnection instead makes every wait explicit state: it consumes
+// whatever bytes have arrived, runs the handshake until the next blocking
+// point, and then EXPOSES the blocking crypto step as a PendingOp for its
+// owner (the Reactor) to resolve — submitted to the batch service, or
+// resolved inline by resolve_pending_op() below. While a batch lingers,
+// the connection object just sits in a table — no stack, no thread — and
+// thousands of connections can be awaiting the same 16-lane batch from
+// two worker threads.
 //
 // Server states and the transitions between them:
 //
@@ -27,9 +28,10 @@
 //
 // The two kAwait* states are the completion-resumption bridge: the
 // connection yields a PendingOp{kPrivateOp|kSign}, its owner resolves it
-// (batched, async), and on_crypto_result() re-arms the machine. Admission
-// (admission.hpp) is consulted at the instant a PendingOp would be
-// created — a shed connection never submits crypto work.
+// (batched and async, or inline), and on_crypto_result() re-arms the
+// machine. Admission (admission.hpp) is consulted at the instant a
+// PendingOp would be created — a shed connection never submits crypto
+// work.
 //
 // Threading: a connection is NOT thread-safe; the reactor guarantees at
 // most one thread runs a given connection at a time (completion callbacks
@@ -58,8 +60,8 @@ enum class ConnState {
   kReadingClientHello,
   kReadingKeyExchange,
   kReadingFinished,
-  kAwaitPrivateOp,  // parked on a batched RSA decryption
-  kAwaitSignature,  // parked on a batched RSA signature (DHE)
+  kAwaitPrivateOp,  // parked on the RSA decryption
+  kAwaitSignature,  // parked on the RSA signature (DHE)
   kSendingFlight,   // output queued; advances when take_output drains it
   kEstablished,
   kDraining,  // alert/close queued after failure or shed
@@ -69,8 +71,8 @@ enum class ConnState {
 const char* to_string(ConnState s);
 
 /// One blocking crypto step the state machine needs resolved before it
-/// can advance. The owner submits it (BatchDecryptService::*_async in the
-/// reactor; anything at all in tests) and feeds the result back through
+/// can advance. The owner resolves it (BatchDecryptService::*_async or
+/// resolve_pending_op() in the reactor) and feeds the result back through
 /// on_crypto_result().
 struct PendingOp {
   enum class Kind {
@@ -85,16 +87,24 @@ struct PendingOp {
   std::size_t depth_at_admit = 0;
 };
 
+/// Resolves `op` on the calling thread with `engine`, which must hold the
+/// private key: an RSAES-PKCS1-v1_5 decryption for kPrivateOp (nullopt on
+/// a malformed ciphertext or bad padding, exactly as the batch service
+/// reports it), an EMSA-PKCS1-v1_5 encoding of the digest and a private op
+/// for kSign. `rng` is passed to the engine when it blinds. This is the
+/// reactor's scalar decrypter.
+std::optional<std::vector<std::uint8_t>> resolve_pending_op(
+    const rsa::Engine& engine, const PendingOp& op, util::Rng& rng);
+
 /// Server half of one terminated connection. Pure state machine: all I/O
 /// is byte spans in (on_input) and byte buffers out (take_output); all
 /// crypto waits surface as PendingOps.
 class ServerConnection {
  public:
   /// Shared, connection-count-independent dependencies. engine serves the
-  /// certificate (and, in tests without a batch service, the private op);
-  /// cache enables resumption (may be null); admission gates PendingOp
-  /// creation (may be null = admit everything); dhe_group enables the
-  /// DHE-RSA suite (may be null = RSA key transport only).
+  /// certificate; cache enables resumption (may be null); admission gates
+  /// PendingOp creation (may be null = admit everything); dhe_group
+  /// enables the DHE-RSA suite (may be null = RSA key transport only).
   ServerConnection(const rsa::Engine& engine, std::uint64_t rng_seed,
                    SessionCache* cache, AdmissionController* admission,
                    const dh::Dh* dhe_group);

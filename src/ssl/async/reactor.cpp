@@ -10,11 +10,31 @@
 #include "obs/trace.hpp"
 #include "obs/workload.hpp"
 #include "ssl/async/transport.hpp"
+#include "util/random.hpp"
 #include "util/timing.hpp"
 
 namespace phissl::ssl::async {
 
 using Clock = std::chrono::steady_clock;
+
+namespace {
+
+// A workload event for this reactor's key, stamped at `at`; the caller
+// sets the outcome fields.
+obs::WorkloadEvent workload_event(const rsa::Engine& engine,
+                                  Clock::time_point at, obs::WorkloadOp op) {
+  obs::WorkloadEvent ev;
+  ev.arrival_ns = obs::WorkloadRecorder::global().rel_ns(
+      static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              at.time_since_epoch())
+              .count()));
+  ev.key_bits = static_cast<std::uint32_t>(engine.pub().byte_size() * 8);
+  ev.op = op;
+  return ev;
+}
+
+}  // namespace
 
 /// One open connection: the server machine and the bookkeeping for the
 /// crypto op it may be parked on (the peer lives in the transport's
@@ -49,9 +69,11 @@ struct Reactor::Worker {
   // Touched by this worker only: slots whose next connection starts here
   // (recycled by a reactor-paced transport, or accepted by worker 0).
   std::vector<std::size_t> run;
+  // The scalar decrypter's blinding randomness, for this worker's slots.
+  util::Rng rng;
 };
 
-Reactor::Reactor(const rsa::Engine& server_engine, BatchDecryptService& svc,
+Reactor::Reactor(const rsa::Engine& server_engine, BatchDecryptService* svc,
                  SessionCache& cache, AdmissionController& admission,
                  const dh::Dh* dhe_group, Transport& transport,
                  ReactorConfig cfg)
@@ -87,6 +109,7 @@ Reactor::Reactor(const rsa::Engine& server_engine, BatchDecryptService& svc,
       std::max<std::size_t>(1, std::min(cfg_.workers, open));
   for (std::size_t w = 0; w < workers; ++w) {
     workers_.push_back(std::make_unique<Worker>());
+    workers_.back()->rng = util::Rng(detail::mix(cfg_.seed) + w);
   }
   transport_.bind(*this);
 }
@@ -277,10 +300,29 @@ void Reactor::submit(std::size_t slot_idx, PendingOp op) {
   Slot& slot = *slots_[slot_idx];
   slot.depth_at_admit = op.depth_at_admit;
   slot.op_submitted = Clock::now();
-  // Before the async call: the completion can run INLINE (malformed
-  // ciphertext short-circuits before the service), and resume() keys off
-  // this flag.
+  // Before the op resolves: it can resolve INLINE (the scalar decrypter,
+  // or a malformed ciphertext short-circuiting before the service), and
+  // resume() keys off this flag.
   slot.op_in_flight = true;
+  if (svc_ == nullptr) {
+    // The scalar decrypter: this worker owns the slot, so it resolves the
+    // op with the server engine and resumes it as a completion would.
+    std::optional<std::vector<std::uint8_t>> result;
+    {
+      PHISSL_OBS_SPAN("ssl.kex_decrypt");
+      result = resolve_pending_op(engine_, op, workers_[owner(slot_idx)]->rng);
+    }
+    if (PHISSL_OBS_WORKLOAD_ENABLED) {
+      // One event per op, unbatched (batch_id 0, lanes 0), as the
+      // service records a single-stream op.
+      obs::WorkloadRecorder::global().record(workload_event(
+          engine_, slot.op_submitted,
+          op.kind == PendingOp::Kind::kPrivateOp ? obs::WorkloadOp::kPrivateOp
+                                                 : obs::WorkloadOp::kDheSign));
+    }
+    resume(slot_idx, std::move(result));
+    return;
+  }
   // The completion callback runs on a batch-service dispatch thread (or
   // inline, on this worker); per the Completion contract it only posts
   // the result to the slot's owner, never touching the slot itself.
@@ -288,9 +330,9 @@ void Reactor::submit(std::size_t slot_idx, PendingOp op) {
     post(Post{slot_idx, /*start=*/false, std::move(r)});
   };
   if (op.kind == PendingOp::Kind::kPrivateOp) {
-    svc_.decrypt_premaster_async(op.payload, std::move(done));
+    svc_->decrypt_premaster_async(op.payload, std::move(done));
   } else {
-    svc_.sign_digest_async(op.payload, std::move(done));
+    svc_->sign_digest_async(op.payload, std::move(done));
   }
 }
 
@@ -299,7 +341,7 @@ void Reactor::resume(std::size_t slot_idx,
   Slot& slot = *slots_[slot_idx];
   // Close the admission loop first (the pending-op slot frees before the
   // connection runs on, so a waiting arrival can admit), then re-arm the
-  // state machine with the batch result.
+  // state machine with the result.
   slot.op_in_flight = false;
   const double latency_us = std::chrono::duration<double, std::micro>(
                                 Clock::now() - slot.op_submitted)
@@ -321,23 +363,16 @@ void Reactor::finish_connection(std::size_t slot_idx) {
                                   Clock::now() - slot.started)
                                   .count());
   const ServerConnection& conn = *slot.server;
-  // Shed and resumed connections never reach the batch service, so the
-  // per-lane events SignService records can't cover them — the workload
-  // trace gets them here, arrival-stamped at connection start.
+  // Shed and resumed connections never reach the decrypter, so no per-op
+  // event covers them — the workload trace gets them here,
+  // arrival-stamped at connection start.
   const auto record_outcome = [&](bool is_shed, bool is_resumed) {
     if (!PHISSL_OBS_WORKLOAD_ENABLED) return;
-    obs::WorkloadRecorder& rec = obs::WorkloadRecorder::global();
-    obs::WorkloadEvent wev;
-    wev.arrival_ns = rec.rel_ns(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            slot.started.time_since_epoch())
-            .count()));
-    wev.key_bits =
-        static_cast<std::uint32_t>(engine_.pub().byte_size() * 8);
-    wev.op = obs::WorkloadOp::kPrivateOp;
+    obs::WorkloadEvent wev =
+        workload_event(engine_, slot.started, obs::WorkloadOp::kPrivateOp);
     wev.shed = is_shed;
     wev.resumed = is_resumed;
-    rec.record(wev);
+    obs::WorkloadRecorder::global().record(wev);
   };
   // Outcome is judged on the SERVER side (the socket transport has no
   // view of the client state machine): a clean close with no failure and
@@ -373,10 +408,52 @@ void Reactor::finish_connection(std::size_t slot_idx) {
   }
 }
 
-DriverReport fold_driver_report(const ReactorStats& stats,
-                                double wall_seconds,
-                                const SessionCache& cache,
-                                BatchDecryptService& svc) {
+ServerStack::ServerStack(const rsa::Engine& server_engine,
+                         const DriverConfig& cfg, Transport& transport)
+    : cache_(SessionCacheConfig{.capacity = cfg.cache_capacity,
+                                .shards = cfg.cache_shards}),
+      admission_(cfg.admission) {
+  if (!server_engine.has_private()) {
+    throw std::invalid_argument("ServerStack: server engine needs a key");
+  }
+  if (!detail::valid_ratio(cfg.resumption_ratio) ||
+      !detail::valid_ratio(cfg.event_dhe_ratio)) {
+    throw std::invalid_argument("ServerStack: bad ratio");
+  }
+  if (!detail::valid_rate(cfg.socket_arrival_per_s)) {
+    throw std::invalid_argument("ServerStack: bad socket arrival rate");
+  }
+  if (cfg.batch_private_ops) {
+    svc_ = std::make_unique<BatchDecryptService>(
+        server_engine.priv(),
+        BatchDecryptConfig{
+            .dispatch_threads = cfg.batch_dispatch_threads,
+            .max_linger = cfg.batch_linger,
+            .max_batch_lanes = cfg.batch_max_lanes,
+            .digit_bits = server_engine.options().digit_bits,
+            .backend = cfg.batch_backend,
+        });
+  }
+  if (cfg.event_dhe_ratio > 0.0) {
+    dhe_group_ = std::make_unique<dh::Dh>(dh::rfc2409_group2(),
+                                          server_engine.options().kernel);
+  }
+  reactor_ = std::make_unique<Reactor>(
+      server_engine, svc_.get(), cache_, admission_, dhe_group_.get(),
+      transport,
+      ReactorConfig{
+          .workers = cfg.event_workers,
+          .max_open_connections = cfg.max_open_connections,
+          .total_connections = cfg.num_handshakes,
+          .seed = cfg.seed,
+          .resumption_ratio = cfg.resumption_ratio,
+          .dhe_ratio = cfg.event_dhe_ratio,
+          .identity_pool = identity_pool_for(cfg.num_handshakes),
+      });
+}
+
+DriverReport ServerStack::report(const ReactorStats& stats,
+                                 double wall_seconds) const {
   DriverReport report;
   report.wall_seconds = wall_seconds;
   report.completed = stats.completed;
@@ -391,64 +468,31 @@ DriverReport fold_driver_report(const ReactorStats& stats,
           : 0.0;
   report.latency_us = stats.latency_us;
 
-  const SessionCacheStats cs = cache.stats();
+  const SessionCacheStats cs = cache_.stats();
   report.cache_hits = cs.hits;
   report.cache_misses = cs.misses;
   report.cache_evictions = cs.evictions;
-  const service::StatsSnapshot ss = svc.stats();
-  fold_service_stats(ss, report);
+  if (svc_ != nullptr) {
+    const service::StatsSnapshot ss = svc_->stats();
+    report.service_requests = ss.requests;
+    report.batches = ss.batches;
+    report.lanes_signed = ss.lanes_signed;
+    report.padded_lanes = ss.padded_lanes;
+    report.single_ops = ss.single_ops;
+    report.batch_lane_occupancy = ss.mean_lane_occupancy;
+  }
   return report;
 }
 
 DriverReport run_event_handshakes(const rsa::Engine& server_engine,
                                   const DriverConfig& cfg) {
-  if (!server_engine.has_private()) {
-    throw std::invalid_argument(
-        "run_event_handshakes: server engine needs a key");
-  }
-  if (cfg.resumption_ratio < 0.0 || cfg.resumption_ratio > 1.0 ||
-      cfg.event_dhe_ratio < 0.0 || cfg.event_dhe_ratio > 1.0) {
-    throw std::invalid_argument("run_event_handshakes: bad ratio");
-  }
-
-  // The event frontend exists to feed the batch service from parked
-  // connections, so unlike the threaded path it is not optional here.
-  BatchDecryptService svc(
-      server_engine.priv(),
-      BatchDecryptConfig{
-          .dispatch_threads = cfg.batch_dispatch_threads,
-          .max_linger = cfg.batch_linger,
-          .max_batch_lanes = cfg.batch_max_lanes,
-          .digit_bits = server_engine.options().digit_bits,
-          .backend = cfg.batch_backend,
-      });
-  SessionCache cache(SessionCacheConfig{.capacity = cfg.cache_capacity,
-                                        .shards = cfg.cache_shards});
-  AdmissionController admission(cfg.admission);
-  std::optional<dh::Dh> dhe_group;
-  if (cfg.event_dhe_ratio > 0.0) {
-    dhe_group.emplace(dh::rfc2409_group2(), server_engine.options().kernel);
-  }
-
-  const ReactorConfig rcfg{
-      .workers = cfg.event_workers,
-      .max_open_connections = cfg.max_open_connections,
-      .total_connections = cfg.num_handshakes,
-      .seed = cfg.seed,
-      .resumption_ratio = cfg.resumption_ratio,
-      .dhe_ratio = cfg.event_dhe_ratio,
-      .identity_pool = identity_pool_for(cfg.num_handshakes),
-  };
   const rsa::Engine client_engine(server_engine.pub(),
                                   server_engine.options());
-  SimulatedTransport transport(client_engine, rcfg);
-  Reactor reactor(server_engine, svc, cache, admission,
-                  dhe_group.has_value() ? &*dhe_group : nullptr, transport,
-                  rcfg);
-
+  SimulatedTransport transport(client_engine);
+  ServerStack stack(server_engine, cfg, transport);
   util::Stopwatch wall;
-  const ReactorStats stats = reactor.run();
-  return fold_driver_report(stats, wall.elapsed_s(), cache, svc);
+  const ReactorStats stats = stack.run();
+  return stack.report(stats, wall.elapsed_s());
 }
 
 }  // namespace phissl::ssl::async

@@ -1,17 +1,24 @@
 // Event loop for the TLS terminator: multiplexes thousands of
 // ServerConnection state machines over a small worker pool.
 //
-// The threaded frontend's scaling wall is structural: every connection
-// awaiting its 16-lane batch holds a parked thread, so lane occupancy is
-// bounded by thread count (occupancy = blocked_threads / 16 — the
-// BENCH_handshake.json termination sweep shows batching only beating
-// scalar from ~16 threads for exactly this reason). The Reactor removes
-// the thread from the wait: a connection that reaches a crypto step
-// yields a PendingOp, the reactor submits it to the shared
-// BatchDecryptService through the *_async completion bridge, and the
-// connection becomes a heap object in a slot table. When the batch
-// completes — on a service dispatch thread — the completion callback does
-// exactly one thing: it posts the result to the slot's owning worker.
+// A thread-per-connection server hits a structural wall: every
+// connection awaiting its 16-lane batch holds a parked thread, so lane
+// occupancy is bounded by thread count (occupancy = blocked_threads / 16;
+// the termination sweep recorded at cf0c9e5 in
+// bench/results/BENCH_handshake.json shows batching only beating scalar
+// from ~16 threads for exactly this reason). The Reactor removes the
+// thread from the wait: a connection that reaches a crypto step yields a
+// PendingOp, and the connection becomes a heap object in a slot table.
+//
+// What resolves the op is the decrypter choice. With a BatchDecryptService
+// the reactor submits it through the *_async completion bridge; when the
+// batch completes — on a service dispatch thread — the completion
+// callback does exactly one thing: it posts the result to the slot's
+// owning worker. Without one (the scalar decrypter) the owning worker
+// resolves the op inline with the server engine (resolve_pending_op) and
+// resumes the connection at once. Both choices feed the same resume
+// step, so admission feedback, shedding and the peer-gone path are one
+// code path.
 //
 // Ownership: slot i belongs to worker i mod W for its whole life, and
 // only that worker starts, pumps, resumes and closes it. The single-owner
@@ -28,13 +35,14 @@
 //
 // The reactor also OWNS admission (admission.hpp): connections consult
 // the shared AdmissionController at their PendingOp creation point, and
-// shed connections never reach the batch service.
+// shed connections never reach the decrypter.
 //
 // Byte movement and waiting are delegated to a Transport (transport.hpp):
 // the simulated vector-swap transport (deterministic, reactor-paced) and
 // the epoll socket transport (real fds, accept-paced, one epoll set per
 // worker) are two implementations of the same seam. This file knows
-// nothing about sockets.
+// nothing about sockets. ServerStack assembles the shared pieces from a
+// DriverConfig once, for either transport.
 #pragma once
 
 #include <algorithm>
@@ -78,16 +86,17 @@ struct ReactorConfig {
   /// transport / the socket client fleet, not the reactor itself.
   double resumption_ratio = 0.0;
   /// Fraction of connections negotiating DHE-RSA instead of RSA key
-  /// transport (their private op is a signature, coalescing into the
-  /// same batches as the decryptions). Requires a dhe_group.
+  /// transport (their private op is a signature, which the batched
+  /// decrypter coalesces into the same batches as the decryptions).
+  /// Requires a dhe_group.
   double dhe_ratio = 0.0;
   /// Distinct client identities cycling through the connection stream;
   /// each remembers its latest resumable session.
   std::size_t identity_pool = 256;
 };
 
-/// Outcome counters for one run() (merged into DriverReport by the
-/// driver frontend).
+/// Outcome counters for one run() (merged into DriverReport by
+/// ServerStack::report).
 struct ReactorStats {
   std::size_t completed = 0;
   std::size_t failed = 0;
@@ -108,11 +117,11 @@ class Reactor {
  public:
   /// All dependencies are shared across every connection: the server
   /// engine (certificate + key), the batch service (the completion
-  /// bridge target), the session cache, admission control, the optional
-  /// DHE group (required if cfg.dhe_ratio > 0), and the transport that
-  /// moves bytes. The transport must outlive the reactor; bind() is
-  /// called here.
-  Reactor(const rsa::Engine& server_engine, BatchDecryptService& svc,
+  /// bridge target; null resolves every op inline on the slot's owner),
+  /// the session cache, admission control, the optional DHE group
+  /// (required if cfg.dhe_ratio > 0), and the transport that moves bytes.
+  /// The transport must outlive the reactor; bind() is called here.
+  Reactor(const rsa::Engine& server_engine, BatchDecryptService* svc,
           SessionCache& cache, AdmissionController& admission,
           const dh::Dh* dhe_group, Transport& transport, ReactorConfig cfg);
   ~Reactor();
@@ -125,6 +134,9 @@ class Reactor {
   /// One-shot: a Reactor instance runs once.
   ReactorStats run();
 
+  /// The geometry and workload shape the reactor runs (transports read
+  /// the workload shape here at bind()).
+  [[nodiscard]] const ReactorConfig& config() const { return cfg_; }
   /// Slots in the table (transports size their per-slot state to this).
   [[nodiscard]] std::size_t slot_count() const { return slots_.size(); }
   /// Worker threads run() starts: cfg.workers, but no more than slots.
@@ -154,7 +166,7 @@ class Reactor {
   void finish_connection(std::size_t slot_idx);
 
   const rsa::Engine& engine_;
-  BatchDecryptService& svc_;
+  BatchDecryptService* svc_;  // null: the scalar decrypter
   SessionCache& cache_;
   AdmissionController& admission_;
   const dh::Dh* dhe_group_;
@@ -182,26 +194,50 @@ class Reactor {
   obs::Counter* reset_counter_;
 };
 
-/// Event-frontend counterpart of run_handshakes(): builds the batch
-/// service, cache, admission controller, and (if event_dhe_ratio > 0)
-/// the DHE group from cfg, runs a Reactor over cfg.num_handshakes
-/// connections on the simulated transport, and folds ReactorStats into
-/// the common DriverReport. Called through run_handshakes() when
-/// cfg.frontend == Frontend::kEvent.
+/// The terminator's server side, assembled from a DriverConfig in one
+/// place for every transport: the decrypter (a BatchDecryptService when
+/// cfg.batch_private_ops, else none), the session cache, admission
+/// control, the DHE group (when cfg.event_dhe_ratio > 0) and a Reactor
+/// over the caller's transport. run_event_handshakes() runs one over a
+/// SimulatedTransport, SocketFrontend over a SocketTransport.
+class ServerStack {
+ public:
+  /// Throws std::invalid_argument when the engine holds no private key, a
+  /// ratio lies outside [0, 1] (NaN included) or the socket arrival rate
+  /// is negative or not finite. The transport must outlive the stack.
+  ServerStack(const rsa::Engine& server_engine, const DriverConfig& cfg,
+              Transport& transport);
+
+  // The reactor holds references into the stack.
+  ServerStack(const ServerStack&) = delete;
+  ServerStack& operator=(const ServerStack&) = delete;
+
+  /// Terminates cfg.num_handshakes connections (see Reactor::run).
+  ReactorStats run() { return reactor_->run(); }
+
+  /// Folds reactor outcomes, cache counters and, when batching, the batch
+  /// service's scheduler counters into the common report.
+  [[nodiscard]] DriverReport report(const ReactorStats& stats,
+                                    double wall_seconds) const;
+
+ private:
+  std::unique_ptr<BatchDecryptService> svc_;  // null: the scalar decrypter
+  SessionCache cache_;
+  AdmissionController admission_;
+  std::unique_ptr<dh::Dh> dhe_group_;  // null: no DHE-RSA suite
+  std::unique_ptr<Reactor> reactor_;
+};
+
+/// The reactor over the simulated transport: a ServerStack whose
+/// connections each pair with an in-process ScriptedClient. Called
+/// through run_handshakes() when cfg.frontend == Frontend::kEvent.
 DriverReport run_event_handshakes(const rsa::Engine& server_engine,
                                   const DriverConfig& cfg);
 
-/// Shared by the event and socket frontends: folds reactor outcome,
-/// cache, and batch-service counters into the common DriverReport shape.
-DriverReport fold_driver_report(const ReactorStats& stats,
-                                double wall_seconds,
-                                const SessionCache& cache,
-                                BatchDecryptService& svc);
-
-/// Shared by the event and socket frontends: the identity-pool size for a
-/// run of n connections — scaled so each identity reconnects several
-/// times (a fixed pool larger than the run would mean no identity ever
-/// returns and resumption_ratio silently does nothing).
+/// The identity-pool size for a run of n connections, on either transport:
+/// scaled so each identity reconnects several times (a fixed pool larger
+/// than the run would mean no identity ever returns and resumption_ratio
+/// silently does nothing).
 inline std::size_t identity_pool_for(std::size_t n) {
   return std::max<std::size_t>(1, std::min<std::size_t>(256, n / 8));
 }

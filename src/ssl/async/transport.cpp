@@ -28,14 +28,13 @@ namespace phissl::ssl::async {
 // ---------------------------------------------------------------------------
 // SimulatedTransport
 
-SimulatedTransport::SimulatedTransport(const rsa::Engine& client_engine,
-                                       ReactorConfig cfg)
-    : client_engine_(client_engine), cfg_(std::move(cfg)) {
-  if (cfg_.identity_pool == 0) cfg_.identity_pool = 1;
-  identities_.resize(cfg_.identity_pool);
-}
+SimulatedTransport::SimulatedTransport(const rsa::Engine& client_engine)
+    : client_engine_(client_engine) {}
 
 void SimulatedTransport::bind(Reactor& reactor) {
+  // The reactor has already clamped identity_pool to at least 1.
+  cfg_ = reactor.config();
+  identities_.resize(cfg_.identity_pool);
   slots_.resize(reactor.slot_count());
   wakers_ = std::make_unique<Waker[]>(reactor.worker_count());
 }
@@ -476,57 +475,19 @@ IoStatus SocketTransport::exchange(std::size_t slot, ServerConnection& conn) {
 // SocketFrontend
 
 struct SocketFrontend::Impl {
-  BatchDecryptService svc;
-  SessionCache cache;
-  AdmissionController admission;
-  std::optional<dh::Dh> dhe_group;
   SocketTransport transport;
-  std::optional<Reactor> reactor;
+  ServerStack stack;
 
   Impl(const rsa::Engine& engine, const DriverConfig& cfg,
        SocketTransportConfig transport_cfg)
-      : svc(engine.priv(),
-            BatchDecryptConfig{
-                .dispatch_threads = cfg.batch_dispatch_threads,
-                .max_linger = cfg.batch_linger,
-                .max_batch_lanes = cfg.batch_max_lanes,
-                .digit_bits = engine.options().digit_bits,
-                .backend = cfg.batch_backend,
-            }),
-        cache(SessionCacheConfig{.capacity = cfg.cache_capacity,
-                                 .shards = cfg.cache_shards}),
-        admission(cfg.admission),
-        transport(std::move(transport_cfg)) {
-    if (cfg.event_dhe_ratio > 0.0) {
-      dhe_group.emplace(dh::rfc2409_group2(), engine.options().kernel);
-    }
-    reactor.emplace(engine, svc, cache, admission,
-                    dhe_group.has_value() ? &*dhe_group : nullptr, transport,
-                    ReactorConfig{
-                        .workers = cfg.event_workers,
-                        .max_open_connections = cfg.max_open_connections,
-                        .total_connections = cfg.num_handshakes,
-                        .seed = cfg.seed,
-                        .resumption_ratio = cfg.resumption_ratio,
-                        .dhe_ratio = cfg.event_dhe_ratio,
-                        .identity_pool = identity_pool_for(cfg.num_handshakes),
-                    });
-  }
+      : transport(std::move(transport_cfg)), stack(engine, cfg, transport) {}
 };
 
 SocketFrontend::SocketFrontend(const rsa::Engine& server_engine,
                                const DriverConfig& cfg,
-                               SocketTransportConfig transport_cfg) {
-  if (!server_engine.has_private()) {
-    throw std::invalid_argument(
-        "SocketFrontend: server engine needs a key");
-  }
-  if (cfg.resumption_ratio < 0.0 || cfg.resumption_ratio > 1.0 ||
-      cfg.event_dhe_ratio < 0.0 || cfg.event_dhe_ratio > 1.0) {
-    throw std::invalid_argument("SocketFrontend: bad ratio");
-  }
-  impl_ = std::make_unique<Impl>(server_engine, cfg, std::move(transport_cfg));
-}
+                               SocketTransportConfig transport_cfg)
+    : impl_(std::make_unique<Impl>(server_engine, cfg,
+                                   std::move(transport_cfg))) {}
 
 SocketFrontend::~SocketFrontend() = default;
 
@@ -540,15 +501,14 @@ DriverReport SocketFrontend::run() {
   // run() follows the bind directly, and a separate load generator may
   // connect much later: the serving clock starts at the first accept.
   util::Stopwatch wall;
-  const ReactorStats stats = impl_->reactor->run();
+  const ReactorStats stats = impl_->stack.run();
   const auto first = impl_->transport.first_accept();
   const double wall_s =
       first ? std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                             *first)
                   .count()
             : wall.elapsed_s();
-  DriverReport report =
-      fold_driver_report(stats, wall_s, impl_->cache, impl_->svc);
+  DriverReport report = impl_->stack.report(stats, wall_s);
   const SocketTransportStats ts = impl_->transport.stats();
   report.accepts = ts.accepts;
   report.eagain = ts.eagain_reads + ts.eagain_writes;
@@ -582,6 +542,13 @@ struct ClientConn {
 
 LoadGenStats run_load(const rsa::Engine& public_engine,
                       const LoadGenConfig& cfg) {
+  if (!detail::valid_ratio(cfg.resumption_ratio) ||
+      !detail::valid_ratio(cfg.dhe_ratio)) {
+    throw std::invalid_argument("run_load: bad ratio");
+  }
+  if (!detail::valid_rate(cfg.arrival_rate_per_s)) {
+    throw std::invalid_argument("run_load: bad arrival rate");
+  }
   raise_nofile_limit();
   const std::size_t total = cfg.total_connections;
   const std::size_t window = std::max<std::size_t>(1, cfg.concurrency);

@@ -3,7 +3,7 @@
 // tests and the event bench use, and the real epoll socket transport.
 //
 // The Reactor (reactor.hpp) schedules ServerConnection state machines and
-// bridges their crypto waits to the batch service; everything about HOW
+// resolves their crypto waits; everything about HOW
 // bytes reach a connection — and how a worker waits for them — lives
 // behind Transport. Each reactor worker blocks in wait(), which returns
 // the worker's slots whose peer is ready (or nothing, after a wake()).
@@ -40,6 +40,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -75,6 +76,13 @@ inline bool coin(std::uint64_t seed, std::size_t idx, std::uint32_t salt,
   const std::uint64_t h = mix(seed ^ mix(idx) ^ salt);
   return static_cast<double>(h >> 11) * 0x1.0p-53 < ratio;
 }
+
+/// A ratio coin() can draw: in [0, 1]. Written so that NaN, which coin()
+/// would silently treat as 0, fails too.
+inline bool valid_ratio(double r) { return r >= 0.0 && r <= 1.0; }
+
+/// An arrival rate: finite and non-negative (0 = closed loop).
+inline bool valid_rate(double r) { return std::isfinite(r) && r >= 0.0; }
 
 }  // namespace detail
 
@@ -133,13 +141,12 @@ class Transport {
 
 /// Deterministic in-process transport: each slot pairs the server with a
 /// ScriptedClient and byte vectors swap directly. Drives the resumption/
-/// DHE mix from the ReactorConfig ratios, banking resumable sessions per
-/// client identity exactly like the pre-seam reactor loop did.
+/// DHE mix from the bound reactor's ReactorConfig (seed, ratios, identity
+/// pool), banking resumable sessions per client identity.
 class SimulatedTransport final : public Transport {
  public:
-  /// client_engine needs only the server's public key; cfg supplies seed,
-  /// ratios, and the identity pool.
-  SimulatedTransport(const rsa::Engine& client_engine, ReactorConfig cfg);
+  /// client_engine needs only the server's public key.
+  explicit SimulatedTransport(const rsa::Engine& client_engine);
 
   void bind(Reactor& reactor) override;
   [[nodiscard]] bool reactor_paced() const override { return true; }
@@ -162,7 +169,7 @@ class SimulatedTransport final : public Transport {
   };
 
   const rsa::Engine& client_engine_;
-  ReactorConfig cfg_;
+  ReactorConfig cfg_;  // the bound reactor's
   std::vector<SimSlot> slots_;
   std::unique_ptr<Waker[]> wakers_;  // one per worker
 
@@ -280,10 +287,9 @@ class SocketTransport final : public Transport {
   SocketTransportStats totals_;  // guarded by stats_mu_
 };
 
-/// One server stack on real sockets: batch service + cache + admission +
-/// SocketTransport + Reactor, assembled from a DriverConfig. Splitting
-/// construction from run() exposes port() so an external client fleet
-/// (or phissl_loadgen --serve) can aim at an ephemeral listener.
+/// The server stack (ServerStack) over real sockets (SocketTransport).
+/// Splitting construction from run() exposes port() so an external client
+/// fleet (or phissl_loadgen --serve) can aim at an ephemeral listener.
 class SocketFrontend {
  public:
   SocketFrontend(const rsa::Engine& server_engine, const DriverConfig& cfg,
@@ -316,7 +322,7 @@ struct LoadGenConfig {
   /// max_open_connections.
   std::size_t concurrency = 256;
   /// Poisson arrivals at this rate (connections/s); 0 opens as fast as
-  /// the concurrency window allows.
+  /// the concurrency window allows. Must be finite and non-negative.
   double arrival_rate_per_s = 0.0;
   std::uint64_t seed = 1;
   double resumption_ratio = 0.0;
@@ -335,15 +341,15 @@ struct LoadGenStats {
 
 /// Runs cfg.total_connections ScriptedClients against host:port from one
 /// epoll loop (nonblocking connect, LT readiness). public_engine needs
-/// only the server's public key.
+/// only the server's public key. Throws std::invalid_argument on a ratio
+/// outside [0, 1] or a bad arrival rate.
 LoadGenStats run_load(const rsa::Engine& public_engine,
                       const LoadGenConfig& cfg);
 
-/// Socket-frontend counterpart of run_event_handshakes(): brings up a
-/// SocketFrontend on an ephemeral loopback port, drives it with an
-/// in-process run_load fleet (cfg.socket_clients wide), and folds both
-/// sides into the common DriverReport. Called through run_handshakes()
-/// when cfg.frontend == Frontend::kSocket.
+/// Socket counterpart of run_event_handshakes(): brings up a
+/// SocketFrontend on an ephemeral loopback port and drives it with an
+/// in-process run_load fleet (cfg.socket_clients wide). Called through
+/// run_handshakes() when cfg.frontend == Frontend::kSocket.
 DriverReport run_socket_handshakes(const rsa::Engine& server_engine,
                                    const DriverConfig& cfg);
 

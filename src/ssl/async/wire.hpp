@@ -1,10 +1,10 @@
 // Byte-stream framing for the event-driven TLS terminator.
 //
-// The threaded frontend passes handshake messages between client and
-// server as in-memory structs — fine when one thread owns one connection
-// end to end, useless for an event loop that must resume a parked
-// connection from whatever bytes have arrived so far. This module gives
-// every message a self-delimiting wire shape:
+// The blocking handshake API (ssl/handshake.hpp) passes messages between
+// client and server as in-memory structs — fine when one caller owns both
+// ends of a handshake, useless for an event loop that must resume a
+// parked connection from whatever bytes have arrived so far. This module
+// gives every message a self-delimiting wire shape:
 //
 //   [type: 1 byte][length: 3 bytes big-endian][body: `length` bytes]
 //

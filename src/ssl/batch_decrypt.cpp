@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "obs/trace.hpp"
 #include "rsa/pkcs1.hpp"
 
 namespace phissl::ssl {
@@ -26,30 +25,12 @@ BatchDecryptService::BatchDecryptService(rsa::PrivateKey key,
   svc_.add_key(kKeyId, std::move(key));
 }
 
-std::optional<std::vector<std::uint8_t>> BatchDecryptService::decrypt_premaster(
-    std::span<const std::uint8_t> ciphertext) {
-  PHISSL_OBS_SPAN("ssl.batch_kex_decrypt");
-  // Public checks first (ciphertext length and range are not secrets):
-  // private_op throws on these, but a malformed wire ciphertext is a
-  // normal protocol event, not a caller bug — report it as the same
-  // nullopt the unpad failure below produces.
-  if (ciphertext.size() != k_) return std::nullopt;
-  if (bigint::BigInt::from_bytes_be(ciphertext) >= n_) return std::nullopt;
-
-  // Blocks this handshake thread until the flush containing this request
-  // runs (at most ~max_linger of added wait at light load).
-  auto fut = svc_.private_op(kKeyId, ciphertext);
-  const service::SignResult result = fut.get();
-
-  // EME-PKCS1-v1_5 unpadding of the raw k-byte block, on the caller —
-  // the service stays a pure modular exponentiation.
-  return rsa::rsaes_pkcs1_v15_unpad(result.signature);
-}
-
 void BatchDecryptService::decrypt_premaster_async(
     std::span<const std::uint8_t> ciphertext, DecryptCompletion done) {
-  // Same public checks as the blocking form; a malformed wire ciphertext
-  // resolves inline — there is nothing to batch.
+  // Public checks first (ciphertext length and range are not secrets):
+  // private_op throws on these, but a malformed wire ciphertext is a
+  // normal protocol event, not a caller bug, so it resolves inline to the
+  // same nullopt a padding failure produces — there is nothing to batch.
   if (ciphertext.size() != k_ ||
       bigint::BigInt::from_bytes_be(ciphertext) >= n_) {
     done(std::nullopt);

@@ -1,4 +1,4 @@
-// Lane-coalescing ClientKeyExchange decryption for the TLS terminator.
+// Lane-coalescing private ops for the TLS terminator.
 //
 // A full TLS 1.2 RSA-key-transport handshake costs one private-key
 // decryption, and a terminator runs many handshakes concurrently — the
@@ -6,20 +6,18 @@
 // solves. This adapter closes the loop for the DECRYPT direction: it owns
 // a single-key service::SignService (whose raw private_op() path shares
 // the adaptive linger/backpressure scheduler, the 16-lane BatchEngine and
-// the per-flush cost route with signing traffic) and exposes it through
-// the ssl::KexDecrypter interface, so ServerHandshake::on_key_exchange
-// calls from concurrent connections fill whole SIMD batches once enough
-// of them are in flight, and otherwise run single-stream CRT ops on the
-// dispatch thread — whichever the flush's measured costs say is cheaper.
+// the per-flush cost route with signing traffic) and exposes it through a
+// completion bridge. The reactor (ssl/async/reactor.hpp) submits every
+// parked connection's private op here, so once enough of them are in
+// flight they fill whole SIMD batches, and otherwise run single-stream
+// CRT ops on the dispatch thread — whichever the flush's measured costs
+// say is cheaper. It is the reactor's batched decrypter; the other choice
+// resolves each op inline on the connection's worker.
 //
-// decrypt_premaster() blocks the calling handshake thread until its
-// flush completes — at most ~max_linger longer than a scalar call at
-// light load, and strictly higher throughput once enough connections are
-// in flight to fill lanes (the bench_handshake sweep measures exactly
-// this crossover). PKCS#1 v1.5 unpadding runs on the caller after the
-// service returns the raw k-byte block; a padding failure here is
-// reported as nullopt and absorbed by the handshake's random-premaster
-// substitution like any scalar-path failure.
+// PKCS#1 v1.5 unpadding runs on the dispatch worker after the service
+// returns the raw k-byte block; a padding failure is delivered as nullopt
+// and absorbed by the handshake's random-premaster substitution like any
+// scalar-path failure.
 #pragma once
 
 #include <chrono>
@@ -32,15 +30,14 @@
 #include "bigint/bigint.hpp"
 #include "rsa/key.hpp"
 #include "service/sign_service.hpp"
-#include "ssl/handshake.hpp"
 
 namespace phissl::ssl {
 
 /// Tuning knobs, forwarded to the underlying SignService.
 struct BatchDecryptConfig {
   /// Dispatch workers, each running one flush at a time (a 16-lane batch
-  /// or a run of single-stream ops). The handshake threads block in
-  /// decrypt_premaster(), so one or two dispatch workers suffice.
+  /// or a run of single-stream ops). One or two suffice: no caller blocks
+  /// on a flush.
   std::size_t dispatch_threads = 1;
   /// Partial-batch linger bound (see SignServiceConfig::max_linger).
   std::chrono::microseconds max_linger{500};
@@ -56,18 +53,12 @@ struct BatchDecryptConfig {
   rsa::Backend backend = rsa::Backend::kKncVec;
 };
 
-class BatchDecryptService final : public KexDecrypter {
+class BatchDecryptService final {
  public:
   explicit BatchDecryptService(rsa::PrivateKey key,
                                BatchDecryptConfig config = {});
 
-  /// Coalesced RSAES-PKCS1-v1_5 decryption: enqueues the raw private op,
-  /// blocks until its batch runs, unpads on this thread. nullopt on a
-  /// wrong-size ciphertext, a value >= n, or invalid PKCS#1 padding.
-  std::optional<std::vector<std::uint8_t>> decrypt_premaster(
-      std::span<const std::uint8_t> ciphertext) override;
-
-  /// Result delivery for the non-blocking forms below. Invoked exactly
+  /// Result delivery for the non-blocking calls below. Invoked exactly
   /// once; nullopt covers every failure (malformed ciphertext, bad
   /// padding, batch dispatch failure) so the handshake's uniform-failure
   /// discipline sees one shape. Runs on a SignService dispatch worker —
@@ -77,9 +68,9 @@ class BatchDecryptService final : public KexDecrypter {
   using DecryptCompletion =
       std::function<void(std::optional<std::vector<std::uint8_t>>)>;
 
-  /// Non-blocking sibling of decrypt_premaster() for event-driven
-  /// callers: instead of parking this thread for the linger window, the
-  /// unpadded premaster (or nullopt) is delivered through `done`.
+  /// Coalesced RSAES-PKCS1-v1_5 decryption: enqueues the raw private op
+  /// and delivers the unpadded premaster through `done` — nullopt on a
+  /// wrong-size ciphertext, a value >= n, or invalid PKCS#1 padding.
   void decrypt_premaster_async(std::span<const std::uint8_t> ciphertext,
                                DecryptCompletion done);
 

@@ -1,7 +1,7 @@
 // Handshake throughput driver: runs complete client/server handshakes
-// (with optional session resumption) across a thread pool and reports
-// handshakes/s — the workload behind the paper's motivation (SSL
-// termination throughput limited by RSA).
+// (with optional session resumption) through the reactor terminator
+// (ssl/async/) and reports handshakes/s — the workload behind the paper's
+// motivation (SSL termination throughput limited by RSA).
 #pragma once
 
 #include <chrono>
@@ -12,48 +12,37 @@
 #include "ssl/async/admission.hpp"
 #include "util/stats.hpp"
 
-namespace phissl::service {
-struct StatsSnapshot;
-}  // namespace phissl::service
-
 namespace phissl::ssl {
 
-/// How the terminator maps connections to threads.
+/// How bytes reach the reactor's connections. Both run the same Reactor
+/// (ssl/async/reactor.hpp): nonblocking connection state machines
+/// multiplexed over a small worker pool, crypto steps resumed through
+/// completions, admission control shedding load before the private op.
 enum class Frontend {
-  /// Thread-per-connection: each worker runs one handshake end to end,
-  /// blocking inside the batch service while its lane lingers. Simple,
-  /// but lane occupancy is bounded by thread count (16 lanes need 16
-  /// parked threads).
-  kThreaded,
-  /// Event-driven (ssl/async/): nonblocking connection state machines
-  /// multiplexed over a small reactor worker pool; crypto steps resume
-  /// via completion callbacks. Occupancy is bounded by OPEN CONNECTIONS
-  /// instead of threads, and admission control sheds load before the
-  /// private op. Always routes private ops through the batch service.
+  /// In-process byte swap with a scripted client per slot
+  /// (SimulatedTransport): deterministic, no kernel in the path.
   kEvent,
-  /// The event reactor over real loopback sockets (ssl/async/transport):
-  /// epoll readiness feeds the same connection state machines, and an
-  /// in-process nonblocking client fleet supplies the load. Linux-only.
+  /// Real loopback sockets (SocketTransport): epoll readiness feeds the
+  /// state machines, and an in-process nonblocking client fleet supplies
+  /// the load. Linux-only.
   kSocket,
 };
 
 struct DriverConfig {
   std::size_t num_handshakes = 64;  ///< total handshakes to run
-  std::size_t num_threads = 1;      ///< worker threads (connections in flight)
 
-  /// Connection-to-thread mapping (see Frontend). The event frontend
-  /// ignores num_threads (its parallelism knobs are event_workers /
-  /// max_open_connections) and always batches private ops.
-  Frontend frontend = Frontend::kThreaded;
-  /// Event frontend: reactor worker threads.
+  /// Transport under the reactor (see Frontend).
+  Frontend frontend = Frontend::kEvent;
+  /// Reactor worker threads.
   std::size_t event_workers = 2;
-  /// Event frontend: concurrently open connection slots (the in-flight
-  /// bound; further connections start as slots free).
+  /// Concurrently open connection slots (the in-flight bound; further
+  /// connections start as slots free). Set it to event_workers with
+  /// batch_private_ops off and each worker runs one connection at a time.
   std::size_t max_open_connections = 1024;
-  /// Event frontend: fraction of connections negotiating DHE-RSA (their
-  /// ServerKeyExchange signature batches alongside the decryptions).
+  /// Fraction of connections negotiating DHE-RSA (their ServerKeyExchange
+  /// signature is a private op like the decryptions).
   double event_dhe_ratio = 0.0;
-  /// Event frontend: admission-control bounds (default: admit all).
+  /// Admission-control bounds (default: admit all).
   async::AdmissionConfig admission;
   /// Socket frontend: client connections the loopback fleet keeps open
   /// concurrently (the client-side window; the server side is bounded by
@@ -62,25 +51,26 @@ struct DriverConfig {
   /// Socket frontend: Poisson client arrival rate (connections/s); 0
   /// opens as fast as the concurrency window allows.
   double socket_arrival_per_s = 0.0;
-  std::uint64_t seed = 1;           ///< base RNG seed (per-thread derived)
-  /// Fraction of handshakes that attempt session resumption (each worker
-  /// reuses its most recent full session). 0.0 = all full handshakes.
+  std::uint64_t seed = 1;  ///< base RNG seed (per-connection derived)
+  /// Fraction of connections that offer resumption of their client
+  /// identity's latest session (see async::identity_pool_for). 0.0 = all
+  /// full handshakes.
   double resumption_ratio = 0.0;
 
-  /// Route ClientKeyExchange decryptions through a BatchDecryptService so
-  /// concurrent full handshakes fill 16-lane SIMD batches, instead of
-  /// each connection running its own scalar CRT exponentiation.
-  bool batch_private_ops = false;
+  /// The decrypter: route private ops through a BatchDecryptService so
+  /// parked connections fill 16-lane SIMD batches; false resolves each op
+  /// on the connection's reactor worker with the server engine (the
+  /// paper's scalar baseline).
+  bool batch_private_ops = true;
   /// Partial-batch linger bound for the batched path.
   std::chrono::microseconds batch_linger{500};
   /// Real lanes that trigger an immediate dispatch on the batched path
   /// (see SignServiceConfig::max_batch_lanes). Clamped to [1, 16].
   std::size_t batch_max_lanes = 16;
-  /// Dispatch workers for the batched path (the handshake threads block
-  /// awaiting their lane, so 1 is usually right).
+  /// Dispatch workers for the batched path.
   std::size_t batch_dispatch_threads = 1;
   /// Montgomery backend for the batched private ops (see rsa/backend.hpp);
-  /// the scalar handshake path follows the server engine's kernel instead.
+  /// the scalar decrypter follows the server engine's kernel instead.
   rsa::Backend batch_backend = rsa::Backend::kKncVec;
 
   /// Shared session-cache geometry (see SessionCacheConfig).
@@ -112,7 +102,7 @@ struct DriverReport {
   std::uint64_t single_ops = 0;         ///< requests run single-stream
   double batch_lane_occupancy = 0.0;    ///< real requests per dispatched lane
 
-  // Event-frontend counters (zero under the threaded frontend).
+  // Reactor counters.
   std::uint64_t shed = 0;  ///< connections rejected by admission control
   /// Mean parked connections resumed per reactor wakeup (>1 means one
   /// batch completion is amortizing across its lanemates).
@@ -128,15 +118,12 @@ struct DriverReport {
   std::uint64_t handoffs = 0;  ///< accepted slots posted to another worker
 };
 
-/// Copies the batch service's counters into the report's scheduler fields.
-void fold_service_stats(const service::StatsSnapshot& s, DriverReport& report);
-
-/// Runs cfg.num_handshakes full (or resumed) handshakes, each ending with
-/// one protected application-data echo, against a server using
-/// `server_engine` (must hold a private key). Each worker thread owns its
-/// own RNG and client state; the server engine, the session cache, and
-/// (when enabled) the batched decrypt service are shared, matching a real
-/// TLS terminator.
+/// Runs cfg.num_handshakes connections (each a full or resumed handshake
+/// plus one protected echo) through the reactor terminator over
+/// cfg.frontend, against a server using `server_engine` (must hold a
+/// private key). The engine, the session cache and (when batching) the
+/// batch service are shared by every connection, as in a real TLS
+/// terminator.
 DriverReport run_handshakes(const rsa::Engine& server_engine,
                             const DriverConfig& cfg);
 

@@ -89,10 +89,8 @@ std::array<std::uint8_t, kVerifyDataSize> compute_verify_data(
 // --- Server -----------------------------------------------------------------
 
 ServerHandshake::ServerHandshake(const rsa::Engine& engine, util::Rng& rng,
-                                 SessionCache* cache,
-                                 KexDecrypter* kex_decrypter)
-    : engine_(engine), rng_(rng), cache_(cache),
-      kex_decrypter_(kex_decrypter) {}
+                                 SessionCache* cache)
+    : engine_(engine), rng_(rng), cache_(cache) {}
 
 Result<ServerFlight1> ServerHandshake::on_client_hello(
     const ClientHello& hello) {
@@ -144,21 +142,15 @@ Result<ServerFlight1> ServerHandshake::on_client_hello(
 
 Result<Finished> ServerHandshake::on_key_exchange(const ClientKeyExchange& kex,
                                                   const Finished& client_fin) {
-  // The blocking form is begin + inline decrypt + complete; the copy of
-  // the ciphertext for the parked-connection case is the only delta.
+  // The blocking form is begin + scalar decrypt + complete.
   if (auto begun = on_key_exchange_begin(kex); !begun.ok()) {
     return begun.alert();
   }
   std::optional<std::vector<std::uint8_t>> decrypted;
   {
+    // The handshake's dominant cost: the RSA private-key decryption.
     PHISSL_OBS_SPAN("ssl.kex_decrypt");
-    // The handshake's dominant cost: the RSA private-key decryption —
-    // batched across connections when a KexDecrypter is plugged in,
-    // scalar CRT on this thread otherwise.
-    decrypted =
-        kex_decrypter_ != nullptr
-            ? kex_decrypter_->decrypt_premaster(kex.encrypted_premaster)
-            : rsa::decrypt_pkcs1(engine_, kex.encrypted_premaster, &rng_);
+    decrypted = rsa::decrypt_pkcs1(engine_, kex.encrypted_premaster, &rng_);
   }
   return on_key_exchange_complete(decrypted, client_fin);
 }

@@ -53,33 +53,15 @@ struct ServerFlight1 {
   std::optional<Finished> finished;        // resumption only
 };
 
-/// Pluggable ClientKeyExchange decryption backend. The default (null)
-/// backend runs a scalar CRT decryption on the calling thread; a
-/// BatchDecryptService (ssl/batch_decrypt.hpp) instead coalesces
-/// concurrent connections' decryptions into 16-lane SIMD batches.
-class KexDecrypter {
- public:
-  virtual ~KexDecrypter() = default;
-
-  /// Decrypts one RSAES-PKCS1-v1_5 ciphertext; nullopt on any padding or
-  /// format failure. May block (e.g. on a batch linger window). Must be
-  /// safe to call from many handshake threads concurrently.
-  virtual std::optional<std::vector<std::uint8_t>> decrypt_premaster(
-      std::span<const std::uint8_t> ciphertext) = 0;
-};
-
 /// Server side of the handshake. One instance per connection; the RSA
-/// engine, the session cache, and the kex decrypter are shared across
-/// connections.
+/// engine and the session cache are shared across connections.
 class ServerHandshake {
  public:
-  /// engine must hold the server's private key (even when kex_decrypter
-  /// is set — the engine still serves the certificate's public half).
-  /// cache may be null (resumption offers are then ignored and sessions
-  /// are not cached). kex_decrypter may be null (scalar decryption).
+  /// engine serves the certificate's public half, and its private key
+  /// the blocking on_key_exchange(). cache may be null (resumption offers
+  /// are then ignored and sessions are not cached).
   ServerHandshake(const rsa::Engine& engine, util::Rng& rng,
-                  SessionCache* cache = nullptr,
-                  KexDecrypter* kex_decrypter = nullptr);
+                  SessionCache* cache = nullptr);
 
   /// Step 1: consume ClientHello. Decides full vs. resumed.
   Result<ServerFlight1> on_client_hello(const ClientHello& hello);
@@ -87,8 +69,7 @@ class ServerHandshake {
   /// Step 2 (full path): consume ClientKeyExchange + client Finished;
   /// emits the server Finished. This is where the RSA private op runs.
   /// Equivalent to on_key_exchange_begin + decrypt + _complete below,
-  /// with the decryption performed inline (via the kex decrypter when
-  /// one is plugged in, scalar CRT on this thread otherwise).
+  /// with a scalar CRT decryption on this thread.
   Result<Finished> on_key_exchange(const ClientKeyExchange& kex,
                                    const Finished& client_fin);
 
@@ -97,8 +78,9 @@ class ServerHandshake {
   /// Bleichenbacher fallback premaster (RFC 5246 §7.4.7.1 requires the
   /// random substitute to exist BEFORE the decryption outcome is known).
   /// The caller then decrypts kex.encrypted_premaster however it likes —
-  /// the event-driven frontend submits it to a BatchDecryptService and
-  /// parks the connection — and finishes with on_key_exchange_complete().
+  /// the reactor submits it to a BatchDecryptService and parks the
+  /// connection, or resolves it inline — and finishes with
+  /// on_key_exchange_complete().
   /// No other handshake step may run in between.
   Result<Unit> on_key_exchange_begin(const ClientKeyExchange& kex);
 
@@ -139,7 +121,6 @@ class ServerHandshake {
   const rsa::Engine& engine_;
   util::Rng& rng_;
   SessionCache* cache_;
-  KexDecrypter* kex_decrypter_;
   State state_ = State::kExpectHello;
   bool resumed_ = false;
   SessionId session_id_{};

@@ -36,8 +36,9 @@ void apply_tuned_config(const phisim::TunedConfig& tuned,
                         BatchDecryptConfig& cfg);
 
 /// Driver knobs: the batched-path trio plus event_workers (only when the
-/// tuning ran with an event-frontend grid, i.e. tuned.event_workers > 0 —
-/// a threaded-frontend recommendation leaves the driver's value alone),
+/// tuning ran with a reactor grid, i.e. tuned.event_workers > 0; 0 = no
+/// reactor, a recommendation for direct SignService callers, leaves the
+/// driver's value alone),
 /// admission max_predicted_wait (+ linger_hint synced to the tuned
 /// linger), and cache_shards. The frontend choice itself stays the
 /// caller's.

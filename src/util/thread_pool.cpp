@@ -77,20 +77,6 @@ std::future<void> ThreadPool::submit(std::function<void()> fn) {
   return fut;
 }
 
-void ThreadPool::parallel_for(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (n == 0) return;
-  const std::size_t chunks = std::min(n, workers_.size());
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = n * c / chunks;
-    const std::size_t hi = n * (c + 1) / chunks;
-    futures.push_back(submit([lo, hi, &fn] { fn(lo, hi); }));
-  }
-  for (auto& f : futures) f.get();
-}
-
 void ThreadPool::worker_loop() {
   for (;;) {
     Queued item;

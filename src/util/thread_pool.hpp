@@ -1,4 +1,4 @@
-// Fixed-size thread pool with a work queue and a parallel_for helper.
+// Fixed-size thread pool with a work queue.
 //
 // On the real Xeon Phi, PhiOpenSSL pinned one worker per hardware thread
 // (up to 244). Here the pool is the functional equivalent: it provides the
@@ -24,9 +24,8 @@ namespace phissl::util {
 /// dropped. Once draining has begun, submit() REJECTS new work by
 /// throwing std::runtime_error; without the rejection a task enqueued
 /// after the workers exited would never run and its future would never
-/// become ready. parallel_for() on a draining pool throws for the same
-/// reason. shutdown() is idempotent and must not be called from a worker
-/// thread (it joins them).
+/// become ready. shutdown() is idempotent and must not be called from a
+/// worker thread (it joins them).
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (>= 1; 0 is clamped to 1).
@@ -50,14 +49,6 @@ class ThreadPool {
   /// the workers. Idempotent; safe to call concurrently with submit()
   /// (losers of the race get the submit() rejection above).
   void shutdown();
-
-  /// Covers [0, n) with contiguous chunks, at most one per worker, calling
-  /// fn(begin, end) once per chunk and blocking until all complete. The
-  /// callback owns its whole range — one std::function dispatch per chunk
-  /// rather than one indirect call per index, so tight per-item loops
-  /// stay inlinable inside the callback.
-  void parallel_for(std::size_t n,
-                    const std::function<void(std::size_t, std::size_t)>& fn);
 
  private:
   void worker_loop();

@@ -1,25 +1,28 @@
 // Event-driven terminator tests: wire codec round-trips, the
 // ServerConnection state machine under scripted byte streams (partial
 // reads, partial writes, crypto-future resolution ordering, shedding
-// before the private op, both suites, resumption), the Reactor-backed
-// event frontend of run_handshakes, and a 2-worker connection-churn
-// stress kept free of wall-clock assertions so it runs under TSan.
+// before the private op, both suites, resumption), the Reactor behind
+// run_handshakes with both decrypters, config validation, and a 2-worker
+// connection-churn stress kept free of wall-clock assertions so it runs
+// under TSan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
 #include "dh/dh.hpp"
 #include "rsa/key.hpp"
-#include "rsa/pkcs1.hpp"
 #include "ssl/async/admission.hpp"
 #include "ssl/async/connection.hpp"
 #include "ssl/async/reactor.hpp"
+#include "ssl/async/transport.hpp"
 #include "ssl/async/wire.hpp"
 #include "ssl/driver.hpp"
 #include "ssl/session_cache.hpp"
+#include "util/random.hpp"
 
 namespace phissl::ssl::async {
 namespace {
@@ -181,18 +184,6 @@ TEST(WireCodec, BackToBackFramesBothDecode) {
 
 // --- Connection state machine ----------------------------------------------
 
-// Resolves a yielded PendingOp the way the batch service would, but
-// synchronously: scalar decrypt for kPrivateOp, EMSA+private-op for kSign.
-std::optional<std::vector<std::uint8_t>> resolve_op(const rsa::Engine& engine,
-                                                    const PendingOp& op) {
-  if (op.kind == PendingOp::Kind::kPrivateOp) {
-    return rsa::decrypt_pkcs1(engine, op.payload);
-  }
-  const std::size_t k = engine.pub().byte_size();
-  const auto em = rsa::emsa_pkcs1_v15_from_digest(op.payload, k);
-  return engine.private_op(BigInt::from_bytes_be(em)).to_bytes_be(k);
-}
-
 class AsyncConnectionTest : public ::testing::Test {
  protected:
   AsyncConnectionTest()
@@ -217,7 +208,7 @@ class AsyncConnectionTest : public ::testing::Test {
         progressed = true;
       }
       if (auto op = server.take_pending_op(); op.has_value()) {
-        server.on_crypto_result(resolve_op(server_engine_, *op));
+        server.on_crypto_result(resolve_pending_op(server_engine_, *op, rng_));
         progressed = true;
       }
       auto s2c = server.take_output(chunk);
@@ -236,6 +227,7 @@ class AsyncConnectionTest : public ::testing::Test {
 
   rsa::Engine server_engine_;
   rsa::Engine client_engine_;
+  util::Rng rng_{5};
 };
 
 TEST_F(AsyncConnectionTest, FullHandshakeCompletes) {
@@ -304,7 +296,7 @@ TEST_F(AsyncConnectionTest, FutureResolutionOrderIsIrrelevant) {
 
   auto unpark = [&](ServerConnection& s, ScriptedClient& c,
                     const PendingOp& op) {
-    s.on_crypto_result(resolve_op(server_engine_, op));
+    s.on_crypto_result(resolve_pending_op(server_engine_, op, rng_));
     c.on_server_bytes(s.take_output());  // server Finished
     s.on_input(c.take_output());         // ping
     c.on_server_bytes(s.take_output());  // echo
@@ -450,7 +442,7 @@ TEST_F(AsyncConnectionTest, DheHandshakeParksOnSignature) {
   EXPECT_EQ(op->kind, PendingOp::Kind::kSign);
   EXPECT_EQ(op->payload.size(), 32u);  // SHA-256 digest
 
-  server.on_crypto_result(resolve_op(server_engine_, *op));
+  server.on_crypto_result(resolve_pending_op(server_engine_, *op, rng_));
   client.on_server_bytes(server.take_output());  // hello + cert + skx
   server.on_input(client.take_output());         // dhe kex + finished
   EXPECT_FALSE(server.take_pending_op().has_value());  // DH exp is inline
@@ -472,7 +464,7 @@ TEST_F(AsyncConnectionTest, TamperedCiphertextFailsLikeBadFinished) {
   auto op = server.take_pending_op();
   ASSERT_TRUE(op.has_value());
   op->payload[op->payload.size() / 2] ^= 0x40;  // corrupt the ciphertext
-  server.on_crypto_result(resolve_op(server_engine_, *op));
+  server.on_crypto_result(resolve_pending_op(server_engine_, *op, rng_));
   // Uniform-failure discipline: the substituted random premaster fails
   // the Finished check; the client sees kBadFinished, never a decrypt
   // error.
@@ -584,6 +576,111 @@ TEST_F(AsyncDriverTest, EventDheRatioNeedsValidRange) {
   auto cfg = event_config(4);
   cfg.event_dhe_ratio = 1.5;
   EXPECT_THROW(run_handshakes(engine_, cfg), std::invalid_argument);
+}
+
+TEST_F(AsyncDriverTest, NanRatiosAndBadRatesAreRejected) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const Frontend f : {Frontend::kEvent, Frontend::kSocket}) {
+    auto cfg = event_config(4);
+    cfg.frontend = f;
+    cfg.resumption_ratio = kNan;
+    EXPECT_THROW(run_handshakes(engine_, cfg), std::invalid_argument);
+    cfg.resumption_ratio = 0.0;
+    cfg.event_dhe_ratio = kNan;
+    EXPECT_THROW(run_handshakes(engine_, cfg), std::invalid_argument);
+    cfg.event_dhe_ratio = 0.0;
+    for (const double rate : {-1.0, kNan, kInf}) {
+      cfg.socket_arrival_per_s = rate;
+      EXPECT_THROW(run_handshakes(engine_, cfg), std::invalid_argument)
+          << rate;
+    }
+  }
+  // The client fleet checks its own knobs (phissl_loadgen --connect).
+  const rsa::Engine pub(engine_.pub(), rsa::EngineOptions{});
+  for (const double rate : {-1.0, kNan, kInf}) {
+    LoadGenConfig lg;
+    lg.total_connections = 1;
+    lg.arrival_rate_per_s = rate;
+    EXPECT_THROW(run_load(pub, lg), std::invalid_argument) << rate;
+  }
+  LoadGenConfig lg;
+  lg.total_connections = 1;
+  lg.resumption_ratio = kNan;
+  EXPECT_THROW(run_load(pub, lg), std::invalid_argument);
+}
+
+// --- The scalar decrypter: every op resolved inline on its worker ----------
+
+TEST_F(AsyncDriverTest, ScalarReactorCompletesOnBothFrontends) {
+  for (const Frontend f : {Frontend::kEvent, Frontend::kSocket}) {
+    SCOPED_TRACE(f == Frontend::kEvent ? "event" : "socket");
+    auto cfg = event_config(48);
+    cfg.frontend = f;
+    cfg.batch_private_ops = false;
+    cfg.socket_clients = 16;
+    const DriverReport report = run_handshakes(engine_, cfg);
+    EXPECT_EQ(report.completed, 48u);
+    EXPECT_EQ(report.failed, 0u);
+    EXPECT_EQ(report.shed, 0u);
+    EXPECT_EQ(report.latency_us.count, 48u);
+    // No batch service exists, so nothing reached one.
+    EXPECT_EQ(report.service_requests, 0u);
+    EXPECT_EQ(report.batches, 0u);
+    EXPECT_EQ(report.single_ops, 0u);
+  }
+}
+
+TEST_F(AsyncDriverTest, ScalarReactorSignsDheInline) {
+  // Half the connections negotiate DHE-RSA: their ServerKeyExchange
+  // signature is resolved on the worker, and the client verifies it
+  // before it sends its key exchange, so completion proves the signature.
+  // A blinding engine needs the worker's Rng for both op kinds.
+  for (const bool blinding : {false, true}) {
+    SCOPED_TRACE(blinding ? "blinding" : "no blinding");
+    const rsa::Engine engine(rsa::test_key(1024),
+                             rsa::EngineOptions{.blinding = blinding});
+    auto cfg = event_config(32);
+    cfg.batch_private_ops = false;
+    cfg.event_dhe_ratio = 0.5;
+    const DriverReport report = run_handshakes(engine, cfg);
+    EXPECT_EQ(report.completed, 32u);
+    EXPECT_EQ(report.failed, 0u);
+    EXPECT_EQ(report.service_requests, 0u);
+  }
+}
+
+TEST_F(AsyncDriverTest, ScalarReactorAdmissionCapAccountsForEveryConnection) {
+  // Inline resolution holds at most one op per worker; a cap of one lets
+  // a worker shed while another resolves. Whatever is shed, every
+  // connection either completes or sheds.
+  auto cfg = event_config(96);
+  cfg.event_workers = 4;
+  cfg.max_open_connections = 96;
+  cfg.batch_private_ops = false;
+  cfg.admission.max_pending_ops = 1;
+  const DriverReport report = run_handshakes(engine_, cfg);
+  EXPECT_EQ(report.completed + report.shed, 96u);
+  EXPECT_EQ(report.failed, 0u);
+  EXPECT_GT(report.completed, 0u);
+}
+
+TEST_F(AsyncDriverTest, DefaultConfigBatchesOnBothFrontends) {
+  // The socket frontend's servers (bench/e2e, phissl_loadgen) never set
+  // batch_private_ops: the default must send every full handshake's
+  // private op through the batch service.
+  for (const Frontend f : {Frontend::kEvent, Frontend::kSocket}) {
+    SCOPED_TRACE(f == Frontend::kEvent ? "event" : "socket");
+    DriverConfig cfg;
+    cfg.frontend = f;
+    cfg.num_handshakes = 32;
+    cfg.resumption_ratio = 0.5;
+    const DriverReport report = run_handshakes(engine_, cfg);
+    EXPECT_EQ(report.completed, 32u);
+    EXPECT_EQ(report.failed, 0u);
+    EXPECT_EQ(report.service_requests, report.completed - report.resumed);
+    EXPECT_GT(report.service_requests, 0u);
+  }
 }
 
 // --- Concurrency churn (TSan target: no timing asserts) ---------------------

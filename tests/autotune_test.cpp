@@ -173,7 +173,7 @@ TEST(Replay, EventWorkersModelResumeStage) {
   // workers the tail shrinks by 4x.
   EXPECT_DOUBLE_EQ(r1.resume_wait_us.max, 30.0);
   EXPECT_DOUBLE_EQ(r4.resume_wait_us.max, 6.0);
-  // Threaded frontend: no resume stage at all.
+  // No reactor (direct SignService callers): no resume stage at all.
   const ReplayResult r0 =
       replay_workload(evs, ReplayConfig{}, cost_us(500));
   EXPECT_EQ(r0.resume_wait_us.count, 0u);

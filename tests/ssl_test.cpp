@@ -1,15 +1,18 @@
 // Handshake state-machine tests: full happy path, the abbreviated
 // (resumption) path, every failure path (wrong suite, wrong certificate,
 // corrupted key exchange, bad Finished, out-of-order messages), the
-// session cache, and the multithreaded driver.
+// session cache, and the handshake driver on the reactor with both
+// decrypters.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <future>
 #include <thread>
 
 #include "baseline/systems.hpp"
 #include "rsa/key.hpp"
 #include "rsa/pkcs1.hpp"
+#include "ssl/async/reactor.hpp"
 #include "ssl/batch_decrypt.hpp"
 #include "ssl/driver.hpp"
 #include "ssl/handshake.hpp"
@@ -160,6 +163,19 @@ TEST_F(HandshakeTest, ResumptionAfterEvictionFallsBackToFull) {
   EXPECT_FALSE(server.resumed());
 }
 
+// Decrypts through the service's completion bridge and waits for the
+// result on this thread.
+std::optional<std::vector<std::uint8_t>> decrypt_via(
+    BatchDecryptService& svc, std::span<const std::uint8_t> ciphertext) {
+  std::promise<std::optional<std::vector<std::uint8_t>>> result;
+  auto done = result.get_future();
+  svc.decrypt_premaster_async(
+      ciphertext, [&result](std::optional<std::vector<std::uint8_t>> r) {
+        result.set_value(std::move(r));
+      });
+  return done.get();
+}
+
 TEST_F(HandshakeTest, BatchedDecrypterCompletesFullHandshake) {
   for (const rsa::Backend b : rsa::kAllBackends) {
     if (!rsa::has_batch_form(b)) continue;
@@ -167,15 +183,17 @@ TEST_F(HandshakeTest, BatchedDecrypterCompletesFullHandshake) {
     BatchDecryptService svc(
         rsa::test_key(1024),
         BatchDecryptConfig{.dispatch_threads = 1, .backend = b});
-    ServerHandshake server(server_engine_, rng_, nullptr, &svc);
+    ServerHandshake server(server_engine_, rng_);
     ClientHandshake client(client_engine_, rng_);
     const auto flight = server.on_client_hello(client.start());
     ASSERT_TRUE(flight.ok());
     const auto kex = client.on_server_hello(flight.value().hello,
                                             *flight.value().certificate);
     ASSERT_TRUE(kex.ok());
-    const auto fin =
-        server.on_key_exchange(kex.value().first, kex.value().second);
+    ASSERT_TRUE(server.on_key_exchange_begin(kex.value().first).ok());
+    const auto fin = server.on_key_exchange_complete(
+        decrypt_via(svc, kex.value().first.encrypted_premaster),
+        kex.value().second);
     ASSERT_TRUE(fin.ok());
     EXPECT_TRUE(client.on_server_finished(fin.value()).ok());
     EXPECT_EQ(*client.master(), *server.master());
@@ -191,27 +209,34 @@ TEST_F(HandshakeTest, BatchedDecrypterCompletesFullHandshake) {
 TEST_F(HandshakeTest, BatchedDecrypterRejectsMalformedUniformly) {
   BatchDecryptService svc(rsa::test_key(1024), BatchDecryptConfig{});
   const std::size_t k = server_engine_.pub().byte_size();
-  // Wrong size, value >= n, and bad padding all surface as nullopt.
-  EXPECT_FALSE(svc.decrypt_premaster(std::vector<std::uint8_t>(k - 1, 0))
-                   .has_value());
-  EXPECT_FALSE(svc.decrypt_premaster(std::vector<std::uint8_t>(k, 0xff))
-                   .has_value());
-  std::vector<std::uint8_t> one(k, 0);
-  one.back() = 1;
-  EXPECT_FALSE(svc.decrypt_premaster(one).has_value());
+  // Wrong size, value >= n, and bad padding (the encoding of 1) all
+  // surface as nullopt.
+  std::vector<std::uint8_t> bad_padding(k - 1, 0);
+  bad_padding.push_back(1);
+  const std::vector<std::vector<std::uint8_t>> malformed = {
+      std::vector<std::uint8_t>(k - 1, 0),
+      std::vector<std::uint8_t>(k, 0xff),
+      bad_padding,
+  };
+  for (const auto& ct : malformed) {
+    EXPECT_FALSE(decrypt_via(svc, ct).has_value());
+  }
   // And through the handshake they are all kBadFinished.
-  ServerHandshake server(server_engine_, rng_, nullptr, &svc);
-  ClientHandshake client(client_engine_, rng_);
-  const auto flight = server.on_client_hello(client.start());
-  auto kex = client.on_server_hello(flight.value().hello,
-                                    *flight.value().certificate);
-  ASSERT_TRUE(kex.ok());
-  ClientKeyExchange mauled = kex.value().first;
-  mauled.encrypted_premaster.assign(k, 0);
-  mauled.encrypted_premaster.back() = 1;
-  const auto fin = server.on_key_exchange(mauled, kex.value().second);
-  ASSERT_FALSE(fin.ok());
-  EXPECT_EQ(fin.alert(), Alert::kBadFinished);
+  for (const auto& ct : malformed) {
+    ServerHandshake server(server_engine_, rng_);
+    ClientHandshake client(client_engine_, rng_);
+    const auto flight = server.on_client_hello(client.start());
+    auto kex = client.on_server_hello(flight.value().hello,
+                                      *flight.value().certificate);
+    ASSERT_TRUE(kex.ok());
+    ClientKeyExchange mauled = kex.value().first;
+    mauled.encrypted_premaster = ct;
+    ASSERT_TRUE(server.on_key_exchange_begin(mauled).ok());
+    const auto fin = server.on_key_exchange_complete(
+        decrypt_via(svc, mauled.encrypted_premaster), kex.value().second);
+    ASSERT_FALSE(fin.ok());
+    EXPECT_EQ(fin.alert(), Alert::kBadFinished);
+  }
 }
 
 TEST_F(HandshakeTest, ResumptionWithWrongMasterRejected) {
@@ -508,29 +533,55 @@ TEST(AlertNames, AllDistinct) {
   EXPECT_STREQ(to_string(Alert::kUnexpectedMessage), "unexpected_message");
 }
 
+// The driver runs on the reactor; every case below runs with both
+// decrypters: the batch service and inline scalar resolution.
+constexpr bool kDecrypters[] = {false, true};
+
+const char* decrypter_name(bool batched) {
+  return batched ? "batched" : "scalar";
+}
+
+// The fewest resumptions a run of n connections at ratio 1.0 with one
+// open connection per worker may show: each identity's first visit
+// (identity_pool_for(n) of them) cannot resume, and a later visit misses
+// only while the identity's previous connection is still open on another
+// worker — two per worker leaves room for a preempted worker.
+std::size_t min_resumed(std::size_t n, std::size_t workers) {
+  return n - async::identity_pool_for(n) - 2 * workers;
+}
+
 TEST(Driver, CompletesAllHandshakes) {
   const rsa::Engine engine(rsa::test_key(512),
                            baseline::options_for(baseline::System::kPhiOpenSSL));
-  DriverConfig cfg;
-  cfg.num_handshakes = 16;
-  cfg.num_threads = 1;
-  const DriverReport r = run_handshakes(engine, cfg);
-  EXPECT_EQ(r.completed, 16u);
-  EXPECT_EQ(r.failed, 0u);
-  EXPECT_EQ(r.resumed, 0u);  // ratio defaults to 0
-  EXPECT_GT(r.handshakes_per_s, 0.0);
-  EXPECT_EQ(r.latency_us.count, 16u);
+  for (const bool batched : kDecrypters) {
+    SCOPED_TRACE(decrypter_name(batched));
+    DriverConfig cfg;
+    cfg.num_handshakes = 16;
+    cfg.batch_private_ops = batched;
+    const DriverReport r = run_handshakes(engine, cfg);
+    EXPECT_EQ(r.completed, 16u);
+    EXPECT_EQ(r.failed, 0u);
+    EXPECT_EQ(r.resumed, 0u);  // ratio defaults to 0
+    EXPECT_GT(r.handshakes_per_s, 0.0);
+    EXPECT_EQ(r.latency_us.count, 16u);
+    EXPECT_EQ(r.service_requests, batched ? 16u : 0u);
+  }
 }
 
 TEST(Driver, MultithreadedCompletesAll) {
   const rsa::Engine engine(rsa::test_key(512),
                            baseline::options_for(baseline::System::kPhiOpenSSL));
-  DriverConfig cfg;
-  cfg.num_handshakes = 32;
-  cfg.num_threads = 4;
-  const DriverReport r = run_handshakes(engine, cfg);
-  EXPECT_EQ(r.completed, 32u);
-  EXPECT_EQ(r.failed, 0u);
+  for (const bool batched : kDecrypters) {
+    SCOPED_TRACE(decrypter_name(batched));
+    DriverConfig cfg;
+    cfg.num_handshakes = 32;
+    cfg.event_workers = 4;
+    cfg.max_open_connections = 4;  // one connection per worker at a time
+    cfg.batch_private_ops = batched;
+    const DriverReport r = run_handshakes(engine, cfg);
+    EXPECT_EQ(r.completed, 32u);
+    EXPECT_EQ(r.failed, 0u);
+  }
 }
 
 TEST(Driver, BatchedPrivateOpsCompleteAll) {
@@ -538,7 +589,7 @@ TEST(Driver, BatchedPrivateOpsCompleteAll) {
                            baseline::options_for(baseline::System::kPhiOpenSSL));
   DriverConfig cfg;
   cfg.num_handshakes = 16;
-  cfg.num_threads = 4;
+  cfg.event_workers = 4;
   cfg.batch_private_ops = true;
   cfg.batch_linger = std::chrono::microseconds(200);
   const DriverReport r = run_handshakes(engine, cfg);
@@ -557,43 +608,56 @@ TEST(Driver, BatchedPrivateOpsCompleteAll) {
 TEST(Driver, ReportsCacheCounters) {
   const rsa::Engine engine(rsa::test_key(512),
                            baseline::options_for(baseline::System::kPhiOpenSSL));
-  DriverConfig cfg;
-  cfg.num_handshakes = 24;
-  cfg.num_threads = 2;
-  cfg.resumption_ratio = 1.0;
-  const DriverReport r = run_handshakes(engine, cfg);
-  EXPECT_EQ(r.completed, 24u);
-  // Every resumed handshake is a cache hit.
-  EXPECT_EQ(r.cache_hits, r.resumed);
-  EXPECT_GE(r.resumed, 24u - 2 * cfg.num_threads);
+  for (const bool batched : kDecrypters) {
+    SCOPED_TRACE(decrypter_name(batched));
+    DriverConfig cfg;
+    cfg.num_handshakes = 24;
+    cfg.event_workers = 2;
+    cfg.max_open_connections = 2;
+    cfg.resumption_ratio = 1.0;
+    cfg.batch_private_ops = batched;
+    const DriverReport r = run_handshakes(engine, cfg);
+    EXPECT_EQ(r.completed, 24u);
+    // Every resumed handshake is a cache hit.
+    EXPECT_EQ(r.cache_hits, r.resumed);
+    EXPECT_GE(r.resumed, min_resumed(24, cfg.event_workers));
+  }
 }
 
 TEST(Driver, ResumptionRatioRespected) {
   const rsa::Engine engine(rsa::test_key(512),
                            baseline::options_for(baseline::System::kPhiOpenSSL));
-  DriverConfig cfg;
-  cfg.num_handshakes = 60;
-  cfg.num_threads = 2;
-  cfg.resumption_ratio = 1.0;  // resume whenever possible
-  const DriverReport r = run_handshakes(engine, cfg);
-  EXPECT_EQ(r.completed, 60u);
-  EXPECT_EQ(r.failed, 0u);
-  // Every handshake after each worker's first can resume.
-  EXPECT_GE(r.resumed, 60u - 2 * cfg.num_threads);
-  EXPECT_LT(r.resumed, 60u);
+  for (const bool batched : kDecrypters) {
+    SCOPED_TRACE(decrypter_name(batched));
+    DriverConfig cfg;
+    cfg.num_handshakes = 60;
+    cfg.event_workers = 2;
+    cfg.max_open_connections = 2;
+    cfg.resumption_ratio = 1.0;  // resume whenever possible
+    cfg.batch_private_ops = batched;
+    const DriverReport r = run_handshakes(engine, cfg);
+    EXPECT_EQ(r.completed, 60u);
+    EXPECT_EQ(r.failed, 0u);
+    EXPECT_GE(r.resumed, min_resumed(60, cfg.event_workers));
+    EXPECT_LT(r.resumed, 60u);
 
-  cfg.resumption_ratio = 2.0;
-  EXPECT_THROW(run_handshakes(engine, cfg), std::invalid_argument);
+    cfg.resumption_ratio = 2.0;
+    EXPECT_THROW(run_handshakes(engine, cfg), std::invalid_argument);
+  }
 }
 
 TEST(Driver, WorksForAllBaselineSystems) {
   for (const auto s : baseline::all_systems()) {
     const rsa::Engine engine =
         baseline::make_engine(s, rsa::test_key(512));
-    DriverConfig cfg;
-    cfg.num_handshakes = 4;
-    const DriverReport r = run_handshakes(engine, cfg);
-    EXPECT_EQ(r.completed, 4u) << baseline::name(s);
+    for (const bool batched : kDecrypters) {
+      DriverConfig cfg;
+      cfg.num_handshakes = 4;
+      cfg.batch_private_ops = batched;
+      const DriverReport r = run_handshakes(engine, cfg);
+      EXPECT_EQ(r.completed, 4u)
+          << baseline::name(s) << " " << decrypter_name(batched);
+    }
   }
 }
 

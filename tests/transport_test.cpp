@@ -380,7 +380,7 @@ TEST(AsyncSocketTest, FewerSlotsThanWorkersStillServes) {
   SessionCache cache(SessionCacheConfig{});
   AdmissionController admission;
   SocketTransport transport;
-  Reactor reactor(engine, svc, cache, admission, nullptr, transport,
+  Reactor reactor(engine, &svc, cache, admission, nullptr, transport,
                   ReactorConfig{.workers = 4,
                                 .max_open_connections = 2,
                                 .total_connections = 64});

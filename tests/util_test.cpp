@@ -1,12 +1,10 @@
 // Unit tests for src/util: PRNG determinism, hex codec, stats, thread pool.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <mutex>
 #include <set>
 #include <utility>
 #include <vector>
@@ -155,39 +153,6 @@ TEST(ThreadPool, RunsAllTasks) {
   }
   for (auto& f : futs) f.get();
   EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, ParallelForCoversRangeOnce) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(1000, [&hits](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) hits[i]++;
-  });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForChunksAreContiguousAndDisjoint) {
-  ThreadPool pool(4);
-  std::mutex mu;
-  std::vector<std::pair<std::size_t, std::size_t>> ranges;
-  pool.parallel_for(103, [&](std::size_t lo, std::size_t hi) {
-    std::lock_guard<std::mutex> lock(mu);
-    ranges.emplace_back(lo, hi);
-  });
-  ASSERT_LE(ranges.size(), 4u);
-  std::sort(ranges.begin(), ranges.end());
-  std::size_t expect = 0;
-  for (const auto& [lo, hi] : ranges) {
-    EXPECT_EQ(lo, expect);
-    EXPECT_LT(lo, hi);
-    expect = hi;
-  }
-  EXPECT_EQ(expect, 103u);
-}
-
-TEST(ThreadPool, ParallelForEmpty) {
-  ThreadPool pool(2);
-  pool.parallel_for(0, [](std::size_t, std::size_t) { FAIL(); });
 }
 
 TEST(ThreadPool, ZeroThreadsClampedToOne) {
