@@ -3,7 +3,8 @@
 //  1. Record-path nanocost: ns per Counter::inc, Histogram::record, and
 //     ScopedSpan with tracing off (the always-paid price of a compiled-in
 //     span site) vs tracing on. These are the primitives every
-//     instrumented hot path (mont kernels, ThreadPool, SignService) pays.
+//     instrumented hot path (mont kernels, SignService, the TLS reactor)
+//     pays.
 //  2. End-to-end overhead: the E13 saturated signing-service configuration
 //     (single dispatch worker, requests submitted back-to-back so the
 //     service runs full 16-lane batches continuously) with tracing ON vs
@@ -11,8 +12,8 @@
 //     under 2%.
 //
 //  3. The same on/off comparison for the workload trace recorder
-//     (obs/workload.hpp), which stamps one ring event per request at
-//     dispatch time. Same < 2% acceptance bar.
+//     (obs/workload.hpp), which stamps one ring event per request when a
+//     dispatch worker takes its flush. Same < 2% acceptance bar.
 //
 // Off/on service passes alternate (A/B/A/B...) and compare medians, so
 // slow drift on a noisy host biases both sides equally.

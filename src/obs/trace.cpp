@@ -1,15 +1,12 @@
 #include "obs/trace.hpp"
 
-#include "obs/metrics.hpp"
-
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <memory>
-#include <mutex>
 #include <ostream>
-#include <string>
-#include <vector>
+
+#include "obs/metrics.hpp"
+#include "obs/thread_ring.hpp"
 
 namespace phissl::obs {
 
@@ -50,28 +47,10 @@ void set_tracing(bool on) noexcept {
   g_tracing.store(on, std::memory_order_relaxed);
 }
 
-struct Ring {
-  explicit Ring(std::uint32_t id) : tid(id), slots(Tracer::kRingCapacity) {}
-  std::uint32_t tid;
-  std::vector<SpanRecord> slots;
-  // Monotone logical write position; slot = head % capacity. The owning
-  // thread is the only writer; drains read up to an acquire-loaded head.
-  std::atomic<std::uint64_t> head{0};
-};
-
 struct Tracer::Impl {
-  mutable std::mutex rings_mu;
-  std::vector<std::shared_ptr<Ring>> rings;
-
-  Ring& local_ring() {
-    thread_local std::shared_ptr<Ring> mine;
-    if (!mine) {
-      std::lock_guard<std::mutex> lock(rings_mu);
-      mine = std::make_shared<Ring>(static_cast<std::uint32_t>(rings.size()));
-      rings.push_back(mine);  // keeps the ring alive past thread exit
-    }
-    return *mine;
-  }
+  ThreadRing<SpanRecord, kRingCapacity> ring{Registry::global().counter(
+      "phissl_trace_dropped_total",
+      "tracer spans overwritten by ring wraparound")};
 };
 
 Tracer::Tracer() : impl_(new Impl) {}
@@ -84,92 +63,56 @@ Tracer& Tracer::global() {
 void Tracer::record(const char* name, std::uint64_t start_ns,
                     std::uint64_t dur_ns, const char* arg_name,
                     std::uint64_t arg) noexcept {
-  Ring& ring = impl_->local_ring();
-  const std::uint64_t h = ring.head.load(std::memory_order_relaxed);
-  if (h >= kRingCapacity) {
-    // Overwriting the oldest span: surface the drop in metrics scrapes,
-    // not only in the drained Chrome-trace counter event.
-    static Counter& dropped = Registry::global().counter(
-        "phissl_trace_dropped_total",
-        "tracer spans overwritten by ring wraparound");
-    dropped.inc();
-  }
-  SpanRecord& slot = ring.slots[h % kRingCapacity];
-  slot.name = name;
-  slot.arg_name = arg_name;
-  slot.arg = arg;
-  slot.start_ns = start_ns - std::min(start_ns, epoch_ns());
-  slot.dur_ns = dur_ns;
-  slot.tid = ring.tid;
-  ring.head.store(h + 1, std::memory_order_release);
+  const std::uint64_t rel_start = start_ns - std::min(start_ns, epoch_ns());
+  impl_->ring.push(SpanRecord{.name = name,
+                              .arg_name = arg_name,
+                              .arg = arg,
+                              .start_ns = rel_start,
+                              .dur_ns = dur_ns});
 }
 
 void Tracer::write_chrome_trace(std::ostream& os) const {
-  std::lock_guard<std::mutex> lock(impl_->rings_mu);
   os << "{\"traceEvents\":[";
   bool first = true;
-  std::uint64_t dropped = 0;
-  for (const auto& ring : impl_->rings) {
-    const std::uint64_t head = ring->head.load(std::memory_order_acquire);
-    const std::uint64_t n = std::min<std::uint64_t>(head, kRingCapacity);
-    dropped += head - n;
-    for (std::uint64_t i = head - n; i < head; ++i) {
-      const SpanRecord& r = ring->slots[i % kRingCapacity];
-      os << (first ? "\n" : ",\n");
-      first = false;
-      os << "{\"name\":\"";
-      write_escaped(os, r.name);
-      // ts/dur are microseconds; fixed %.3f keeps ns resolution at any
-      // trace length (default ostream precision would truncate).
-      char times[80];
-      std::snprintf(times, sizeof times,
-                    "\",\"cat\":\"phissl\",\"ph\":\"X\",\"ts\":%.3f,"
-                    "\"dur\":%.3f",
-                    static_cast<double>(r.start_ns) * 1e-3,
-                    static_cast<double>(r.dur_ns) * 1e-3);
-      os << times << ",\"pid\":1,\"tid\":" << r.tid;
-      if (r.arg_name != nullptr) {
-        os << ",\"args\":{\"";
-        write_escaped(os, r.arg_name);
-        os << "\":" << r.arg << "}";
-      }
-      os << "}";
+  impl_->ring.for_each([&](std::uint32_t tid, const SpanRecord& r) {
+    os << (first ? "\n" : ",\n");
+    first = false;
+    os << "{\"name\":\"";
+    write_escaped(os, r.name);
+    // ts/dur are microseconds; fixed %.3f keeps ns resolution at any
+    // trace length (default ostream precision would truncate).
+    char times[80];
+    std::snprintf(times, sizeof times,
+                  "\",\"cat\":\"phissl\",\"ph\":\"X\",\"ts\":%.3f,"
+                  "\"dur\":%.3f",
+                  static_cast<double>(r.start_ns) * 1e-3,
+                  static_cast<double>(r.dur_ns) * 1e-3);
+    os << times << ",\"pid\":1,\"tid\":" << tid;
+    if (r.arg_name != nullptr) {
+      os << ",\"args\":{\"";
+      write_escaped(os, r.arg_name);
+      os << "\":" << r.arg << "}";
     }
-  }
+    os << "}";
+  });
   // Drop total as a Chrome counter event, so a wrapped trace is visibly
   // truncated rather than silently complete.
   os << (first ? "\n" : ",\n")
      << "{\"name\":\"trace_dropped_spans\",\"ph\":\"C\",\"ts\":0,\"pid\":1,"
         "\"args\":{\"dropped\":"
-     << dropped << "}}";
+     << dropped_total() << "}}";
   os << "\n]}\n";
 }
 
 std::uint64_t Tracer::dropped_total() const {
-  std::lock_guard<std::mutex> lock(impl_->rings_mu);
-  std::uint64_t dropped = 0;
-  for (const auto& ring : impl_->rings) {
-    const std::uint64_t head = ring->head.load(std::memory_order_acquire);
-    dropped += head - std::min<std::uint64_t>(head, kRingCapacity);
-  }
-  return dropped;
+  return impl_->ring.dropped_total();
 }
 
 std::uint64_t Tracer::recorded_total() const {
-  std::lock_guard<std::mutex> lock(impl_->rings_mu);
-  std::uint64_t total = 0;
-  for (const auto& ring : impl_->rings) {
-    total += ring->head.load(std::memory_order_acquire);
-  }
-  return total;
+  return impl_->ring.recorded_total();
 }
 
-void Tracer::clear() {
-  std::lock_guard<std::mutex> lock(impl_->rings_mu);
-  for (const auto& ring : impl_->rings) {
-    ring->head.store(0, std::memory_order_release);
-  }
-}
+void Tracer::clear() { impl_->ring.clear(); }
 
 void write_chrome_trace(std::ostream& os) {
   Tracer::global().write_chrome_trace(os);

@@ -1,15 +1,13 @@
 // Scoped-span tracer: per-thread fixed-capacity ring buffers of
-// {name, tid, start_ns, dur_ns, arg} records, drained on demand to Chrome
+// {name, start_ns, dur_ns, arg} records, drained on demand to Chrome
 // trace_event JSON (loadable in chrome://tracing or https://ui.perfetto.dev).
 //
 // Record path: one relaxed atomic load (the global enable flag) when
-// tracing is off; when on, two steady_clock reads plus a store into this
-// thread's ring and a release head bump — no lock, no allocation. Rings
-// are registered once per thread (mutex on that cold path only) and kept
-// alive by the tracer after thread exit so late drains still see their
-// spans. When the ring wraps, the OLDEST spans are overwritten and the
-// per-ring drop count (head - capacity) grows; the drained JSON reports
-// the total as a Chrome counter event.
+// tracing is off; when on, two steady_clock reads plus a push into this
+// thread's ring (obs/thread_ring.hpp: no lock, no allocation). The ring's
+// index is the span's Chrome-trace tid. When a ring wraps, the OLDEST
+// spans are overwritten and counted in phissl_trace_dropped_total; the
+// drained JSON reports the total as a Chrome counter event.
 //
 // Span names (and arg names) must be string literals / static-lifetime
 // strings: records store the pointer, not a copy.
@@ -36,14 +34,13 @@ bool tracing_enabled() noexcept;
 void set_tracing(bool on) noexcept;
 
 /// One completed span. Times are ns relative to the tracer epoch (first
-/// use in the process).
+/// use in the process); the recording thread is the ring it sits in.
 struct SpanRecord {
   const char* name = nullptr;      // static-lifetime
   const char* arg_name = nullptr;  // optional numeric arg; nullptr if none
   std::uint64_t arg = 0;
   std::uint64_t start_ns = 0;
   std::uint64_t dur_ns = 0;
-  std::uint32_t tid = 0;
 };
 
 class Tracer {

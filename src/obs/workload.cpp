@@ -5,14 +5,13 @@
 #include <cctype>
 #include <cstdlib>
 #include <istream>
-#include <memory>
-#include <mutex>
 #include <ostream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/thread_ring.hpp"
 #include "util/timing.hpp"
 
 namespace phissl::obs {
@@ -36,39 +35,15 @@ std::optional<WorkloadOp> workload_op_from_string(std::string_view s) noexcept {
   return std::nullopt;
 }
 
-namespace {
-
-struct Ring {
-  std::vector<WorkloadEvent> slots{WorkloadRecorder::kRingCapacity};
-  // Monotone logical write position; slot = head % capacity. One writer
-  // (the owning thread); drains read up to an acquire-loaded head.
-  std::atomic<std::uint64_t> head{0};
-};
-
-}  // namespace
-
 struct WorkloadRecorder::Impl {
-  mutable std::mutex rings_mu;
-  std::vector<std::shared_ptr<Ring>> rings;
+  ThreadRing<WorkloadEvent, kRingCapacity> ring{Registry::global().counter(
+      "phissl_workload_dropped_total",
+      "workload-trace events overwritten by recorder ring wraparound")};
   std::atomic<bool> recording{false};
   std::atomic<std::uint64_t> batch_ids{0};
   // Pinned at recorder construction so arrival stamps from every thread
   // share one origin.
   const std::uint64_t epoch_ns = util::now_ns();
-  // Wraparound visibility in metrics scrapes (monotone; survives clear()).
-  Counter& dropped = Registry::global().counter(
-      "phissl_workload_dropped_total",
-      "workload-trace events overwritten by recorder ring wraparound");
-
-  Ring& local_ring() {
-    thread_local std::shared_ptr<Ring> mine;
-    if (!mine) {
-      std::lock_guard<std::mutex> lock(rings_mu);
-      mine = std::make_shared<Ring>();
-      rings.push_back(mine);  // keeps the ring alive past thread exit
-    }
-    return *mine;
-  }
 };
 
 WorkloadRecorder::WorkloadRecorder() : impl_(new Impl) {}
@@ -99,25 +74,13 @@ std::uint64_t WorkloadRecorder::next_batch_id() noexcept {
 }
 
 void WorkloadRecorder::record(const WorkloadEvent& ev) noexcept {
-  Ring& ring = impl_->local_ring();
-  const std::uint64_t h = ring.head.load(std::memory_order_relaxed);
-  if (h >= kRingCapacity) impl_->dropped.inc();  // overwriting the oldest
-  ring.slots[h % kRingCapacity] = ev;
-  ring.head.store(h + 1, std::memory_order_release);
+  impl_->ring.push(ev);
 }
 
 std::vector<WorkloadEvent> WorkloadRecorder::drain() const {
   std::vector<WorkloadEvent> out;
-  {
-    std::lock_guard<std::mutex> lock(impl_->rings_mu);
-    for (const auto& ring : impl_->rings) {
-      const std::uint64_t head = ring->head.load(std::memory_order_acquire);
-      const std::uint64_t n = std::min<std::uint64_t>(head, kRingCapacity);
-      for (std::uint64_t i = head - n; i < head; ++i) {
-        out.push_back(ring->slots[i % kRingCapacity]);
-      }
-    }
-  }
+  impl_->ring.for_each(
+      [&out](std::uint32_t, const WorkloadEvent& ev) { out.push_back(ev); });
   // Rings are per-thread, so the raw concatenation interleaves; the replay
   // engine (and the JSONL schema check) want the arrival process in order.
   std::stable_sort(out.begin(), out.end(),
@@ -133,30 +96,14 @@ void WorkloadRecorder::export_jsonl(std::ostream& os) const {
 }
 
 std::uint64_t WorkloadRecorder::dropped_total() const {
-  std::lock_guard<std::mutex> lock(impl_->rings_mu);
-  std::uint64_t dropped = 0;
-  for (const auto& ring : impl_->rings) {
-    const std::uint64_t head = ring->head.load(std::memory_order_acquire);
-    dropped += head - std::min<std::uint64_t>(head, kRingCapacity);
-  }
-  return dropped;
+  return impl_->ring.dropped_total();
 }
 
 std::uint64_t WorkloadRecorder::recorded_total() const {
-  std::lock_guard<std::mutex> lock(impl_->rings_mu);
-  std::uint64_t total = 0;
-  for (const auto& ring : impl_->rings) {
-    total += ring->head.load(std::memory_order_acquire);
-  }
-  return total;
+  return impl_->ring.recorded_total();
 }
 
-void WorkloadRecorder::clear() {
-  std::lock_guard<std::mutex> lock(impl_->rings_mu);
-  for (const auto& ring : impl_->rings) {
-    ring->head.store(0, std::memory_order_release);
-  }
-}
+void WorkloadRecorder::clear() { impl_->ring.clear(); }
 
 void write_workload_jsonl(std::ostream& os,
                           std::span<const WorkloadEvent> events) {

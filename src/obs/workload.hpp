@@ -13,11 +13,12 @@
 // sweeps candidate configs over a recorded trace and emits the winner as
 // JSON consumable by SignServiceConfig / DriverConfig (ssl/tuned_config.hpp).
 //
-// Record-path contract mirrors Tracer: one relaxed atomic load when
-// recording is off; when on, a store into this thread's ring plus a
-// release head bump — no lock, no allocation. Rings overwrite OLDEST
-// events on wraparound; the drop total is visible via dropped_total() and
-// as the phissl_workload_dropped_total registry counter. Under
+// Record-path contract mirrors Tracer, and so does the buffer (one
+// obs::ThreadRing each): one relaxed atomic load when recording is off;
+// when on, a store into this thread's ring plus a release head bump — no
+// lock, no allocation. Rings overwrite OLDEST events on wraparound; the
+// drop total is visible via dropped_total() and as the
+// phissl_workload_dropped_total registry counter. Under
 // PHISSL_OBS=OFF every emission site compiles out
 // (PHISSL_OBS_WORKLOAD_ENABLED folds to false); the recorder/loader
 // themselves always build, since the replay tooling consumes them.

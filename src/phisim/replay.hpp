@@ -78,12 +78,12 @@ struct ReplayCost {
   /// Event frontend: per-connection resume handling on a reactor worker,
   /// in us (state-machine pump + record round-trip).
   double resume_us = 2.0;
-  /// Delay between a linger deadline (or the slot-free notification) and
-  /// the flush actually firing: the linger thread's condition-variable
+  /// Delay between a linger deadline (or a dispatch worker coming free)
+  /// and the flush actually firing: a parked worker's condition-variable
   /// wakeup plus scheduler latency. Recorded traces on the dev host show
   /// ~150us median. Matters for fidelity at bursty saturation: with zero
   /// slack the modeled linger wins races against threshold dispatch that
-  /// the real (slower-to-wake) linger thread loses.
+  /// the real (slower-to-wake) worker loses.
   double linger_slack_us = 150.0;
 
   /// Batch cost from the PCIe offload model: one 16-lane batch of `op`

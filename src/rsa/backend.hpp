@@ -16,7 +16,7 @@
 //   ifma52-portable - the same contexts pinned to the portable u128 path.
 //
 // Every layer takes the choice as data: EngineOptions::kernel, Dh, Dsa,
-// BatchEngine, SignServiceConfig::backend, BatchDecryptConfig::backend,
+// BatchEngine, SignServiceConfig::backend (also BatchDecryptService's),
 // DriverConfig::batch_backend and the bench --backend flags all hold a
 // Backend, and make_ctx() is the one place that turns it into a
 // single-stream context.

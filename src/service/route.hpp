@@ -9,8 +9,8 @@
 // cheaper: k * op_us < batch_us. A full flush always runs as a batch.
 //
 // op_us and batch_us are execution times measured where the work runs
-// (SignService times them on the dispatch thread, excluding any wait for
-// it), so both sides of the comparison are CPU the flush would consume.
+// (SignService times them on its dispatch workers, excluding any wait for
+// one), so both sides of the comparison are CPU the flush would consume.
 #pragma once
 
 #include <cstddef>

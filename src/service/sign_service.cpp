@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
+#include <deque>
+#include <iterator>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -65,6 +68,7 @@ struct SignService::Metrics {
   obs::Counter& flush_linger;
   obs::Counter& flush_drain;
   obs::Histogram& queue_wait_us;
+  obs::Histogram& worker_wait_us;
   obs::Histogram& service_us;
   obs::Histogram& single_op_us;
 
@@ -96,7 +100,16 @@ struct SignService::Metrics {
             svc + ",reason=\"drain\"")),
         queue_wait_us(obs::Registry::global().histogram(
             "phissl_service_queue_wait_us",
-            "per-request sign()-to-dispatch wait (microseconds)", svc)),
+            "per-request wait from sign() to its flush forming "
+            "(microseconds)",
+            svc)),
+        // Named for the thread pool the dispatch workers replaced;
+        // bench/e2e/run.py reads it under this name.
+        worker_wait_us(obs::Registry::global().histogram(
+            "phissl_pool_task_wait_us",
+            "per-flush wait from forming to a dispatch worker starting it "
+            "(microseconds)",
+            svc)),
         service_us(obs::Registry::global().histogram(
             "phissl_service_batch_service_us",
             "per-batch kernel + completion time (microseconds)", svc)),
@@ -114,7 +127,7 @@ struct SignService::Pending {
   BigInt x;
   std::promise<SignResult> promise;
   Completion done;
-  Clock::time_point submitted;
+  Clock::time_point submitted;  // stamped by enqueue, under mu_
   obs::WorkloadOp op = obs::WorkloadOp::kSign;  // workload-trace tag
 
   /// Hands the request its result — exactly once per request.
@@ -144,12 +157,11 @@ struct SignService::Pending {
 };
 
 /// Per-key shard: the BatchEngine, the single-stream Engine over the same
-/// key and backend, the route costs, and the (sub-16) submission queue.
+/// key and backend, the route costs, and the submission FIFO.
 struct SignService::Shard {
-  Shard(rsa::PrivateKey key, rsa::Backend backend, unsigned digit_bits)
-      : engine(key, backend, digit_bits),
-        single(std::move(key), rsa::EngineOptions{.kernel = backend,
-                                                  .digit_bits = digit_bits}),
+  Shard(rsa::PrivateKey key, rsa::Backend backend)
+      : engine(key, backend),
+        single(std::move(key), rsa::EngineOptions{.kernel = backend}),
         k(engine.pub().byte_size()) {
     // Dummy input for padded lanes: the EMSA encoding of an all-zero
     // digest. Any EMSA block starts 0x00 0x01, so its value is < 2^(8k-8)
@@ -166,7 +178,8 @@ struct SignService::Shard {
   BigInt dummy;
   std::uint32_t key_bits() const { return static_cast<std::uint32_t>(k * 8); }
 
-  // Route costs in microseconds of execution on a dispatch worker.
+  // Route costs in microseconds of execution, seeded by calibrate() and
+  // updated by the dispatch workers.
   std::atomic<double> op_us{0.0};
   std::atomic<double> batch_us{0.0};
   RouteCosts costs() const {
@@ -193,38 +206,50 @@ struct SignService::Shard {
     batch_us.store(std::min(timed(batch), timed(batch)));
   }
 
-  std::mutex mu;
-  std::vector<Pending> pending;   // always < kBatch entries
-  Clock::time_point oldest;       // submit time of pending.front()
+  // Guarded by SignService::mu_. Requests sit in submit order, and a
+  // flush always takes max_batch_lanes (full) or everything (a partial),
+  // so every max_batch_lanes-th entry closes a full flush.
+  std::deque<Pending> pending;
+};
+
+/// A flush a worker took: up to max_batch_lanes requests from the front
+/// of one shard's FIFO, stamped with the time it formed — when its last
+/// request arrived (full), at the stop() call (drain), or when a worker
+/// took it (linger). Queue wait ends and batch service time starts at
+/// that stamp, so a flush queued behind a busy worker counts its wait
+/// there (phissl_pool_task_wait_us), not as queue wait.
+struct SignService::Flush {
+  Shard* shard = nullptr;
+  std::vector<Pending> work;
+  FlushReason why = FlushReason::kFull;
+  Clock::time_point formed;
 };
 
 SignService::SignService(SignServiceConfig config)
-    : config_(config),
-      metrics_(std::make_unique<Metrics>(next_svc_labels())),
-      pool_(config.dispatch_threads) {
+    : config_(config), metrics_(std::make_unique<Metrics>(next_svc_labels())) {
   config_.max_batch_lanes =
       std::clamp<std::size_t>(config_.max_batch_lanes, 1, kBatch);
-  linger_thread_ = std::thread([this] { linger_loop(); });
+  config_.dispatch_threads = std::max<std::size_t>(config_.dispatch_threads, 1);
+  workers_.reserve(config_.dispatch_threads);
+  try {
+    for (std::size_t i = 0; i < config_.dispatch_threads; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    stop();  // joins the workers already started
+    throw;
+  }
 }
 
 SignService::~SignService() { stop(); }
 
 void SignService::add_key(const std::string& key_id, rsa::PrivateKey key) {
-  if (!accepting_.load()) {
+  auto shard = std::make_unique<Shard>(std::move(key), config_.backend);
+  shard->calibrate();
+  std::lock_guard<std::mutex> lock(mu_);
+  if (stopping_) {
     throw std::runtime_error("SignService::add_key after stop()");
   }
-  auto shard = std::make_unique<Shard>(std::move(key), config_.backend,
-                                       config_.digit_bits);
-  // Measured where flushes run; a draining pool means stop() is racing
-  // this call, so measure here instead.
-  std::future<void> measured;
-  try {
-    measured = pool_.submit([&shard] { shard->calibrate(); });
-  } catch (const std::runtime_error&) {
-    shard->calibrate();
-  }
-  if (measured.valid()) measured.get();
-  std::lock_guard<std::mutex> lock(shards_mu_);
   if (!shards_.emplace(key_id, std::move(shard)).second) {
     throw std::invalid_argument("SignService::add_key: duplicate key id \"" +
                                 key_id + "\"");
@@ -232,7 +257,7 @@ void SignService::add_key(const std::string& key_id, rsa::PrivateKey key) {
 }
 
 SignService::Shard& SignService::find_shard(const std::string& key_id) const {
-  std::lock_guard<std::mutex> lock(shards_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   const auto it = shards_.find(key_id);
   if (it == shards_.end()) {
     throw std::invalid_argument("SignService: unknown key id \"" + key_id +
@@ -252,7 +277,6 @@ std::future<SignResult> SignService::sign(
 
   Pending p;
   p.x = BigInt::from_bytes_be(rsa::emsa_pkcs1_v15_from_digest(digest, shard.k));
-  p.submitted = Clock::now();
   return enqueue(shard, std::move(p));
 }
 
@@ -270,7 +294,6 @@ std::future<SignResult> SignService::private_op(
     throw std::invalid_argument("SignService::private_op: input >= modulus");
   }
   p.op = obs::WorkloadOp::kPrivateOp;
-  p.submitted = Clock::now();
   return enqueue(shard, std::move(p));
 }
 
@@ -283,7 +306,6 @@ void SignService::sign_async(const std::string& key_id,
   p.x = BigInt::from_bytes_be(rsa::emsa_pkcs1_v15_from_digest(digest, shard.k));
   p.done = std::move(done);
   p.op = op;
-  p.submitted = Clock::now();
   (void)enqueue(shard, std::move(p));
 }
 
@@ -304,61 +326,126 @@ void SignService::private_op_async(const std::string& key_id,
   }
   p.done = std::move(done);
   p.op = obs::WorkloadOp::kPrivateOp;
-  p.submitted = Clock::now();
   (void)enqueue(shard, std::move(p));
 }
 
 std::future<SignResult> SignService::enqueue(Shard& shard, Pending&& p) {
   std::future<SignResult> fut = p.promise.get_future();
-
-  std::vector<Pending> batch;
-  bool first_pending = false;
+  bool wake = false;
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    // Checked under the shard lock so stop()'s drain (which sets
-    // accepting_ first, then flushes under this lock) cannot miss us.
-    if (!accepting_.load()) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (stopping_) {
       throw std::runtime_error("SignService::sign after stop()");
     }
-    if (shard.pending.empty()) {
-      shard.oldest = p.submitted;
-      first_pending = true;
-    }
+    // Stamped under the lock, so each FIFO is in submit order and a full
+    // flush forms at the submit time of its last request.
+    p.submitted = Clock::now();
     shard.pending.push_back(std::move(p));
-    if (shard.pending.size() >= config_.max_batch_lanes) {
-      batch = std::move(shard.pending);
-      shard.pending.clear();
-    }
+    const std::size_t n = shard.pending.size();
+    const bool full = n % config_.max_batch_lanes == 0;
+    const bool starts_linger = n == 1 && !config_.full_batches_only;
+    wake = parked_ > 0 && (full || starts_linger);
   }
   metrics_->requests.inc();
-
-  if (!batch.empty()) {
-    // Fast path: 16 pending, go now.
-    dispatch(shard, std::move(batch), FlushReason::kFull);
-  } else if (first_pending && !config_.full_batches_only) {
-    // Arm the linger timer for this shard's new deadline.
-    {
-      std::lock_guard<std::mutex> lock(linger_mu_);
-      ++linger_gen_;
-    }
-    linger_cv_.notify_one();
-  }
+  if (wake) cv_.notify_one();
   return fut;
 }
 
-void SignService::dispatch(Shard& shard, std::vector<Pending>&& batch,
-                           FlushReason why) {
-  const Clock::time_point dispatch_time = Clock::now();
-  const std::size_t real = batch.size();
-  const bool single = runs_single(real, shard.costs());
-  // shared_ptr because ThreadPool::submit takes a copyable std::function
-  // and promises are move-only.
-  auto work = std::make_shared<std::vector<Pending>>(std::move(batch));
+SignService::Flush SignService::take_due(
+    Clock::time_point now, std::optional<Clock::time_point>& wake) {
+  Flush f;
+  for (auto& [id, shard] : shards_) {
+    const std::deque<Pending>& q = shard->pending;
+    if (q.empty()) continue;
+    FlushReason why;
+    Clock::time_point formed;
+    if (q.size() >= config_.max_batch_lanes) {
+      why = FlushReason::kFull;
+      formed = q[config_.max_batch_lanes - 1].submitted;
+    } else if (stopping_) {
+      why = FlushReason::kDrain;
+      formed = stop_time_;
+    } else if (config_.full_batches_only) {
+      continue;
+    } else if (const Clock::time_point deadline =
+                   q.front().submitted + config_.max_linger;
+               deadline > now) {
+      if (!wake || deadline < *wake) wake = deadline;
+      continue;
+    } else {
+      why = FlushReason::kLinger;
+      formed = now;
+    }
+    // Earliest formed first; expired partials (all formed now) oldest
+    // request first.
+    if (f.shard == nullptr || formed < f.formed ||
+        (formed == f.formed &&
+         q.front().submitted < f.shard->pending.front().submitted)) {
+      f.shard = shard.get();
+      f.why = why;
+      f.formed = formed;
+    }
+  }
+  if (f.shard != nullptr) {
+    std::deque<Pending>& q = f.shard->pending;
+    const auto end =
+        q.begin() + static_cast<std::ptrdiff_t>(
+                        std::min(q.size(), config_.max_batch_lanes));
+    f.work.assign(std::make_move_iterator(q.begin()),
+                  std::make_move_iterator(end));
+    q.erase(q.begin(), end);
+  }
+  return f;
+}
 
-  // No lock: every record below is a shard-local atomic. `batches` is
-  // incremented BEFORE `full_batches` (and stats() reads them in the
-  // opposite order), so a concurrent snapshot can never observe
-  // full_batches > batches.
+bool SignService::work_left() const {
+  for (const auto& [id, shard] : shards_) {
+    const std::size_t n = shard->pending.size();
+    if (n >= config_.max_batch_lanes ||
+        (n > 0 && (stopping_ || !config_.full_batches_only))) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void SignService::worker_loop() {
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    std::optional<Clock::time_point> wake;
+    Flush f = take_due(Clock::now(), wake);
+    if (f.shard != nullptr) {
+      // A parked worker may be sleeping past a deadline this one was
+      // watching, or another flush may be due: let one look.
+      if (parked_ > 0 && work_left()) cv_.notify_one();
+      lock.unlock();
+      run(std::move(f));  // the requests die with it, outside the lock
+      lock.lock();
+      continue;
+    }
+    // Nothing due. While stopping every queued request is due, so the
+    // queues are empty and the drain is done.
+    if (stopping_) return;
+    ++parked_;
+    if (wake) {
+      cv_.wait_until(lock, *wake);
+    } else {
+      cv_.wait(lock);
+    }
+    --parked_;
+  }
+}
+
+void SignService::run(Flush f) {
+  metrics_->worker_wait_us.record(to_us(Clock::now() - f.formed));
+  Shard& shard = *f.shard;
+  const std::size_t real = f.work.size();
+  const bool single = runs_single(real, shard.costs());
+
+  // No lock: every record below is a lock-free registry metric.
+  // `batches` is incremented BEFORE `full_batches` (and stats() reads
+  // them in the opposite order), so a concurrent snapshot can never
+  // observe full_batches > batches.
   if (single) {
     metrics_->single_ops.inc(real);
   } else {
@@ -367,7 +454,7 @@ void SignService::dispatch(Shard& shard, std::vector<Pending>&& batch,
     metrics_->padded_lanes.inc(kBatch - real);
     metrics_->lanes_signed.inc(real);
   }
-  switch (why) {
+  switch (f.why) {
     case FlushReason::kFull:
       metrics_->flush_full.inc();
       break;
@@ -378,8 +465,8 @@ void SignService::dispatch(Shard& shard, std::vector<Pending>&& batch,
       metrics_->flush_drain.inc();
       break;
   }
-  for (const Pending& p : *work) {
-    metrics_->queue_wait_us.record(to_us(dispatch_time - p.submitted));
+  for (const Pending& p : f.work) {
+    metrics_->queue_wait_us.record(to_us(f.formed - p.submitted));
   }
   if (PHISSL_OBS_WORKLOAD_ENABLED) {
     // One workload event per request. A batch's events carry its dispatch
@@ -388,14 +475,14 @@ void SignService::dispatch(Shard& shard, std::vector<Pending>&& batch,
     // Timestamps reuse the steady_clock values already taken.
     obs::WorkloadRecorder& rec = obs::WorkloadRecorder::global();
     const std::uint64_t batch_id = single ? 0 : rec.next_batch_id();
-    for (const Pending& p : *work) {
+    for (const Pending& p : f.work) {
       obs::WorkloadEvent ev;
       ev.arrival_ns = rec.rel_ns(static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(
               p.submitted.time_since_epoch())
               .count()));
       ev.queue_wait_ns = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(dispatch_time -
+          std::chrono::duration_cast<std::chrono::nanoseconds>(f.formed -
                                                                p.submitted)
               .count());
       ev.batch_id = batch_id;
@@ -406,33 +493,15 @@ void SignService::dispatch(Shard& shard, std::vector<Pending>&& batch,
     }
   }
 
-  inflight_.fetch_add(1);
-  auto run = [this, &shard, work, dispatch_time, single] {
-    if (single) {
-      run_single(shard, *work);
-    } else {
-      run_batch(shard, *work, dispatch_time);
-    }
-    // A dispatch slot just freed up: wake the linger timer so a partial
-    // flush whose deadline expired while we were busy goes out now.
-    inflight_.fetch_sub(1);
-    {
-      std::lock_guard<std::mutex> lock(linger_mu_);
-      ++linger_gen_;
-    }
-    linger_cv_.notify_one();
-  };
-  try {
-    pool_.submit(run);
-  } catch (const std::exception&) {
-    // The pool is draining (a sign() racing stop() can get here): run the
-    // flush inline so every promise is still fulfilled.
-    run();
+  if (single) {
+    run_single(shard, f.work);
+  } else {
+    run_batch(shard, f.work, f.formed);
   }
 }
 
 void SignService::run_batch(Shard& shard, std::vector<Pending>& work,
-                            Clock::time_point dispatch_time) {
+                            Clock::time_point formed) {
   PHISSL_OBS_SPAN("svc.batch", "lanes",
                   static_cast<std::uint64_t>(work.size()));
   const Clock::time_point start = Clock::now();
@@ -454,7 +523,7 @@ void SignService::run_batch(Shard& shard, std::vector<Pending>& work,
     for (std::size_t l = 0; l < work.size(); ++l) {
       work[l].deliver(SignResult{std::move(sigs[l]), work[l].submitted, done});
     }
-    metrics_->service_us.record(to_us(done - dispatch_time));
+    metrics_->service_us.record(to_us(done - formed));
   } catch (...) {
     for (Pending& p : work) p.fail(std::current_exception());
   }
@@ -480,67 +549,10 @@ void SignService::run_single(Shard& shard, std::vector<Pending>& work) {
   }
 }
 
-void SignService::linger_loop() {
-  std::unique_lock<std::mutex> lk(linger_mu_);
-  for (;;) {
-    if (stopping_) return;
-    const std::uint64_t gen = linger_gen_;
-    const auto changed = [&] { return stopping_ || linger_gen_ != gen; };
-
-    // Lane-filling backpressure: while every dispatch slot is busy, an
-    // expired partial would only sit in the pool queue — let it keep
-    // filling instead and wait for a completion (which bumps gen).
-    if (inflight_.load() >= pool_.size()) {
-      linger_cv_.wait(lk, changed);
-      continue;
-    }
-
-    // Earliest partial-batch deadline across all shards.
-    std::optional<Clock::time_point> next;
-    if (!config_.full_batches_only) {
-      std::lock_guard<std::mutex> sl(shards_mu_);
-      for (auto& [id, shard] : shards_) {
-        std::lock_guard<std::mutex> pl(shard->mu);
-        if (!shard->pending.empty()) {
-          const Clock::time_point deadline = shard->oldest + config_.max_linger;
-          if (!next || deadline < *next) next = deadline;
-        }
-      }
-    }
-
-    if (!next) {
-      linger_cv_.wait(lk, changed);
-      continue;
-    }
-    if (linger_cv_.wait_until(lk, *next, changed)) continue;  // re-evaluate
-    if (inflight_.load() >= pool_.size()) continue;  // slot filled meanwhile
-
-    // Deadline reached: flush every shard whose oldest request expired.
-    PHISSL_OBS_SPAN("svc.linger_flush");
-    const Clock::time_point now = Clock::now();
-    std::vector<std::pair<Shard*, std::vector<Pending>>> flushes;
-    {
-      std::lock_guard<std::mutex> sl(shards_mu_);
-      for (auto& [id, shard] : shards_) {
-        std::lock_guard<std::mutex> pl(shard->mu);
-        if (!shard->pending.empty() &&
-            shard->oldest + config_.max_linger <= now) {
-          flushes.emplace_back(shard.get(), std::move(shard->pending));
-          shard->pending.clear();
-        }
-      }
-    }
-    for (auto& [shard, batch] : flushes) {
-      dispatch(*shard, std::move(batch), FlushReason::kLinger);
-    }
-  }
-}
-
 StatsSnapshot SignService::stats() const {
   StatsSnapshot s;
   // Lock-free: counter value() is an acquire-load sum. full_batches is
-  // read BEFORE batches (dispatch() increments them in the opposite
-  // order), so a mid-run snapshot can never show full_batches > batches.
+  // read BEFORE batches (run() increments them in the opposite order), so a mid-run snapshot can never show full_batches > batches.
   s.full_batches = metrics_->full_batches.value();
   s.batches = metrics_->batches.value();
   s.requests = metrics_->requests.value();
@@ -558,37 +570,16 @@ StatsSnapshot SignService::stats() const {
 }
 
 void SignService::stop() {
-  std::lock_guard<std::mutex> stop_lock(stop_mu_);
-  if (stopped_) return;
-
-  {
-    std::lock_guard<std::mutex> lock(linger_mu_);
-    stopping_ = true;
-  }
-  linger_cv_.notify_all();
-  if (linger_thread_.joinable()) linger_thread_.join();
-
-  // Reject new submissions, then drain: any sign() that passed its
-  // accepting_ check did so under its shard's mutex, so taking each mutex
-  // here is a barrier — every accepted request is either in pending (we
-  // flush it) or was already dispatched (the pool drain below waits).
-  accepting_.store(false);
-  std::vector<std::pair<Shard*, std::vector<Pending>>> flushes;
-  {
-    std::lock_guard<std::mutex> sl(shards_mu_);
-    for (auto& [id, shard] : shards_) {
-      std::lock_guard<std::mutex> pl(shard->mu);
-      if (!shard->pending.empty()) {
-        flushes.emplace_back(shard.get(), std::move(shard->pending));
-        shard->pending.clear();
-      }
+  // call_once: a concurrent second caller waits here until the join.
+  std::call_once(stop_once_, [this] {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stopping_ = true;
+      stop_time_ = Clock::now();
     }
-  }
-  for (auto& [shard, batch] : flushes) {
-    dispatch(*shard, std::move(batch), FlushReason::kDrain);
-  }
-  pool_.shutdown();
-  stopped_ = true;
+    cv_.notify_all();
+    for (std::thread& t : workers_) t.join();
+  });
 }
 
 RouteCosts SignServiceTestPeer::route_costs(const SignService& svc,
@@ -609,7 +600,6 @@ std::future<SignResult> SignServiceTestPeer::enqueue_unchecked(
   SignService::Pending p;
   p.x = x;
   p.op = obs::WorkloadOp::kPrivateOp;
-  p.submitted = Clock::now();
   return svc.enqueue(svc.find_shard(key_id), std::move(p));
 }
 

@@ -8,9 +8,9 @@
 // requests and the service transparently coalesces them into full 16-lane
 // batches. The flush policy is adaptive:
 //
-//   - the moment 16 requests are pending for one key, the batch is
-//     dispatched immediately (the fast path — zero added latency under
-//     load);
+//   - the moment 16 requests are pending for one key, the batch is due
+//     and the next free dispatch worker runs it (the fast path — zero
+//     added latency under load);
 //   - otherwise a partial batch is flushed once its oldest request has
 //     lingered for `max_linger` AND a dispatch slot is free.
 //
@@ -33,9 +33,9 @@
 // oldest request has always lingered past its deadline by the time the
 // slot frees sends every flush out as a mostly padded batch back to back,
 // so dispatch takes a whole core at any offered rate. The two costs are
-// execution times the shard measures on the dispatch thread — seeded by
+// execution times the shard measures on the dispatch workers — seeded by
 // timed runs of each when the key is added, updated by every flush,
-// never including the wait for the thread.
+// never including the wait for a worker.
 //
 // Net effect: at light load a request waits at most max_linger before its
 // flush runs, at the single-stream cost; at heavy load lane occupancy
@@ -43,12 +43,18 @@
 // sweeps.
 //
 // One service instance holds one shard per private key (keyed by a caller
-// chosen string id) and routes requests by key id; dispatches run on the
-// service's util::ThreadPool, so several shards' flushes overlap on
-// multi-worker configurations.
+// chosen string id) and routes requests by key id. The service owns
+// `dispatch_threads` dispatch workers, and they are the scheduler: each,
+// under the one service mutex, takes the earliest-formed due flush — a
+// shard with max_batch_lanes pending (full), else the stop() drain, else
+// an expired partial — pops it from the front of that shard's FIFO, runs
+// it unlocked, and looks for the next before it parks on the service's
+// condition variable until the earliest linger deadline. A parked worker
+// is the free dispatch slot the lane-filling rule asks for, so an expired
+// partial flushes only into an idle worker by construction, and several
+// shards' flushes overlap on multi-worker configurations.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -68,19 +74,19 @@
 #include "rsa/key.hpp"
 #include "service/route.hpp"
 #include "util/stats.hpp"
-#include "util/thread_pool.hpp"
 
 namespace phissl::service {
 
 /// Tuning knobs for a SignService.
 struct SignServiceConfig {
-  /// Workers in the dispatch pool (each runs one flush at a time: a
-  /// 16-lane batch or a run of single-stream ops).
+  /// Dispatch worker threads the service owns (0 is clamped to 1). Each
+  /// runs one flush at a time: a 16-lane batch or a run of single-stream
+  /// ops.
   std::size_t dispatch_threads = 2;
-  /// How long the oldest pending request may wait before a partial flush
-  /// (once a dispatch slot is free — see the class comment). Smaller =
-  /// lower tail latency at light load, lower lane occupancy. Ignored when
-  /// full_batches_only.
+  /// How long the oldest pending request may wait before a partial flush,
+  /// which then runs as soon as a dispatch worker is free (see the class
+  /// comment). Smaller = lower tail latency at light load, lower lane
+  /// occupancy. Ignored when full_batches_only.
   std::chrono::microseconds max_linger{500};
   /// Real lanes that trigger an immediate ("full") dispatch. The vector
   /// kernel always runs the fixed 16-lane shape — lowering this sends
@@ -93,9 +99,6 @@ struct SignServiceConfig {
   /// forced-full baseline bench_sign_service compares against — maximal
   /// occupancy, unbounded queueing latency at light load.
   bool full_batches_only = false;
-  /// Redundant-radix digit width for the underlying contexts (knc_vec
-  /// backend only; the ifma52 radix is fixed at 52).
-  unsigned digit_bits = 27;
   /// Montgomery backend of every per-key shard, batched and single-stream
   /// (see rsa/backend.hpp). Must have a batched form: add_key throws
   /// std::invalid_argument for kScalar32/kScalar64.
@@ -129,7 +132,9 @@ struct StatsSnapshot {
   /// Real requests per dispatched lane: lanes_signed / (batches * 16).
   /// 1.0 means every dispatched lane carried caller work.
   double mean_lane_occupancy = 0.0;
-  /// Per-request time from sign() to dispatch (microseconds).
+  /// Per-request time from sign() to the moment its flush formed
+  /// (microseconds): the arrival of a full flush's last request, the
+  /// stop() call for a drain, a worker taking an expired partial.
   util::Summary queue_wait_us;
   /// Per-batch kernel + completion time (microseconds).
   util::Summary service_us;
@@ -150,7 +155,7 @@ class SignService {
   /// see ssl/async/reactor.hpp). Re-entering the service from the
   /// callback is allowed (submitting follow-up work is fine); blocking on
   /// another future of the same service is not (it could deadlock the
-  /// dispatch pool).
+  /// dispatch workers), and neither is calling stop().
   using Completion = std::function<void(std::optional<SignResult>)>;
 
   explicit SignService(SignServiceConfig config = {});
@@ -162,10 +167,10 @@ class SignService {
   SignService& operator=(const SignService&) = delete;
 
   /// Registers a private key under `key_id` (one shard per key: a
-  /// BatchEngine and a single-stream Engine), after timing one warm run of
-  /// each on the dispatch pool to seed the route costs — so it blocks on
-  /// the pool and must not be called from a Completion. Thread-safe;
-  /// throws std::invalid_argument on a duplicate id and
+  /// BatchEngine and a single-stream Engine), after timing warm runs of
+  /// each on the calling thread to seed the route costs (every flush then
+  /// re-measures them on its worker), so it takes a few private ops'
+  /// time. Thread-safe; throws std::invalid_argument on a duplicate id and
   /// std::runtime_error after stop().
   void add_key(const std::string& key_id, rsa::PrivateKey key);
 
@@ -218,37 +223,47 @@ class SignService {
   [[nodiscard]] StatsSnapshot stats() const;
 
 
-  /// Stops accepting requests, flushes every pending partial batch, and
-  /// blocks until all dispatched work has completed (every returned
-  /// future is ready afterwards). Idempotent; called by the destructor.
+  /// Stops accepting requests, lets the workers drain every queue (full
+  /// flushes first, then one drain flush per partial), and joins them:
+  /// every returned future is ready afterwards. Idempotent, and a
+  /// concurrent second call also returns only after the join; called by
+  /// the destructor. Must not be called from a dispatch worker.
   void stop();
 
  private:
+  using Clock = std::chrono::steady_clock;
   struct Pending;
   struct Shard;
+  struct Flush;
 
-  /// Why a batch left the queue: 16 pending (full), linger deadline, or
-  /// the stop() drain. Feeds the phissl_service_flush_total counters.
+  /// Why a batch left the queue: max_batch_lanes pending (full), linger
+  /// deadline, or the stop() drain. Feeds the phissl_service_flush_total
+  /// counters.
   enum class FlushReason { kFull, kLinger, kDrain };
 
   Shard& find_shard(const std::string& key_id) const;
-  /// Shared submission tail for sign()/private_op(): queues the encoded
-  /// request, dispatches a full batch immediately, or arms the linger
-  /// timer for a fresh partial.
+  /// Shared submission tail for sign()/private_op(): stamps and queues the
+  /// encoded request, waking a parked worker if it made a flush due now
+  /// or started a linger deadline.
   std::future<SignResult> enqueue(Shard& shard, Pending&& p);
-  void dispatch(Shard& shard, std::vector<Pending>&& batch, FlushReason why);
+  /// Under mu_: pops the earliest-formed due flush, or returns one with
+  /// no shard and sets `wake` to the earliest linger deadline, if any.
+  Flush take_due(Clock::time_point now,
+                 std::optional<Clock::time_point>& wake);
+  /// Under mu_: whether a queued request will need a worker (a due flush
+  /// or a pending linger deadline).
+  [[nodiscard]] bool work_left() const;
+  void worker_loop();
+  /// Records a flush's counters and events, then runs it on its route.
+  void run(Flush f);
   /// The two routes of a flush, on a dispatch worker.
   void run_batch(Shard& shard, std::vector<Pending>& work,
-                 std::chrono::steady_clock::time_point dispatch_time);
+                 Clock::time_point formed);
   void run_single(Shard& shard, std::vector<Pending>& work);
-  void linger_loop();
 
   friend struct SignServiceTestPeer;
 
   SignServiceConfig config_;
-
-  mutable std::mutex shards_mu_;
-  std::unordered_map<std::string, std::unique_ptr<Shard>> shards_;
 
   // Stats block: obs::Registry-backed counters and histograms, labelled
   // svc="N" per instance so concurrent services stay separate. Every
@@ -258,25 +273,16 @@ class SignService {
   struct Metrics;
   std::unique_ptr<Metrics> metrics_;
 
-  // Linger timer: one thread waking at the earliest partial-batch
-  // deadline. gen_ bumps on every first-pending arrival and on every
-  // dispatch completion so the timer re-evaluates its wait without
-  // missed wakeups.
-  std::mutex linger_mu_;
-  std::condition_variable linger_cv_;
-  std::uint64_t linger_gen_ = 0;
+  // The scheduler: mu_ guards the shard map, every shard's queue, the
+  // parked-worker count and the stop flag; cv_ parks idle workers.
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  std::unordered_map<std::string, std::unique_ptr<Shard>> shards_;
+  std::size_t parked_ = 0;
   bool stopping_ = false;
-
-  // Flushes submitted to the pool and not yet finished. The linger timer
-  // only deadline-flushes while this is below the worker count (a free
-  // dispatch slot exists); full 16-lane batches always dispatch.
-  std::atomic<std::uint64_t> inflight_{0};
-
-  std::atomic<bool> accepting_{true};
-  std::mutex stop_mu_;  // serializes stop() callers (incl. the destructor)
-  bool stopped_ = false;
-  util::ThreadPool pool_;
-  std::thread linger_thread_;
+  Clock::time_point stop_time_;  // when the drain flushes formed
+  std::once_flag stop_once_;
+  std::vector<std::thread> workers_;
 };
 
 /// Test seam: reads and pins a shard's route costs (a pinned cost stays

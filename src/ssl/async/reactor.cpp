@@ -426,11 +426,10 @@ ServerStack::ServerStack(const rsa::Engine& server_engine,
   if (cfg.batch_private_ops) {
     svc_ = std::make_unique<BatchDecryptService>(
         server_engine.priv(),
-        BatchDecryptConfig{
+        service::SignServiceConfig{
             .dispatch_threads = cfg.batch_dispatch_threads,
             .max_linger = cfg.batch_linger,
             .max_batch_lanes = cfg.batch_max_lanes,
-            .digit_bits = server_engine.options().digit_bits,
             .backend = cfg.batch_backend,
         });
   }

@@ -11,17 +11,8 @@ constexpr char kKeyId[] = "kex";
 }  // namespace
 
 BatchDecryptService::BatchDecryptService(rsa::PrivateKey key,
-                                         BatchDecryptConfig config)
-    : k_(key.pub.byte_size()),
-      n_(key.pub.n),
-      svc_(service::SignServiceConfig{
-          .dispatch_threads = config.dispatch_threads,
-          .max_linger = config.max_linger,
-          .max_batch_lanes = config.max_batch_lanes,
-          .full_batches_only = config.full_batches_only,
-          .digit_bits = config.digit_bits,
-          .backend = config.backend,
-      }) {
+                                         service::SignServiceConfig config)
+    : k_(key.pub.byte_size()), n_(key.pub.n), svc_(config) {
   svc_.add_key(kKeyId, std::move(key));
 }
 

@@ -10,7 +10,7 @@
 // completion bridge. The reactor (ssl/async/reactor.hpp) submits every
 // parked connection's private op here, so once enough of them are in
 // flight they fill whole SIMD batches, and otherwise run single-stream
-// CRT ops on the dispatch thread — whichever the flush's measured costs
+// CRT ops on a dispatch worker — whichever the flush's measured costs
 // say is cheaper. It is the reactor's batched decrypter; the other choice
 // resolves each op inline on the connection's worker.
 //
@@ -20,7 +20,6 @@
 // scalar-path failure.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -33,30 +32,14 @@
 
 namespace phissl::ssl {
 
-/// Tuning knobs, forwarded to the underlying SignService.
-struct BatchDecryptConfig {
-  /// Dispatch workers, each running one flush at a time (a 16-lane batch
-  /// or a run of single-stream ops). One or two suffice: no caller blocks
-  /// on a flush.
-  std::size_t dispatch_threads = 1;
-  /// Partial-batch linger bound (see SignServiceConfig::max_linger).
-  std::chrono::microseconds max_linger{500};
-  /// Real lanes that trigger an immediate dispatch (see
-  /// SignServiceConfig::max_batch_lanes). Clamped to [1, 16].
-  std::size_t max_batch_lanes = 16;
-  /// Forced-full baseline: only dispatch 16-lane batches.
-  bool full_batches_only = false;
-  /// Redundant-radix digit width for the batch contexts (knc_vec only).
-  unsigned digit_bits = 27;
-  /// Montgomery backend for the private ops, batched and single-stream
-  /// (see rsa/backend.hpp).
-  rsa::Backend backend = rsa::Backend::kKncVec;
-};
+/// The decrypter's scheduler knobs are the underlying service's; the old
+/// name remains as an alias while bench/e2e/layers.cpp spells it.
+using BatchDecryptConfig = service::SignServiceConfig;
 
 class BatchDecryptService final {
  public:
   explicit BatchDecryptService(rsa::PrivateKey key,
-                               BatchDecryptConfig config = {});
+                               service::SignServiceConfig config = {});
 
   /// Result delivery for the non-blocking calls below. Invoked exactly
   /// once; nullopt covers every failure (malformed ciphertext, bad

@@ -31,13 +31,6 @@ void apply_tuned_config(const phisim::TunedConfig& tuned,
   cfg.dispatch_threads = tuned.dispatch_threads;
 }
 
-void apply_tuned_config(const phisim::TunedConfig& tuned,
-                        BatchDecryptConfig& cfg) {
-  cfg.max_linger = to_us(tuned.linger_us);
-  cfg.max_batch_lanes = tuned.max_batch_lanes;
-  cfg.dispatch_threads = tuned.dispatch_threads;
-}
-
 void apply_tuned_config(const phisim::TunedConfig& tuned, DriverConfig& cfg) {
   cfg.batch_linger = to_us(tuned.linger_us);
   cfg.batch_max_lanes = tuned.max_batch_lanes;

@@ -10,15 +10,14 @@
 //
 // apply_tuned_config only touches the knobs the autotuner actually swept
 // or derived (linger, lanes, threads/workers, admission wait, cache
-// shards); everything else — backend, digit bits, key material, workload
-// shape — keeps the caller's values.
+// shards); everything else — backend, key material, workload shape —
+// keeps the caller's values.
 #pragma once
 
 #include <string>
 
 #include "phisim/autotune.hpp"
 #include "service/sign_service.hpp"
-#include "ssl/batch_decrypt.hpp"
 #include "ssl/driver.hpp"
 
 namespace phissl::ssl {
@@ -27,13 +26,10 @@ namespace phissl::ssl {
 /// if the file cannot be opened or fails schema validation.
 phisim::TunedConfig load_tuned_config(const std::string& path);
 
-/// Batch-scheduler knobs: max_linger, max_batch_lanes, dispatch_threads.
+/// Batch-scheduler knobs: max_linger, max_batch_lanes, dispatch_threads
+/// (also the config BatchDecryptService takes).
 void apply_tuned_config(const phisim::TunedConfig& tuned,
                         service::SignServiceConfig& cfg);
-
-/// Same three knobs on the decrypt adapter's passthrough config.
-void apply_tuned_config(const phisim::TunedConfig& tuned,
-                        BatchDecryptConfig& cfg);
 
 /// Driver knobs: the batched-path trio plus event_workers (only when the
 /// tuning ran with a reactor grid, i.e. tuned.event_workers > 0; 0 = no

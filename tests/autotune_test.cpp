@@ -18,6 +18,7 @@
 #include "obs/workload.hpp"
 #include "phisim/autotune.hpp"
 #include "phisim/replay.hpp"
+#include "ssl/batch_decrypt.hpp"
 #include "ssl/driver.hpp"
 #include "ssl/tuned_config.hpp"
 

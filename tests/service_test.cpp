@@ -2,18 +2,28 @@
 // signatures the synchronous engines produce, on every dispatch path —
 // the 16-pending fast path, the linger-deadline partial flush (with
 // dummy-padded lanes), the stop() drain, and cross-key routing — and its
-// stats block must stay consistent with the traffic it served.
+// stats block must stay consistent with the traffic it served. The
+// dispatch workers are the scheduler: one thread each, flushes stamped
+// with the time they formed, and a stop() that drains every accepted
+// request while it rejects later ones.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <future>
+#include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "bigint/bigint.hpp"
+#include "obs/workload.hpp"
 #include "rsa/engine.hpp"
 #include "rsa/key.hpp"
 #include "rsa/pkcs1.hpp"
@@ -316,6 +326,187 @@ TEST(SignService, StatsSnapshotSanity) {
             s.lanes_signed);
 }
 
+TEST(SignService, RunsOneThreadPerDispatchWorker) {
+#ifndef __linux__
+  GTEST_SKIP() << "counts the entries of /proc/self/task";
+#else
+  const auto live_threads = [] {
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      ++n;
+    }
+    return n;
+  };
+  // The first thread a process starts can bring up a runtime helper
+  // thread (ThreadSanitizer's), and a joined thread can stay listed for a
+  // moment while the kernel reaps it: start one first, and take the
+  // baseline once the count holds still.
+  std::thread([] {}).join();
+  const auto settled_threads = [&] {
+    std::size_t n = live_threads();
+    for (int i = 0; i < 100; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      const std::size_t m = live_threads();
+      if (m == n) break;
+      n = m;
+    }
+    return n;
+  };
+  // {dispatch_threads asked for, threads the service adds}; 0 clamps to 1.
+  for (const auto& [asked, added] :
+       {std::pair<std::size_t, std::size_t>{2, 2},
+        std::pair<std::size_t, std::size_t>{0, 1}}) {
+    SCOPED_TRACE(asked);
+    const std::size_t before = settled_threads();
+    SignService svc(SignServiceConfig{.dispatch_threads = asked});
+    EXPECT_EQ(live_threads(), before + added);
+    svc.add_key("k", rsa::test_key(512));
+    const auto digest = digest_of(1200 + asked);
+    EXPECT_TRUE(verifies(svc.public_key("k"), digest,
+                         svc.sign("k", digest).get().signature));
+  }
+#endif
+}
+
+TEST(SignService, QueuedFlushesKeepTheirFormedTime) {
+#if !PHISSL_OBS_ENABLED
+  GTEST_SKIP() << "workload events compile out under -DPHISSL_OBS=OFF";
+#endif
+  // One worker runs a full 2048-bit batch while a full 512-bit batch forms
+  // behind it and five more 512-bit requests wait for the stop() drain.
+  // Queue wait ends when a flush forms (its last arrival, or the stop()
+  // call), so none of the 512-bit requests counts the slow batch's
+  // execution as queue wait; stamped at worker pickup, all would.
+  SignServiceConfig cfg;
+  cfg.dispatch_threads = 1;
+  cfg.full_batches_only = true;
+  SignService svc(cfg);
+  svc.add_key("slow", rsa::test_key(2048));
+  svc.add_key("k", rsa::test_key(512));
+  obs::WorkloadRecorder& rec = obs::WorkloadRecorder::global();
+  rec.clear();
+  rec.set_recording(true);
+  std::vector<std::future<SignResult>> slow;
+  std::vector<std::future<SignResult>> quick;
+  for (std::size_t i = 0; i < SignService::kBatch; ++i) {
+    slow.push_back(svc.sign("slow", digest_of(1000 + i)));
+  }
+  for (std::size_t i = 0; i < SignService::kBatch + 5; ++i) {
+    quick.push_back(svc.sign("k", digest_of(1100 + i)));
+  }
+  svc.stop();
+  rec.set_recording(false);
+  for (auto& f : quick) (void)f.get();
+  // The slow batch formed at its last request's arrival and ran at once.
+  const SignResult last_slow = slow.back().get();
+  const auto slow_run_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          last_slow.completed_at - last_slow.submitted_at)
+          .count());
+
+  std::size_t quick_events = 0;
+  for (const obs::WorkloadEvent& ev : rec.drain()) {
+    if (ev.key_bits != 512) continue;
+    ++quick_events;
+    EXPECT_LT(ev.queue_wait_ns, slow_run_ns / 2)
+        << "slow batch ran " << slow_run_ns << " ns";
+  }
+  EXPECT_EQ(quick_events, SignService::kBatch + 5);
+  rec.clear();
+}
+
+TEST(SignService, ExpiredPartialRunsBesideABusyWorker) {
+  // Two workers: while one runs a full 2048-bit batch, a lone 512-bit
+  // request's linger deadline flushes it into the other, so it completes
+  // long before the batch does. The worker watching the deadline may be
+  // the one that takes the batch; it must hand the deadline on. (Should
+  // the sixteen submissions outlast the linger, as they can under a
+  // sanitizer, the slow requests flush as partials instead, and the lone
+  // request still finishes first.)
+  SignServiceConfig cfg;
+  cfg.dispatch_threads = 2;
+  cfg.max_linger = std::chrono::microseconds(5000);
+  SignService svc(cfg);
+  svc.add_key("slow", rsa::test_key(2048));
+  svc.add_key("k", rsa::test_key(512));
+  const auto digest = digest_of(1300);
+  std::future<SignResult> lone = svc.sign("k", digest);
+  std::vector<std::future<SignResult>> slow;
+  for (std::size_t i = 0; i < SignService::kBatch; ++i) {
+    slow.push_back(svc.sign("slow", digest_of(1310 + i)));
+  }
+  const SignResult lone_result = lone.get();
+  EXPECT_TRUE(verifies(svc.public_key("k"), digest, lone_result.signature));
+  EXPECT_LT(lone_result.completed_at, slow.back().get().completed_at);
+  const StatsSnapshot s = svc.stats();
+  EXPECT_EQ(s.lanes_signed + s.single_ops, 1 + SignService::kBatch);
+}
+
+TEST(SignService, SubmittersRacingStopEachCompleteOrThrow) {
+  // Four threads submit until the service rejects them while another
+  // thread stops it: every call either throws std::runtime_error (and
+  // never runs its completion) or runs its completion exactly once, and
+  // the accepted count matches the completions. Past 256 accepted calls
+  // the submitters pace themselves, so the drain stays short.
+  SignServiceConfig cfg;
+  cfg.max_linger = std::chrono::microseconds(200);
+  SignService svc(cfg);
+  svc.add_key("k", rsa::test_key(512));
+
+  struct Call {
+    std::shared_ptr<std::atomic<int>> ran =
+        std::make_shared<std::atomic<int>>(0);
+    bool threw = false;
+  };
+  constexpr std::size_t kSubmitters = 4;
+  std::vector<std::vector<Call>> calls(kSubmitters);
+  std::atomic<std::uint64_t> accepted{0};
+  std::atomic<std::uint64_t> completions{0};
+  std::atomic<std::uint64_t> failed{0};
+  std::vector<std::thread> submitters;
+  for (std::size_t t = 0; t < kSubmitters; ++t) {
+    submitters.emplace_back([&, t] {
+      for (std::uint64_t i = 0;; ++i) {
+        if (accepted.load() >= 256) {
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+        }
+        Call call;
+        try {
+          svc.sign_async("k", digest_of(2000 + 1000 * t + i),
+                         [&completions, &failed, ran = call.ran](
+                             std::optional<SignResult> r) {
+                           if (!r) failed.fetch_add(1);
+                           ran->fetch_add(1);
+                           completions.fetch_add(1);
+                         });
+        } catch (const std::runtime_error&) {
+          call.threw = true;
+        }
+        const bool threw = call.threw;
+        calls[t].push_back(std::move(call));
+        if (threw) return;
+        accepted.fetch_add(1);
+      }
+    });
+  }
+  while (accepted.load() < 64) std::this_thread::yield();
+  std::thread stopper([&] { svc.stop(); });
+  stopper.join();
+  for (auto& th : submitters) th.join();
+
+  EXPECT_EQ(failed.load(), 0u);
+  EXPECT_EQ(completions.load(), accepted.load());
+  EXPECT_EQ(svc.stats().requests, completions.load());
+  for (const std::vector<Call>& mine : calls) {
+    ASSERT_FALSE(mine.empty());
+    EXPECT_TRUE(mine.back().threw);  // each submitter ends on a rejection
+    for (const Call& c : mine) {
+      EXPECT_EQ(c.ran->load(), c.threw ? 0 : 1);
+    }
+  }
+}
+
 
 // --- Per-flush route (service/route.hpp) -----------------------------------
 
@@ -452,11 +643,13 @@ TEST(SignServiceRoute, OneSampleMovesTheEstimateAtMostAQuarter) {
 }
 
 TEST(SignServiceRoute, BatchEstimateExcludesPoolWait) {
-  // Three full batches queued on a one-thread service: a full batch on a
-  // slower key holds the dispatch thread while they queue, so each waits
-  // several of its own execution times. The estimate must stay at one
-  // batch's execution time — with the wait it would climb toward the
-  // queued batches' service time.
+  // Three full batches queued on a one-thread service behind four full
+  // batches on a slower key: each waits several of its own execution
+  // times for the worker. The estimate must stay at one batch's execution
+  // time — with the wait it would climb toward the queued batches'
+  // service time. Four slow batches keep the queued work above three
+  // seeds even when the seed is timed on a loaded host.
+  constexpr std::size_t kSlowBatches = 4;
   SignServiceConfig cfg;
   cfg.dispatch_threads = 1;
   cfg.full_batches_only = true;  // however slowly the requests arrive
@@ -464,17 +657,18 @@ TEST(SignServiceRoute, BatchEstimateExcludesPoolWait) {
   svc.add_key("k", rsa::test_key(1024));
   svc.add_key("slow", rsa::test_key(2048));
   const double seed = SignServiceTestPeer::route_costs(svc, "k").batch_us;
-  ASSERT_GT(SignServiceTestPeer::route_costs(svc, "slow").batch_us,
-            3.0 * seed);
+  // The slow work queued ahead of the measured batches.
+  const double slow = SignServiceTestPeer::route_costs(svc, "slow").batch_us;
+  ASSERT_GT(static_cast<double>(kSlowBatches) * slow, 3.0 * seed);
   std::vector<std::future<SignResult>> futs;
-  for (std::size_t i = 0; i < SignService::kBatch; ++i) {
+  for (std::size_t i = 0; i < kSlowBatches * SignService::kBatch; ++i) {
     futs.push_back(svc.sign("slow", digest_of(800 + i)));
   }
   for (std::size_t i = 0; i < 3 * SignService::kBatch; ++i) {
     futs.push_back(svc.sign("k", digest_of(900 + i)));
   }
   for (auto& f : futs) (void)f.get();
-  ASSERT_EQ(svc.stats().full_batches, 4u);
+  ASSERT_EQ(svc.stats().full_batches, kSlowBatches + 3);
   EXPECT_LT(SignServiceTestPeer::route_costs(svc, "k").batch_us,
             1.5 * seed);
 }

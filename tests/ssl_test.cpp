@@ -207,7 +207,8 @@ TEST_F(HandshakeTest, BatchedDecrypterCompletesFullHandshake) {
 }
 
 TEST_F(HandshakeTest, BatchedDecrypterRejectsMalformedUniformly) {
-  BatchDecryptService svc(rsa::test_key(1024), BatchDecryptConfig{});
+  BatchDecryptService svc(rsa::test_key(1024),
+                          BatchDecryptConfig{.dispatch_threads = 1});
   const std::size_t k = server_engine_.pub().byte_size();
   // Wrong size, value >= n, and bad padding (the encoding of 1) all
   // surface as nullopt.

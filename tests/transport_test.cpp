@@ -376,7 +376,8 @@ TEST(AsyncSocketTest, FewerSlotsThanWorkersStillServes) {
   // so no connection can be handed to a worker without one.
   const rsa::PrivateKey& key = rsa::test_key(512);
   const rsa::Engine engine(key, test_opts());
-  BatchDecryptService svc(engine.priv(), BatchDecryptConfig{});
+  BatchDecryptService svc(engine.priv(),
+                          BatchDecryptConfig{.dispatch_threads = 1});
   SessionCache cache(SessionCacheConfig{});
   AdmissionController admission;
   SocketTransport transport;

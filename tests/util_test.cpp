@@ -1,7 +1,6 @@
-// Unit tests for src/util: PRNG determinism, hex codec, stats, thread pool.
+// Unit tests for src/util: PRNG determinism, hex codec, stats, timing.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -12,7 +11,6 @@
 #include "util/hex.hpp"
 #include "util/random.hpp"
 #include "util/stats.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timing.hpp"
 
 namespace phissl::util {
@@ -142,25 +140,6 @@ TEST(Stats, NonFiniteSamplesAreDropped) {
   EXPECT_EQ(none.count, 0u);
   EXPECT_DOUBLE_EQ(none.mean, 0.0);
   EXPECT_DOUBLE_EQ(none.p99, 0.0);
-}
-
-TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futs;
-  for (int i = 0; i < 100; ++i) {
-    futs.push_back(pool.submit([&counter] { counter++; }));
-  }
-  for (auto& f : futs) f.get();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, ZeroThreadsClampedToOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 1u);
-  std::atomic<int> c{0};
-  pool.submit([&c] { c = 1; }).get();
-  EXPECT_EQ(c.load(), 1);
 }
 
 TEST(Timing, StopwatchMonotone) {
