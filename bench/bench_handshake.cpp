@@ -25,7 +25,7 @@
 // exercised. --frontend selects the sweeps (default event; socket adds
 // the loopback-socket sweep). The obs export flags (src/obs/export.hpp)
 // capture the run; --workload in particular records the driver's
-// shed/resumed/dhe_sign tagging for the autotuner (docs/AUTOTUNE.md).
+// shed/resumed/dhe_sign tagging (obs/workload.hpp).
 #include <algorithm>
 #include <cstdio>
 #include <vector>

@@ -28,9 +28,8 @@
 // Perfetto); --metrics dumps the process metric registry in Prometheus
 // text format. Both are validated by tools/check_trace_json.py in CI.
 // --workload turns the workload trace recorder (obs/workload.hpp) on for
-// the whole sweep and writes the JSONL trace to `path` — the capture half
-// of the observe -> model -> tune loop; feed the file to phissl_autotune
-// (docs/AUTOTUNE.md).
+// the whole sweep and writes the JSONL trace to `path` (one event per
+// request; checked by tools/check_trace_json.py --workload).
 #include <chrono>
 #include <cmath>
 #include <cstdio>

@@ -101,8 +101,7 @@ bool ExportConfig::write() const {
       ok = false;
     } else {
       WorkloadRecorder::global().export_jsonl(f);
-      std::printf("wrote workload trace to %s (replay with phissl_autotune)\n",
-                  workload_path.c_str());
+      std::printf("wrote workload trace to %s\n", workload_path.c_str());
     }
   }
   return ok;

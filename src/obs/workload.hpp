@@ -4,14 +4,10 @@
 // time, the queue wait it paid, the batch it rode in, and whether the
 // connection was shed or resumed instead.
 //
-// This is the observe half of the observe -> model -> tune loop: the
-// tracer (trace.hpp) answers "where did the nanoseconds go inside the
-// process", while this recorder answers "what did the OFFERED LOAD look
-// like" — the exact arrival process and op mix the phisim replay engine
-// (phisim/replay.hpp) needs to predict occupancy, shed rate, and wait
-// percentiles for configurations that were never run. `phissl_autotune`
-// sweeps candidate configs over a recorded trace and emits the winner as
-// JSON consumable by SignServiceConfig / DriverConfig (ssl/tuned_config.hpp).
+// The tracer (trace.hpp) answers "where did the nanoseconds go inside the
+// process"; this recorder answers "what did the OFFERED LOAD look like" —
+// the arrival process, the op mix and per-batch occupancy of a run, for
+// offline analysis of the exported file.
 //
 // Record-path contract mirrors Tracer, and so does the buffer (one
 // obs::ThreadRing each): one relaxed atomic load when recording is off;
@@ -20,8 +16,8 @@
 // drop total is visible via dropped_total() and as the
 // phissl_workload_dropped_total registry counter. Under
 // PHISSL_OBS=OFF every emission site compiles out
-// (PHISSL_OBS_WORKLOAD_ENABLED folds to false); the recorder/loader
-// themselves always build, since the replay tooling consumes them.
+// (PHISSL_OBS_WORKLOAD_ENABLED folds to false); the recorder itself
+// always builds.
 //
 // Export format is versioned JSONL (one JSON object per line):
 //
@@ -30,16 +26,13 @@
 //    "batch_id":1,"lanes_filled":16,"shed":0,"resumed":0}
 //   ...
 //
-// validated by tools/check_trace_json.py --workload and loadable with
-// load_workload_jsonl() (record -> export -> load is lossless).
+// validated by tools/check_trace_json.py --workload.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <optional>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #ifndef PHISSL_OBS_ENABLED
@@ -57,8 +50,6 @@ enum class WorkloadOp : std::uint8_t {
 
 /// Stable wire name ("sign" / "private_op" / "dhe_sign").
 const char* to_string(WorkloadOp op) noexcept;
-/// Inverse of to_string; nullopt for an unknown name.
-std::optional<WorkloadOp> workload_op_from_string(std::string_view s) noexcept;
 
 /// One workload event. For a dispatched op, queue_wait_ns / batch_id /
 /// lanes_filled describe the batch it rode in (batch_id is a nonzero
@@ -78,8 +69,6 @@ struct WorkloadEvent {
   std::uint8_t lanes_filled = 0;    ///< real lanes in its batch; 0 = unbatched
   bool shed = false;
   bool resumed = false;
-
-  bool operator==(const WorkloadEvent&) const = default;
 };
 
 class WorkloadRecorder {
@@ -139,11 +128,6 @@ class WorkloadRecorder {
 /// Writes `events` in the JSONL trace format (header + one line each).
 void write_workload_jsonl(std::ostream& os,
                           std::span<const WorkloadEvent> events);
-
-/// Parses a JSONL workload trace. Throws std::runtime_error with a
-/// line-numbered diagnostic on a malformed line, a missing/mismatched
-/// schema header, or an unsupported version.
-std::vector<WorkloadEvent> load_workload_jsonl(std::istream& is);
 
 }  // namespace phissl::obs
 

@@ -1,6 +1,5 @@
-// The per-flush route decision of the signing service, shared by the live
-// scheduler (service::SignService) and its replay model
-// (phisim::replay_workload), so the model predicts the policy that runs.
+// The per-flush route decision of the signing service
+// (service::SignService): the one function that picks how a flush runs.
 //
 // A flush of k real requests can run as one fixed-shape 16-lane batch
 // (the unused lanes padded) or as k single-stream private ops one after

@@ -207,17 +207,17 @@ struct SignService::Shard {
   }
 
   // Guarded by SignService::mu_. Requests sit in submit order, and a
-  // flush always takes max_batch_lanes (full) or everything (a partial),
-  // so every max_batch_lanes-th entry closes a full flush.
+  // flush always takes kBatch (full) or everything (a partial), so every
+  // kBatch-th entry closes a full flush.
   std::deque<Pending> pending;
 };
 
-/// A flush a worker took: up to max_batch_lanes requests from the front
-/// of one shard's FIFO, stamped with the time it formed — when its last
-/// request arrived (full), at the stop() call (drain), or when a worker
-/// took it (linger). Queue wait ends and batch service time starts at
-/// that stamp, so a flush queued behind a busy worker counts its wait
-/// there (phissl_pool_task_wait_us), not as queue wait.
+/// A flush a worker took: up to kBatch requests from the front of one
+/// shard's FIFO, stamped with the time it formed — when its last request
+/// arrived (full), at the stop() call (drain), or when a worker took it
+/// (linger). Queue wait ends and batch service time starts at that stamp,
+/// so a flush queued behind a busy worker counts its wait there
+/// (phissl_pool_task_wait_us), not as queue wait.
 struct SignService::Flush {
   Shard* shard = nullptr;
   std::vector<Pending> work;
@@ -227,8 +227,6 @@ struct SignService::Flush {
 
 SignService::SignService(SignServiceConfig config)
     : config_(config), metrics_(std::make_unique<Metrics>(next_svc_labels())) {
-  config_.max_batch_lanes =
-      std::clamp<std::size_t>(config_.max_batch_lanes, 1, kBatch);
   config_.dispatch_threads = std::max<std::size_t>(config_.dispatch_threads, 1);
   workers_.reserve(config_.dispatch_threads);
   try {
@@ -342,7 +340,7 @@ std::future<SignResult> SignService::enqueue(Shard& shard, Pending&& p) {
     p.submitted = Clock::now();
     shard.pending.push_back(std::move(p));
     const std::size_t n = shard.pending.size();
-    const bool full = n % config_.max_batch_lanes == 0;
+    const bool full = n % kBatch == 0;
     const bool starts_linger = n == 1 && !config_.full_batches_only;
     wake = parked_ > 0 && (full || starts_linger);
   }
@@ -359,9 +357,9 @@ SignService::Flush SignService::take_due(
     if (q.empty()) continue;
     FlushReason why;
     Clock::time_point formed;
-    if (q.size() >= config_.max_batch_lanes) {
+    if (q.size() >= kBatch) {
       why = FlushReason::kFull;
-      formed = q[config_.max_batch_lanes - 1].submitted;
+      formed = q[kBatch - 1].submitted;
     } else if (stopping_) {
       why = FlushReason::kDrain;
       formed = stop_time_;
@@ -389,8 +387,7 @@ SignService::Flush SignService::take_due(
   if (f.shard != nullptr) {
     std::deque<Pending>& q = f.shard->pending;
     const auto end =
-        q.begin() + static_cast<std::ptrdiff_t>(
-                        std::min(q.size(), config_.max_batch_lanes));
+        q.begin() + static_cast<std::ptrdiff_t>(std::min(q.size(), kBatch));
     f.work.assign(std::make_move_iterator(q.begin()),
                   std::make_move_iterator(end));
     q.erase(q.begin(), end);
@@ -401,8 +398,7 @@ SignService::Flush SignService::take_due(
 bool SignService::work_left() const {
   for (const auto& [id, shard] : shards_) {
     const std::size_t n = shard->pending.size();
-    if (n >= config_.max_batch_lanes ||
-        (n > 0 && (stopping_ || !config_.full_batches_only))) {
+    if (n >= kBatch || (n > 0 && (stopping_ || !config_.full_batches_only))) {
       return true;
     }
   }
@@ -470,8 +466,8 @@ void SignService::run(Flush f) {
   }
   if (PHISSL_OBS_WORKLOAD_ENABLED) {
     // One workload event per request. A batch's events carry its dispatch
-    // ordinal and real lane count so the replay engine can reconstruct
-    // per-batch occupancy; single-stream ops record batch 0, lanes 0.
+    // ordinal and real lane count, so the trace shows per-batch occupancy;
+    // single-stream ops record batch 0, lanes 0.
     // Timestamps reuse the steady_clock values already taken.
     obs::WorkloadRecorder& rec = obs::WorkloadRecorder::global();
     const std::uint64_t batch_id = single ? 0 : rec.next_batch_id();

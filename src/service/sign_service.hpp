@@ -46,7 +46,7 @@
 // chosen string id) and routes requests by key id. The service owns
 // `dispatch_threads` dispatch workers, and they are the scheduler: each,
 // under the one service mutex, takes the earliest-formed due flush — a
-// shard with max_batch_lanes pending (full), else the stop() drain, else
+// shard with 16 requests pending (full), else the stop() drain, else
 // an expired partial — pops it from the front of that shard's FIFO, runs
 // it unlocked, and looks for the next before it parks on the service's
 // condition variable until the earliest linger deadline. A parked worker
@@ -88,12 +88,6 @@ struct SignServiceConfig {
   /// comment). Smaller = lower tail latency at light load, lower lane
   /// occupancy. Ignored when full_batches_only.
   std::chrono::microseconds max_linger{500};
-  /// Real lanes that trigger an immediate ("full") dispatch. The vector
-  /// kernel always runs the fixed 16-lane shape — lowering this sends
-  /// flushes out below 16 lanes (padded, or single-stream where that is
-  /// cheaper), trading occupancy for queue wait (an autotuner output, not
-  /// usually hand-set). Clamped to [1, 16].
-  std::size_t max_batch_lanes = 16;
   /// Never flush a partial batch on a deadline: dispatch only when 16
   /// requests are pending (plus a final drain at stop()). This is the
   /// forced-full baseline bench_sign_service compares against — maximal
@@ -236,7 +230,7 @@ class SignService {
   struct Shard;
   struct Flush;
 
-  /// Why a batch left the queue: max_batch_lanes pending (full), linger
+  /// Why a batch left the queue: 16 requests pending (full), linger
   /// deadline, or the stop() drain. Feeds the phissl_service_flush_total
   /// counters.
   enum class FlushReason { kFull, kLinger, kDrain };

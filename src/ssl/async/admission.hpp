@@ -22,7 +22,11 @@
 //                        i.e. how many 16-lane batches must drain before
 //                        this op's batch completes, at the measured
 //                        per-batch cost, plus the partial-batch linger
-//                        the op may spend waiting for lanemates.
+//                        the op may spend waiting for lanemates. The
+//                        linger is the decrypter's, not a knob:
+//                        ServerStack passes DriverConfig::batch_linger
+//                        for the batched decrypter and zero for the
+//                        inline one, which never lingers.
 //
 // The EWMA learns per-batch cost from completed ops without touching the
 // batch service: an op admitted at queue depth d that took t microseconds
@@ -48,16 +52,17 @@ struct AdmissionConfig {
   std::size_t max_pending_ops = 0;
   /// Reject when predict() exceeds this; zero duration = off.
   std::chrono::microseconds max_predicted_wait{0};
-  /// Linger term of the predictor — set it to the batch service's
-  /// max_linger so light-load predictions include the partial-batch wait.
-  std::chrono::microseconds linger_hint{500};
 };
 
 /// Lock-free admission gate + shed accounting. One instance per reactor;
 /// shared by every connection. All methods are thread-safe.
 class AdmissionController {
  public:
-  explicit AdmissionController(AdmissionConfig cfg = {}) : cfg_(cfg) {}
+  /// `linger` is the predictor's linger term: the longest a partial
+  /// batch waits for lanemates before the decrypter runs it.
+  explicit AdmissionController(AdmissionConfig cfg = {},
+                               std::chrono::microseconds linger = {})
+      : cfg_(cfg), linger_(linger) {}
 
   /// Called at the point a connection is about to submit a private op.
   /// Returns the queue depth observed at admission (feed it back to
@@ -129,11 +134,12 @@ class AdmissionController {
     const double batch_us = ewma_batch_us_.load(std::memory_order_relaxed);
     const auto batches = static_cast<double>((depth + 1 + 15) / 16);
     const double wait =
-        batches * batch_us + static_cast<double>(cfg_.linger_hint.count());
+        batches * batch_us + static_cast<double>(linger_.count());
     return std::chrono::microseconds(static_cast<std::int64_t>(wait));
   }
 
   AdmissionConfig cfg_;
+  std::chrono::microseconds linger_;
   std::atomic<std::size_t> pending_{0};
   std::atomic<std::uint64_t> shed_{0};
   std::atomic<double> ewma_batch_us_{0.0};

@@ -410,9 +410,11 @@ void Reactor::finish_connection(std::size_t slot_idx) {
 
 ServerStack::ServerStack(const rsa::Engine& server_engine,
                          const DriverConfig& cfg, Transport& transport)
-    : cache_(SessionCacheConfig{.capacity = cfg.cache_capacity,
-                                .shards = cfg.cache_shards}),
-      admission_(cfg.admission) {
+    : cache_(SessionCacheConfig{.capacity = cfg.cache_capacity}),
+      // The inline decrypter resolves every op at once: no linger to wait.
+      admission_(cfg.admission, cfg.batch_private_ops
+                                    ? cfg.batch_linger
+                                    : std::chrono::microseconds(0)) {
   if (!server_engine.has_private()) {
     throw std::invalid_argument("ServerStack: server engine needs a key");
   }
@@ -429,7 +431,6 @@ ServerStack::ServerStack(const rsa::Engine& server_engine,
         service::SignServiceConfig{
             .dispatch_threads = cfg.batch_dispatch_threads,
             .max_linger = cfg.batch_linger,
-            .max_batch_lanes = cfg.batch_max_lanes,
             .backend = cfg.batch_backend,
         });
   }

@@ -62,20 +62,17 @@ struct DriverConfig {
   /// on the connection's reactor worker with the server engine (the
   /// paper's scalar baseline).
   bool batch_private_ops = true;
-  /// Partial-batch linger bound for the batched path.
+  /// Partial-batch linger bound for the batched path (also the linger
+  /// term of the admission predictor, see async::AdmissionController).
   std::chrono::microseconds batch_linger{500};
-  /// Real lanes that trigger an immediate dispatch on the batched path
-  /// (see SignServiceConfig::max_batch_lanes). Clamped to [1, 16].
-  std::size_t batch_max_lanes = 16;
   /// Dispatch workers for the batched path.
   std::size_t batch_dispatch_threads = 1;
   /// Montgomery backend for the batched private ops (see rsa/backend.hpp);
   /// the scalar decrypter follows the server engine's kernel instead.
   rsa::Backend batch_backend = rsa::Backend::kKncVec;
 
-  /// Shared session-cache geometry (see SessionCacheConfig).
+  /// Shared session-cache capacity (see SessionCacheConfig).
   std::size_t cache_capacity = 4096;
-  std::size_t cache_shards = 16;
 };
 
 struct DriverReport {

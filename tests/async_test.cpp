@@ -347,8 +347,7 @@ TEST(AsyncAdmission, EwmaSampleAtDepthZeroIsTheRawLatency) {
   // 1600us, and predict() (depth 0, one batch ahead) must echo it. The
   // 16/(d+1) inflation bug fed 25600us into the EWMA from this same
   // sample.
-  AdmissionController a(
-      AdmissionConfig{.linger_hint = std::chrono::microseconds(0)});
+  AdmissionController a(AdmissionConfig{}, std::chrono::microseconds(0));
   const auto d = a.try_admit();
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(*d, 0u);
@@ -360,8 +359,7 @@ TEST(AsyncAdmission, EwmaSampleAtDepthThirtyOneSpansTwoBatches) {
   // Depth 31 = the 32nd op in the queue: two full 16-lane batches must
   // drain before its result, so a 1600us end-to-end latency means one
   // batch costs 800us.
-  AdmissionController a(
-      AdmissionConfig{.linger_hint = std::chrono::microseconds(0)});
+  AdmissionController a(AdmissionConfig{}, std::chrono::microseconds(0));
   const auto d = a.try_admit();  // balance the pending_ decrement below
   ASSERT_TRUE(d.has_value());
   a.on_complete(/*depth_at_admit=*/31, 1600.0);
@@ -374,9 +372,9 @@ TEST(AsyncAdmission, LightLoadWarmupDoesNotShedAtPermittedDepth) {
   // so a burst up to depth 32 predicts at most 3 batches * 500us + 500us
   // linger = 2000us — far under the 5000us budget. The inflated EWMA
   // (8000us) shed the very first op of the burst.
-  AdmissionController a(AdmissionConfig{
-      .max_predicted_wait = std::chrono::microseconds(5000),
-      .linger_hint = std::chrono::microseconds(500)});
+  AdmissionController a(
+      AdmissionConfig{.max_predicted_wait = std::chrono::microseconds(5000)},
+      std::chrono::microseconds(500));
   for (int i = 0; i < 8; ++i) {
     const auto d = a.try_admit();
     ASSERT_TRUE(d.has_value()) << "warmup op " << i << " shed";
@@ -394,9 +392,9 @@ TEST(AsyncAdmission, LightLoadWarmupDoesNotShedAtPermittedDepth) {
 
 TEST_F(AsyncConnectionTest, PredictedWaitBoundSheds) {
   AdmissionController admission(
-      AdmissionConfig{.max_predicted_wait = std::chrono::microseconds(400),
-                      .linger_hint = std::chrono::microseconds(500)});
-  // linger_hint alone (500us) exceeds the 400us budget: every admit
+      AdmissionConfig{.max_predicted_wait = std::chrono::microseconds(400)},
+      std::chrono::microseconds(500));
+  // The linger term alone (500us) exceeds the 400us budget: every admit
   // attempt beyond the predictor warm-up must shed.
   EXPECT_FALSE(admission.try_admit().has_value());
   EXPECT_EQ(admission.shed(), 1u);
@@ -570,6 +568,25 @@ TEST_F(AsyncDriverTest, DheConnectionsShareTheBatches) {
   EXPECT_EQ(report.service_requests, 32u);
   EXPECT_EQ(report.lanes_signed + report.single_ops, report.service_requests);
   EXPECT_EQ(report.padded_lanes, report.batches * 16 - report.lanes_signed);
+}
+
+TEST_F(AsyncDriverTest, PredictedWaitCountsOnlyTheDecrypterLinger) {
+  // A 400us budget on 512-bit keys: the predictor's linger term is the
+  // decrypter's own — zero inline, batch_linger batched — so the first
+  // connection, predicted before any cost is learned, is admitted. A
+  // fixed 500us term alone would exceed the budget and shed every one.
+  const rsa::Engine engine(rsa::test_key(512), rsa::EngineOptions{});
+  for (const bool batched : {false, true}) {
+    SCOPED_TRACE(batched ? "batched, 100us linger" : "inline");
+    auto cfg = event_config(64);
+    cfg.batch_private_ops = batched;
+    cfg.batch_linger = std::chrono::microseconds(100);
+    cfg.admission.max_predicted_wait = std::chrono::microseconds(400);
+    const DriverReport report = run_handshakes(engine, cfg);
+    EXPECT_GT(report.completed, 0u);
+    EXPECT_EQ(report.failed, 0u);
+    EXPECT_EQ(report.completed + report.shed, 64u);
+  }
 }
 
 TEST_F(AsyncDriverTest, EventDheRatioNeedsValidRange) {
