@@ -1,14 +1,11 @@
-// key_agreement: tour of the non-RSA public-key algorithms — finite-field
-// DH, DSA, ECDH (P-256), and ECDSA — all running on the library's own
-// substrates.
+// key_agreement: finite-field DH key agreement (RFC 3526 group 14) on the
+// library's vectorized Montgomery kernel — the exponentiation the DHE-RSA
+// handshake runs for its key exchange.
 //
 //   ./key_agreement
 #include <cstdio>
-#include <string>
 
 #include "dh/dh.hpp"
-#include "dh/dsa.hpp"
-#include "ec/p256.hpp"
 #include "util/random.hpp"
 #include "util/timing.hpp"
 
@@ -16,61 +13,13 @@ int main() {
   using namespace phissl;
   util::Rng rng(31337);
 
-  // --- Finite-field DH (RFC 3526 group 14, vectorized kernel) ----------
-  {
-    util::Stopwatch sw;
-    const dh::Dh group(dh::rfc3526_group14());
-    const dh::KeyPair alice = group.generate_keypair(rng);
-    const dh::KeyPair bob = group.generate_keypair(rng);
-    const auto s1 = group.compute_shared(alice.x, bob.y);
-    const auto s2 = group.compute_shared(bob.x, alice.y);
-    std::printf("DH-2048 (MODP group 14): agreement %s  [%.1f ms]\n",
-                s1 == s2 ? "OK" : "FAILED", sw.elapsed_s() * 1e3);
-  }
-
-  // --- DSA ---------------------------------------------------------------
-  {
-    util::Stopwatch sw;
-    const dsa::Params params = dsa::generate_params(512, 160, rng);
-    const dsa::Dsa signer(params);
-    const dsa::KeyPair kp = signer.generate_keypair(rng);
-    const std::string msg = "signed with DSA";
-    const std::span<const std::uint8_t> bytes{
-        reinterpret_cast<const std::uint8_t*>(msg.data()), msg.size()};
-    const auto sig = signer.sign(bytes, kp.x, rng);
-    std::printf("DSA-512/160: sign/verify %s  [%.1f ms incl. paramgen]\n",
-                signer.verify(bytes, sig, kp.y) ? "OK" : "FAILED",
-                sw.elapsed_s() * 1e3);
-  }
-
-  // --- ECDH on P-256 -------------------------------------------------------
-  {
-    util::Stopwatch sw;
-    const ec::P256 curve;
-    const ec::EcKeyPair alice = ec::ecdh_generate(curve, rng);
-    const ec::EcKeyPair bob = ec::ecdh_generate(curve, rng);
-    const auto s1 = ec::ecdh_shared(curve, alice.d, bob.q);
-    const auto s2 = ec::ecdh_shared(curve, bob.d, alice.q);
-    std::printf("ECDH P-256: agreement %s  [%.1f ms]\n",
-                s1 == s2 ? "OK" : "FAILED", sw.elapsed_s() * 1e3);
-  }
-
-  // --- ECDSA on P-256 ------------------------------------------------------
-  {
-    util::Stopwatch sw;
-    const ec::P256 curve;
-    const ec::EcKeyPair kp = ec::ecdh_generate(curve, rng);
-    const std::string msg = "signed with ECDSA";
-    const std::span<const std::uint8_t> bytes{
-        reinterpret_cast<const std::uint8_t*>(msg.data()), msg.size()};
-    const auto sig = ec::ecdsa_sign(curve, bytes, kp.d, rng);
-    const bool ok = ec::ecdsa_verify(curve, bytes, sig, kp.q);
-    auto tampered = sig;
-    tampered.r += bigint::BigInt{1};
-    const bool rejected = !ec::ecdsa_verify(curve, bytes, tampered, kp.q);
-    std::printf("ECDSA P-256: sign/verify %s, tamper rejected %s  [%.1f ms]\n",
-                ok ? "OK" : "FAILED", rejected ? "OK" : "FAILED",
-                sw.elapsed_s() * 1e3);
-  }
+  util::Stopwatch sw;
+  const dh::Dh group(dh::rfc3526_group14());
+  const dh::KeyPair alice = group.generate_keypair(rng);
+  const dh::KeyPair bob = group.generate_keypair(rng);
+  const auto s1 = group.compute_shared(alice.x, bob.y);
+  const auto s2 = group.compute_shared(bob.x, alice.y);
+  std::printf("DH-2048 (MODP group 14): agreement %s  [%.1f ms]\n",
+              s1 == s2 ? "OK" : "FAILED", sw.elapsed_s() * 1e3);
   return 0;
 }

@@ -3,8 +3,8 @@
 //   ./phissl_speed [system] [seconds-per-row]
 //     system: phi | mpss | openssl | all   (default all)
 //
-// Prints sign/s and verify/s per key size for the chosen system(s), plus
-// the 16-lane batched signing mode for PhiOpenSSL.
+// Prints sign/s and verify/s per key size for the chosen system(s). The
+// 16-lane batch's throughput is bench_batch_lanes' table (E9).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -13,8 +13,6 @@
 #include <vector>
 
 #include "baseline/systems.hpp"
-#include "rsa/batch_engine.hpp"
-#include "rsa/batch_sign.hpp"
 #include "rsa/key.hpp"
 #include "rsa/pkcs1.hpp"
 #include "util/random.hpp"
@@ -53,25 +51,6 @@ void speed_system(baseline::System system, double budget) {
   }
 }
 
-void speed_batch(double budget) {
-  std::printf("\n-- PhiOpenSSL, 16-lane batched signing --\n");
-  std::printf("%10s %14s %18s\n", "key", "sign/s", "(per batch ms)");
-  util::Rng rng(2);
-  std::array<std::vector<std::uint8_t>, 16> bufs;
-  std::array<std::span<const std::uint8_t>, 16> msgs;
-  for (std::size_t l = 0; l < 16; ++l) {
-    bufs[l] = rng.bytes(64);
-    msgs[l] = bufs[l];
-  }
-  for (const std::size_t bits : {1024u, 2048u, 4096u}) {
-    const rsa::BatchEngine engine(rsa::test_key(bits));
-    const double batches = ops_per_second(
-        [&] { (void)rsa::batch_sign_sha256(engine, msgs); }, budget);
-    std::printf("%7zu-bit %14.1f %18.2f\n", bits, batches * 16.0,
-                1e3 / batches);
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -83,7 +62,6 @@ int main(int argc, char** argv) {
               budget);
   if (which == "phi" || which == "all") {
     speed_system(baseline::System::kPhiOpenSSL, budget);
-    speed_batch(budget);
   }
   if (which == "mpss" || which == "all") {
     speed_system(baseline::System::kMpssLibcrypto, budget);

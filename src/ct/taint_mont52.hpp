@@ -215,7 +215,7 @@ class TaintAmm52 {
 };
 
 /// IfmaMontCtx's one-half product: the one-modulus exponentiations of
-/// Dh, Dsa, the public op and non-CRT private ops.
+/// Dh, the public op and non-CRT private ops.
 class TaintAmmCtx52 : public TaintAmm52<mont::IfmaMontCtx> {
  public:
   explicit TaintAmmCtx52(const bigint::BigInt& m, bool secret_modulus = false)

@@ -47,24 +47,6 @@ const Params& rfc2409_group2() {
   return params;
 }
 
-Params generate_params(std::size_t bits, util::Rng& rng) {
-  if (bits < 64) {
-    throw std::invalid_argument("dh::generate_params: bits must be >= 64");
-  }
-  // Safe prime: p = 2q + 1 with q prime. For such p, 4 generates the
-  // order-q subgroup (it is a QR, and q is prime).
-  for (;;) {
-    const BigInt q = BigInt::random_prime(bits - 1, rng, 16);
-    const BigInt p = (q << 1) + BigInt{1};
-    if (p.is_probable_prime(16, rng)) {
-      Params params;
-      params.p = p;
-      params.g = BigInt{4};
-      return params;
-    }
-  }
-}
-
 Dh::Dh(Params params, rsa::Backend backend) : params_(std::move(params)) {
   if (!params_.looks_valid()) {
     throw std::invalid_argument("Dh: invalid group parameters");

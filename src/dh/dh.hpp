@@ -32,11 +32,6 @@ const Params& rfc3526_group14();
 /// A 1024-bit MODP group (RFC 2409 group 2) for faster tests/benches.
 const Params& rfc2409_group2();
 
-/// Generates fresh parameters with a safe prime p = 2q + 1 and g = 4
-/// (a generator of the order-q subgroup for safe primes, since 4 = 2^2
-/// is always a quadratic residue). Slow for large sizes; meant for tests.
-Params generate_params(std::size_t bits, util::Rng& rng);
-
 struct KeyPair {
   bigint::BigInt x;  ///< private exponent
   bigint::BigInt y;  ///< public value g^x mod p

@@ -11,7 +11,7 @@
 // constant-time conditional subtract.
 //
 // Satisfies the modexp Ctx concept (see mont/modexp.hpp), so
-// fixed_window_exp / sliding_window_exp, rsa::Engine, Dh, Dsa and the
+// fixed_window_exp / sliding_window_exp, rsa::Engine, Dh and the
 // service layer pick it up unchanged; the forms without a Workspace use a
 // thread-local one and publish its counts before they return.
 #pragma once

@@ -15,7 +15,7 @@
 //                     instantiations otherwise,
 //   ifma52-portable - the same contexts pinned to the portable u128 path.
 //
-// Every layer takes the choice as data: EngineOptions::kernel, Dh, Dsa,
+// Every layer takes the choice as data: EngineOptions::kernel, Dh,
 // BatchEngine, SignServiceConfig::backend (also BatchDecryptService's),
 // DriverConfig::batch_backend and the bench --backend flags all hold a
 // Backend, and make_ctx() is the one place that turns it into a

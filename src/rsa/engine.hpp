@@ -63,7 +63,7 @@ struct EngineOptions {
 /// With CRT, the fixed-window schedule and an ifma52 backend, the two
 /// halves run together on one dual-modulus context (mont::IfmaPairCtx);
 /// every other combination runs them one after the other.
-/// Padding lives elsewhere: pkcs1.hpp / oaep.hpp consume these raw ops.
+/// Padding lives elsewhere: pkcs1.hpp consumes these raw ops.
 class Engine {
  public:
   /// Engine over a full private key (public + private ops available).

@@ -8,31 +8,24 @@
 // IFMA. This type exposes exactly that contract so the Montgomery kernels
 // in src/mont are forced into KNC-legal schedules (the point of the paper).
 //
-// Backends (chosen at compile time, identical semantics):
+// Backends (chosen at compile time from __AVX512F__, identical semantics):
 //   - AVX-512F  : one __m512i   (closest to real KNC hardware)
-//   - AVX2      : two __m256i
-//   - portable  : plain scalar loops (used on any other host, and as the
-//                 differential-testing reference)
-// Define PHISSL_SIMD_FORCE_SCALAR to pick the portable backend regardless
-// of host ISA (used by tests to cross-check backends... on one build).
+//   - portable  : plain scalar loops, on every other target (AVX2 hosts
+//                 included); simd_test checks either one lane by lane
+//                 against the scalar contract
 #pragma once
 
 #include <array>
 #include <cstdint>
 
-#if !defined(PHISSL_SIMD_FORCE_SCALAR)
 #if defined(__AVX512F__)
 #define PHISSL_SIMD_AVX512 1
 #include <immintrin.h>
-#elif defined(__AVX2__)
-#define PHISSL_SIMD_AVX2 1
-#include <immintrin.h>
-#endif
 #endif
 
 namespace phissl::simd {
 
-/// Name of the backend compiled into this build ("avx512", "avx2", "scalar").
+/// Name of the backend compiled into this build ("avx512" or "scalar").
 const char* backend_name();
 
 /// 16-bit lane mask, one bit per lane (bit i = lane i), as produced by KNC
@@ -44,8 +37,6 @@ struct VecU32x16 {
 
 #if PHISSL_SIMD_AVX512
   __m512i v;
-#elif PHISSL_SIMD_AVX2
-  __m256i lo, hi;  // lanes 0-7, 8-15
 #else
   std::array<std::uint32_t, kLanes> v;
 #endif
@@ -56,12 +47,8 @@ struct VecU32x16 {
   static VecU32x16 broadcast(std::uint32_t x);
   /// Unaligned load of 16 consecutive u32.
   static VecU32x16 load(const std::uint32_t* p);
-  /// Load with tail masking: lanes [n, 16) read as 0. n <= 16.
-  static VecU32x16 load_partial(const std::uint32_t* p, std::size_t n);
   /// Unaligned store of 16 consecutive u32.
   void store(std::uint32_t* p) const;
-  /// Store lanes [0, n) only. n <= 16.
-  void store_partial(std::uint32_t* p, std::size_t n) const;
 
   [[nodiscard]] std::uint32_t lane(std::size_t i) const;
   [[nodiscard]] std::array<std::uint32_t, kLanes> to_array() const;
@@ -74,23 +61,16 @@ struct VecU32x16 {
   friend VecU32x16 mul_hi(VecU32x16 a, VecU32x16 b);     // vpmulhud
   friend VecU32x16 bit_and(VecU32x16 a, VecU32x16 b);    // vpandd
   friend VecU32x16 bit_or(VecU32x16 a, VecU32x16 b);     // vpord
-  friend VecU32x16 bit_xor(VecU32x16 a, VecU32x16 b);    // vpxord
   friend VecU32x16 shr(VecU32x16 a, unsigned s);         // vpsrld (s < 32)
   friend VecU32x16 shl(VecU32x16 a, unsigned s);         // vpslld (s < 32)
 
   // -- Compares and masked ops -----------------------------------------------
 
   friend Mask16 cmp_lt_u32(VecU32x16 a, VecU32x16 b);    // vpcmpltud
-  friend Mask16 cmp_eq(VecU32x16 a, VecU32x16 b);        // vpcmpeqd
   /// Lanes where mask bit set take a, else b (KNC write-mask blend).
   friend VecU32x16 select(Mask16 mask, VecU32x16 a, VecU32x16 b);
   /// a + b only in masked lanes; unmasked lanes keep a.
   friend VecU32x16 masked_add(Mask16 mask, VecU32x16 a, VecU32x16 b);
-
-  // -- Horizontal -------------------------------------------------------------
-
-  /// Sum of all 16 lanes, widened to 64 bits (no wraparound).
-  friend std::uint64_t reduce_add_u64(VecU32x16 a);
 };
 
 /// Adds the 64-bit product pair (p_lo, p_hi) into the 64-bit column

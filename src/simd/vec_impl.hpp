@@ -23,21 +23,8 @@ inline VecU32x16 VecU32x16::load(const std::uint32_t* p) {
   return {_mm512_loadu_si512(p)};
 }
 
-inline VecU32x16 VecU32x16::load_partial(const std::uint32_t* p,
-                                         std::size_t n) {
-  assert(n <= kLanes);
-  const Mask16 m = static_cast<Mask16>((1u << n) - 1u);
-  return {_mm512_maskz_loadu_epi32(m, p)};
-}
-
 inline void VecU32x16::store(std::uint32_t* p) const {
   _mm512_storeu_si512(p, v);
-}
-
-inline void VecU32x16::store_partial(std::uint32_t* p, std::size_t n) const {
-  assert(n <= kLanes);
-  const Mask16 m = static_cast<Mask16>((1u << n) - 1u);
-  _mm512_mask_storeu_epi32(p, m, v);
 }
 
 inline std::uint32_t VecU32x16::lane(std::size_t i) const {
@@ -87,10 +74,6 @@ inline VecU32x16 bit_or(VecU32x16 a, VecU32x16 b) {
   return {_mm512_or_si512(a.v, b.v)};
 }
 
-inline VecU32x16 bit_xor(VecU32x16 a, VecU32x16 b) {
-  return {_mm512_xor_si512(a.v, b.v)};
-}
-
 inline VecU32x16 shr(VecU32x16 a, unsigned s) {
   return {_mm512_srli_epi32(a.v, s)};
 }
@@ -103,23 +86,12 @@ inline Mask16 cmp_lt_u32(VecU32x16 a, VecU32x16 b) {
   return _mm512_cmplt_epu32_mask(a.v, b.v);
 }
 
-inline Mask16 cmp_eq(VecU32x16 a, VecU32x16 b) {
-  return _mm512_cmpeq_epi32_mask(a.v, b.v);
-}
-
 inline VecU32x16 select(Mask16 mask, VecU32x16 a, VecU32x16 b) {
   return {_mm512_mask_blend_epi32(mask, b.v, a.v)};
 }
 
 inline VecU32x16 masked_add(Mask16 mask, VecU32x16 a, VecU32x16 b) {
   return {_mm512_mask_add_epi32(a.v, mask, a.v, b.v)};
-}
-
-inline std::uint64_t reduce_add_u64(VecU32x16 a) {
-  const auto arr = a.to_array();
-  std::uint64_t s = 0;
-  for (const std::uint32_t x : arr) s += x;
-  return s;
 }
 
 #pragma GCC diagnostic pop
@@ -140,21 +112,8 @@ inline VecU32x16 VecU32x16::load(const std::uint32_t* p) {
   return r;
 }
 
-inline VecU32x16 VecU32x16::load_partial(const std::uint32_t* p,
-                                         std::size_t n) {
-  assert(n <= kLanes);
-  VecU32x16 r = zero();
-  for (std::size_t i = 0; i < n; ++i) r.v[i] = p[i];
-  return r;
-}
-
 inline void VecU32x16::store(std::uint32_t* p) const {
   for (std::size_t i = 0; i < kLanes; ++i) p[i] = v[i];
-}
-
-inline void VecU32x16::store_partial(std::uint32_t* p, std::size_t n) const {
-  assert(n <= kLanes);
-  for (std::size_t i = 0; i < n; ++i) p[i] = v[i];
 }
 
 inline std::uint32_t VecU32x16::lane(std::size_t i) const {
@@ -206,12 +165,6 @@ inline VecU32x16 bit_or(VecU32x16 a, VecU32x16 b) {
   return r;
 }
 
-inline VecU32x16 bit_xor(VecU32x16 a, VecU32x16 b) {
-  VecU32x16 r;
-  for (std::size_t i = 0; i < VecU32x16::kLanes; ++i) r.v[i] = a.v[i] ^ b.v[i];
-  return r;
-}
-
 inline VecU32x16 shr(VecU32x16 a, unsigned s) {
   VecU32x16 r;
   for (std::size_t i = 0; i < VecU32x16::kLanes; ++i) r.v[i] = a.v[i] >> s;
@@ -232,14 +185,6 @@ inline Mask16 cmp_lt_u32(VecU32x16 a, VecU32x16 b) {
   return m;
 }
 
-inline Mask16 cmp_eq(VecU32x16 a, VecU32x16 b) {
-  Mask16 m = 0;
-  for (std::size_t i = 0; i < VecU32x16::kLanes; ++i) {
-    if (a.v[i] == b.v[i]) m = static_cast<Mask16>(m | (1u << i));
-  }
-  return m;
-}
-
 inline VecU32x16 select(Mask16 mask, VecU32x16 a, VecU32x16 b) {
   VecU32x16 r;
   for (std::size_t i = 0; i < VecU32x16::kLanes; ++i) {
@@ -254,12 +199,6 @@ inline VecU32x16 masked_add(Mask16 mask, VecU32x16 a, VecU32x16 b) {
     if (mask & (1u << i)) r.v[i] = a.v[i] + b.v[i];
   }
   return r;
-}
-
-inline std::uint64_t reduce_add_u64(VecU32x16 a) {
-  std::uint64_t s = 0;
-  for (std::size_t i = 0; i < VecU32x16::kLanes; ++i) s += a.v[i];
-  return s;
 }
 
 #endif  // backend

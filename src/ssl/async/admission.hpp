@@ -15,8 +15,9 @@
 //   max_pending_ops    — hard cap on crypto ops in flight behind the
 //                        batch service. Deterministic, the knob tests
 //                        exercise; think "queue depth".
-//   max_predicted_wait — linger-aware latency bound: reject when the
-//                        EWMA-predicted wait for a NEW op exceeds the
+//   max_predicted_wait — linger-aware latency bound that protects a
+//                        queue: reject an arrival behind pending ops when
+//                        the EWMA-predicted wait for it exceeds the
 //                        budget. predict() models the batch pipeline as
 //                          ceil((pending+1)/16) * ewma_batch_us + linger
 //                        i.e. how many 16-lane batches must drain before
@@ -26,7 +27,12 @@
 //                        linger is the decrypter's, not a knob:
 //                        ServerStack passes DriverConfig::batch_linger
 //                        for the batched decrypter and zero for the
-//                        inline one, which never lingers.
+//                        inline one, which never lingers. An arrival
+//                        with nothing pending (depth 0) passes this
+//                        bound: there is no queue to protect, and its
+//                        completion is the sample that brings the EWMA
+//                        back down after a slow op. Shedding it would
+//                        shut the gate for good.
 //
 // The EWMA learns per-batch cost from completed ops without touching the
 // batch service: an op admitted at queue depth d that took t microseconds
@@ -50,7 +56,8 @@ namespace phissl::ssl::async {
 struct AdmissionConfig {
   /// Hard bound on crypto ops pending behind the batch service; 0 = off.
   std::size_t max_pending_ops = 0;
-  /// Reject when predict() exceeds this; zero duration = off.
+  /// Reject an arrival behind pending ops when predict() exceeds this;
+  /// zero duration = off.
   std::chrono::microseconds max_predicted_wait{0};
 };
 
@@ -77,7 +84,7 @@ class AdmissionController {
     if (cfg_.max_pending_ops != 0 && depth >= cfg_.max_pending_ops) {
       reject = true;
     }
-    if (!reject && cfg_.max_predicted_wait.count() > 0 &&
+    if (!reject && depth > 0 && cfg_.max_predicted_wait.count() > 0 &&
         predict_for_depth(depth) > cfg_.max_predicted_wait) {
       reject = true;
     }

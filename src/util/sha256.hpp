@@ -1,5 +1,5 @@
-// SHA-256 (FIPS 180-4): PKCS#1 signatures, OAEP/MGF1, the handshake
-// transcript, and through HMAC the TLS PRF and the record MAC. The SHA-NI
+// SHA-256 (FIPS 180-4): PKCS#1 signatures, the handshake transcript,
+// and through HMAC the TLS PRF and the record MAC. The SHA-NI
 // compress runs when util::cpu_features() reports it; the portable one is
 // the fallback and the reference the tests hold it to.
 #pragma once

@@ -390,14 +390,59 @@ TEST(AsyncAdmission, LightLoadWarmupDoesNotShedAtPermittedDepth) {
   for (const std::size_t d : held) a.on_complete(d, 500.0);
 }
 
+TEST(AsyncAdmission, SlowOpDoesNotLatchTheGateShut) {
+  // The EWMA learns only from completions. One slow op lifts predict()
+  // past the budget; were arrivals with nothing pending shed too, nothing
+  // would complete again and the gate would stay shut. They pass, and
+  // their completions bring the EWMA back down.
+  AdmissionController a(
+      AdmissionConfig{.max_predicted_wait = std::chrono::microseconds(400)},
+      std::chrono::microseconds(0));
+  const auto slow = a.try_admit();
+  ASSERT_TRUE(slow.has_value());
+  a.on_complete(*slow, 5000.0);
+  ASSERT_EQ(a.predict().count(), 5000);
+
+  // At 5000us a batch, the bound still sheds an arrival behind a held op.
+  const auto held = a.try_admit();
+  ASSERT_TRUE(held.has_value()) << "depth-0 arrival shed after a slow op";
+  EXPECT_EQ(*held, 0u);
+  EXPECT_FALSE(a.try_admit().has_value());
+  EXPECT_EQ(a.shed(), 1u);
+  a.on_complete(*held, 100.0);
+
+  // With the held op's, 24 samples of 100us leave 100 + 4900 * (7/8)^24
+  // = ~299us a batch, so an arrival behind one pending op fits again.
+  for (int i = 1; i < 24; ++i) {
+    const auto d = a.try_admit();
+    ASSERT_TRUE(d.has_value()) << "depth-0 arrival " << i << " shed";
+    EXPECT_EQ(*d, 0u);
+    a.on_complete(*d, 100.0);
+  }
+  EXPECT_LE(a.predict().count(), 400);
+  const auto first = a.try_admit();
+  const auto second = a.try_admit();
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(second.has_value()) << "depth-1 arrival shed";
+  EXPECT_EQ(*second, 1u);
+  EXPECT_EQ(a.shed(), 1u);
+  a.on_complete(*first, 100.0);
+  a.on_complete(*second, 100.0);
+}
+
 TEST_F(AsyncConnectionTest, PredictedWaitBoundSheds) {
   AdmissionController admission(
       AdmissionConfig{.max_predicted_wait = std::chrono::microseconds(400)},
       std::chrono::microseconds(500));
-  // The linger term alone (500us) exceeds the 400us budget: every admit
-  // attempt beyond the predictor warm-up must shed.
+  // The linger term alone (500us) exceeds the 400us budget: with one op
+  // held, every further arrival must shed. (An arrival with nothing
+  // pending passes the bound; AsyncAdmission.SlowOpDoesNotLatchTheGateShut.)
+  const auto held = admission.try_admit();
+  ASSERT_TRUE(held.has_value());
   EXPECT_FALSE(admission.try_admit().has_value());
   EXPECT_EQ(admission.shed(), 1u);
+  EXPECT_EQ(admission.pending(), 1u);
+  admission.on_complete(*held, 100.0);
   EXPECT_EQ(admission.pending(), 0u);
 }
 
@@ -572,9 +617,10 @@ TEST_F(AsyncDriverTest, DheConnectionsShareTheBatches) {
 
 TEST_F(AsyncDriverTest, PredictedWaitCountsOnlyTheDecrypterLinger) {
   // A 400us budget on 512-bit keys: the predictor's linger term is the
-  // decrypter's own — zero inline, batch_linger batched — so the first
-  // connection, predicted before any cost is learned, is admitted. A
-  // fixed 500us term alone would exceed the budget and shed every one.
+  // decrypter's own — zero inline, batch_linger batched — so an arrival
+  // behind a pending op can fit the budget. A fixed 500us term alone
+  // would exceed it and shed every such arrival. With either decrypter
+  // every connection completes or is shed, and none fails.
   const rsa::Engine engine(rsa::test_key(512), rsa::EngineOptions{});
   for (const bool batched : {false, true}) {
     SCOPED_TRACE(batched ? "batched, 100us linger" : "inline");

@@ -13,8 +13,6 @@
 #include "mont/vector_mont.hpp"
 #include "rsa/backend.hpp"
 #include "rsa/batch_engine.hpp"
-#include "rsa/batch_sign.hpp"
-#include "rsa/pkcs1.hpp"
 #include "rsa/engine.hpp"
 #include "rsa/key.hpp"
 #include "util/random.hpp"
@@ -382,44 +380,6 @@ TEST(BatchEngine, ZeroAndSmallLanes) {
   for (std::size_t l = 0; l < kB; ++l) {
     EXPECT_EQ(scalar.public_op(sigs[l]), msgs[l]) << l;
   }
-}
-
-}  // namespace
-}  // namespace phissl::rsa
-
-namespace phissl::rsa {
-namespace {
-
-TEST(BatchSign, MatchesScalarSignPerLane) {
-  const PrivateKey& key = test_key(1024);
-  const BatchEngine batch(key);
-  const Engine scalar(key, EngineOptions{});
-  util::Rng rng(17);
-  std::array<std::vector<std::uint8_t>, BatchEngine::kBatch> bufs;
-  std::array<std::span<const std::uint8_t>, BatchEngine::kBatch> msgs;
-  for (std::size_t l = 0; l < BatchEngine::kBatch; ++l) {
-    bufs[l] = rng.bytes(100);
-    msgs[l] = bufs[l];
-  }
-  const auto sigs = batch_sign_sha256(batch, msgs);
-  for (std::size_t l = 0; l < BatchEngine::kBatch; ++l) {
-    EXPECT_EQ(sigs[l], sign_sha256(scalar, msgs[l])) << l;
-    EXPECT_TRUE(verify_sha256(scalar, msgs[l], sigs[l])) << l;
-    // Cross-lane: a signature must not verify another lane's message.
-    EXPECT_FALSE(verify_sha256(scalar, msgs[(l + 1) % 16], sigs[l])) << l;
-  }
-}
-
-TEST(BatchSign, RejectsUnequalLengths) {
-  const BatchEngine batch(test_key(512));
-  util::Rng rng(18);
-  std::array<std::vector<std::uint8_t>, BatchEngine::kBatch> bufs;
-  std::array<std::span<const std::uint8_t>, BatchEngine::kBatch> msgs;
-  for (std::size_t l = 0; l < BatchEngine::kBatch; ++l) {
-    bufs[l] = rng.bytes(l == 9 ? 11u : 10u);
-    msgs[l] = bufs[l];
-  }
-  EXPECT_THROW(batch_sign_sha256(batch, msgs), std::invalid_argument);
 }
 
 }  // namespace

@@ -430,7 +430,7 @@ TEST_F(CtCheckTest, Radix52PairCrtPrivateOpUnderTaint) {
 }
 
 TEST_F(CtCheckTest, Radix52OneHalfExpUnderTaint) {
-  // What the ifma52 backends run for one modulus (Dh, Dsa, the public op,
+  // What the ifma52 backends run for one modulus (Dh, the public op,
   // non-CRT private ops): the one-half almost-Montgomery product under the
   // unmodified fixed-window schedule, here over a secret prime modulus
   // with a secret base and a secret exponent. The residue words must equal

@@ -1,5 +1,5 @@
-// Diffie-Hellman tests: key agreement across kernels, RFC groups, safe
-// prime generation, and degenerate-value rejection.
+// Diffie-Hellman tests: key agreement across kernels, RFC groups, and
+// degenerate-value rejection.
 #include <gtest/gtest.h>
 
 #include "dh/dh.hpp"
@@ -25,16 +25,6 @@ TEST(DhParams, Rfc2409Group2Shape) {
   const Params& p = rfc2409_group2();
   EXPECT_EQ(p.p.bit_length(), 1024u);
   EXPECT_TRUE(p.looks_valid());
-}
-
-TEST(DhParams, GeneratedSafePrime) {
-  util::Rng rng(2);
-  const Params params = generate_params(128, rng);
-  EXPECT_TRUE(params.looks_valid());
-  EXPECT_EQ(params.p.bit_length(), 128u);
-  EXPECT_TRUE(params.p.is_probable_prime(16, rng));
-  EXPECT_TRUE(((params.p - BigInt{1}) >> 1).is_probable_prime(16, rng));
-  EXPECT_EQ(params.g, BigInt{4});
 }
 
 TEST(Dh, KeyAgreementAllKernels) {

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 # Directories whose code handles secret material: CT001 applies here.
-SECRET_DIRS = ("src/rsa", "src/mont", "src/ct", "src/ssl", "src/dh", "src/ec")
+SECRET_DIRS = ("src/rsa", "src/mont", "src/ct", "src/ssl", "src/dh")
 
 # Directories where buffers routinely hold key material and clearing them
 # must survive dead-store elimination: SEC001 applies here. Narrower than
