@@ -61,8 +61,7 @@ double run_saturated_pass(const rsa::PrivateKey& key, std::size_t requests,
   service::SignServiceConfig cfg;
   cfg.dispatch_threads = 1;
   cfg.max_linger = std::chrono::microseconds(200);
-  service::SignService svc(cfg);
-  svc.add_key("k", key);
+  service::SignService svc(key, cfg);
 
   std::vector<util::Sha256::Digest> digests(64);
   for (auto& d : digests) rng.fill_bytes(d.data(), d.size());
@@ -71,7 +70,7 @@ double run_saturated_pass(const rsa::PrivateKey& key, std::size_t requests,
   futs.reserve(requests);
   util::Stopwatch sw;
   for (std::size_t i = 0; i < requests; ++i) {
-    futs.push_back(svc.sign("k", digests[i % digests.size()]));
+    futs.push_back(svc.sign(digests[i % digests.size()]));
   }
   svc.stop();
   for (auto& f : futs) (void)f.get();

@@ -33,6 +33,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -72,8 +73,7 @@ struct CellResult {
 CellResult run_cell(const rsa::PrivateKey& key, double rate_rps,
                     const service::SignServiceConfig& cfg,
                     std::size_t requests, util::Rng& rng) {
-  service::SignService svc(cfg);
-  svc.add_key("k", key);
+  service::SignService svc(key, cfg);
 
   std::vector<util::Sha256::Digest> digests(64);
   for (auto& d : digests) rng.fill_bytes(d.data(), d.size());
@@ -89,7 +89,7 @@ CellResult run_cell(const rsa::PrivateKey& key, double rate_rps,
     next_arrival += std::chrono::duration_cast<Clock::duration>(
         std::chrono::duration<double>(-std::log(u) / rate_rps));
     std::this_thread::sleep_until(next_arrival);
-    futs.push_back(svc.sign("k", digests[i % digests.size()]));
+    futs.push_back(svc.sign(digests[i % digests.size()]));
   }
   const Clock::time_point submit_end = Clock::now();
   svc.stop();  // drains: every future below is ready
@@ -172,7 +172,7 @@ int main(int argc, char** argv) {
     Policy mid{"linger_1000us", base};
     mid.cfg.max_linger = std::chrono::microseconds(1000);
     Policy full{"full_only", base};
-    full.cfg.full_batches_only = true;
+    full.cfg.max_linger = std::nullopt;
     if (smoke) {
       small.label = "linger_300us";
       small.cfg.max_linger = std::chrono::microseconds(300);
@@ -202,7 +202,7 @@ int main(int argc, char** argv) {
     for (const double mult : rate_multipliers) {
       const double rate = mult * capacity_rps;
       util::Rng cell_rng(static_cast<std::uint64_t>(mult * 1000) +
-                         (policy.cfg.full_batches_only ? 1u : 0u));
+                         (policy.cfg.max_linger ? 0u : 1u));
       const CellResult c =
           run_cell(key, rate, policy.cfg, requests, cell_rng);
       std::printf("%6.2fx %12.0f %12.0f %9.1f%% %8llu %8llu %12.0f %12.0f "
@@ -231,14 +231,13 @@ int main(int argc, char** argv) {
 
       const bool low_rate = mult == rate_multipliers.front();
       const bool top_rate = mult == rate_multipliers.back();
-      if (low_rate && policy.cfg.full_batches_only) {
+      if (low_rate && !policy.cfg.max_linger) {
         low_rate_p99_full = c.latency_us.p99;
       }
-      if (low_rate && !policy.cfg.full_batches_only &&
-          low_rate_p99_linger < 0) {
+      if (low_rate && policy.cfg.max_linger && low_rate_p99_linger < 0) {
         low_rate_p99_linger = c.latency_us.p99;  // smallest linger policy
       }
-      if (top_rate && !policy.cfg.full_batches_only) {
+      if (top_rate && policy.cfg.max_linger) {
         saturated_occupancy = c.occupancy;
       }
     }

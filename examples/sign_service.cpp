@@ -1,10 +1,12 @@
 // sign_service: the async batched signing service as a runnable demo —
 // an SSL terminator's signing backend. A Poisson open-loop load generator
-// submits single sign(digest) requests against two keys; the service
-// coalesces them into 16-lane BatchEngine batches (adaptive lane-filling:
-// full batches dispatch immediately, partials flush after a linger
-// deadline into an idle dispatch slot). Prints a live stats snapshot
-// mid-run and the final counters, and verifies every returned signature.
+// submits single sign(digest) requests against the service's one
+// RSA-1024 key; the service coalesces them into 16-lane BatchEngine
+// batches (adaptive lane-filling: full batches dispatch immediately,
+// partials flush after a linger deadline into an idle dispatch slot).
+// Prints a live stats snapshot mid-run and the final counters, verifies
+// every returned signature against the public key, and exits 1 unless
+// every one verifies.
 //
 //   ./sign_service [rate_rps] [requests] [linger_us]
 //                  [--trace [path]] [--metrics [path]]
@@ -77,9 +79,7 @@ int main(int argc, char** argv) {
 
   service::SignServiceConfig cfg;
   cfg.max_linger = std::chrono::microseconds(linger_us);
-  service::SignService svc(cfg);
-  svc.add_key("rsa1024", rsa::test_key(1024));
-  svc.add_key("rsa512", rsa::test_key(512));
+  service::SignService svc(rsa::test_key(1024), cfg);
 
   util::Rng rng(42);
   std::vector<util::Sha256::Digest> digests(requests);
@@ -94,18 +94,17 @@ int main(int argc, char** argv) {
     next_arrival += std::chrono::duration_cast<Clock::duration>(
         std::chrono::duration<double>(-std::log(u) / rate));
     std::this_thread::sleep_until(next_arrival);
-    // 3:1 traffic mix across the two key shards.
-    futs.push_back(svc.sign(i % 4 == 0 ? "rsa512" : "rsa1024", digests[i]));
+    futs.push_back(svc.sign(digests[i]));
     if (i == requests / 2) print_stats("[mid]  ", svc.stats());
   }
   svc.stop();
 
+  const rsa::PublicKey& pub = svc.public_key();
+  const rsa::Engine pub_engine(pub, rsa::EngineOptions{});
   std::size_t verified = 0;
   double worst_ms = 0.0;
   for (std::size_t i = 0; i < requests; ++i) {
     const service::SignResult r = futs[i].get();
-    const auto& pub = svc.public_key(i % 4 == 0 ? "rsa512" : "rsa1024");
-    const rsa::Engine pub_engine(pub, rsa::EngineOptions{});
     const bigint::BigInt s = bigint::BigInt::from_bytes_be(r.signature);
     if (pub_engine.public_op(s).to_bytes_be(pub.byte_size()) ==
         rsa::emsa_pkcs1_v15_from_digest(digests[i], pub.byte_size())) {
@@ -118,7 +117,7 @@ int main(int argc, char** argv) {
   }
 
   print_stats("[final]", svc.stats());
-  std::printf("verified %zu/%zu signatures against the public keys; "
+  std::printf("verified %zu/%zu signatures against the public key; "
               "worst end-to-end latency %.1f ms\n",
               verified, requests, worst_ms);
   if (!obs_out.write()) return 1;

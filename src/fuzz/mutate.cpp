@@ -95,10 +95,10 @@ std::vector<std::uint8_t> mutate_framed(std::span<const std::uint8_t> in,
     case 3: {  // extend at a field boundary: splice bytes into the body
       const std::size_t at = hdr + 4 + rng.below(body_len + 1);
       const std::size_t n = 1 + rng.below(8);
-      std::vector<std::uint8_t> extra(n);
-      for (auto& b : extra) b = static_cast<std::uint8_t>(rng.next());
-      buf.insert(buf.begin() + static_cast<std::ptrdiff_t>(at), extra.begin(),
-                 extra.end());
+      const auto spliced = buf.insert(
+          buf.begin() + static_cast<std::ptrdiff_t>(at), n, std::uint8_t{0});
+      std::generate_n(spliced, n,
+                      [&] { return static_cast<std::uint8_t>(rng.next()); });
       fixup_frame_lengths(buf);
       break;
     }

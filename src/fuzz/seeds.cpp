@@ -73,8 +73,9 @@ std::pair<Bytes, Bytes> capture_transcript() {
 }
 
 Bytes with_mode(std::uint8_t mode, const Bytes& tail) {
-  Bytes out{mode};
-  out.insert(out.end(), tail.begin(), tail.end());
+  Bytes out(1 + tail.size());
+  out[0] = mode;
+  std::copy(tail.begin(), tail.end(), out.begin() + 1);
   return out;
 }
 
@@ -83,10 +84,12 @@ Bytes str_bytes(std::string_view s) { return Bytes(s.begin(), s.end()); }
 /// A raw frame with an arbitrary (possibly lying) length field.
 Bytes raw_frame(std::uint8_t type, std::size_t claimed_len,
                 const Bytes& body) {
-  Bytes out{type, static_cast<std::uint8_t>(claimed_len >> 16),
-            static_cast<std::uint8_t>(claimed_len >> 8),
-            static_cast<std::uint8_t>(claimed_len)};
-  out.insert(out.end(), body.begin(), body.end());
+  Bytes out(4 + body.size());
+  out[0] = type;
+  out[1] = static_cast<std::uint8_t>(claimed_len >> 16);
+  out[2] = static_cast<std::uint8_t>(claimed_len >> 8);
+  out[3] = static_cast<std::uint8_t>(claimed_len);
+  std::copy(body.begin(), body.end(), out.begin() + 4);
   return out;
 }
 

@@ -21,7 +21,7 @@ struct PcieConfig {
 
 class OffloadModel {
  public:
-  explicit OffloadModel(PcieConfig pcie = {}, ChipModel chip = {})
+  explicit OffloadModel(PcieConfig pcie = {}, ChipModel chip = ChipModel())
       : pcie_(pcie), chip_(chip) {}
 
   /// Wall time to ship `batch` requests of `request_bytes` each to the

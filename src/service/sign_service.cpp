@@ -3,16 +3,15 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <deque>
 #include <iterator>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "obs/workload.hpp"
-#include "rsa/engine.hpp"
 #include "rsa/pkcs1.hpp"
 #include "util/sha256.hpp"
 
@@ -119,114 +118,56 @@ struct SignService::Metrics {
             svc)) {}
 };
 
-/// One queued request: the EMSA-encoded digest as an integer in [0, n),
-/// plus the promise OR completion callback the dispatch path fulfills
-/// (`done` set means the request came through an *_async submission and
-/// the promise is never touched).
-struct SignService::Pending {
-  BigInt x;
-  std::promise<SignResult> promise;
-  Completion done;
-  Clock::time_point submitted;  // stamped by enqueue, under mu_
-  obs::WorkloadOp op = obs::WorkloadOp::kSign;  // workload-trace tag
-
-  /// Hands the request its result — exactly once per request.
-  void deliver(SignResult r) {
-    if (done) {
-      // Async form: callback instead of future. A throwing completion is
-      // a caller bug; swallow it so the other requests still deliver.
-      try {
-        done(std::move(r));
-      } catch (...) {
-      }
-    } else {
-      promise.set_value(std::move(r));
+void SignService::Pending::deliver(SignResult r) {
+  if (done) {
+    // Async form: callback instead of future. A throwing completion is a
+    // caller bug; swallow it so the other requests still deliver.
+    try {
+      done(std::move(r));
+    } catch (...) {
     }
+  } else {
+    promise.set_value(std::move(r));
   }
-  /// Fails the request instead (the future rethrows `e`).
-  void fail(std::exception_ptr e) {
-    if (done) {
-      try {
-        done(std::nullopt);
-      } catch (...) {
-      }
-    } else {
-      promise.set_exception(std::move(e));
+}
+
+void SignService::Pending::fail(std::exception_ptr e) {
+  if (done) {
+    try {
+      done(std::nullopt);
+    } catch (...) {
     }
+  } else {
+    promise.set_exception(std::move(e));
   }
-};
+}
 
-/// Per-key shard: the BatchEngine, the single-stream Engine over the same
-/// key and backend, the route costs, and the submission FIFO.
-struct SignService::Shard {
-  Shard(rsa::PrivateKey key, rsa::Backend backend)
-      : engine(key, backend),
-        single(std::move(key), rsa::EngineOptions{.kernel = backend}),
-        k(engine.pub().byte_size()) {
-    // Dummy input for padded lanes: the EMSA encoding of an all-zero
-    // digest. Any EMSA block starts 0x00 0x01, so its value is < 2^(8k-8)
-    // <= n — always a valid private_op input. Using one fixed value keeps
-    // the padded lanes on the identical 16-lane kernel shape; their
-    // outputs are simply discarded.
-    const util::Sha256::Digest zero{};
-    dummy = BigInt::from_bytes_be(rsa::emsa_pkcs1_v15_from_digest(zero, k));
-  }
-
-  rsa::BatchEngine engine;
-  rsa::Engine single;  // CRT, fixed window (EngineOptions defaults)
-  std::size_t k;  // modulus byte size (signature length)
-  BigInt dummy;
-  std::uint32_t key_bits() const { return static_cast<std::uint32_t>(k * 8); }
-
-  // Route costs in microseconds of execution, seeded by calibrate() and
-  // updated by the dispatch workers.
-  std::atomic<double> op_us{0.0};
-  std::atomic<double> batch_us{0.0};
-  RouteCosts costs() const {
-    return {op_us.load(std::memory_order_relaxed),
-            batch_us.load(std::memory_order_relaxed)};
-  }
-
-  /// Seeds the route costs from warm timed runs of each route.
-  void calibrate() {
-    BigInt one;
-    std::array<BigInt, kBatch> xs;
-    xs.fill(dummy);
-    std::array<BigInt, kBatch> out;
-    const auto timed = [](auto&& fn) {
-      const Clock::time_point t0 = Clock::now();
-      fn();
-      return to_us(Clock::now() - t0);
-    };
-    // The first run of each warms this thread's workspaces and tables;
-    // the faster of the two seeds the estimate, so one stalled run cannot.
-    const auto op = [&] { single.private_op_into(dummy, one); };
-    const auto batch = [&] { engine.private_op(xs, out); };
-    op_us.store(std::min(timed(op), timed(op)));
-    batch_us.store(std::min(timed(batch), timed(batch)));
-  }
-
-  // Guarded by SignService::mu_. Requests sit in submit order, and a
-  // flush always takes kBatch (full) or everything (a partial), so every
-  // kBatch-th entry closes a full flush.
-  std::deque<Pending> pending;
-};
-
-/// A flush a worker took: up to kBatch requests from the front of one
-/// shard's FIFO, stamped with the time it formed — when its last request
-/// arrived (full), at the stop() call (drain), or when a worker took it
-/// (linger). Queue wait ends and batch service time starts at that stamp,
-/// so a flush queued behind a busy worker counts its wait there
-/// (phissl_pool_task_wait_us), not as queue wait.
+/// A flush a worker took: up to kBatch requests from the front of the
+/// FIFO, stamped with the time it formed — when its last request arrived
+/// (full), at the stop() call (drain), or when a worker took it (linger).
+/// Queue wait ends and batch service time starts at that stamp, so a
+/// flush queued behind a busy worker counts its wait there
+/// (phissl_pool_task_wait_us), not as queue wait. Empty: nothing was due.
 struct SignService::Flush {
-  Shard* shard = nullptr;
   std::vector<Pending> work;
   FlushReason why = FlushReason::kFull;
   Clock::time_point formed;
 };
 
-SignService::SignService(SignServiceConfig config)
-    : config_(config), metrics_(std::make_unique<Metrics>(next_svc_labels())) {
+SignService::SignService(rsa::PrivateKey key, SignServiceConfig config)
+    : config_(config),
+      engine_(key, config.backend),
+      single_(std::move(key), rsa::EngineOptions{.kernel = config.backend}),
+      k_(engine_.pub().byte_size()),
+      // Padded lanes take the EMSA encoding of an all-zero digest. Any
+      // EMSA block starts 0x00 0x01, so its value is < 2^(8k-8) <= n —
+      // always a valid private_op input. One fixed value keeps the padded
+      // lanes on the identical 16-lane kernel shape; their outputs are
+      // simply discarded.
+      dummy_(BigInt::from_bytes_be(
+          rsa::emsa_pkcs1_v15_from_digest(util::Sha256::Digest{}, k_))),
+      metrics_(std::make_unique<Metrics>(next_svc_labels())) {
+  calibrate();
   config_.dispatch_threads = std::max<std::size_t>(config_.dispatch_threads, 1);
   workers_.reserve(config_.dispatch_threads);
   try {
@@ -241,93 +182,76 @@ SignService::SignService(SignServiceConfig config)
 
 SignService::~SignService() { stop(); }
 
-void SignService::add_key(const std::string& key_id, rsa::PrivateKey key) {
-  auto shard = std::make_unique<Shard>(std::move(key), config_.backend);
-  shard->calibrate();
-  std::lock_guard<std::mutex> lock(mu_);
-  if (stopping_) {
-    throw std::runtime_error("SignService::add_key after stop()");
-  }
-  if (!shards_.emplace(key_id, std::move(shard)).second) {
-    throw std::invalid_argument("SignService::add_key: duplicate key id \"" +
-                                key_id + "\"");
-  }
+void SignService::calibrate() {
+  BigInt one;
+  std::array<BigInt, kBatch> xs;
+  xs.fill(dummy_);
+  std::array<BigInt, kBatch> out;
+  const auto timed = [](auto&& fn) {
+    const Clock::time_point t0 = Clock::now();
+    fn();
+    return to_us(Clock::now() - t0);
+  };
+  // The first run of each warms this thread's workspaces and tables; the
+  // faster of the two seeds the estimate, so one stalled run cannot.
+  const auto op = [&] { single_.private_op_into(dummy_, one); };
+  const auto batch = [&] { engine_.private_op(xs, out); };
+  op_us_.store(std::min(timed(op), timed(op)));
+  batch_us_.store(std::min(timed(batch), timed(batch)));
 }
 
-SignService::Shard& SignService::find_shard(const std::string& key_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = shards_.find(key_id);
-  if (it == shards_.end()) {
-    throw std::invalid_argument("SignService: unknown key id \"" + key_id +
-                                "\"");
-  }
-  return *it->second;  // shards are never removed while the service lives
-}
-
-const rsa::PublicKey& SignService::public_key(const std::string& key_id) const {
-  return find_shard(key_id).engine.pub();
-}
-
-std::future<SignResult> SignService::sign(
-    const std::string& key_id, std::span<const std::uint8_t> digest) {
-  PHISSL_OBS_SPAN("svc.sign");
-  Shard& shard = find_shard(key_id);
-
+SignService::Pending SignService::digest_request(
+    std::span<const std::uint8_t> digest) const {
   Pending p;
-  p.x = BigInt::from_bytes_be(rsa::emsa_pkcs1_v15_from_digest(digest, shard.k));
-  return enqueue(shard, std::move(p));
+  p.x = BigInt::from_bytes_be(rsa::emsa_pkcs1_v15_from_digest(digest, k_));
+  return p;
 }
 
-std::future<SignResult> SignService::private_op(
-    const std::string& key_id, std::span<const std::uint8_t> input_be) {
-  PHISSL_OBS_SPAN("svc.private_op");
-  Shard& shard = find_shard(key_id);
-  if (input_be.size() != shard.k) {
+SignService::Pending SignService::block_request(
+    std::span<const std::uint8_t> input_be) const {
+  if (input_be.size() != k_) {
     throw std::invalid_argument(
         "SignService::private_op: input must be exactly k bytes");
   }
   Pending p;
   p.x = BigInt::from_bytes_be(input_be);
-  if (p.x >= shard.engine.pub().n) {
+  if (p.x >= engine_.pub().n) {
     throw std::invalid_argument("SignService::private_op: input >= modulus");
   }
   p.op = obs::WorkloadOp::kPrivateOp;
-  return enqueue(shard, std::move(p));
+  return p;
 }
 
-void SignService::sign_async(const std::string& key_id,
-                             std::span<const std::uint8_t> digest,
+std::future<SignResult> SignService::sign(
+    std::span<const std::uint8_t> digest) {
+  PHISSL_OBS_SPAN("svc.sign");
+  return enqueue(digest_request(digest));
+}
+
+std::future<SignResult> SignService::private_op(
+    std::span<const std::uint8_t> input_be) {
+  PHISSL_OBS_SPAN("svc.private_op");
+  return enqueue(block_request(input_be));
+}
+
+void SignService::sign_async(std::span<const std::uint8_t> digest,
                              Completion done, obs::WorkloadOp op) {
   PHISSL_OBS_SPAN("svc.sign_async");
-  Shard& shard = find_shard(key_id);
-  Pending p;
-  p.x = BigInt::from_bytes_be(rsa::emsa_pkcs1_v15_from_digest(digest, shard.k));
+  Pending p = digest_request(digest);
   p.done = std::move(done);
   p.op = op;
-  (void)enqueue(shard, std::move(p));
+  (void)enqueue(std::move(p));
 }
 
-void SignService::private_op_async(const std::string& key_id,
-                                   std::span<const std::uint8_t> input_be,
+void SignService::private_op_async(std::span<const std::uint8_t> input_be,
                                    Completion done) {
   PHISSL_OBS_SPAN("svc.private_op_async");
-  Shard& shard = find_shard(key_id);
-  if (input_be.size() != shard.k) {
-    throw std::invalid_argument(
-        "SignService::private_op_async: input must be exactly k bytes");
-  }
-  Pending p;
-  p.x = BigInt::from_bytes_be(input_be);
-  if (p.x >= shard.engine.pub().n) {
-    throw std::invalid_argument(
-        "SignService::private_op_async: input >= modulus");
-  }
+  Pending p = block_request(input_be);
   p.done = std::move(done);
-  p.op = obs::WorkloadOp::kPrivateOp;
-  (void)enqueue(shard, std::move(p));
+  (void)enqueue(std::move(p));
 }
 
-std::future<SignResult> SignService::enqueue(Shard& shard, Pending&& p) {
+std::future<SignResult> SignService::enqueue(Pending&& p) {
   std::future<SignResult> fut = p.promise.get_future();
   bool wake = false;
   {
@@ -335,13 +259,13 @@ std::future<SignResult> SignService::enqueue(Shard& shard, Pending&& p) {
     if (stopping_) {
       throw std::runtime_error("SignService::sign after stop()");
     }
-    // Stamped under the lock, so each FIFO is in submit order and a full
+    // Stamped under the lock, so the FIFO is in submit order and a full
     // flush forms at the submit time of its last request.
     p.submitted = Clock::now();
-    shard.pending.push_back(std::move(p));
-    const std::size_t n = shard.pending.size();
+    pending_.push_back(std::move(p));
+    const std::size_t n = pending_.size();
     const bool full = n % kBatch == 0;
-    const bool starts_linger = n == 1 && !config_.full_batches_only;
+    const bool starts_linger = n == 1 && config_.max_linger.has_value();
     wake = parked_ > 0 && (full || starts_linger);
   }
   metrics_->requests.inc();
@@ -352,57 +276,37 @@ std::future<SignResult> SignService::enqueue(Shard& shard, Pending&& p) {
 SignService::Flush SignService::take_due(
     Clock::time_point now, std::optional<Clock::time_point>& wake) {
   Flush f;
-  for (auto& [id, shard] : shards_) {
-    const std::deque<Pending>& q = shard->pending;
-    if (q.empty()) continue;
-    FlushReason why;
-    Clock::time_point formed;
-    if (q.size() >= kBatch) {
-      why = FlushReason::kFull;
-      formed = q[kBatch - 1].submitted;
-    } else if (stopping_) {
-      why = FlushReason::kDrain;
-      formed = stop_time_;
-    } else if (config_.full_batches_only) {
-      continue;
-    } else if (const Clock::time_point deadline =
-                   q.front().submitted + config_.max_linger;
-               deadline > now) {
-      if (!wake || deadline < *wake) wake = deadline;
-      continue;
-    } else {
-      why = FlushReason::kLinger;
-      formed = now;
-    }
-    // Earliest formed first; expired partials (all formed now) oldest
-    // request first.
-    if (f.shard == nullptr || formed < f.formed ||
-        (formed == f.formed &&
-         q.front().submitted < f.shard->pending.front().submitted)) {
-      f.shard = shard.get();
-      f.why = why;
-      f.formed = formed;
-    }
+  if (pending_.size() >= kBatch) {
+    f.why = FlushReason::kFull;
+    f.formed = pending_[kBatch - 1].submitted;
+  } else if (pending_.empty()) {
+    return f;
+  } else if (stopping_) {
+    f.why = FlushReason::kDrain;
+    f.formed = stop_time_;
+  } else if (!config_.max_linger) {
+    return f;
+  } else if (const Clock::time_point deadline =
+                 pending_.front().submitted + *config_.max_linger;
+             deadline > now) {
+    wake = deadline;
+    return f;
+  } else {
+    f.why = FlushReason::kLinger;
+    f.formed = now;
   }
-  if (f.shard != nullptr) {
-    std::deque<Pending>& q = f.shard->pending;
-    const auto end =
-        q.begin() + static_cast<std::ptrdiff_t>(std::min(q.size(), kBatch));
-    f.work.assign(std::make_move_iterator(q.begin()),
-                  std::make_move_iterator(end));
-    q.erase(q.begin(), end);
-  }
+  const auto end = pending_.begin() +
+                   static_cast<std::ptrdiff_t>(std::min(pending_.size(), kBatch));
+  f.work.assign(std::make_move_iterator(pending_.begin()),
+                std::make_move_iterator(end));
+  pending_.erase(pending_.begin(), end);
   return f;
 }
 
 bool SignService::work_left() const {
-  for (const auto& [id, shard] : shards_) {
-    const std::size_t n = shard->pending.size();
-    if (n >= kBatch || (n > 0 && (stopping_ || !config_.full_batches_only))) {
-      return true;
-    }
-  }
-  return false;
+  const std::size_t n = pending_.size();
+  return n >= kBatch ||
+         (n > 0 && (stopping_ || config_.max_linger.has_value()));
 }
 
 void SignService::worker_loop() {
@@ -410,7 +314,7 @@ void SignService::worker_loop() {
   for (;;) {
     std::optional<Clock::time_point> wake;
     Flush f = take_due(Clock::now(), wake);
-    if (f.shard != nullptr) {
+    if (!f.work.empty()) {
       // A parked worker may be sleeping past a deadline this one was
       // watching, or another flush may be due: let one look.
       if (parked_ > 0 && work_left()) cv_.notify_one();
@@ -420,7 +324,7 @@ void SignService::worker_loop() {
       continue;
     }
     // Nothing due. While stopping every queued request is due, so the
-    // queues are empty and the drain is done.
+    // queue is empty and the drain is done.
     if (stopping_) return;
     ++parked_;
     if (wake) {
@@ -434,9 +338,8 @@ void SignService::worker_loop() {
 
 void SignService::run(Flush f) {
   metrics_->worker_wait_us.record(to_us(Clock::now() - f.formed));
-  Shard& shard = *f.shard;
   const std::size_t real = f.work.size();
-  const bool single = runs_single(real, shard.costs());
+  const bool single = runs_single(real, costs());
 
   // No lock: every record below is a lock-free registry metric.
   // `batches` is incremented BEFORE `full_batches` (and stats() reads
@@ -482,7 +385,7 @@ void SignService::run(Flush f) {
                                                                p.submitted)
               .count());
       ev.batch_id = batch_id;
-      ev.key_bits = shard.key_bits();
+      ev.key_bits = static_cast<std::uint32_t>(k_ * 8);
       ev.op = p.op;
       ev.lanes_filled = static_cast<std::uint8_t>(single ? 0 : real);
       rec.record(ev);
@@ -490,13 +393,13 @@ void SignService::run(Flush f) {
   }
 
   if (single) {
-    run_single(shard, f.work);
+    run_single(f.work);
   } else {
-    run_batch(shard, f.work, f.formed);
+    run_batch(f.work, f.formed);
   }
 }
 
-void SignService::run_batch(Shard& shard, std::vector<Pending>& work,
+void SignService::run_batch(std::vector<Pending>& work,
                             Clock::time_point formed) {
   PHISSL_OBS_SPAN("svc.batch", "lanes",
                   static_cast<std::uint64_t>(work.size()));
@@ -504,17 +407,17 @@ void SignService::run_batch(Shard& shard, std::vector<Pending>& work,
   std::array<BigInt, kBatch> xs;
   std::array<BigInt, kBatch> out;
   for (std::size_t l = 0; l < kBatch; ++l) {
-    xs[l] = l < work.size() ? work[l].x : shard.dummy;
+    xs[l] = l < work.size() ? work[l].x : dummy_;
   }
   try {
-    shard.engine.private_op(xs, out);
+    engine_.private_op(xs, out);
     const Clock::time_point done = Clock::now();
-    observe(shard.batch_us, to_us(done - start));
+    observe(batch_us_, to_us(done - start));
     // Serialize every signature before fulfilling any promise so a
     // failure cannot leave the batch half-fulfilled.
     std::vector<std::vector<std::uint8_t>> sigs(work.size());
     for (std::size_t l = 0; l < work.size(); ++l) {
-      sigs[l] = out[l].to_bytes_be(shard.k);
+      sigs[l] = out[l].to_bytes_be(k_);
     }
     for (std::size_t l = 0; l < work.size(); ++l) {
       work[l].deliver(SignResult{std::move(sigs[l]), work[l].submitted, done});
@@ -525,7 +428,7 @@ void SignService::run_batch(Shard& shard, std::vector<Pending>& work,
   }
 }
 
-void SignService::run_single(Shard& shard, std::vector<Pending>& work) {
+void SignService::run_single(std::vector<Pending>& work) {
   PHISSL_OBS_SPAN("svc.single", "ops",
                   static_cast<std::uint64_t>(work.size()));
   BigInt out;
@@ -533,12 +436,12 @@ void SignService::run_single(Shard& shard, std::vector<Pending>& work) {
     // Each op stands alone: one that throws fails only its own request.
     try {
       const Clock::time_point start = Clock::now();
-      shard.single.private_op_into(p.x, out);
+      single_.private_op_into(p.x, out);
       const Clock::time_point done = Clock::now();
       const double us = to_us(done - start);
-      observe(shard.op_us, us);
+      observe(op_us_, us);
       metrics_->single_op_us.record(us);
-      p.deliver(SignResult{out.to_bytes_be(shard.k), p.submitted, done});
+      p.deliver(SignResult{out.to_bytes_be(k_), p.submitted, done});
     } catch (...) {
       p.fail(std::current_exception());
     }
@@ -578,25 +481,21 @@ void SignService::stop() {
   });
 }
 
-RouteCosts SignServiceTestPeer::route_costs(const SignService& svc,
-                                            const std::string& key_id) {
-  return svc.find_shard(key_id).costs();
+RouteCosts SignServiceTestPeer::route_costs(const SignService& svc) {
+  return svc.costs();
 }
 
-void SignServiceTestPeer::pin_route_costs(SignService& svc,
-                                          const std::string& key_id,
-                                          RouteCosts costs) {
-  SignService::Shard& shard = svc.find_shard(key_id);
-  shard.op_us.store(costs.op_us);
-  shard.batch_us.store(costs.batch_us);
+void SignServiceTestPeer::pin_route_costs(SignService& svc, RouteCosts costs) {
+  svc.op_us_.store(costs.op_us);
+  svc.batch_us_.store(costs.batch_us);
 }
 
 std::future<SignResult> SignServiceTestPeer::enqueue_unchecked(
-    SignService& svc, const std::string& key_id, const BigInt& x) {
+    SignService& svc, const BigInt& x) {
   SignService::Pending p;
   p.x = x;
   p.op = obs::WorkloadOp::kPrivateOp;
-  return svc.enqueue(svc.find_shard(key_id), std::move(p));
+  return svc.enqueue(std::move(p));
 }
 
 }  // namespace phissl::service

@@ -19,6 +19,10 @@ using Clock = std::chrono::steady_clock;
 
 namespace {
 
+// Session-cache entries a stack's connections share, over the
+// SessionCacheConfig default of 16 shards.
+constexpr std::size_t kSessionCacheCapacity = 4096;
+
 // A workload event for this reactor's key, stamped at `at`; the caller
 // sets the outcome fields.
 obs::WorkloadEvent workload_event(const rsa::Engine& engine,
@@ -410,7 +414,7 @@ void Reactor::finish_connection(std::size_t slot_idx) {
 
 ServerStack::ServerStack(const rsa::Engine& server_engine,
                          const DriverConfig& cfg, Transport& transport)
-    : cache_(SessionCacheConfig{.capacity = cfg.cache_capacity}),
+    : cache_(SessionCacheConfig{.capacity = kSessionCacheCapacity}),
       // The inline decrypter resolves every op at once: no linger to wait.
       admission_(cfg.admission, cfg.batch_private_ops
                                     ? cfg.batch_linger

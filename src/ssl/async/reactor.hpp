@@ -220,6 +220,11 @@ class ServerStack {
   [[nodiscard]] DriverReport report(const ReactorStats& stats,
                                     double wall_seconds) const;
 
+  /// The admission gate every connection passes (read-only, for tests).
+  [[nodiscard]] const AdmissionController& admission() const {
+    return admission_;
+  }
+
  private:
   std::unique_ptr<BatchDecryptService> svc_;  // null: the scalar decrypter
   SessionCache cache_;

@@ -752,7 +752,7 @@ LoadGenStats run_load(const rsa::Engine& public_engine,
       if (errno == EINTR) continue;
       break;
     }
-    for (int i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i) {
       pump(static_cast<std::size_t>(events[i].data.u64));
     }
   }

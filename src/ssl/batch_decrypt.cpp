@@ -6,15 +6,9 @@
 
 namespace phissl::ssl {
 
-namespace {
-constexpr char kKeyId[] = "kex";
-}  // namespace
-
 BatchDecryptService::BatchDecryptService(rsa::PrivateKey key,
                                          service::SignServiceConfig config)
-    : k_(key.pub.byte_size()), n_(key.pub.n), svc_(config) {
-  svc_.add_key(kKeyId, std::move(key));
-}
+    : k_(key.pub.byte_size()), n_(key.pub.n), svc_(std::move(key), config) {}
 
 void BatchDecryptService::decrypt_premaster_async(
     std::span<const std::uint8_t> ciphertext, DecryptCompletion done) {
@@ -28,7 +22,7 @@ void BatchDecryptService::decrypt_premaster_async(
     return;
   }
   svc_.private_op_async(
-      kKeyId, ciphertext,
+      ciphertext,
       [done = std::move(done)](std::optional<service::SignResult> r) {
         // Unpadding on the dispatch worker: a table-free scan of k bytes,
         // well within the Completion cheapness contract.
@@ -40,7 +34,7 @@ void BatchDecryptService::decrypt_premaster_async(
 void BatchDecryptService::sign_digest_async(
     std::span<const std::uint8_t> digest, DecryptCompletion done) {
   svc_.sign_async(
-      kKeyId, digest,
+      digest,
       [done = std::move(done)](std::optional<service::SignResult> r) {
         if (r.has_value()) {
           done(std::move(r->signature));

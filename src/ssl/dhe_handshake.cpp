@@ -24,7 +24,9 @@ template <std::size_t N>
 bool ct_equal(const std::array<std::uint8_t, N>& a,
               const std::array<std::uint8_t, N>& b) {
   unsigned diff = 0;
-  for (std::size_t i = 0; i < N; ++i) diff |= a[i] ^ b[i];
+  for (std::size_t i = 0; i < N; ++i) {
+    diff |= static_cast<unsigned>(a[i] ^ b[i]);
+  }
   return diff == 0;
 }
 

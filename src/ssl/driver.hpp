@@ -70,9 +70,6 @@ struct DriverConfig {
   /// Montgomery backend for the batched private ops (see rsa/backend.hpp);
   /// the scalar decrypter follows the server engine's kernel instead.
   rsa::Backend batch_backend = rsa::Backend::kKncVec;
-
-  /// Shared session-cache capacity (see SessionCacheConfig).
-  std::size_t cache_capacity = 4096;
 };
 
 struct DriverReport {

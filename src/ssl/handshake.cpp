@@ -26,7 +26,9 @@ template <std::size_t N>
 bool ct_equal(const std::array<std::uint8_t, N>& a,
               const std::array<std::uint8_t, N>& b) {
   unsigned diff = 0;
-  for (std::size_t i = 0; i < N; ++i) diff |= a[i] ^ b[i];
+  for (std::size_t i = 0; i < N; ++i) {
+    diff |= static_cast<unsigned>(a[i] ^ b[i]);
+  }
   return diff == 0;
 }
 
@@ -81,7 +83,7 @@ std::array<std::uint8_t, kVerifyDataSize> compute_verify_data(
   const auto bytes =
       prf_sha256(master, is_server ? "server finished" : "client finished",
                  transcript, kVerifyDataSize);
-  std::array<std::uint8_t, kVerifyDataSize> out;
+  std::array<std::uint8_t, kVerifyDataSize> out{};
   std::copy(bytes.begin(), bytes.end(), out.begin());
   return out;
 }

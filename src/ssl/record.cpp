@@ -1,5 +1,6 @@
 #include "ssl/record.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <type_traits>
@@ -63,8 +64,9 @@ std::vector<std::uint8_t> RecordChannel::seal(
   rng.fill_bytes(iv.data(), iv.size());
   const auto ct = util::aes_cbc_encrypt(cipher_, iv, payload);
 
-  std::vector<std::uint8_t> record = std::move(iv);
-  record.insert(record.end(), ct.begin(), ct.end());
+  std::vector<std::uint8_t> record(kIvSize + ct.size());
+  std::copy(iv.begin(), iv.end(), record.begin());
+  std::copy(ct.begin(), ct.end(), record.begin() + kIvSize);
   return record;
 }
 

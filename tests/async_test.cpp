@@ -616,19 +616,24 @@ TEST_F(AsyncDriverTest, DheConnectionsShareTheBatches) {
 }
 
 TEST_F(AsyncDriverTest, PredictedWaitCountsOnlyTheDecrypterLinger) {
-  // A 400us budget on 512-bit keys: the predictor's linger term is the
-  // decrypter's own — zero inline, batch_linger batched — so an arrival
-  // behind a pending op can fit the budget. A fixed 500us term alone
-  // would exceed it and shed every such arrival. With either decrypter
-  // every connection completes or is shed, and none fails.
+  // The predictor's linger term is the decrypter's own: zero inline,
+  // batch_linger batched. Before any op completes the per-batch estimate
+  // is zero, so the stack's first prediction is that term alone. Then a
+  // 400us budget on 512-bit keys: with either decrypter every connection
+  // completes or is shed, and none fails.
   const rsa::Engine engine(rsa::test_key(512), rsa::EngineOptions{});
+  const rsa::Engine client(engine.pub(), engine.options());
   for (const bool batched : {false, true}) {
     SCOPED_TRACE(batched ? "batched, 100us linger" : "inline");
     auto cfg = event_config(64);
     cfg.batch_private_ops = batched;
     cfg.batch_linger = std::chrono::microseconds(100);
     cfg.admission.max_predicted_wait = std::chrono::microseconds(400);
-    const DriverReport report = run_handshakes(engine, cfg);
+    SimulatedTransport transport(client);
+    ServerStack stack(engine, cfg, transport);
+    EXPECT_EQ(stack.admission().predict(),
+              batched ? cfg.batch_linger : std::chrono::microseconds(0));
+    const DriverReport report = stack.report(stack.run(), 0.0);
     EXPECT_GT(report.completed, 0u);
     EXPECT_EQ(report.failed, 0u);
     EXPECT_EQ(report.completed + report.shed, 64u);

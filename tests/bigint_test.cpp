@@ -229,7 +229,7 @@ TEST(BigIntBits, BitsWindow) {
   EXPECT_EQ(v.bits_window(60, 4), 0x1u);
   EXPECT_EQ(v.bits_window(64, 8), 0x0u);  // past the top
   EXPECT_EQ(v.bits_window(0, 32), 0x9abcdef0u);
-  EXPECT_THROW(v.bits_window(0, 33), std::invalid_argument);
+  EXPECT_THROW((void)v.bits_window(0, 33), std::invalid_argument);
 }
 
 TEST(BigIntModular, ModPowFixedVector) {
@@ -354,7 +354,7 @@ TEST(BigIntU64, ToU64) {
   EXPECT_EQ(BigInt::from_u64(0xdeadbeefcafef00dULL).to_u64(),
             0xdeadbeefcafef00dULL);
   EXPECT_EQ(BigInt{}.to_u64(), 0u);
-  EXPECT_THROW(BigInt::from_hex(kA).to_u64(), std::overflow_error);
+  EXPECT_THROW((void)BigInt::from_hex(kA).to_u64(), std::overflow_error);
 }
 
 }  // namespace

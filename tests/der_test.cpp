@@ -3,6 +3,7 @@
 // -traditional 512`, vendored below) and re-encoding it byte-identically.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "rsa/der.hpp"
@@ -110,9 +111,10 @@ TEST(Der, RejectsNonMinimalLengths) {
   const std::vector<std::uint8_t> body = {0x02, 0x01, 0x05,   // INTEGER 5
                                           0x02, 0x01, 0x03};  // INTEGER 3
   auto with_outer = [&](std::initializer_list<std::uint8_t> len_bytes) {
-    std::vector<std::uint8_t> der = {0x30};
-    der.insert(der.end(), len_bytes.begin(), len_bytes.end());
-    der.insert(der.end(), body.begin(), body.end());
+    std::vector<std::uint8_t> der(1 + len_bytes.size() + body.size());
+    der[0] = 0x30;
+    std::copy(body.begin(), body.end(),
+              std::copy(len_bytes.begin(), len_bytes.end(), der.begin() + 1));
     return der;
   };
   // Control: the minimal form decodes (n=5, e=3 — silly but well-formed),
@@ -150,9 +152,10 @@ TEST(Der, RejectsNonMinimalLengthEvenWhenValueLarge) {
 
 TEST(Der, RejectsMalformedIntegers) {
   auto wrap = [](std::vector<std::uint8_t> body) {
-    std::vector<std::uint8_t> der = {0x30,
-                                     static_cast<std::uint8_t>(body.size())};
-    der.insert(der.end(), body.begin(), body.end());
+    std::vector<std::uint8_t> der(2 + body.size());
+    der[0] = 0x30;
+    der[1] = static_cast<std::uint8_t>(body.size());
+    std::copy(body.begin(), body.end(), der.begin() + 2);
     return der;
   };
   // Empty INTEGER.
@@ -236,10 +239,14 @@ TEST(Base64, DecodeRoundTripWithWhitespace) {
   Rng rng(3);
   for (std::size_t n : {0u, 1u, 2u, 3u, 57u, 100u}) {
     const auto data = rng.bytes(n);
-    std::string b64 = base64_encode(data);
-    // Inject line breaks PEM-style.
-    for (std::size_t i = 20; i < b64.size(); i += 21) b64.insert(i, "\n");
-    EXPECT_EQ(base64_decode(b64), data) << n;
+    const std::string b64 = base64_encode(data);
+    // Inject line breaks PEM-style: one after every 20 characters.
+    std::string wrapped;
+    for (std::size_t i = 0; i < b64.size(); ++i) {
+      if (i > 0 && i % 20 == 0) wrapped += '\n';
+      wrapped += b64[i];
+    }
+    EXPECT_EQ(base64_decode(wrapped), data) << n;
   }
 }
 

@@ -1,13 +1,14 @@
 // SignService tests: the async batching layer must produce exactly the
 // signatures the synchronous engines produce, on every dispatch path —
 // the 16-pending fast path, the linger-deadline partial flush (with
-// dummy-padded lanes), the stop() drain, and cross-key routing — and its
-// stats block must stay consistent with the traffic it served. The
-// dispatch workers are the scheduler: one thread each, flushes stamped
-// with the time they formed, and a stop() that drains every accepted
-// request while it rejects later ones.
+// dummy-padded lanes) and the stop() drain — and its stats block must
+// stay consistent with the traffic it served. The dispatch workers are
+// the scheduler: one thread each, flushes stamped with the time they
+// formed, and a stop() that drains every accepted request while it
+// rejects later ones.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -64,19 +65,18 @@ bool verifies(const rsa::PublicKey& pub, const util::Sha256::Digest& digest,
 
 TEST(SignService, FullBatchFastPath) {
   SignServiceConfig cfg;
-  cfg.full_batches_only = true;  // only the 16-pending path can dispatch
-  SignService svc(cfg);
-  svc.add_key("k", rsa::test_key(512));
+  cfg.max_linger = std::nullopt;  // only the 16-pending path can dispatch
+  SignService svc(rsa::test_key(512), cfg);
 
   std::vector<util::Sha256::Digest> digests;
   std::vector<std::future<SignResult>> futs;
   for (std::size_t i = 0; i < SignService::kBatch; ++i) {
     digests.push_back(digest_of(i));
-    futs.push_back(svc.sign("k", digests.back()));
+    futs.push_back(svc.sign(digests.back()));
   }
   for (std::size_t i = 0; i < futs.size(); ++i) {
     const SignResult r = futs[i].get();
-    EXPECT_TRUE(verifies(svc.public_key("k"), digests[i], r.signature));
+    EXPECT_TRUE(verifies(svc.public_key(), digests[i], r.signature));
     EXPECT_GE(r.completed_at, r.submitted_at);
   }
 
@@ -91,22 +91,21 @@ TEST(SignService, FullBatchFastPath) {
 TEST(SignService, PartialBatchLingerFlush) {
   SignServiceConfig cfg;
   cfg.max_linger = std::chrono::microseconds(2000);
-  SignService svc(cfg);
-  svc.add_key("k", rsa::test_key(512));
+  SignService svc(rsa::test_key(512), cfg);
 
   std::vector<util::Sha256::Digest> digests;
   std::vector<std::future<SignResult>> futs;
   const auto submit_start = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < 3; ++i) {
     digests.push_back(digest_of(100 + i));
-    futs.push_back(svc.sign("k", digests.back()));
+    futs.push_back(svc.sign(digests.back()));
   }
   const auto submit_window =
       std::chrono::steady_clock::now() - submit_start;
   // No stop() here: completion must come from the linger timer alone.
   for (std::size_t i = 0; i < futs.size(); ++i) {
     const SignResult r = futs[i].get();
-    EXPECT_TRUE(verifies(svc.public_key("k"), digests[i], r.signature));
+    EXPECT_TRUE(verifies(svc.public_key(), digests[i], r.signature));
   }
 
   const StatsSnapshot s = svc.stats();
@@ -142,15 +141,14 @@ TEST(SignService, MatchesSynchronousEngineSignature) {
   const rsa::PrivateKey& key = rsa::test_key(512);
   SignServiceConfig cfg;
   cfg.max_linger = std::chrono::microseconds(500);
-  SignService svc(cfg);
-  svc.add_key("k", key);
+  SignService svc(key, cfg);
 
   const std::string msg = "sign me through the batching service";
   const std::span<const std::uint8_t> bytes{
       reinterpret_cast<const std::uint8_t*>(msg.data()), msg.size()};
   const auto digest = util::Sha256::hash(bytes);
 
-  const SignResult r = svc.sign("k", digest).get();
+  const SignResult r = svc.sign(digest).get();
   const rsa::Engine engine(key, rsa::EngineOptions{});
   EXPECT_EQ(r.signature, rsa::sign_sha256(engine, bytes));
   EXPECT_TRUE(rsa::verify_sha256(engine, bytes, r.signature));
@@ -172,40 +170,38 @@ TEST(SignService, RawPrivateOpMatchesEngine) {
 
   for (const rsa::Backend b : rsa::kAllBackends) {
     if (!rsa::has_batch_form(b)) continue;
-    SignService svc(SignServiceConfig{.backend = b});
-    svc.add_key("k", key);
-    const SignResult r = svc.private_op("k", block).get();
+    SignService svc(key, SignServiceConfig{.backend = b});
+    const SignResult r = svc.private_op(block).get();
     EXPECT_EQ(r.signature, expected) << rsa::to_string(b);
     EXPECT_GE(r.completed_at, r.submitted_at);
   }
 }
 
 TEST(SignService, RawPrivateOpAndSignSharePipeline) {
-  // Mixed traffic on one key: raw blocks and digests interleave in the
-  // same shard and both come back correct.
+  // Mixed traffic: raw blocks and digests interleave in the one FIFO and
+  // both come back correct.
   const rsa::PrivateKey& key = rsa::test_key(512);
   const std::size_t k = key.pub.byte_size();
-  SignService svc;
-  svc.add_key("k", key);
+  SignService svc(key);
   const rsa::Engine engine(key, rsa::EngineOptions{});
 
   std::vector<std::future<SignResult>> raw_futs, sign_futs;
   std::vector<std::vector<std::uint8_t>> blocks;
   util::Rng rng(777);
-  for (int i = 0; i < 6; ++i) {
+  for (std::size_t i = 0; i < 6; ++i) {
     std::vector<std::uint8_t> block(k);
     rng.fill_bytes(block.data(), block.size());
     block[0] = 0;
     blocks.push_back(block);
-    raw_futs.push_back(svc.private_op("k", block));
-    sign_futs.push_back(svc.sign("k", digest_of(900 + i)));
+    raw_futs.push_back(svc.private_op(block));
+    sign_futs.push_back(svc.sign(digest_of(900 + i)));
   }
-  for (int i = 0; i < 6; ++i) {
+  for (std::size_t i = 0; i < 6; ++i) {
     const auto expected =
         engine.private_op(bigint::BigInt::from_bytes_be(blocks[i]))
             .to_bytes_be(k);
     EXPECT_EQ(raw_futs[i].get().signature, expected) << i;
-    EXPECT_TRUE(verifies(svc.public_key("k"), digest_of(900 + i),
+    EXPECT_TRUE(verifies(svc.public_key(), digest_of(900 + i),
                          sign_futs[i].get().signature))
         << i;
   }
@@ -214,84 +210,47 @@ TEST(SignService, RawPrivateOpAndSignSharePipeline) {
 TEST(SignService, RawPrivateOpRejectsBadInput) {
   const rsa::PrivateKey& key = rsa::test_key(512);
   const std::size_t k = key.pub.byte_size();
-  SignService svc;
-  svc.add_key("k", key);
+  SignService svc(key);
   // Wrong size.
-  EXPECT_THROW(svc.private_op("k", std::vector<std::uint8_t>(k - 1, 0)),
+  EXPECT_THROW(svc.private_op(std::vector<std::uint8_t>(k - 1, 0)),
                std::invalid_argument);
   // Value >= n.
-  EXPECT_THROW(svc.private_op("k", std::vector<std::uint8_t>(k, 0xff)),
+  EXPECT_THROW(svc.private_op(std::vector<std::uint8_t>(k, 0xff)),
                std::invalid_argument);
-  // Unknown key.
-  EXPECT_THROW(svc.private_op("nope", std::vector<std::uint8_t>(k, 0)),
-               std::invalid_argument);
-}
-
-TEST(SignService, CrossKeyRouting) {
-  util::Rng rng_a(1001), rng_b(2002);
-  const rsa::PrivateKey key_a = rsa::generate_key(512, rng_a);
-  const rsa::PrivateKey key_b = rsa::generate_key(512, rng_b);
-  ASSERT_NE(key_a.pub.n, key_b.pub.n);
-
-  SignServiceConfig cfg;
-  cfg.max_linger = std::chrono::microseconds(500);
-  SignService svc(cfg);
-  svc.add_key("a", key_a);
-  svc.add_key("b", key_b);
-
-  // Interleaved submissions must land on the right shard/key.
-  std::vector<util::Sha256::Digest> digests;
-  std::vector<std::future<SignResult>> futs;
-  for (std::size_t i = 0; i < 8; ++i) {
-    digests.push_back(digest_of(200 + i));
-    futs.push_back(svc.sign(i % 2 == 0 ? "a" : "b", digests.back()));
-  }
-  for (std::size_t i = 0; i < futs.size(); ++i) {
-    const SignResult r = futs[i].get();
-    const rsa::PublicKey& right = i % 2 == 0 ? key_a.pub : key_b.pub;
-    const rsa::PublicKey& wrong = i % 2 == 0 ? key_b.pub : key_a.pub;
-    EXPECT_TRUE(verifies(right, digests[i], r.signature));
-    EXPECT_FALSE(verifies(wrong, digests[i], r.signature));
-  }
-
-  EXPECT_THROW((void)svc.sign("nope", digests[0]), std::invalid_argument);
-  EXPECT_THROW(svc.add_key("a", key_a), std::invalid_argument);
+  // A digest that is not 32 bytes.
   const std::vector<std::uint8_t> short_digest(16, 0xab);
-  EXPECT_THROW((void)svc.sign("a", short_digest), std::invalid_argument);
+  EXPECT_THROW((void)svc.sign(short_digest), std::invalid_argument);
 }
 
 TEST(SignService, StopDrainsPartialEvenWhenFullBatchesOnly) {
   SignServiceConfig cfg;
-  cfg.full_batches_only = true;
-  SignService svc(cfg);
-  svc.add_key("k", rsa::test_key(512));
+  cfg.max_linger = std::nullopt;
+  SignService svc(rsa::test_key(512), cfg);
 
   std::vector<util::Sha256::Digest> digests;
   std::vector<std::future<SignResult>> futs;
   for (std::size_t i = 0; i < 5; ++i) {
     digests.push_back(digest_of(300 + i));
-    futs.push_back(svc.sign("k", digests.back()));
+    futs.push_back(svc.sign(digests.back()));
   }
   svc.stop();  // must flush the 5-element partial and complete everything
   for (std::size_t i = 0; i < futs.size(); ++i) {
     EXPECT_TRUE(
-        verifies(svc.public_key("k"), digests[i], futs[i].get().signature));
+        verifies(svc.public_key(), digests[i], futs[i].get().signature));
   }
-  EXPECT_THROW((void)svc.sign("k", digests[0]), std::runtime_error);
-  EXPECT_THROW(svc.add_key("late", rsa::test_key(512)), std::runtime_error);
+  EXPECT_THROW((void)svc.sign(digests[0]), std::runtime_error);
   svc.stop();  // idempotent
 }
 
 TEST(SignService, StatsSnapshotSanity) {
   SignServiceConfig cfg;
   cfg.max_linger = std::chrono::microseconds(1000);
-  SignService svc(cfg);
-  svc.add_key("k", rsa::test_key(512));
+  SignService svc(rsa::test_key(512), cfg);
 
   constexpr std::size_t kRequests = 35;  // 2 full batches + a partial
   std::vector<std::future<SignResult>> futs;
   for (std::size_t i = 0; i < kRequests; ++i) {
-    futs.push_back(svc.sign("k", digest_of(400 + i)));
+    futs.push_back(svc.sign(digest_of(400 + i)));
     if (i == kRequests / 2) {
       // Snapshots must be consistent mid-run too.
       const StatsSnapshot mid = svc.stats();
@@ -359,12 +318,12 @@ TEST(SignService, RunsOneThreadPerDispatchWorker) {
         std::pair<std::size_t, std::size_t>{0, 1}}) {
     SCOPED_TRACE(asked);
     const std::size_t before = settled_threads();
-    SignService svc(SignServiceConfig{.dispatch_threads = asked});
+    SignService svc(rsa::test_key(512),
+                    SignServiceConfig{.dispatch_threads = asked});
     EXPECT_EQ(live_threads(), before + added);
-    svc.add_key("k", rsa::test_key(512));
     const auto digest = digest_of(1200 + asked);
-    EXPECT_TRUE(verifies(svc.public_key("k"), digest,
-                         svc.sign("k", digest).get().signature));
+    EXPECT_TRUE(verifies(svc.public_key(), digest,
+                         svc.sign(digest).get().signature));
   }
 #endif
 }
@@ -373,74 +332,79 @@ TEST(SignService, QueuedFlushesKeepTheirFormedTime) {
 #if !PHISSL_OBS_ENABLED
   GTEST_SKIP() << "workload events compile out under -DPHISSL_OBS=OFF";
 #endif
-  // One worker runs a full 2048-bit batch while a full 512-bit batch forms
-  // behind it and five more 512-bit requests wait for the stop() drain.
-  // Queue wait ends when a flush forms (its last arrival, or the stop()
-  // call), so none of the 512-bit requests counts the slow batch's
-  // execution as queue wait; stamped at worker pickup, all would.
+  // One worker runs a full 2048-bit batch while a second full batch forms
+  // behind it and five more requests wait for the stop() drain. Queue wait
+  // ends when a flush forms (its last arrival, or the stop() call), so no
+  // request counts the first batch's execution as queue wait; stamped at
+  // worker pickup, the second batch and the drain would.
   SignServiceConfig cfg;
   cfg.dispatch_threads = 1;
-  cfg.full_batches_only = true;
-  SignService svc(cfg);
-  svc.add_key("slow", rsa::test_key(2048));
-  svc.add_key("k", rsa::test_key(512));
+  cfg.max_linger = std::nullopt;
+  SignService svc(rsa::test_key(2048), cfg);
   obs::WorkloadRecorder& rec = obs::WorkloadRecorder::global();
   rec.clear();
   rec.set_recording(true);
-  std::vector<std::future<SignResult>> slow;
-  std::vector<std::future<SignResult>> quick;
+  std::vector<std::future<SignResult>> first;
+  std::vector<std::future<SignResult>> behind;
   for (std::size_t i = 0; i < SignService::kBatch; ++i) {
-    slow.push_back(svc.sign("slow", digest_of(1000 + i)));
+    first.push_back(svc.sign(digest_of(1000 + i)));
   }
   for (std::size_t i = 0; i < SignService::kBatch + 5; ++i) {
-    quick.push_back(svc.sign("k", digest_of(1100 + i)));
+    behind.push_back(svc.sign(digest_of(1100 + i)));
   }
   svc.stop();
   rec.set_recording(false);
-  for (auto& f : quick) (void)f.get();
-  // The slow batch formed at its last request's arrival and ran at once.
-  const SignResult last_slow = slow.back().get();
-  const auto slow_run_ns = static_cast<std::uint64_t>(
+  for (auto& f : behind) (void)f.get();
+  // The first batch formed at its last request's arrival and ran at once.
+  const SignResult last_first = first.back().get();
+  const auto first_run_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
-          last_slow.completed_at - last_slow.submitted_at)
+          last_first.completed_at - last_first.submitted_at)
           .count());
 
-  std::size_t quick_events = 0;
-  for (const obs::WorkloadEvent& ev : rec.drain()) {
-    if (ev.key_bits != 512) continue;
-    ++quick_events;
-    EXPECT_LT(ev.queue_wait_ns, slow_run_ns / 2)
-        << "slow batch ran " << slow_run_ns << " ns";
+  const std::vector<obs::WorkloadEvent> events = rec.drain();
+  EXPECT_EQ(events.size(), 2 * SignService::kBatch + 5);
+  for (const obs::WorkloadEvent& ev : events) {
+    EXPECT_LT(ev.queue_wait_ns, first_run_ns / 2)
+        << "first batch ran " << first_run_ns << " ns";
   }
-  EXPECT_EQ(quick_events, SignService::kBatch + 5);
   rec.clear();
 }
 
 TEST(SignService, ExpiredPartialRunsBesideABusyWorker) {
-  // Two workers: while one runs a full 2048-bit batch, a lone 512-bit
+  // Two workers: once one has taken a full 2048-bit batch, a lone
   // request's linger deadline flushes it into the other, so it completes
-  // long before the batch does. The worker watching the deadline may be
-  // the one that takes the batch; it must hand the deadline on. (Should
-  // the sixteen submissions outlast the linger, as they can under a
-  // sanitizer, the slow requests flush as partials instead, and the lone
-  // request still finishes first.)
+  // long before the batch does. The lone request arrives to an empty
+  // queue, so its submission starts the deadline and must wake the parked
+  // worker; without that wake it waits for the batch. (Should the sixteen
+  // submissions outlast the linger, as they can under a sanitizer, they
+  // flush as partials instead, and the lone request still finishes
+  // before the last of them.)
   SignServiceConfig cfg;
   cfg.dispatch_threads = 2;
   cfg.max_linger = std::chrono::microseconds(5000);
-  SignService svc(cfg);
-  svc.add_key("slow", rsa::test_key(2048));
-  svc.add_key("k", rsa::test_key(512));
-  const auto digest = digest_of(1300);
-  std::future<SignResult> lone = svc.sign("k", digest);
+  SignService svc(rsa::test_key(2048), cfg);
+  // Both workers park before any request; a worker that starts late would
+  // find the lone request without being woken.
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
   std::vector<std::future<SignResult>> slow;
   for (std::size_t i = 0; i < SignService::kBatch; ++i) {
-    slow.push_back(svc.sign("slow", digest_of(1310 + i)));
+    slow.push_back(svc.sign(digest_of(1310 + i)));
   }
+  // Workers count a flush's requests as they take it, before running it.
+  const auto taken = [&] {
+    const StatsSnapshot s = svc.stats();
+    return s.lanes_signed + s.single_ops;
+  };
+  while (taken() < SignService::kBatch) std::this_thread::yield();
+  const auto digest = digest_of(1300);
+  std::future<SignResult> lone = svc.sign(digest);
   const SignResult lone_result = lone.get();
-  EXPECT_TRUE(verifies(svc.public_key("k"), digest, lone_result.signature));
-  EXPECT_LT(lone_result.completed_at, slow.back().get().completed_at);
-  const StatsSnapshot s = svc.stats();
-  EXPECT_EQ(s.lanes_signed + s.single_ops, 1 + SignService::kBatch);
+  EXPECT_TRUE(verifies(svc.public_key(), digest, lone_result.signature));
+  std::chrono::steady_clock::time_point slow_done;
+  for (auto& f : slow) slow_done = std::max(slow_done, f.get().completed_at);
+  EXPECT_LT(lone_result.completed_at, slow_done);
+  EXPECT_EQ(taken(), 1 + SignService::kBatch);
 }
 
 TEST(SignService, SubmittersRacingStopEachCompleteOrThrow) {
@@ -453,8 +417,7 @@ TEST(SignService, SubmittersRacingStopEachCompleteOrThrow) {
   // leaves exactly one event.
   SignServiceConfig cfg;
   cfg.max_linger = std::chrono::microseconds(200);
-  SignService svc(cfg);
-  svc.add_key("k", rsa::test_key(512));
+  SignService svc(rsa::test_key(512), cfg);
   obs::WorkloadRecorder& rec = obs::WorkloadRecorder::global();
   rec.clear();
   rec.set_recording(true);
@@ -478,7 +441,7 @@ TEST(SignService, SubmittersRacingStopEachCompleteOrThrow) {
         }
         Call call;
         try {
-          svc.sign_async("k", digest_of(2000 + 1000 * t + i),
+          svc.sign_async(digest_of(2000 + 1000 * t + i),
                          [&completions, &failed, ran = call.ran](
                              std::optional<SignResult> r) {
                            if (!r) failed.fetch_add(1);
@@ -540,14 +503,13 @@ TEST(SignServiceRoute, LoneRequestRunsSingleOnEveryBatchedBackend) {
   for (const rsa::Backend b : rsa::kAllBackends) {
     if (!rsa::has_batch_form(b)) continue;
     SCOPED_TRACE(rsa::to_string(b));
-    SignService svc(SignServiceConfig{.backend = b});
-    svc.add_key("k", rsa::test_key(512));
-    const RouteCosts c = SignServiceTestPeer::route_costs(svc, "k");
+    SignService svc(rsa::test_key(512), SignServiceConfig{.backend = b});
+    const RouteCosts c = SignServiceTestPeer::route_costs(svc);
     EXPECT_GT(c.op_us, 0.0);
     EXPECT_GT(c.batch_us, c.op_us);
     const auto digest = digest_of(500);
-    const SignResult r = svc.sign("k", digest).get();
-    EXPECT_TRUE(verifies(svc.public_key("k"), digest, r.signature));
+    const SignResult r = svc.sign(digest).get();
+    EXPECT_TRUE(verifies(svc.public_key(), digest, r.signature));
     const StatsSnapshot s = svc.stats();
     EXPECT_EQ(s.single_ops, 1u);
     EXPECT_EQ(s.batches, 0u);
@@ -558,17 +520,16 @@ TEST(SignServiceRoute, LoneRequestRunsSingleOnEveryBatchedBackend) {
 TEST(SignServiceRoute, BurstOfSixteenRunsOneFullBatch) {
   SignServiceConfig cfg;
   cfg.max_linger = std::chrono::milliseconds(200);  // the burst beats it
-  SignService svc(cfg);
-  svc.add_key("k", rsa::test_key(512));
+  SignService svc(rsa::test_key(512), cfg);
   std::vector<util::Sha256::Digest> digests;
   std::vector<std::future<SignResult>> futs;
   for (std::size_t i = 0; i < SignService::kBatch; ++i) {
     digests.push_back(digest_of(600 + i));
-    futs.push_back(svc.sign("k", digests.back()));
+    futs.push_back(svc.sign(digests.back()));
   }
   for (std::size_t i = 0; i < futs.size(); ++i) {
     EXPECT_TRUE(
-        verifies(svc.public_key("k"), digests[i], futs[i].get().signature));
+        verifies(svc.public_key(), digests[i], futs[i].get().signature));
   }
   const StatsSnapshot s = svc.stats();
   EXPECT_EQ(s.batches, 1u);
@@ -583,23 +544,22 @@ TEST(SignServiceRoute, PartialFlushTakesThePinnedRoute) {
   for (const bool single : {false, true}) {
     SCOPED_TRACE(single ? "single-stream" : "padded batch");
     SignServiceConfig cfg;
-    cfg.full_batches_only = true;  // only the drain flushes
-    SignService svc(cfg);
-    svc.add_key("k", rsa::test_key(512));
+    cfg.max_linger = std::nullopt;  // only the drain flushes
+    SignService svc(rsa::test_key(512), cfg);
     SignServiceTestPeer::pin_route_costs(
-        svc, "k",
+        svc,
         single ? RouteCosts{.op_us = 1.0, .batch_us = 1e9}
                : RouteCosts{.op_us = 1e9, .batch_us = 1.0});
     std::vector<util::Sha256::Digest> digests;
     std::vector<std::future<SignResult>> futs;
     for (std::size_t i = 0; i < SignService::kBatch - 1; ++i) {
       digests.push_back(digest_of(700 + i));
-      futs.push_back(svc.sign("k", digests.back()));
+      futs.push_back(svc.sign(digests.back()));
     }
     svc.stop();
     for (std::size_t i = 0; i < futs.size(); ++i) {
       EXPECT_TRUE(
-          verifies(svc.public_key("k"), digests[i], futs[i].get().signature));
+          verifies(svc.public_key(), digests[i], futs[i].get().signature));
     }
     const StatsSnapshot s = svc.stats();
     EXPECT_EQ(s.single_ops, single ? 15u : 0u);
@@ -613,11 +573,10 @@ TEST(SignServiceRoute, ThrowingSingleOpFailsOnlyItsOwnRequest) {
   const rsa::PrivateKey& key = rsa::test_key(512);
   const std::size_t k = key.pub.byte_size();
   SignServiceConfig cfg;
-  cfg.full_batches_only = true;
-  SignService svc(cfg);
-  svc.add_key("k", key);
+  cfg.max_linger = std::nullopt;
+  SignService svc(key, cfg);
   SignServiceTestPeer::pin_route_costs(
-      svc, "k", RouteCosts{.op_us = 1.0, .batch_us = 1e9});
+      svc, RouteCosts{.op_us = 1.0, .batch_us = 1e9});
   const rsa::Engine engine(key, rsa::EngineOptions{});
   util::Rng rng(808);
   std::vector<std::vector<std::uint8_t>> blocks(2, std::vector<std::uint8_t>(k));
@@ -625,10 +584,10 @@ TEST(SignServiceRoute, ThrowingSingleOpFailsOnlyItsOwnRequest) {
     rng.fill_bytes(b.data(), b.size());
     b[0] = 0;
   }
-  auto before = svc.private_op("k", blocks[0]);
+  auto before = svc.private_op(blocks[0]);
   // x = n skips the submission range check; the engine rejects it.
-  auto bad = SignServiceTestPeer::enqueue_unchecked(svc, "k", key.pub.n);
-  auto after = svc.private_op("k", blocks[1]);
+  auto bad = SignServiceTestPeer::enqueue_unchecked(svc, key.pub.n);
+  auto after = svc.private_op(blocks[1]);
   svc.stop();
   EXPECT_THROW((void)bad.get(), std::invalid_argument);
   EXPECT_EQ(before.get().signature,
@@ -644,13 +603,12 @@ TEST(SignServiceRoute, OneSampleMovesTheEstimateAtMostAQuarter) {
   // op_us past batch_us, where no flush would run single-stream again to
   // bring it back. Pinned at 1 us, a real op (far slower) may only lift
   // the estimate to 1.25 us.
-  SignService svc;
-  svc.add_key("k", rsa::test_key(512));
+  SignService svc(rsa::test_key(512));
   SignServiceTestPeer::pin_route_costs(
-      svc, "k", RouteCosts{.op_us = 1.0, .batch_us = 1e9});
-  (void)svc.sign("k", digest_of(950)).get();
+      svc, RouteCosts{.op_us = 1.0, .batch_us = 1e9});
+  (void)svc.sign(digest_of(950)).get();
   ASSERT_EQ(svc.stats().single_ops, 1u);
-  EXPECT_LE(SignServiceTestPeer::route_costs(svc, "k").op_us, 1.25);
+  EXPECT_LE(SignServiceTestPeer::route_costs(svc).op_us, 1.25);
 }
 
 TEST(SignServiceRoute, BatchEstimateExcludesPoolWait) {
@@ -666,24 +624,23 @@ TEST(SignServiceRoute, BatchEstimateExcludesPoolWait) {
   constexpr std::size_t kQueuedBatches = 4;
   SignServiceConfig cfg;
   cfg.dispatch_threads = 1;
-  cfg.full_batches_only = true;  // however slowly the requests arrive
-  SignService svc(cfg);
-  svc.add_key("k", rsa::test_key(1024));
+  cfg.max_linger = std::nullopt;  // however slowly the requests arrive
+  SignService svc(rsa::test_key(1024), cfg);
   for (std::size_t b = 0; b < kWarmBatches; ++b) {
     std::vector<std::future<SignResult>> batch;
     for (std::size_t i = 0; i < SignService::kBatch; ++i) {
-      batch.push_back(svc.sign("k", digest_of(600 + 16 * b + i)));
+      batch.push_back(svc.sign(digest_of(600 + 16 * b + i)));
     }
     for (auto& f : batch) (void)f.get();
   }
-  const double seed = SignServiceTestPeer::route_costs(svc, "k").batch_us;
+  const double seed = SignServiceTestPeer::route_costs(svc).batch_us;
   std::vector<std::future<SignResult>> futs;
   for (std::size_t i = 0; i < kQueuedBatches * SignService::kBatch; ++i) {
-    futs.push_back(svc.sign("k", digest_of(800 + i)));
+    futs.push_back(svc.sign(digest_of(800 + i)));
   }
   for (auto& f : futs) (void)f.get();
   ASSERT_EQ(svc.stats().full_batches, kWarmBatches + kQueuedBatches);
-  EXPECT_LT(SignServiceTestPeer::route_costs(svc, "k").batch_us,
+  EXPECT_LT(SignServiceTestPeer::route_costs(svc).batch_us,
             1.5 * seed);
 }
 

@@ -304,8 +304,8 @@ TEST_F(HandshakeTest, BleichenbacherUniformAlert) {
 
   // (a) Non-conforming padding: the k-byte encoding of 1 decrypts to
   // em = 00..01, which does not start 00 02.
-  std::vector<std::uint8_t> bad_padding(k, 0);
-  bad_padding.back() = 1;
+  std::vector<std::uint8_t> bad_padding(k - 1, 0);
+  bad_padding.push_back(1);
   // (b) Conforming padding, wrong premaster length (10 != 48 bytes).
   std::vector<std::uint8_t> short_premaster(10, 0xab);
   // (c) Conforming padding, right length, wrong bytes.

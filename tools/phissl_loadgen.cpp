@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
       if (hp == nullptr) return usage();
       const char* colon = std::strrchr(hp, ':');
       if (colon == nullptr) return usage();
-      host.assign(hp, colon - hp);
+      host.assign(hp, static_cast<std::size_t>(colon - hp));
       port = static_cast<std::uint16_t>(std::strtoul(colon + 1, nullptr, 10));
       mode = Mode::kConnect;
     } else if (std::strcmp(a, "--serve") == 0) {
