@@ -81,7 +81,7 @@ void event_cell(phissl::bench::JsonReporter& json,
   }
   cfg.resumption_ratio = ratio;
   cfg.event_dhe_ratio = dhe_ratio;
-  cfg.admission.max_pending_ops = max_pending;
+  cfg.max_pending_ops = max_pending;
   cfg.batch_backend = batch_backend;
   const ssl::DriverReport r = ssl::run_handshakes(engine, cfg);
 
@@ -137,7 +137,7 @@ void socket_cell(phissl::bench::JsonReporter& json,
         std::min(cfg.socket_clients, cfg.max_open_connections);
   }
   cfg.resumption_ratio = ratio;
-  cfg.admission.max_pending_ops = max_pending;
+  cfg.max_pending_ops = max_pending;
   cfg.batch_backend = batch_backend;
   const ssl::DriverReport r = ssl::run_handshakes(engine, cfg);
 

@@ -2,6 +2,9 @@
 // decrypt a secret — all on the PhiOpenSSL (vectorized) engine.
 //
 //   ./quickstart [key_bits]       (default 1024)
+//
+// Exits 1 unless the signature verifies, the tampered one does not, and
+// the decryption returns the secret.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -48,9 +51,9 @@ int main(int argc, char** argv) {
 
   auto tampered = sig;
   tampered[0] ^= 1;
+  const bool tamper_valid = rsa::verify_sha256(engine, msg_bytes, tampered);
   std::printf("tamper : -> %s (must be INVALID)\n",
-              rsa::verify_sha256(engine, msg_bytes, tampered) ? "VALID"
-                                                              : "INVALID");
+              tamper_valid ? "VALID" : "INVALID");
 
   // --- Encrypt / decrypt -----------------------------------------------
   const std::string secret = "premaster secret";
@@ -58,11 +61,10 @@ int main(int argc, char** argv) {
       reinterpret_cast<const std::uint8_t*>(secret.data()), secret.size()};
   const auto ct = rsa::encrypt_pkcs1(engine, secret_bytes, rng);
   const auto pt = rsa::decrypt_pkcs1(engine, ct);
+  const bool round_trip =
+      pt.has_value() && std::equal(pt->begin(), pt->end(),
+                                   secret_bytes.begin(), secret_bytes.end());
   std::printf("encrypt/decrypt round-trip: %s\n",
-              pt.has_value() &&
-                      std::equal(pt->begin(), pt->end(), secret_bytes.begin(),
-                                 secret_bytes.end())
-                  ? "OK"
-                  : "FAILED");
-  return ok ? 0 : 1;
+              round_trip ? "OK" : "FAILED");
+  return ok && !tamper_valid && round_trip ? 0 : 1;
 }

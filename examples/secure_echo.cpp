@@ -3,6 +3,9 @@
 // an encrypted+authenticated echo conversation over the record layer.
 //
 //   ./secure_echo [key_bits]    (default 1024)
+//
+// Exits 1 when any check fails: the handshake, the two sides' master
+// secrets, an echoed record, or the rejection of a tampered record.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -47,8 +50,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!client.on_server_finished(fin.value())) return 1;
+  const bool masters_match = client.master() == server.master();
   std::printf("handshake complete; masters match: %s\n",
-              client.master() == server.master() ? "yes" : "NO");
+              masters_match ? "yes" : "NO");
+  if (!masters_match) return 1;
 
   // --- Protected application data ----------------------------------------
   ssl::Session client_session(client.session_keys(), false);
@@ -65,18 +70,18 @@ int main(int argc, char** argv) {
     const auto echoed = server_session.send(*at_server, rng);
     const auto at_client = client_session.receive(echoed);
     if (!at_client) return 1;
+    const bool echoed_ok = std::equal(at_client->begin(), at_client->end(),
+                                      bytes.begin(), bytes.end());
     std::printf("echoed %3zu bytes through %3zu-byte records: %s\n",
-                msg.size(), wire.size(),
-                std::equal(at_client->begin(), at_client->end(), bytes.begin(),
-                           bytes.end())
-                    ? "OK"
-                    : "MISMATCH");
+                msg.size(), wire.size(), echoed_ok ? "OK" : "MISMATCH");
+    if (!echoed_ok) return 1;
   }
 
   // Tampered record must be rejected.
   auto wire = client_session.send({{0x01, 0x02}}, rng);
   wire[wire.size() / 2] ^= 0x80;
+  const bool tamper_rejected = !server_session.receive(wire).has_value();
   std::printf("tampered record rejected: %s\n",
-              server_session.receive(wire).has_value() ? "NO (!!)" : "yes");
-  return 0;
+              tamper_rejected ? "yes" : "NO (!!)");
+  return tamper_rejected ? 0 : 1;
 }

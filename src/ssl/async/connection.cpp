@@ -104,7 +104,7 @@ void ServerConnection::shed_now() {
   // Admission rejection: the one close path that never created crypto
   // work. Deliberately the same alert a suite mismatch produces — a
   // client cannot distinguish "overloaded" from "unwilling", only the
-  // server's counters can (was_shed / AdmissionController::shed()).
+  // server's counters can (was_shed, phissl_reactor_shed_total).
   shed_ = true;
   hs_.reset();
   dhe_hs_.reset();
@@ -152,27 +152,21 @@ void ServerConnection::handle_frame(const Frame& f) {
       if (wants_dhe) {
         // DHE: the private op is the ServerKeyExchange signature, so the
         // admission decision happens here, before the ephemeral is signed.
-        std::size_t depth = 0;
-        if (admission_ != nullptr) {
-          const auto admitted = admission_->try_admit();
-          if (!admitted.has_value()) {
-            shed_now();
-            return;
-          }
-          depth = *admitted;
+        if (admission_ != nullptr && !admission_->try_admit()) {
+          shed_now();
+          return;
         }
         dhe_hs_.emplace(engine_, *dhe_group_, rng_);
         auto digest = dhe_hs_->on_client_hello_begin(*hello);
         if (!digest.ok()) {
-          if (admission_ != nullptr) admission_->on_complete(depth, 0.0);
+          if (admission_ != nullptr) admission_->release();
           fail(digest.alert());
           return;
         }
         pending_op_ = PendingOp{
             PendingOp::Kind::kSign,
             std::vector<std::uint8_t>(digest.value().begin(),
-                                      digest.value().end()),
-            depth};
+                                      digest.value().end())};
         state_ = ConnState::kAwaitSignature;
         return;
       }
@@ -256,18 +250,12 @@ void ServerConnection::handle_frame(const Frame& f) {
       }
       // Full RSA handshake: both messages are in, the decryption is all
       // that remains — the admission decision point.
-      std::size_t depth = 0;
-      if (admission_ != nullptr) {
-        const auto admitted = admission_->try_admit();
-        if (!admitted.has_value()) {
-          shed_now();
-          return;
-        }
-        depth = *admitted;
+      if (admission_ != nullptr && !admission_->try_admit()) {
+        shed_now();
+        return;
       }
       client_fin_ = *fin;
-      pending_op_ = PendingOp{PendingOp::Kind::kPrivateOp,
-                              std::move(kex_ct_), depth};
+      pending_op_ = PendingOp{PendingOp::Kind::kPrivateOp, std::move(kex_ct_)};
       kex_ct_.clear();
       state_ = ConnState::kAwaitPrivateOp;
       return;

@@ -73,7 +73,9 @@ const char* to_string(ConnState s);
 /// One blocking crypto step the state machine needs resolved before it
 /// can advance. The owner resolves it (BatchDecryptService::*_async or
 /// resolve_pending_op() in the reactor) and feeds the result back through
-/// on_crypto_result().
+/// on_crypto_result(). With admission control, each op holds one slot of
+/// the AdmissionController, which the owner releases when the op
+/// completes or is discarded.
 struct PendingOp {
   enum class Kind {
     kPrivateOp,  // payload = ClientKeyExchange ciphertext; result =
@@ -82,9 +84,6 @@ struct PendingOp {
   };
   Kind kind{};
   std::vector<std::uint8_t> payload;
-  /// Queue depth AdmissionController::try_admit() observed; hand it back
-  /// to on_complete() with the measured latency.
-  std::size_t depth_at_admit = 0;
 };
 
 /// Resolves `op` on the calling thread with `engine`, which must hold the

@@ -40,17 +40,14 @@ obs::WorkloadEvent workload_event(const rsa::Engine& engine,
 
 }  // namespace
 
-/// One open connection: the server machine and the bookkeeping for the
-/// crypto op it may be parked on (the peer lives in the transport's
-/// per-slot state). Only the slot's owning worker touches it, so it needs
-/// no lock. Latency samples accumulate per slot and merge after the run —
-/// nothing shared on the measurement path.
+/// One open connection: the server machine and whether it is parked on a
+/// crypto op (the peer lives in the transport's per-slot state). Only the
+/// slot's owning worker touches it, so it needs no lock. Latency samples
+/// accumulate per slot and merge after the run — nothing shared on the
+/// measurement path.
 struct Reactor::Slot {
   std::optional<ServerConnection> server;
   Clock::time_point started{};
-  // The op in flight, for admission feedback on resume.
-  std::size_t depth_at_admit = 0;
-  Clock::time_point op_submitted{};
   bool op_in_flight = false;
   // Peer reset / vanished. With an op in flight this parks the slot as a
   // zombie: teardown waits for the completion so its result can be
@@ -272,9 +269,7 @@ void Reactor::pump(std::size_t slot_idx) {
     // An op parked at (or created during) the doomed exchange is surplus:
     // release its admission slot and discard — never submit crypto work
     // for a vanished peer.
-    if (auto op = slot.server->take_pending_op(); op.has_value()) {
-      admission_.on_complete(op->depth_at_admit, 0.0);
-    }
+    if (slot.server->take_pending_op().has_value()) admission_.release();
     if (slot.op_in_flight) {
       // Zombie: an earlier op is still behind the batch service. The slot
       // must not recycle until its completion lands (a new occupant would
@@ -302,8 +297,6 @@ void Reactor::pump(std::size_t slot_idx) {
 
 void Reactor::submit(std::size_t slot_idx, PendingOp op) {
   Slot& slot = *slots_[slot_idx];
-  slot.depth_at_admit = op.depth_at_admit;
-  slot.op_submitted = Clock::now();
   // Before the op resolves: it can resolve INLINE (the scalar decrypter,
   // or a malformed ciphertext short-circuiting before the service), and
   // resume() keys off this flag.
@@ -311,6 +304,8 @@ void Reactor::submit(std::size_t slot_idx, PendingOp op) {
   if (svc_ == nullptr) {
     // The scalar decrypter: this worker owns the slot, so it resolves the
     // op with the server engine and resumes it as a completion would.
+    const Clock::time_point submitted =
+        PHISSL_OBS_WORKLOAD_ENABLED ? Clock::now() : Clock::time_point{};
     std::optional<std::vector<std::uint8_t>> result;
     {
       PHISSL_OBS_SPAN("ssl.kex_decrypt");
@@ -320,7 +315,7 @@ void Reactor::submit(std::size_t slot_idx, PendingOp op) {
       // One event per op, unbatched (batch_id 0, lanes 0), as the
       // service records a single-stream op.
       obs::WorkloadRecorder::global().record(workload_event(
-          engine_, slot.op_submitted,
+          engine_, submitted,
           op.kind == PendingOp::Kind::kPrivateOp ? obs::WorkloadOp::kPrivateOp
                                                  : obs::WorkloadOp::kDheSign));
     }
@@ -343,14 +338,11 @@ void Reactor::submit(std::size_t slot_idx, PendingOp op) {
 void Reactor::resume(std::size_t slot_idx,
                      std::optional<std::vector<std::uint8_t>> result) {
   Slot& slot = *slots_[slot_idx];
-  // Close the admission loop first (the pending-op slot frees before the
-  // connection runs on, so a waiting arrival can admit), then re-arm the
-  // state machine with the result.
+  // Release the admission slot first (it frees before the connection runs
+  // on, so a waiting arrival can admit), then re-arm the state machine
+  // with the result.
   slot.op_in_flight = false;
-  const double latency_us = std::chrono::duration<double, std::micro>(
-                                Clock::now() - slot.op_submitted)
-                                .count();
-  admission_.on_complete(slot.depth_at_admit, latency_us);
+  admission_.release();
   if (slot.peer_gone) {
     // The peer reset while the op was in flight; the result is discarded
     // and the zombie slot can finally tear down.
@@ -415,10 +407,7 @@ void Reactor::finish_connection(std::size_t slot_idx) {
 ServerStack::ServerStack(const rsa::Engine& server_engine,
                          const DriverConfig& cfg, Transport& transport)
     : cache_(SessionCacheConfig{.capacity = kSessionCacheCapacity}),
-      // The inline decrypter resolves every op at once: no linger to wait.
-      admission_(cfg.admission, cfg.batch_private_ops
-                                    ? cfg.batch_linger
-                                    : std::chrono::microseconds(0)) {
+      admission_(cfg.max_pending_ops) {
   if (!server_engine.has_private()) {
     throw std::invalid_argument("ServerStack: server engine needs a key");
   }

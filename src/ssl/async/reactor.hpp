@@ -17,8 +17,8 @@
 // owning worker. Without one (the scalar decrypter) the owning worker
 // resolves the op inline with the server engine (resolve_pending_op) and
 // resumes the connection at once. Both choices feed the same resume
-// step, so admission feedback, shedding and the peer-gone path are one
-// code path.
+// step, so the admission release, shedding and the peer-gone path are
+// one code path.
 //
 // Ownership: slot i belongs to worker i mod W for its whole life, and
 // only that worker starts, pumps, resumes and closes it. The single-owner

@@ -20,16 +20,6 @@ void absorb(util::Sha256& h, std::span<const std::uint8_t> bytes) {
   h.update(bytes);
 }
 
-template <std::size_t N>
-bool ct_equal(const std::array<std::uint8_t, N>& a,
-              const std::array<std::uint8_t, N>& b) {
-  unsigned diff = 0;
-  for (std::size_t i = 0; i < N; ++i) {
-    diff |= static_cast<unsigned>(a[i] ^ b[i]);
-  }
-  return diff == 0;
-}
-
 void append_int(std::vector<std::uint8_t>& out, const BigInt& v) {
   const auto bytes = v.to_bytes_be();
   // 2-byte length prefix keeps the encoding injective.
@@ -160,8 +150,7 @@ Result<Finished> DheServerHandshake::on_key_exchange(
   const auto transcript_hash = util::Sha256(transcript_).finish();
   const auto premaster = shared.to_bytes_be();  // leading zeros stripped
   const auto master = derive_master(premaster, client_random_, server_random_);
-  const auto expected = compute_verify_data(master, transcript_hash, false);
-  if (!ct_equal(expected, client_fin.verify_data)) {
+  if (!finished_matches(client_fin, master, transcript_hash, false)) {
     state_ = State::kExpectHello;
     return Alert::kBadFinished;
   }
@@ -247,8 +236,9 @@ DheClientHandshake::on_server_flight(const ServerHello& hello,
 Result<Unit> DheClientHandshake::on_server_finished(const Finished& fin) {
   if (state_ != State::kSentKeyExchange) return Alert::kUnexpectedMessage;
   const auto transcript_hash = util::Sha256(transcript_).finish();
-  const auto expected = compute_verify_data(*master_, transcript_hash, true);
-  if (!ct_equal(expected, fin.verify_data)) return Alert::kBadFinished;
+  if (!finished_matches(fin, *master_, transcript_hash, true)) {
+    return Alert::kBadFinished;
+  }
   state_ = State::kEstablished;
   return Unit{};
 }

@@ -9,7 +9,6 @@
 #include <cstdint>
 
 #include "rsa/engine.hpp"
-#include "ssl/async/admission.hpp"
 #include "util/stats.hpp"
 
 namespace phissl::ssl {
@@ -42,8 +41,10 @@ struct DriverConfig {
   /// Fraction of connections negotiating DHE-RSA (their ServerKeyExchange
   /// signature is a private op like the decryptions).
   double event_dhe_ratio = 0.0;
-  /// Admission-control bounds (default: admit all).
-  async::AdmissionConfig admission;
+  /// Admission control (async::AdmissionController): the cap on private
+  /// ops admitted and not yet completed. A connection that would create
+  /// one more is shed before its private op. 0 = admit all.
+  std::size_t max_pending_ops = 0;
   /// Socket frontend: client connections the loopback fleet keeps open
   /// concurrently (the client-side window; the server side is bounded by
   /// max_open_connections independently).
@@ -62,8 +63,7 @@ struct DriverConfig {
   /// on the connection's reactor worker with the server engine (the
   /// paper's scalar baseline).
   bool batch_private_ops = true;
-  /// Partial-batch linger bound for the batched path (also the linger
-  /// term of the admission predictor, see async::AdmissionController).
+  /// Partial-batch linger bound for the batched path.
   std::chrono::microseconds batch_linger{500};
   /// Dispatch workers for the batched path.
   std::size_t batch_dispatch_threads = 1;

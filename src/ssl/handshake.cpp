@@ -7,6 +7,7 @@
 #include "obs/trace.hpp"
 #include "rsa/pkcs1.hpp"
 #include "ssl/prf.hpp"
+#include "util/ct_bytes.hpp"
 
 namespace phissl::ssl {
 
@@ -19,17 +20,6 @@ void absorb(util::Sha256& h, std::string_view label) {
 
 void absorb(util::Sha256& h, std::span<const std::uint8_t> bytes) {
   h.update(bytes);
-}
-
-// Constant-time comparison (Finished values are secrets-derived).
-template <std::size_t N>
-bool ct_equal(const std::array<std::uint8_t, N>& a,
-              const std::array<std::uint8_t, N>& b) {
-  unsigned diff = 0;
-  for (std::size_t i = 0; i < N; ++i) {
-    diff |= static_cast<unsigned>(a[i] ^ b[i]);
-  }
-  return diff == 0;
 }
 
 Random make_random(util::Rng& rng) {
@@ -86,6 +76,18 @@ std::array<std::uint8_t, kVerifyDataSize> compute_verify_data(
   std::array<std::uint8_t, kVerifyDataSize> out{};
   std::copy(bytes.begin(), bytes.end(), out.begin());
   return out;
+}
+
+bool finished_matches(const Finished& fin, const MasterSecret& master,
+                      const util::Sha256::Digest& transcript,
+                      bool is_server) {
+  const auto expected = compute_verify_data(master, transcript, is_server);
+  // Widened to the words the kernel's production instantiation takes.
+  std::array<std::uint32_t, kVerifyDataSize> got{};
+  std::array<std::uint32_t, kVerifyDataSize> want{};
+  std::copy(fin.verify_data.begin(), fin.verify_data.end(), got.begin());
+  std::copy(expected.begin(), expected.end(), want.begin());
+  return util::ctb::ct_eq_mask(got.data(), want.data(), kVerifyDataSize) != 0;
 }
 
 // --- Server -----------------------------------------------------------------
@@ -192,8 +194,7 @@ Result<Finished> ServerHandshake::on_key_exchange_complete(
   const util::Sha256::Digest transcript_hash = util::Sha256(transcript_).finish();
 
   const auto master = derive_master(premaster, client_random_, server_random_);
-  const auto expected = compute_verify_data(master, transcript_hash, false);
-  if (!ct_equal(expected, client_fin.verify_data)) {
+  if (!finished_matches(client_fin, master, transcript_hash, false)) {
     state_ = State::kExpectHello;
     return Alert::kBadFinished;
   }
@@ -212,8 +213,7 @@ Result<Unit> ServerHandshake::on_resumed_client_finished(
     return Alert::kUnexpectedMessage;
   }
   const auto transcript_hash = util::Sha256(transcript_).finish();
-  const auto expected = compute_verify_data(*master_, transcript_hash, false);
-  if (!ct_equal(expected, client_fin.verify_data)) {
+  if (!finished_matches(client_fin, *master_, transcript_hash, false)) {
     state_ = State::kExpectHello;
     master_.reset();
     return Alert::kBadFinished;
@@ -296,8 +296,7 @@ Result<Finished> ClientHandshake::on_resumed_hello(const ServerHello& hello,
   const auto transcript_hash = util::Sha256(transcript_).finish();
   master_ = *offered_master_;  // reused verbatim, per RFC 5246 §7.3
 
-  const auto expected = compute_verify_data(*master_, transcript_hash, true);
-  if (!ct_equal(expected, server_fin.verify_data)) {
+  if (!finished_matches(server_fin, *master_, transcript_hash, true)) {
     master_.reset();
     return Alert::kBadFinished;
   }
@@ -312,8 +311,9 @@ Result<Unit> ClientHandshake::on_server_finished(const Finished& fin) {
   if (state_ != State::kSentKeyExchange) return Alert::kUnexpectedMessage;
   util::Sha256 t = transcript_;
   const util::Sha256::Digest transcript_hash = t.finish();
-  const auto expected = compute_verify_data(*master_, transcript_hash, true);
-  if (!ct_equal(expected, fin.verify_data)) return Alert::kBadFinished;
+  if (!finished_matches(fin, *master_, transcript_hash, true)) {
+    return Alert::kBadFinished;
+  }
   state_ = State::kEstablished;
   return Unit{};
 }

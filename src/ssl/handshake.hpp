@@ -45,6 +45,12 @@ std::array<std::uint8_t, kVerifyDataSize> compute_verify_data(
     const MasterSecret& master, const util::Sha256::Digest& transcript,
     bool is_server);
 
+/// True iff `fin` carries the verify_data compute_verify_data() gives,
+/// compared in constant time by util::ctb::ct_eq_mask, the kernel the
+/// record MAC compare uses (Finished values are secret-derived).
+bool finished_matches(const Finished& fin, const MasterSecret& master,
+                      const util::Sha256::Digest& transcript, bool is_server);
+
 /// The server's first flight: always a ServerHello; a Certificate on the
 /// full path; an immediate server Finished on the resumed path.
 struct ServerFlight1 {

@@ -60,10 +60,12 @@ struct Finished {
 /// Alert sent when a handshake step fails.
 enum class Alert {
   kHandshakeFailure,   ///< no common cipher suite
-  /// Retained for ABI/test stability but no longer emitted by the
-  /// server: a ClientKeyExchange that fails to decrypt is absorbed by
-  /// the RFC 5246 §7.4.7.1 random-premaster substitution and surfaces
-  /// as kBadFinished, indistinguishable from a wrong-but-well-formed
+  /// A protected record that fails its MAC or padding check
+  /// (async::ServerConnection), or a peer DH public value outside the
+  /// group (DheServerHandshake::on_key_exchange, and the DHE client on
+  /// the server's). Never a ClientKeyExchange that fails to decrypt:
+  /// the RFC 5246 §7.4.7.1 random-premaster substitution turns that
+  /// into kBadFinished, indistinguishable from a wrong-but-well-formed
   /// premaster (Bleichenbacher countermeasure).
   kDecryptError,
   kBadFinished,        ///< Finished verify_data mismatch

@@ -309,141 +309,41 @@ TEST_F(AsyncConnectionTest, FutureResolutionOrderIsIrrelevant) {
 }
 
 TEST_F(AsyncConnectionTest, ShedBeforePrivateOpCreatesNoCryptoWork) {
-  AdmissionController admission(AdmissionConfig{.max_pending_ops = 1});
-  // Occupy the single op slot so the connection must be rejected.
-  const auto held = admission.try_admit();
-  ASSERT_TRUE(held.has_value());
+  // Both admission sites: after the RSA client Finished, and at the DHE
+  // ClientHello, before the ephemeral is generated.
+  const dh::Dh group(dh::rfc2409_group2());
+  for (const bool dhe : {false, true}) {
+    SCOPED_TRACE(dhe ? "DHE ClientHello" : "RSA client Finished");
+    AdmissionController admission(1);
+    // Occupy the single op slot so the connection must be rejected.
+    ASSERT_TRUE(admission.try_admit());
 
-  ServerConnection server(server_engine_, 11, nullptr, &admission, nullptr);
-  ScriptedClient client(client_engine_, 12);
-  client.start();
-  server.on_input(client.take_output());
-  client.on_server_bytes(server.take_output());
-  server.on_input(client.take_output());  // CKX + Finished -> admission
+    ServerConnection server(server_engine_, 11, nullptr, &admission,
+                            dhe ? &group : nullptr);
+    ScriptedClient client(client_engine_, 12, std::nullopt, dhe);
+    client.start();
+    server.on_input(client.take_output());  // DHE: hello -> admission
+    if (!dhe) {
+      client.on_server_bytes(server.take_output());
+      server.on_input(client.take_output());  // CKX + Finished -> admission
+    }
 
-  EXPECT_TRUE(server.was_shed());
-  EXPECT_FALSE(server.take_pending_op().has_value());  // no crypto work
-  EXPECT_EQ(admission.shed(), 1u);
-  EXPECT_EQ(admission.pending(), 1u);  // only the held slot
+    EXPECT_TRUE(server.was_shed());
+    EXPECT_FALSE(server.take_pending_op().has_value());  // no crypto work
+    EXPECT_EQ(admission.pending(), 1u);  // only the held slot
 
-  client.on_server_bytes(server.take_output());  // alert
-  EXPECT_TRUE(client.failed());
-  EXPECT_EQ(server.state(), ConnState::kClosed);
+    client.on_server_bytes(server.take_output());  // alert
+    EXPECT_TRUE(client.failed());
+    EXPECT_EQ(server.state(), ConnState::kClosed);
+  }
 }
 
 TEST_F(AsyncConnectionTest, AdmissionReleasesOnComplete) {
-  AdmissionController admission(AdmissionConfig{.max_pending_ops = 1});
-  const auto a = admission.try_admit();
-  ASSERT_TRUE(a.has_value());
-  EXPECT_FALSE(admission.try_admit().has_value());
-  admission.on_complete(*a, 1000.0);
-  EXPECT_TRUE(admission.try_admit().has_value());
-  EXPECT_EQ(admission.shed(), 1u);
-}
-
-TEST(AsyncAdmission, EwmaSampleAtDepthZeroIsTheRawLatency) {
-  // An op admitted at depth 0 crossed exactly one batch, so its full
-  // latency IS one batch's cost: a 1600us op must teach the predictor
-  // 1600us, and predict() (depth 0, one batch ahead) must echo it. The
-  // 16/(d+1) inflation bug fed 25600us into the EWMA from this same
-  // sample.
-  AdmissionController a(AdmissionConfig{}, std::chrono::microseconds(0));
-  const auto d = a.try_admit();
-  ASSERT_TRUE(d.has_value());
-  EXPECT_EQ(*d, 0u);
-  a.on_complete(*d, 1600.0);
-  EXPECT_EQ(a.predict().count(), 1600);
-}
-
-TEST(AsyncAdmission, EwmaSampleAtDepthThirtyOneSpansTwoBatches) {
-  // Depth 31 = the 32nd op in the queue: two full 16-lane batches must
-  // drain before its result, so a 1600us end-to-end latency means one
-  // batch costs 800us.
-  AdmissionController a(AdmissionConfig{}, std::chrono::microseconds(0));
-  const auto d = a.try_admit();  // balance the pending_ decrement below
-  ASSERT_TRUE(d.has_value());
-  a.on_complete(/*depth_at_admit=*/31, 1600.0);
-  EXPECT_EQ(a.predict().count(), 800);
-}
-
-TEST(AsyncAdmission, LightLoadWarmupDoesNotShedAtPermittedDepth) {
-  // Regression for the 16x inflation: a sequence of light-load (depth-0)
-  // completions at 500us each must leave the predictor at ~500us/batch,
-  // so a burst up to depth 32 predicts at most 3 batches * 500us + 500us
-  // linger = 2000us — far under the 5000us budget. The inflated EWMA
-  // (8000us) shed the very first op of the burst.
-  AdmissionController a(
-      AdmissionConfig{.max_predicted_wait = std::chrono::microseconds(5000)},
-      std::chrono::microseconds(500));
-  for (int i = 0; i < 8; ++i) {
-    const auto d = a.try_admit();
-    ASSERT_TRUE(d.has_value()) << "warmup op " << i << " shed";
-    a.on_complete(*d, 500.0);
-  }
-  std::vector<std::size_t> held;
-  for (int i = 0; i < 33; ++i) {
-    const auto d = a.try_admit();
-    ASSERT_TRUE(d.has_value()) << "burst op " << i << " shed";
-    held.push_back(*d);
-  }
-  EXPECT_EQ(a.shed(), 0u);
-  for (const std::size_t d : held) a.on_complete(d, 500.0);
-}
-
-TEST(AsyncAdmission, SlowOpDoesNotLatchTheGateShut) {
-  // The EWMA learns only from completions. One slow op lifts predict()
-  // past the budget; were arrivals with nothing pending shed too, nothing
-  // would complete again and the gate would stay shut. They pass, and
-  // their completions bring the EWMA back down.
-  AdmissionController a(
-      AdmissionConfig{.max_predicted_wait = std::chrono::microseconds(400)},
-      std::chrono::microseconds(0));
-  const auto slow = a.try_admit();
-  ASSERT_TRUE(slow.has_value());
-  a.on_complete(*slow, 5000.0);
-  ASSERT_EQ(a.predict().count(), 5000);
-
-  // At 5000us a batch, the bound still sheds an arrival behind a held op.
-  const auto held = a.try_admit();
-  ASSERT_TRUE(held.has_value()) << "depth-0 arrival shed after a slow op";
-  EXPECT_EQ(*held, 0u);
-  EXPECT_FALSE(a.try_admit().has_value());
-  EXPECT_EQ(a.shed(), 1u);
-  a.on_complete(*held, 100.0);
-
-  // With the held op's, 24 samples of 100us leave 100 + 4900 * (7/8)^24
-  // = ~299us a batch, so an arrival behind one pending op fits again.
-  for (int i = 1; i < 24; ++i) {
-    const auto d = a.try_admit();
-    ASSERT_TRUE(d.has_value()) << "depth-0 arrival " << i << " shed";
-    EXPECT_EQ(*d, 0u);
-    a.on_complete(*d, 100.0);
-  }
-  EXPECT_LE(a.predict().count(), 400);
-  const auto first = a.try_admit();
-  const auto second = a.try_admit();
-  ASSERT_TRUE(first.has_value());
-  ASSERT_TRUE(second.has_value()) << "depth-1 arrival shed";
-  EXPECT_EQ(*second, 1u);
-  EXPECT_EQ(a.shed(), 1u);
-  a.on_complete(*first, 100.0);
-  a.on_complete(*second, 100.0);
-}
-
-TEST_F(AsyncConnectionTest, PredictedWaitBoundSheds) {
-  AdmissionController admission(
-      AdmissionConfig{.max_predicted_wait = std::chrono::microseconds(400)},
-      std::chrono::microseconds(500));
-  // The linger term alone (500us) exceeds the 400us budget: with one op
-  // held, every further arrival must shed. (An arrival with nothing
-  // pending passes the bound; AsyncAdmission.SlowOpDoesNotLatchTheGateShut.)
-  const auto held = admission.try_admit();
-  ASSERT_TRUE(held.has_value());
-  EXPECT_FALSE(admission.try_admit().has_value());
-  EXPECT_EQ(admission.shed(), 1u);
-  EXPECT_EQ(admission.pending(), 1u);
-  admission.on_complete(*held, 100.0);
-  EXPECT_EQ(admission.pending(), 0u);
+  AdmissionController admission(1);
+  ASSERT_TRUE(admission.try_admit());
+  EXPECT_FALSE(admission.try_admit());
+  admission.release();
+  EXPECT_TRUE(admission.try_admit());
 }
 
 TEST_F(AsyncConnectionTest, ResumedHandshakeSkipsPrivateOp) {
@@ -520,6 +420,35 @@ TEST_F(AsyncConnectionTest, TamperedCiphertextFailsLikeBadFinished) {
   EXPECT_EQ(decode_alert(alert->body), Alert::kBadFinished);
 }
 
+TEST_F(AsyncConnectionTest, TamperedRecordAlertsDecryptError) {
+  ServerConnection server(server_engine_, 23, nullptr, nullptr, nullptr);
+  ScriptedClient client(client_engine_, 24);
+  client.start();
+  server.on_input(client.take_output());
+  client.on_server_bytes(server.take_output());
+  server.on_input(client.take_output());  // CKX + Finished
+  auto op = server.take_pending_op();
+  ASSERT_TRUE(op.has_value());
+  server.on_crypto_result(resolve_pending_op(server_engine_, *op, rng_));
+  client.on_server_bytes(server.take_output());  // server Finished
+  ASSERT_EQ(server.state(), ConnState::kEstablished);
+
+  // The client's ping: one AppData frame. Flip one byte of its record.
+  auto ping = client.take_output();
+  ASSERT_GT(ping.size(), 4u);
+  ping[4 + (ping.size() - 4) / 2] ^= 0x01;
+  server.on_input(ping);
+  EXPECT_TRUE(server.failed());
+  FrameReader peek;
+  peek.feed(server.take_output());
+  const auto alert = peek.next();
+  ASSERT_TRUE(alert.has_value());
+  ASSERT_EQ(alert->type, MsgType::kAlert);
+  EXPECT_EQ(decode_alert(alert->body), Alert::kDecryptError);
+  EXPECT_FALSE(peek.next().has_value());  // no echo
+  EXPECT_EQ(server.state(), ConnState::kClosed);
+}
+
 TEST_F(AsyncConnectionTest, GarbageInputAlertsAndCloses) {
   ServerConnection server(server_engine_, 21, nullptr, nullptr, nullptr);
   const std::uint8_t evil[4] = {1, 0xff, 0xff, 0xff};  // oversized header
@@ -558,6 +487,17 @@ class AsyncDriverTest : public ::testing::Test {
     return cfg;
   }
 
+  // Runs cfg on a ServerStack over a SimulatedTransport, and checks that
+  // every admitted op released its admission slot by the end of the run.
+  DriverReport run_stack(const DriverConfig& cfg) const {
+    const rsa::Engine client(engine_.pub(), engine_.options());
+    SimulatedTransport transport(client);
+    ServerStack stack(engine_, cfg, transport);
+    const DriverReport report = stack.report(stack.run(), 0.0);
+    EXPECT_EQ(stack.admission().pending(), 0u);
+    return report;
+  }
+
   rsa::Engine engine_;
 };
 
@@ -592,14 +532,20 @@ TEST_F(AsyncDriverTest, EventFrontendResumesSessions) {
 }
 
 TEST_F(AsyncDriverTest, OverloadShedsInsteadOfQueueing) {
-  auto cfg = event_config(96);
-  cfg.max_open_connections = 96;  // all in flight at once
-  cfg.admission.max_pending_ops = 8;
-  const DriverReport report = run_handshakes(engine_, cfg);
-  EXPECT_GT(report.shed, 0u);
-  EXPECT_GT(report.completed, 0u);
-  EXPECT_EQ(report.completed + report.failed + report.shed, 96u);
-  EXPECT_EQ(report.failed, 0u);  // shed is not failure
+  // With half the connections on DHE-RSA, the ClientHello admission site
+  // sheds too.
+  for (const double dhe : {0.0, 0.5}) {
+    SCOPED_TRACE(dhe);
+    auto cfg = event_config(96);
+    cfg.max_open_connections = 96;  // all in flight at once
+    cfg.max_pending_ops = 8;
+    cfg.event_dhe_ratio = dhe;
+    const DriverReport report = run_stack(cfg);
+    EXPECT_GT(report.shed, 0u);
+    EXPECT_GT(report.completed, 0u);
+    EXPECT_EQ(report.completed + report.failed + report.shed, 96u);
+    EXPECT_EQ(report.failed, 0u);  // shed is not failure
+  }
 }
 
 TEST_F(AsyncDriverTest, DheConnectionsShareTheBatches) {
@@ -613,31 +559,6 @@ TEST_F(AsyncDriverTest, DheConnectionsShareTheBatches) {
   EXPECT_EQ(report.service_requests, 32u);
   EXPECT_EQ(report.lanes_signed + report.single_ops, report.service_requests);
   EXPECT_EQ(report.padded_lanes, report.batches * 16 - report.lanes_signed);
-}
-
-TEST_F(AsyncDriverTest, PredictedWaitCountsOnlyTheDecrypterLinger) {
-  // The predictor's linger term is the decrypter's own: zero inline,
-  // batch_linger batched. Before any op completes the per-batch estimate
-  // is zero, so the stack's first prediction is that term alone. Then a
-  // 400us budget on 512-bit keys: with either decrypter every connection
-  // completes or is shed, and none fails.
-  const rsa::Engine engine(rsa::test_key(512), rsa::EngineOptions{});
-  const rsa::Engine client(engine.pub(), engine.options());
-  for (const bool batched : {false, true}) {
-    SCOPED_TRACE(batched ? "batched, 100us linger" : "inline");
-    auto cfg = event_config(64);
-    cfg.batch_private_ops = batched;
-    cfg.batch_linger = std::chrono::microseconds(100);
-    cfg.admission.max_predicted_wait = std::chrono::microseconds(400);
-    SimulatedTransport transport(client);
-    ServerStack stack(engine, cfg, transport);
-    EXPECT_EQ(stack.admission().predict(),
-              batched ? cfg.batch_linger : std::chrono::microseconds(0));
-    const DriverReport report = stack.report(stack.run(), 0.0);
-    EXPECT_GT(report.completed, 0u);
-    EXPECT_EQ(report.failed, 0u);
-    EXPECT_EQ(report.completed + report.shed, 64u);
-  }
 }
 
 TEST_F(AsyncDriverTest, EventDheRatioNeedsValidRange) {
@@ -721,16 +642,20 @@ TEST_F(AsyncDriverTest, ScalarReactorSignsDheInline) {
 TEST_F(AsyncDriverTest, ScalarReactorAdmissionCapAccountsForEveryConnection) {
   // Inline resolution holds at most one op per worker; a cap of one lets
   // a worker shed while another resolves. Whatever is shed, every
-  // connection either completes or sheds.
-  auto cfg = event_config(96);
-  cfg.event_workers = 4;
-  cfg.max_open_connections = 96;
-  cfg.batch_private_ops = false;
-  cfg.admission.max_pending_ops = 1;
-  const DriverReport report = run_handshakes(engine_, cfg);
-  EXPECT_EQ(report.completed + report.shed, 96u);
-  EXPECT_EQ(report.failed, 0u);
-  EXPECT_GT(report.completed, 0u);
+  // connection either completes or sheds, on either admission site.
+  for (const double dhe : {0.0, 0.5}) {
+    SCOPED_TRACE(dhe);
+    auto cfg = event_config(96);
+    cfg.event_workers = 4;
+    cfg.max_open_connections = 96;
+    cfg.batch_private_ops = false;
+    cfg.max_pending_ops = 1;
+    cfg.event_dhe_ratio = dhe;
+    const DriverReport report = run_stack(cfg);
+    EXPECT_EQ(report.completed + report.shed, 96u);
+    EXPECT_EQ(report.failed, 0u);
+    EXPECT_GT(report.completed, 0u);
+  }
 }
 
 TEST_F(AsyncDriverTest, DefaultConfigBatchesOnBothFrontends) {
@@ -765,7 +690,7 @@ TEST(AsyncConcurrency, Churn1kConnectionsOver2Workers) {
   cfg.event_workers = 2;
   cfg.max_open_connections = 64;
   cfg.resumption_ratio = 0.5;
-  cfg.admission.max_pending_ops = 48;
+  cfg.max_pending_ops = 48;
   cfg.batch_linger = std::chrono::microseconds(100);
   cfg.seed = 7;
   const DriverReport report = run_handshakes(engine, cfg);

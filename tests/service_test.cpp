@@ -243,8 +243,11 @@ TEST(SignService, StopDrainsPartialEvenWhenFullBatchesOnly) {
 }
 
 TEST(SignService, StatsSnapshotSanity) {
+  // Forced-full: no linger deadline can flush a partial mid-burst, so the
+  // run forms exactly two full batches however the submitter is
+  // scheduled, and stop() drains the partial.
   SignServiceConfig cfg;
-  cfg.max_linger = std::chrono::microseconds(1000);
+  cfg.max_linger = std::nullopt;
   SignService svc(rsa::test_key(512), cfg);
 
   constexpr std::size_t kRequests = 35;  // 2 full batches + a partial
@@ -258,13 +261,13 @@ TEST(SignService, StatsSnapshotSanity) {
       EXPECT_LE(mid.full_batches, mid.batches);
     }
   }
-  for (auto& f : futs) (void)f.get();
   svc.stop();
+  for (auto& f : futs) (void)f.get();
 
   const StatsSnapshot s = svc.stats();
   EXPECT_EQ(s.requests, kRequests);
   EXPECT_GE(s.batches, kRequests / SignService::kBatch);
-  EXPECT_GE(s.full_batches, 2u);
+  EXPECT_EQ(s.full_batches, 2u);
   EXPECT_GT(s.mean_lane_occupancy, 0.0);
   EXPECT_LE(s.mean_lane_occupancy, 1.0);
   // Each request ran in a batch lane or single-stream.

@@ -3,14 +3,15 @@
 // client fds — byte-at-a-time writes through the frame reader, server
 // flights split across EAGAIN by a shrunken send buffer, a peer RST
 // landing while the connection is parked on its batched private op (the
-// zombie-slot path: the slot must recycle and the stale batch result be
-// discarded), FIN-vs-alert close ordering (a protocol failure must reach
-// the client as an alert then a clean EOF, not a reset), a serving clock
-// that starts at the first accept rather than at listen, the per-wakeup
-// I/O counters, a full slot table pausing and resuming the acceptor, more
-// workers than slots, a 16-byte read buffer, a taken port, and a
-// 512-connection churn through the full socket driver path. Suite names
-// start with AsyncSocket so the CI TSan leg picks them up.
+// zombie-slot path: the slot must recycle, the stale batch result be
+// discarded and its admission slot released), FIN-vs-alert close
+// ordering (a protocol failure must reach the client as an alert then a
+// clean EOF, not a reset), a serving clock that starts at the first
+// accept rather than at listen, the per-wakeup I/O counters, a full slot
+// table pausing and resuming the acceptor, more workers than slots, a
+// 16-byte read buffer, a taken port, and a 512-connection churn through
+// the full socket driver path. Suite names start with AsyncSocket so the
+// CI TSan leg picks them up.
 #ifdef __linux__
 
 #include <gtest/gtest.h>
@@ -187,12 +188,13 @@ TEST(AsyncSocketTest, ClientRstDuringAwaitPrivateOpRecyclesSlot) {
   // then discard the stale result and finish the run — not hang, and not
   // resume a recycled connection with another connection's result.
   cfg.batch_linger = std::chrono::microseconds(1'000'000);
-  SocketFrontend frontend(engine, cfg);
+  SocketTransport transport;
+  ServerStack stack(engine, cfg, transport);
 
-  DriverReport report;
-  std::thread server([&] { report = frontend.run(); });
+  ReactorStats stats;
+  std::thread server([&] { stats = stack.run(); });
 
-  const int fd = connect_loopback(frontend.port());
+  const int fd = connect_loopback(transport.port());
   const rsa::Engine pub(rsa::test_key(512).pub, test_opts());
   ScriptedClient client(pub, 11);
   client.start();
@@ -220,10 +222,13 @@ TEST(AsyncSocketTest, ClientRstDuringAwaitPrivateOpRecyclesSlot) {
 
   server.join();  // must return once the lingering batch resolves
 
+  const DriverReport report = stack.report(stats, 0.0);
   EXPECT_EQ(report.completed, 0u);
   EXPECT_EQ(report.failed, 1u);
   EXPECT_EQ(report.resets, 1u);
-  EXPECT_GE(frontend.transport_stats().resets, 1u);
+  EXPECT_GE(transport.stats().resets, 1u);
+  // The zombie's completion released the op's admission slot.
+  EXPECT_EQ(stack.admission().pending(), 0u);
 }
 
 TEST(AsyncSocketTest, ProtocolFailureAlertsThenFinsCleanly) {

@@ -195,7 +195,7 @@ int main(int argc, char** argv) {
   cfg.max_open_connections = max_open;
   cfg.event_dhe_ratio = dhe;
   cfg.resumption_ratio = resumption;
-  cfg.admission.max_pending_ops = max_pending;
+  cfg.max_pending_ops = max_pending;
   cfg.seed = seed;
   cfg.socket_clients = clients;
   cfg.socket_arrival_per_s = rate;
