@@ -7,6 +7,10 @@
 //                     [--backend knc_vec|ifma52|ifma52-portable]
 //                     [--trace [path]] [--metrics [path]] [--workload [path]]
 //
+// --backend picks the sweeps' Montgomery backend (default ifma52, which
+// runs its portable twin on hosts without AVX-512 IFMA); the three-system
+// tables keep each system's own kernel.
+//
 // Every row runs the reactor terminator (ssl/async/). The event sweep
 // (connections x reactor workers) measures the batched decrypter: parked
 // connections, not blocked threads, fill the 16-lane batches, so lane

@@ -19,9 +19,12 @@
 //     max_linger instead of ~15 inter-arrival times).
 //
 //   ./bench_sign_service [--smoke] [--json [path]]
+//                        [--backend knc_vec|ifma52|ifma52-portable]
 //                        [--trace [path]] [--metrics [path]]
 //                        [--workload path]
 //
+// --backend picks the service's Montgomery backend (default ifma52, which
+// runs its portable twin on hosts without AVX-512 IFMA).
 // --smoke shrinks the sweep to a seconds-long CI run (512-bit key, few
 // requests); --json with no path writes bench_sign_service.json. --trace
 // enables span recording and writes a Chrome trace (chrome://tracing /

@@ -42,7 +42,7 @@ inline util::Summary time_op_ms(const std::function<void()>& op,
   return util::summarize(std::move(samples));
 }
 
-/// Parses `--backend <name>` for harnesses that batch: returns knc_vec
+/// Parses `--backend <name>` for harnesses that batch: returns ifma52
 /// (BatchEngine's default) when the flag is absent, and prints usage and
 /// exits 2 on an unknown name or one without a batched form (scalar32,
 /// scalar64).
@@ -58,7 +58,7 @@ inline rsa::Backend batch_backend_from_args(int argc, char** argv) {
     }
     return *b;
   }
-  return rsa::Backend::kKncVec;
+  return rsa::Backend::kIfma52;
 }
 
 /// True when `flag` appears among the harness's arguments (e.g. "--smoke").

@@ -29,7 +29,7 @@ class BatchEngine {
   /// `backend`. Throws std::invalid_argument for a backend without a
   /// batched form (kScalar32, kScalar64; see has_batch_form). digit_bits
   /// only affects kKncVec (the ifma52 radix is fixed at 52).
-  explicit BatchEngine(PrivateKey key, Backend backend = Backend::kKncVec,
+  explicit BatchEngine(PrivateKey key, Backend backend = Backend::kIfma52,
                        unsigned digit_bits = 27);
 
   [[nodiscard]] const PublicKey& pub() const { return key_.pub; }

@@ -94,9 +94,10 @@ struct SignServiceConfig {
   std::optional<std::chrono::microseconds> max_linger =
       std::chrono::microseconds(500);
   /// Montgomery backend of the key's engines, batched and single-stream
-  /// (see rsa/backend.hpp). Must have a batched form: the constructor
-  /// throws std::invalid_argument for kScalar32/kScalar64.
-  rsa::Backend backend = rsa::Backend::kKncVec;
+  /// (see rsa/backend.hpp; ifma52 runs its portable twin on hosts without
+  /// AVX-512 IFMA). Must have a batched form: the constructor throws
+  /// std::invalid_argument for kScalar32/kScalar64.
+  rsa::Backend backend = rsa::Backend::kIfma52;
 };
 
 /// A completed signing request: the PKCS#1 v1.5 signature block plus the

@@ -1,6 +1,7 @@
 #include "ssl/async/reactor.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -77,14 +78,14 @@ struct Reactor::Worker {
 Reactor::Reactor(const rsa::Engine& server_engine, BatchDecryptService* svc,
                  SessionCache& cache, AdmissionController& admission,
                  const dh::Dh* dhe_group, Transport& transport,
-                 ReactorConfig cfg)
+                 const DriverConfig& cfg)
     : engine_(server_engine),
       svc_(svc),
       cache_(cache),
       admission_(admission),
       dhe_group_(dhe_group),
       transport_(transport),
-      cfg_(std::move(cfg)),
+      cfg_(cfg),
       open_gauge_(&obs::Registry::global().gauge(
           "phissl_reactor_open_connections",
           "connections currently open in the event frontend")),
@@ -95,19 +96,18 @@ Reactor::Reactor(const rsa::Engine& server_engine, BatchDecryptService* svc,
           "phissl_reactor_peer_resets_total",
           "connections torn down by peer reset or premature EOF")) {
   if (cfg_.max_open_connections == 0) cfg_.max_open_connections = 1;
-  if (cfg_.identity_pool == 0) cfg_.identity_pool = 1;
-  if (cfg_.dhe_ratio > 0.0 && dhe_group_ == nullptr) {
-    throw std::invalid_argument("Reactor: dhe_ratio needs a dhe_group");
+  if (cfg_.event_dhe_ratio > 0.0 && dhe_group_ == nullptr) {
+    throw std::invalid_argument("Reactor: event_dhe_ratio needs a dhe_group");
   }
   const std::size_t open =
-      std::min(cfg_.max_open_connections, cfg_.total_connections);
+      std::min(cfg_.max_open_connections, cfg_.num_handshakes);
   slots_.reserve(open);
   for (std::size_t i = 0; i < open; ++i) {
     slots_.push_back(std::make_unique<Slot>());
   }
   // A worker that owns no slot would have nothing to do.
   const std::size_t workers =
-      std::max<std::size_t>(1, std::min(cfg_.workers, open));
+      std::max<std::size_t>(1, std::min(cfg_.event_workers, open));
   for (std::size_t w = 0; w < workers; ++w) {
     workers_.push_back(std::make_unique<Worker>());
     workers_.back()->rng = util::Rng(detail::mix(cfg_.seed) + w);
@@ -117,7 +117,7 @@ Reactor::Reactor(const rsa::Engine& server_engine, BatchDecryptService* svc,
 
 Reactor::~Reactor() = default;
 
-ReactorStats Reactor::run() {
+DriverReport Reactor::run() {
   PHISSL_OBS_SPAN("ssl.reactor_run");
 
   if (transport_.reactor_paced()) {
@@ -129,7 +129,7 @@ ReactorStats Reactor::run() {
   }
   // Accept-paced: every slot starts free; the acceptor claims them as
   // connections arrive.
-  if (cfg_.total_connections == 0) done_ = true;
+  if (cfg_.num_handshakes == 0) done_ = true;
 
   std::vector<std::thread> threads;
   threads.reserve(workers_.size());
@@ -139,25 +139,24 @@ ReactorStats Reactor::run() {
   for (auto& t : threads) t.join();
   transport_.stop();
 
-  ReactorStats stats;
-  stats.completed = completed_.load();
-  stats.failed = failed_.load();
-  stats.shed = shed_.load();
-  stats.resumed = resumed_.load();
-  stats.resets = resets_.load();
-  stats.wakeups = wakeups_.load();
-  stats.resumptions = events_.load();
-  stats.resumptions_per_wakeup =
-      stats.wakeups > 0
-          ? static_cast<double>(stats.resumptions) / static_cast<double>(stats.wakeups)
-          : 0.0;
+  DriverReport report;
+  report.completed = completed_.load();
+  report.failed = failed_.load();
+  report.shed = shed_.load();
+  report.resumed = resumed_.load();
+  report.resets = resets_.load();
+  const std::uint64_t wakeups = wakeups_.load();
+  report.resumptions_per_wakeup =
+      wakeups > 0 ? static_cast<double>(events_.load()) /
+                        static_cast<double>(wakeups)
+                  : 0.0;
   std::vector<double> lats;
-  lats.reserve(cfg_.total_connections);
+  lats.reserve(cfg_.num_handshakes);
   for (const auto& s : slots_) {
     lats.insert(lats.end(), s->latencies_us.begin(), s->latencies_us.end());
   }
-  stats.latency_us = util::summarize(std::move(lats));
-  return stats;
+  report.latency_us = util::summarize(std::move(lats));
+  return report;
 }
 
 bool Reactor::accepted(std::size_t slot_idx) {
@@ -239,7 +238,7 @@ void Reactor::start_connection(std::size_t slot_idx) {
   const std::size_t conn_idx = next_conn_.fetch_add(1);
   // A reactor-paced run draws connections until the total; an accepted
   // peer is served whatever its index.
-  if (transport_.reactor_paced() && conn_idx >= cfg_.total_connections) {
+  if (transport_.reactor_paced() && conn_idx >= cfg_.num_handshakes) {
     return;
   }
   Slot& slot = *slots_[slot_idx];
@@ -247,13 +246,12 @@ void Reactor::start_connection(std::size_t slot_idx) {
   slot.peer_gone = false;
   slot.op_in_flight = false;
 
-  const std::uint64_t seed =
-      detail::mix(cfg_.seed) ^ detail::mix(conn_idx + 1);
   // The group is always offered; whether a connection negotiates DHE is
-  // the client's choice (the transport draws it from cfg.dhe_ratio).
-  slot.server.emplace(engine_, seed, &cache_, &admission_, dhe_group_);
+  // the client's choice (its ClientMix draws it from cfg.event_dhe_ratio).
+  slot.server.emplace(engine_, detail::conn_seed(cfg_.seed, conn_idx),
+                      &cache_, &admission_, dhe_group_);
   open_gauge_->add(1);
-  transport_.open(slot_idx, conn_idx, seed);
+  transport_.open(slot_idx, conn_idx);
   pump(slot_idx);
 }
 
@@ -398,7 +396,7 @@ void Reactor::finish_connection(std::size_t slot_idx) {
     workers_[owner(slot_idx)]->run.push_back(slot_idx);
   }
 
-  if (finished_.fetch_add(1) + 1 >= cfg_.total_connections) {
+  if (finished_.fetch_add(1) + 1 >= cfg_.num_handshakes) {
     done_.store(true, std::memory_order_release);
     for (std::size_t w = 0; w < workers_.size(); ++w) transport_.wake(w);
   }
@@ -411,13 +409,7 @@ ServerStack::ServerStack(const rsa::Engine& server_engine,
   if (!server_engine.has_private()) {
     throw std::invalid_argument("ServerStack: server engine needs a key");
   }
-  if (!detail::valid_ratio(cfg.resumption_ratio) ||
-      !detail::valid_ratio(cfg.event_dhe_ratio)) {
-    throw std::invalid_argument("ServerStack: bad ratio");
-  }
-  if (!detail::valid_rate(cfg.socket_arrival_per_s)) {
-    throw std::invalid_argument("ServerStack: bad socket arrival rate");
-  }
+  detail::check_config(cfg);
   if (cfg.batch_private_ops) {
     svc_ = std::make_unique<BatchDecryptService>(
         server_engine.priv(),
@@ -431,35 +423,19 @@ ServerStack::ServerStack(const rsa::Engine& server_engine,
     dhe_group_ = std::make_unique<dh::Dh>(dh::rfc2409_group2(),
                                           server_engine.options().kernel);
   }
-  reactor_ = std::make_unique<Reactor>(
-      server_engine, svc_.get(), cache_, admission_, dhe_group_.get(),
-      transport,
-      ReactorConfig{
-          .workers = cfg.event_workers,
-          .max_open_connections = cfg.max_open_connections,
-          .total_connections = cfg.num_handshakes,
-          .seed = cfg.seed,
-          .resumption_ratio = cfg.resumption_ratio,
-          .dhe_ratio = cfg.event_dhe_ratio,
-          .identity_pool = identity_pool_for(cfg.num_handshakes),
-      });
+  reactor_ = std::make_unique<Reactor>(server_engine, svc_.get(), cache_,
+                                       admission_, dhe_group_.get(),
+                                       transport, cfg);
 }
 
-DriverReport ServerStack::report(const ReactorStats& stats,
-                                 double wall_seconds) const {
-  DriverReport report;
-  report.wall_seconds = wall_seconds;
-  report.completed = stats.completed;
-  report.failed = stats.failed;
-  report.resumed = stats.resumed;
-  report.shed = stats.shed;
-  report.resets = stats.resets;
-  report.resumptions_per_wakeup = stats.resumptions_per_wakeup;
+DriverReport ServerStack::run() {
+  util::Stopwatch wall;
+  DriverReport report = reactor_->run();
+  report.wall_seconds = wall.elapsed_s();
   report.handshakes_per_s =
       report.wall_seconds > 0
           ? static_cast<double>(report.completed) / report.wall_seconds
           : 0.0;
-  report.latency_us = stats.latency_us;
 
   const SessionCacheStats cs = cache_.stats();
   report.cache_hits = cs.hits;
@@ -482,10 +458,7 @@ DriverReport run_event_handshakes(const rsa::Engine& server_engine,
   const rsa::Engine client_engine(server_engine.pub(),
                                   server_engine.options());
   SimulatedTransport transport(client_engine);
-  ServerStack stack(server_engine, cfg, transport);
-  util::Stopwatch wall;
-  const ReactorStats stats = stack.run();
-  return stack.report(stats, wall.elapsed_s());
+  return ServerStack(server_engine, cfg, transport).run();
 }
 
 }  // namespace phissl::ssl::async

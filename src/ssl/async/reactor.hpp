@@ -41,13 +41,13 @@
 // the simulated vector-swap transport (deterministic, reactor-paced) and
 // the epoll socket transport (real fds, accept-paced, one epoll set per
 // worker) are two implementations of the same seam. This file knows
-// nothing about sockets. ServerStack assembles the shared pieces from a
-// DriverConfig once, for either transport.
+// nothing about sockets. One DriverConfig describes the run: the reactor
+// reads its geometry from it, ServerStack assembles the shared pieces from
+// it once for either transport, and the clients on either side draw their
+// mix from it (ClientMix, transport.hpp).
 #pragma once
 
-#include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -61,57 +61,10 @@
 #include "ssl/batch_decrypt.hpp"
 #include "ssl/driver.hpp"
 #include "ssl/session_cache.hpp"
-#include "util/stats.hpp"
 
 namespace phissl::ssl::async {
 
 class Transport;
-
-/// Reactor geometry and workload shape.
-struct ReactorConfig {
-  /// Event-loop worker threads (NOT one per connection — 2–4 suffice to
-  /// keep tens of thousands of connections moving). The slots are split
-  /// across them (slot i belongs to worker i mod workers); a run with
-  /// fewer slots than workers starts only one worker per slot.
-  std::size_t workers = 2;
-  /// Connection slots open concurrently, split across the workers; further
-  /// connections start as slots free up. This bounds memory, and is the
-  /// "connections" axis of the bench sweep.
-  std::size_t max_open_connections = 1024;
-  /// Total connections to terminate before run() returns.
-  std::size_t total_connections = 1024;
-  std::uint64_t seed = 1;
-  /// Fraction of connections that offer resumption of a previous session
-  /// (per client identity; see identity_pool). Consumed by the simulated
-  /// transport / the socket client fleet, not the reactor itself.
-  double resumption_ratio = 0.0;
-  /// Fraction of connections negotiating DHE-RSA instead of RSA key
-  /// transport (their private op is a signature, which the batched
-  /// decrypter coalesces into the same batches as the decryptions).
-  /// Requires a dhe_group.
-  double dhe_ratio = 0.0;
-  /// Distinct client identities cycling through the connection stream;
-  /// each remembers its latest resumable session.
-  std::size_t identity_pool = 256;
-};
-
-/// Outcome counters for one run() (merged into DriverReport by
-/// ServerStack::report).
-struct ReactorStats {
-  std::size_t completed = 0;
-  std::size_t failed = 0;
-  std::size_t shed = 0;     ///< rejected by admission control
-  std::size_t resumed = 0;  ///< of completed, abbreviated handshakes
-  /// Peer resets / premature EOFs (a subset of failed; zero on the
-  /// simulated transport unless the state machine stalls).
-  std::size_t resets = 0;
-  std::uint64_t wakeups = 0;
-  std::uint64_t resumptions = 0;  ///< crypto completions across all wakeups
-  /// Mean crypto completions per inbox drain — >1 means batch completions
-  /// are amortizing wakeup cost across lanemates.
-  double resumptions_per_wakeup = 0.0;
-  util::Summary latency_us;  ///< per-connection accept-to-close latency
-};
 
 class Reactor {
  public:
@@ -119,27 +72,34 @@ class Reactor {
   /// engine (certificate + key), the batch service (the completion
   /// bridge target; null resolves every op inline on the slot's owner),
   /// the session cache, admission control, the optional DHE group
-  /// (required if cfg.dhe_ratio > 0), and the transport that moves bytes.
-  /// The transport must outlive the reactor; bind() is called here.
+  /// (required if cfg.event_dhe_ratio > 0), and the transport that moves
+  /// bytes. Of cfg the reactor reads the geometry (event_workers worker
+  /// threads, max_open_connections slots split across them, slot i owned
+  /// by worker i mod workers, and no more workers than slots),
+  /// num_handshakes and seed. The transport must outlive the reactor;
+  /// bind() is called here.
   Reactor(const rsa::Engine& server_engine, BatchDecryptService* svc,
           SessionCache& cache, AdmissionController& admission,
-          const dh::Dh* dhe_group, Transport& transport, ReactorConfig cfg);
+          const dh::Dh* dhe_group, Transport& transport,
+          const DriverConfig& cfg);
   ~Reactor();
 
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
 
-  /// Terminates cfg.total_connections connections (each: handshake +
-  /// one protected echo + orderly close), blocking until all complete.
+  /// Terminates cfg.num_handshakes connections (each: handshake + one
+  /// protected echo + orderly close), blocking until all complete, and
+  /// reports its outcomes: completed, failed, shed, resumed, resets,
+  /// resumptions_per_wakeup and latency_us (the other fields stay zero).
   /// One-shot: a Reactor instance runs once.
-  ReactorStats run();
+  DriverReport run();
 
-  /// The geometry and workload shape the reactor runs (transports read
-  /// the workload shape here at bind()).
-  [[nodiscard]] const ReactorConfig& config() const { return cfg_; }
+  /// The run the reactor serves (the simulated transport builds its
+  /// ClientMix from it at bind()).
+  [[nodiscard]] const DriverConfig& config() const { return cfg_; }
   /// Slots in the table (transports size their per-slot state to this).
   [[nodiscard]] std::size_t slot_count() const { return slots_.size(); }
-  /// Worker threads run() starts: cfg.workers, but no more than slots.
+  /// Worker threads run() starts: cfg.event_workers, but no more than slots.
   [[nodiscard]] std::size_t worker_count() const { return workers_.size(); }
   /// The worker that owns `slot` for its whole life.
   [[nodiscard]] std::size_t owner(std::size_t slot) const {
@@ -171,7 +131,7 @@ class Reactor {
   AdmissionController& admission_;
   const dh::Dh* dhe_group_;
   Transport& transport_;
-  ReactorConfig cfg_;
+  DriverConfig cfg_;
 
   std::vector<std::unique_ptr<Slot>> slots_;
   std::vector<std::unique_ptr<Worker>> workers_;
@@ -202,9 +162,9 @@ class Reactor {
 /// SimulatedTransport, SocketFrontend over a SocketTransport.
 class ServerStack {
  public:
-  /// Throws std::invalid_argument when the engine holds no private key, a
-  /// ratio lies outside [0, 1] (NaN included) or the socket arrival rate
-  /// is negative or not finite. The transport must outlive the stack.
+  /// Throws std::invalid_argument when the engine holds no private key or
+  /// detail::check_config rejects cfg. The transport must outlive the
+  /// stack.
   ServerStack(const rsa::Engine& server_engine, const DriverConfig& cfg,
               Transport& transport);
 
@@ -212,13 +172,11 @@ class ServerStack {
   ServerStack(const ServerStack&) = delete;
   ServerStack& operator=(const ServerStack&) = delete;
 
-  /// Terminates cfg.num_handshakes connections (see Reactor::run).
-  ReactorStats run() { return reactor_->run(); }
-
-  /// Folds reactor outcomes, cache counters and, when batching, the batch
-  /// service's scheduler counters into the common report.
-  [[nodiscard]] DriverReport report(const ReactorStats& stats,
-                                    double wall_seconds) const;
+  /// Terminates cfg.num_handshakes connections (see Reactor::run) and
+  /// reports them: the reactor's outcomes, the cache counters and, when
+  /// batching, the batch service's scheduler counters, over the wall time
+  /// of the call.
+  DriverReport run();
 
   /// The admission gate every connection passes (read-only, for tests).
   [[nodiscard]] const AdmissionController& admission() const {
@@ -238,13 +196,5 @@ class ServerStack {
 /// through run_handshakes() when cfg.frontend == Frontend::kEvent.
 DriverReport run_event_handshakes(const rsa::Engine& server_engine,
                                   const DriverConfig& cfg);
-
-/// The identity-pool size for a run of n connections, on either transport:
-/// scaled so each identity reconnects several times (a fixed pool larger
-/// than the run would mean no identity ever returns and resumption_ratio
-/// silently does nothing).
-inline std::size_t identity_pool_for(std::size_t n) {
-  return std::max<std::size_t>(1, std::min<std::size_t>(256, n / 8));
-}
 
 }  // namespace phissl::ssl::async

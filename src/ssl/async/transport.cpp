@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <random>
 #include <stdexcept>
 #include <system_error>
 #include <utility>
 
 #include "obs/metrics.hpp"
-#include "util/timing.hpp"
 
 #ifdef __linux__
 #include <arpa/inet.h>
@@ -25,6 +25,47 @@
 
 namespace phissl::ssl::async {
 
+void detail::check_config(const DriverConfig& cfg) {
+  const auto valid_ratio = [](double r) { return r >= 0.0 && r <= 1.0; };
+  if (!valid_ratio(cfg.resumption_ratio) ||
+      !valid_ratio(cfg.event_dhe_ratio)) {
+    throw std::invalid_argument("DriverConfig: ratio outside [0, 1]");
+  }
+  if (!std::isfinite(cfg.socket_arrival_per_s) ||
+      cfg.socket_arrival_per_s < 0.0) {
+    throw std::invalid_argument("DriverConfig: bad socket arrival rate");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// ClientMix
+
+ClientMix::ClientMix(const rsa::Engine& public_engine, const DriverConfig& cfg)
+    : engine_(public_engine),
+      seed_(cfg.seed),
+      resumption_ratio_(cfg.resumption_ratio),
+      dhe_ratio_(cfg.event_dhe_ratio),
+      sessions_(identity_pool_for(cfg.num_handshakes)) {}
+
+void ClientMix::draw(std::size_t idx, std::optional<ScriptedClient>& client) {
+  const bool use_dhe = detail::coin(seed_, idx, 0xd4e5, dhe_ratio_);
+  std::optional<ResumableSession> resume;
+  if (!use_dhe && detail::coin(seed_, idx, 0x5e55, resumption_ratio_)) {
+    std::lock_guard<std::mutex> l(mu_);
+    resume = sessions_[idx % sessions_.size()];  // may still be cold
+  }
+  client.emplace(engine_, detail::mix(detail::conn_seed(seed_, idx)),
+                 std::move(resume), use_dhe);
+  client->start();
+}
+
+void ClientMix::bank(std::size_t idx, const ScriptedClient& client) {
+  if (client.resumed() || !client.has_resumable()) return;
+  ResumableSession session = client.resumable();
+  std::lock_guard<std::mutex> l(mu_);
+  sessions_[idx % sessions_.size()] = std::move(session);
+}
+
 // ---------------------------------------------------------------------------
 // SimulatedTransport
 
@@ -32,9 +73,7 @@ SimulatedTransport::SimulatedTransport(const rsa::Engine& client_engine)
     : client_engine_(client_engine) {}
 
 void SimulatedTransport::bind(Reactor& reactor) {
-  // The reactor has already clamped identity_pool to at least 1.
-  cfg_ = reactor.config();
-  identities_.resize(cfg_.identity_pool);
+  mix_.emplace(client_engine_, reactor.config());
   slots_.resize(reactor.slot_count());
   wakers_ = std::make_unique<Waker[]>(reactor.worker_count());
 }
@@ -57,21 +96,10 @@ void SimulatedTransport::wake(std::size_t worker) {
   wk.cv.notify_one();
 }
 
-void SimulatedTransport::open(std::size_t slot, std::size_t conn_idx,
-                              std::uint64_t seed) {
+void SimulatedTransport::open(std::size_t slot, std::size_t conn_idx) {
   SimSlot& s = slots_[slot];
-  s.identity = conn_idx % cfg_.identity_pool;
-  const bool use_dhe =
-      detail::coin(cfg_.seed, conn_idx, 0xd4e5, cfg_.dhe_ratio);
-  std::optional<ResumableSession> resume;
-  if (!use_dhe &&
-      detail::coin(cfg_.seed, conn_idx, 0x5e55, cfg_.resumption_ratio)) {
-    std::lock_guard<std::mutex> l(identities_mu_);
-    resume = identities_[s.identity];  // may still be nullopt (cold)
-  }
-  s.client.emplace(client_engine_, detail::mix(seed), std::move(resume),
-                   use_dhe);
-  s.client->start();
+  s.conn_idx = conn_idx;
+  mix_->draw(conn_idx, s.client);
 }
 
 IoStatus SimulatedTransport::exchange(std::size_t slot,
@@ -112,13 +140,7 @@ IoStatus SimulatedTransport::exchange(std::size_t slot,
 
 void SimulatedTransport::on_close(std::size_t slot) {
   SimSlot& s = slots_[slot];
-  if (s.client.has_value() && s.client->done() && !s.client->resumed() &&
-      s.client->has_resumable()) {
-    // Bank the fresh session for this identity's next connection (DHE
-    // sessions carry no resumable handle).
-    std::lock_guard<std::mutex> l(identities_mu_);
-    identities_[s.identity] = s.client->resumable();
-  }
+  if (s.client.has_value()) mix_->bank(s.conn_idx, *s.client);
   s.client.reset();
 }
 
@@ -355,10 +377,7 @@ void SocketTransport::accept_one(Poller& p) {
   if (reactor_->accepted(slot)) ++p.tally.handoffs;
 }
 
-void SocketTransport::open(std::size_t slot, std::size_t conn_idx,
-                           std::uint64_t seed) {
-  (void)conn_idx;
-  (void)seed;
+void SocketTransport::open(std::size_t slot, std::size_t /*conn_idx*/) {
   FdSlot& fs = fds_[slot];
   epoll_event ev{};
   ev.events = EPOLLIN | EPOLLRDHUP;
@@ -498,17 +517,16 @@ SocketTransportStats SocketFrontend::transport_stats() const {
 }
 
 DriverReport SocketFrontend::run() {
+  DriverReport report = impl_->stack.run();
   // run() follows the bind directly, and a separate load generator may
-  // connect much later: the serving clock starts at the first accept.
-  util::Stopwatch wall;
-  const ReactorStats stats = impl_->stack.run();
-  const auto first = impl_->transport.first_accept();
-  const double wall_s =
-      first ? std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            *first)
-                  .count()
-            : wall.elapsed_s();
-  DriverReport report = impl_->stack.report(stats, wall_s);
+  // connect much later: the serving clock restarts at the first accept.
+  if (const auto first = impl_->transport.first_accept()) {
+    report.wall_seconds = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - *first)
+                              .count();
+    report.handshakes_per_s =
+        static_cast<double>(report.completed) / report.wall_seconds;
+  }
   const SocketTransportStats ts = impl_->transport.stats();
   report.accepts = ts.accepts;
   report.eagain = ts.eagain_reads + ts.eagain_writes;
@@ -530,7 +548,6 @@ struct ClientConn {
   std::optional<ScriptedClient> client;
   int fd = -1;
   std::size_t idx = 0;
-  std::size_t identity = 0;
   bool connecting = true;
   bool want_out = true;
   std::vector<std::uint8_t> stash;
@@ -541,23 +558,18 @@ struct ClientConn {
 }  // namespace
 
 LoadGenStats run_load(const rsa::Engine& public_engine,
-                      const LoadGenConfig& cfg) {
-  if (!detail::valid_ratio(cfg.resumption_ratio) ||
-      !detail::valid_ratio(cfg.dhe_ratio)) {
-    throw std::invalid_argument("run_load: bad ratio");
-  }
-  if (!detail::valid_rate(cfg.arrival_rate_per_s)) {
-    throw std::invalid_argument("run_load: bad arrival rate");
-  }
+                      const DriverConfig& cfg, std::uint16_t port,
+                      const std::string& host) {
+  detail::check_config(cfg);
   raise_nofile_limit();
-  const std::size_t total = cfg.total_connections;
-  const std::size_t window = std::max<std::size_t>(1, cfg.concurrency);
-  const std::size_t identity_pool = std::max<std::size_t>(1, cfg.identity_pool);
+  const std::size_t total = cfg.num_handshakes;
+  const std::size_t window = std::max<std::size_t>(1, cfg.socket_clients);
+  const double rate = cfg.socket_arrival_per_s;
 
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_port = htons(cfg.port);
-  if (::inet_pton(AF_INET, cfg.host.c_str(), &addr.sin_addr) != 1) {
+  addr.sin_port = htons(port);
+  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
     throw std::invalid_argument("run_load: bad host (IPv4 literal expected)");
   }
 
@@ -568,7 +580,7 @@ LoadGenStats run_load(const rsa::Engine& public_engine,
   std::vector<std::size_t> free_slots;
   free_slots.reserve(window);
   for (std::size_t i = window; i-- > 0;) free_slots.push_back(i);
-  std::vector<std::optional<ResumableSession>> identities(identity_pool);
+  ClientMix mix(public_engine, cfg);
 
   LoadGenStats stats;
   std::vector<double> latencies;
@@ -578,8 +590,7 @@ LoadGenStats run_load(const rsa::Engine& public_engine,
 
   // Poisson arrivals: exponential inter-arrival gaps at the target rate.
   std::mt19937_64 arrivals_rng(detail::mix(cfg.seed ^ 0xa881'4a11ULL));
-  std::exponential_distribution<double> gap_s(
-      cfg.arrival_rate_per_s > 0.0 ? cfg.arrival_rate_per_s : 1.0);
+  std::exponential_distribution<double> gap_s(rate > 0.0 ? rate : 1.0);
   Clock::time_point next_arrival = Clock::now();
 
   const auto set_interest = [&](std::size_t slot, bool want_out) {
@@ -599,10 +610,7 @@ LoadGenStats run_load(const rsa::Engine& public_engine,
       latencies.push_back(std::chrono::duration<double, std::micro>(
                               Clock::now() - c.started)
                               .count());
-      if (c.client->done() && !c.client->resumed() &&
-          c.client->has_resumable()) {
-        identities[c.identity] = c.client->resumable();
-      }
+      mix.bank(c.idx, *c.client);
     } else {
       ++stats.failed;
     }
@@ -696,21 +704,10 @@ LoadGenStats run_load(const rsa::Engine& public_engine,
     free_slots.pop_back();
     c.fd = fd;
     c.idx = opened++;
-    c.identity = c.idx % identity_pool;
     c.connecting = true;
     c.want_out = true;
     c.started = Clock::now();
-    const bool use_dhe =
-        detail::coin(cfg.seed, c.idx, 0xd4e5, cfg.dhe_ratio);
-    std::optional<ResumableSession> resume;
-    if (!use_dhe &&
-        detail::coin(cfg.seed, c.idx, 0x5e55, cfg.resumption_ratio)) {
-      resume = identities[c.identity];
-    }
-    const std::uint64_t seed = detail::mix(cfg.seed) ^ detail::mix(c.idx + 1);
-    c.client.emplace(public_engine, detail::mix(seed), std::move(resume),
-                     use_dhe);
-    c.client->start();
+    mix.draw(c.idx, c.client);
     epoll_event ev{};
     ev.events = EPOLLIN | EPOLLOUT | EPOLLRDHUP;
     ev.data.u64 = slot;
@@ -730,16 +727,15 @@ LoadGenStats run_load(const rsa::Engine& public_engine,
     // Admit arrivals the schedule and the window allow.
     const Clock::time_point now = Clock::now();
     while (opened < total && !free_slots.empty() &&
-           (cfg.arrival_rate_per_s <= 0.0 || now >= next_arrival)) {
+           (rate <= 0.0 || now >= next_arrival)) {
       if (!open_one()) break;
-      if (cfg.arrival_rate_per_s > 0.0) {
+      if (rate > 0.0) {
         next_arrival += std::chrono::duration_cast<Clock::duration>(
             std::chrono::duration<double>(gap_s(arrivals_rng)));
       }
     }
     int timeout_ms = -1;
-    if (cfg.arrival_rate_per_s > 0.0 && opened < total &&
-        !free_slots.empty()) {
+    if (rate > 0.0 && opened < total && !free_slots.empty()) {
       const auto wait = next_arrival - Clock::now();
       timeout_ms = std::max<int>(
           1, static_cast<int>(
@@ -770,23 +766,10 @@ DriverReport run_socket_handshakes(const rsa::Engine& server_engine,
 
   const rsa::Engine public_engine(server_engine.pub(),
                                   server_engine.options());
-  LoadGenConfig lg;
-  lg.host = "127.0.0.1";
-  lg.port = frontend.port();
-  lg.total_connections = cfg.num_handshakes;
-  lg.concurrency = std::max<std::size_t>(1, cfg.socket_clients);
-  lg.arrival_rate_per_s = cfg.socket_arrival_per_s;
-  lg.seed = cfg.seed;
-  lg.resumption_ratio = cfg.resumption_ratio;
-  lg.dhe_ratio = cfg.event_dhe_ratio;
-  lg.identity_pool = identity_pool_for(cfg.num_handshakes);
-
   // The fleet runs in-process but over real loopback sockets; its thread
   // is NOT one of the reactor workers, exactly as an external loadgen
   // process would not be.
-  LoadGenStats client_stats;
-  std::thread fleet(
-      [&] { client_stats = run_load(public_engine, lg); });
+  std::thread fleet([&] { run_load(public_engine, cfg, frontend.port()); });
   DriverReport report = frontend.run();
   fleet.join();
   return report;
@@ -806,7 +789,7 @@ std::optional<std::chrono::steady_clock::time_point>
 SocketTransport::first_accept() const {
   return std::nullopt;
 }
-void SocketTransport::open(std::size_t, std::size_t, std::uint64_t) {}
+void SocketTransport::open(std::size_t, std::size_t) {}
 IoStatus SocketTransport::exchange(std::size_t, ServerConnection&) {
   return IoStatus::kPeerGone;
 }
@@ -824,7 +807,8 @@ std::uint16_t SocketFrontend::port() const { return 0; }
 SocketTransportStats SocketFrontend::transport_stats() const { return {}; }
 DriverReport SocketFrontend::run() { return {}; }
 
-LoadGenStats run_load(const rsa::Engine&, const LoadGenConfig&) {
+LoadGenStats run_load(const rsa::Engine&, const DriverConfig&, std::uint16_t,
+                      const std::string&) {
   throw std::runtime_error("run_load: epoll client fleet is linux-only");
 }
 DriverReport run_socket_handshakes(const rsa::Engine&, const DriverConfig&) {

@@ -34,13 +34,15 @@
 //
 // The client fleet (run_load) is the other half of the loopback story: N
 // concurrent nonblocking ScriptedClients over real sockets, with Poisson
-// arrivals and the same resumption/DHE mix knobs as the simulated
-// transport. tools/phissl_loadgen wraps it as a standalone binary.
+// arrivals. Both client sides draw their connections from one ClientMix
+// built from the run's DriverConfig, so a socket run offers the same
+// resumption/DHE mix as a simulated one. tools/phissl_loadgen wraps the
+// fleet as a standalone binary.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -61,8 +63,8 @@ namespace detail {
 
 /// splitmix64: deterministic per-connection coin flips, so a run's
 /// resumption/DHE mix is reproducible regardless of scheduling. Shared by
-/// the reactor (per-connection seeds), the simulated transport, and the
-/// socket client fleet so all three draw the same mix for the same index.
+/// the reactor (per-connection seeds) and ClientMix, so the server and
+/// client sides of connection idx derive from the same base seed.
 inline std::uint64_t mix(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -77,14 +79,58 @@ inline bool coin(std::uint64_t seed, std::size_t idx, std::uint32_t salt,
   return static_cast<double>(h >> 11) * 0x1.0p-53 < ratio;
 }
 
-/// A ratio coin() can draw: in [0, 1]. Written so that NaN, which coin()
-/// would silently treat as 0, fails too.
-inline bool valid_ratio(double r) { return r >= 0.0 && r <= 1.0; }
+/// Connection idx's server seed; its client's is mix() of it.
+inline std::uint64_t conn_seed(std::uint64_t seed, std::size_t idx) {
+  return mix(seed) ^ mix(idx + 1);
+}
 
-/// An arrival rate: finite and non-negative (0 = closed loop).
-inline bool valid_rate(double r) { return std::isfinite(r) && r >= 0.0; }
+/// Throws std::invalid_argument unless cfg's ratios lie in [0, 1] (NaN,
+/// which coin() would silently treat as 0, fails too) and its arrival rate
+/// is finite and non-negative. The server stack and the client fleet both
+/// check a run's config here.
+void check_config(const DriverConfig& cfg);
 
 }  // namespace detail
+
+/// The identity-pool size for a run of n connections: scaled so each
+/// identity reconnects several times (a fixed pool larger than the run
+/// would mean no identity ever returns and resumption_ratio silently does
+/// nothing).
+inline std::size_t identity_pool_for(std::size_t n) {
+  return std::max<std::size_t>(1, std::min<std::size_t>(256, n / 8));
+}
+
+/// The client half of a run's workload, drawn per connection index from
+/// its DriverConfig: connection idx negotiates DHE-RSA with probability
+/// event_dhe_ratio; an RSA connection offers its client identity's latest
+/// session with probability resumption_ratio. Identities cycle idx mod
+/// identity_pool_for(num_handshakes), and each banks its latest
+/// resumable session. The coins and the client seed are functions of
+/// (seed, idx) alone, so both transports draw the same mix; only which
+/// session an identity holds at a given moment depends on scheduling. One
+/// per run, shared by every thread that opens clients.
+class ClientMix {
+ public:
+  /// public_engine needs only the server's public key.
+  ClientMix(const rsa::Engine& public_engine, const DriverConfig& cfg);
+
+  /// Builds connection idx's client in `client` and starts it (its
+  /// ClientHello queued). In place: a ScriptedClient's handshake holds a
+  /// reference to the client's own Rng, so it must not move.
+  void draw(std::size_t idx, std::optional<ScriptedClient>& client);
+  /// Banks the fresh session of connection idx's finished client, if it
+  /// made one, for its identity's next connection (resumed and DHE
+  /// connections make none).
+  void bank(std::size_t idx, const ScriptedClient& client);
+
+ private:
+  const rsa::Engine& engine_;
+  std::uint64_t seed_;
+  double resumption_ratio_;
+  double dhe_ratio_;
+  std::mutex mu_;  // guards sessions_
+  std::vector<std::optional<ResumableSession>> sessions_;  // per identity
+};
 
 /// What exchange() found when it stopped moving bytes.
 enum class IoStatus {
@@ -113,12 +159,10 @@ class Transport {
   /// transport paces via its acceptor instead (Reactor::accepted).
   [[nodiscard]] virtual bool reactor_paced() const = 0;
 
-  /// A connection just started in `slot` (index conn_idx, per-connection
-  /// seed `seed`): wire up the peer side. The simulated transport builds
-  /// its ScriptedClient here; the socket transport adds the fd to the
-  /// owner's epoll set.
-  virtual void open(std::size_t slot, std::size_t conn_idx,
-                    std::uint64_t seed) = 0;
+  /// Connection conn_idx just started in `slot`: wire up the peer side.
+  /// The simulated transport draws its ScriptedClient here; the socket
+  /// transport adds the fd to the owner's epoll set.
+  virtual void open(std::size_t slot, std::size_t conn_idx) = 0;
 
   /// Move bytes both directions until nothing further can move. Returns
   /// early (kOk) when the connection parks on a PendingOp — the reactor
@@ -140,9 +184,8 @@ class Transport {
 };
 
 /// Deterministic in-process transport: each slot pairs the server with a
-/// ScriptedClient and byte vectors swap directly. Drives the resumption/
-/// DHE mix from the bound reactor's ReactorConfig (seed, ratios, identity
-/// pool), banking resumable sessions per client identity.
+/// ScriptedClient and byte vectors swap directly. Its clients come from a
+/// ClientMix built at bind() from the bound reactor's DriverConfig.
 class SimulatedTransport final : public Transport {
  public:
   /// client_engine needs only the server's public key.
@@ -150,8 +193,7 @@ class SimulatedTransport final : public Transport {
 
   void bind(Reactor& reactor) override;
   [[nodiscard]] bool reactor_paced() const override { return true; }
-  void open(std::size_t slot, std::size_t conn_idx,
-            std::uint64_t seed) override;
+  void open(std::size_t slot, std::size_t conn_idx) override;
   IoStatus exchange(std::size_t slot, ServerConnection& conn) override;
   void on_close(std::size_t slot) override;
   void wait(std::size_t worker, std::vector<std::size_t>& ready) override;
@@ -160,7 +202,7 @@ class SimulatedTransport final : public Transport {
  private:
   struct SimSlot {
     std::optional<ScriptedClient> client;
-    std::size_t identity = 0;
+    std::size_t conn_idx = 0;
   };
   struct Waker {
     std::mutex mu;
@@ -169,18 +211,13 @@ class SimulatedTransport final : public Transport {
   };
 
   const rsa::Engine& client_engine_;
-  ReactorConfig cfg_;  // the bound reactor's
+  // Built at bind(); every worker draws from and banks into this one.
+  std::optional<ClientMix> mix_;
   std::vector<SimSlot> slots_;
   std::unique_ptr<Waker[]> wakers_;  // one per worker
-
-  // Client identities: identity i's latest resumable session, offered by
-  // the next connection drawn for that identity. Workers touch different
-  // slots concurrently but share this pool, hence the mutex.
-  std::mutex identities_mu_;
-  std::vector<std::optional<ResumableSession>> identities_;
 };
 
-/// Socket-transport knobs beyond what ReactorConfig covers.
+/// Socket-transport knobs beyond what DriverConfig covers.
 struct SocketTransportConfig {
   /// Listen port; 0 binds an ephemeral port (see port()).
   std::uint16_t port = 0;
@@ -197,7 +234,7 @@ struct SocketTransportConfig {
   int accepted_sndbuf = 0;
 };
 
-/// Transport-level counters (reactor-level outcomes live in ReactorStats).
+/// Transport-level counters (the reactor's outcomes are in DriverReport).
 /// Each worker tallies its own and folds them in once per wakeup.
 struct SocketTransportStats {
   std::uint64_t accepts = 0;        ///< connections accepted
@@ -233,8 +270,7 @@ class SocketTransport final : public Transport {
   void bind(Reactor& reactor) override;
   void stop() override;
   [[nodiscard]] bool reactor_paced() const override { return false; }
-  void open(std::size_t slot, std::size_t conn_idx,
-            std::uint64_t seed) override;
+  void open(std::size_t slot, std::size_t conn_idx) override;
   IoStatus exchange(std::size_t slot, ServerConnection& conn) override;
   void on_close(std::size_t slot) override;
   void wait(std::size_t worker, std::vector<std::size_t>& ready) override;
@@ -310,26 +346,6 @@ class SocketFrontend {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Client-fleet knobs for run_load / phissl_loadgen. Mirrors the workload
-/// shape half of ReactorConfig (seed, ratios, identity pool) plus the
-/// client-side pacing knobs.
-struct LoadGenConfig {
-  std::string host = "127.0.0.1";
-  std::uint16_t port = 0;
-  std::size_t total_connections = 0;
-  /// Client connections open concurrently. Kept well under typical
-  /// RLIMIT_NOFILE defaults; the server side bounds itself separately via
-  /// max_open_connections.
-  std::size_t concurrency = 256;
-  /// Poisson arrivals at this rate (connections/s); 0 opens as fast as
-  /// the concurrency window allows. Must be finite and non-negative.
-  double arrival_rate_per_s = 0.0;
-  std::uint64_t seed = 1;
-  double resumption_ratio = 0.0;
-  double dhe_ratio = 0.0;
-  std::size_t identity_pool = 256;
-};
-
 /// Fleet outcome. `failed` includes connections the server shed (the
 /// client sees an alert either way); the server-side DriverReport is the
 /// authoritative shed/completed split.
@@ -339,16 +355,20 @@ struct LoadGenStats {
   util::Summary latency_us;  ///< connect-to-close, per connection
 };
 
-/// Runs cfg.total_connections ScriptedClients against host:port from one
-/// epoll loop (nonblocking connect, LT readiness). public_engine needs
-/// only the server's public key. Throws std::invalid_argument on a ratio
-/// outside [0, 1] or a bad arrival rate.
+/// Runs cfg.num_handshakes clients drawn from a ClientMix against
+/// host:port from one epoll loop (nonblocking connect, LT readiness): at
+/// most cfg.socket_clients open at once, arriving as a Poisson process at
+/// cfg.socket_arrival_per_s (0 opens as fast as that window allows).
+/// public_engine needs only the server's public key. Throws
+/// std::invalid_argument when detail::check_config rejects cfg or host is
+/// not an IPv4 literal.
 LoadGenStats run_load(const rsa::Engine& public_engine,
-                      const LoadGenConfig& cfg);
+                      const DriverConfig& cfg, std::uint16_t port,
+                      const std::string& host = "127.0.0.1");
 
 /// Socket counterpart of run_event_handshakes(): brings up a
 /// SocketFrontend on an ephemeral loopback port and drives it with an
-/// in-process run_load fleet (cfg.socket_clients wide). Called through
+/// in-process run_load fleet over the same cfg. Called through
 /// run_handshakes() when cfg.frontend == Frontend::kSocket.
 DriverReport run_socket_handshakes(const rsa::Engine& server_engine,
                                    const DriverConfig& cfg);

@@ -27,6 +27,9 @@ enum class Frontend {
   kSocket,
 };
 
+/// The one description of a run: the server stack and its reactor read
+/// it, and so do both client sides (the simulated transport's and
+/// async::run_load's), through one async::ClientMix.
 struct DriverConfig {
   std::size_t num_handshakes = 64;  ///< total handshakes to run
 
@@ -45,17 +48,17 @@ struct DriverConfig {
   /// ops admitted and not yet completed. A connection that would create
   /// one more is shed before its private op. 0 = admit all.
   std::size_t max_pending_ops = 0;
-  /// Socket frontend: client connections the loopback fleet keeps open
-  /// concurrently (the client-side window; the server side is bounded by
-  /// max_open_connections independently).
+  /// Socket client fleet (async::run_load): client connections it keeps
+  /// open concurrently (the client-side window; the server side is
+  /// bounded by max_open_connections independently).
   std::size_t socket_clients = 256;
-  /// Socket frontend: Poisson client arrival rate (connections/s); 0
+  /// Socket client fleet: Poisson client arrival rate (connections/s); 0
   /// opens as fast as the concurrency window allows.
   double socket_arrival_per_s = 0.0;
   std::uint64_t seed = 1;  ///< base RNG seed (per-connection derived)
   /// Fraction of connections that offer resumption of their client
-  /// identity's latest session (see async::identity_pool_for). 0.0 = all
-  /// full handshakes.
+  /// identity's latest session (see async::ClientMix). 0.0 = all full
+  /// handshakes.
   double resumption_ratio = 0.0;
 
   /// The decrypter: route private ops through a BatchDecryptService so
@@ -69,7 +72,8 @@ struct DriverConfig {
   std::size_t batch_dispatch_threads = 1;
   /// Montgomery backend for the batched private ops (see rsa/backend.hpp);
   /// the scalar decrypter follows the server engine's kernel instead.
-  rsa::Backend batch_backend = rsa::Backend::kKncVec;
+  /// ifma52 runs its portable twin on hosts without AVX-512 IFMA.
+  rsa::Backend batch_backend = rsa::Backend::kIfma52;
 };
 
 struct DriverReport {

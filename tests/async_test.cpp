@@ -493,7 +493,7 @@ class AsyncDriverTest : public ::testing::Test {
     const rsa::Engine client(engine_.pub(), engine_.options());
     SimulatedTransport transport(client);
     ServerStack stack(engine_, cfg, transport);
-    const DriverReport report = stack.report(stack.run(), 0.0);
+    const DriverReport report = stack.run();
     EXPECT_EQ(stack.admission().pending(), 0u);
     return report;
   }
@@ -585,18 +585,16 @@ TEST_F(AsyncDriverTest, NanRatiosAndBadRatesAreRejected) {
           << rate;
     }
   }
-  // The client fleet checks its own knobs (phissl_loadgen --connect).
+  // The client fleet checks the same config (phissl_loadgen --connect).
   const rsa::Engine pub(engine_.pub(), rsa::EngineOptions{});
   for (const double rate : {-1.0, kNan, kInf}) {
-    LoadGenConfig lg;
-    lg.total_connections = 1;
-    lg.arrival_rate_per_s = rate;
-    EXPECT_THROW(run_load(pub, lg), std::invalid_argument) << rate;
+    auto cfg = event_config(1);
+    cfg.socket_arrival_per_s = rate;
+    EXPECT_THROW(run_load(pub, cfg, 0), std::invalid_argument) << rate;
   }
-  LoadGenConfig lg;
-  lg.total_connections = 1;
-  lg.resumption_ratio = kNan;
-  EXPECT_THROW(run_load(pub, lg), std::invalid_argument);
+  auto cfg = event_config(1);
+  cfg.resumption_ratio = kNan;
+  EXPECT_THROW(run_load(pub, cfg, 0), std::invalid_argument);
 }
 
 // --- The scalar decrypter: every op resolved inline on its worker ----------

@@ -345,10 +345,11 @@ TEST(BatchEngine, BackendsAgreePerLane) {
 
 TEST(BatchEngine, ReportsResolvedBackend) {
   const PrivateKey& key = test_key(512);
-  // The requested backend is what runs. The scalar backends have no
-  // batched kernel (batching IS the vectorization), so they are rejected
-  // rather than silently measured on another backend.
-  EXPECT_EQ(BatchEngine(key).backend(), Backend::kKncVec);
+  // The requested backend is what runs, the host's ifma52 by default. The
+  // scalar backends have no batched kernel (batching IS the
+  // vectorization), so they are rejected rather than silently measured on
+  // another backend.
+  EXPECT_EQ(BatchEngine(key).backend(), Backend::kIfma52);
   for (const Backend b :
        {Backend::kKncVec, Backend::kIfma52, Backend::kIfma52Portable}) {
     EXPECT_EQ(BatchEngine(key, b).backend(), b) << to_string(b);

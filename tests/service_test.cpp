@@ -382,10 +382,13 @@ TEST(SignService, ExpiredPartialRunsBesideABusyWorker) {
   // worker; without that wake it waits for the batch. (Should the sixteen
   // submissions outlast the linger, as they can under a sanitizer, they
   // flush as partials instead, and the lone request still finishes
-  // before the last of them.)
+  // before the last of them.) The batch runs on knc_vec, whose 2048-bit
+  // batch outlasts the linger plus a single op; an ifma52 batch on an
+  // IFMA host does not.
   SignServiceConfig cfg;
   cfg.dispatch_threads = 2;
   cfg.max_linger = std::chrono::microseconds(5000);
+  cfg.backend = rsa::Backend::kKncVec;
   SignService svc(rsa::test_key(2048), cfg);
   // Both workers park before any request; a worker that starts late would
   // find the lone request without being woken.

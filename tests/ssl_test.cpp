@@ -12,7 +12,7 @@
 #include "baseline/systems.hpp"
 #include "rsa/key.hpp"
 #include "rsa/pkcs1.hpp"
-#include "ssl/async/reactor.hpp"
+#include "ssl/async/transport.hpp"
 #include "ssl/batch_decrypt.hpp"
 #include "ssl/driver.hpp"
 #include "ssl/handshake.hpp"

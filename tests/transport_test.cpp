@@ -113,7 +113,6 @@ void pump_client(int fd, ScriptedClient& client, std::size_t write_chunk,
 TEST(AsyncSocketTest, ByteAtATimeClientWritesTerminate) {
   const rsa::Engine engine(rsa::test_key(512), test_opts());
   DriverConfig cfg;
-  cfg.frontend = Frontend::kSocket;
   cfg.num_handshakes = 1;
   cfg.event_workers = 2;
   SocketFrontend frontend(engine, cfg);
@@ -139,7 +138,6 @@ TEST(AsyncSocketTest, ByteAtATimeClientWritesTerminate) {
 TEST(AsyncSocketTest, ServerFlightSplitsAcrossEagain) {
   const rsa::Engine engine(rsa::test_key(512), test_opts());
   DriverConfig cfg;
-  cfg.frontend = Frontend::kSocket;
   cfg.num_handshakes = 1;
   cfg.event_workers = 2;
   // Shrink the accepted socket's send buffer (the kernel floors it around
@@ -178,7 +176,6 @@ TEST(AsyncSocketTest, ServerFlightSplitsAcrossEagain) {
 TEST(AsyncSocketTest, ClientRstDuringAwaitPrivateOpRecyclesSlot) {
   const rsa::Engine engine(rsa::test_key(512), test_opts());
   DriverConfig cfg;
-  cfg.frontend = Frontend::kSocket;
   cfg.num_handshakes = 1;
   cfg.event_workers = 2;
   // A long linger guarantees the connection is still parked in
@@ -191,8 +188,8 @@ TEST(AsyncSocketTest, ClientRstDuringAwaitPrivateOpRecyclesSlot) {
   SocketTransport transport;
   ServerStack stack(engine, cfg, transport);
 
-  ReactorStats stats;
-  std::thread server([&] { stats = stack.run(); });
+  DriverReport report;
+  std::thread server([&] { report = stack.run(); });
 
   const int fd = connect_loopback(transport.port());
   const rsa::Engine pub(rsa::test_key(512).pub, test_opts());
@@ -222,7 +219,6 @@ TEST(AsyncSocketTest, ClientRstDuringAwaitPrivateOpRecyclesSlot) {
 
   server.join();  // must return once the lingering batch resolves
 
-  const DriverReport report = stack.report(stats, 0.0);
   EXPECT_EQ(report.completed, 0u);
   EXPECT_EQ(report.failed, 1u);
   EXPECT_EQ(report.resets, 1u);
@@ -234,7 +230,6 @@ TEST(AsyncSocketTest, ClientRstDuringAwaitPrivateOpRecyclesSlot) {
 TEST(AsyncSocketTest, ProtocolFailureAlertsThenFinsCleanly) {
   const rsa::Engine engine(rsa::test_key(512), test_opts());
   DriverConfig cfg;
-  cfg.frontend = Frontend::kSocket;
   cfg.num_handshakes = 1;
   cfg.event_workers = 2;
   SocketFrontend frontend(engine, cfg);
@@ -286,6 +281,7 @@ TEST(AsyncSocketTest, ServingClockStartsAtFirstAccept) {
   DriverConfig cfg;
   cfg.num_handshakes = 8;
   cfg.event_workers = 2;
+  cfg.socket_clients = 4;
   SocketFrontend frontend(engine, cfg);
   const auto idle = std::chrono::milliseconds(400);
   const auto t0 = std::chrono::steady_clock::now();
@@ -293,11 +289,7 @@ TEST(AsyncSocketTest, ServingClockStartsAtFirstAccept) {
   std::thread server([&] { report = frontend.run(); });
   std::this_thread::sleep_for(idle);  // the client connects late
   const rsa::Engine client_engine(key.pub, test_opts());
-  LoadGenConfig lg;
-  lg.port = frontend.port();
-  lg.total_connections = cfg.num_handshakes;
-  lg.concurrency = 4;
-  const LoadGenStats client = run_load(client_engine, lg);
+  const LoadGenStats client = run_load(client_engine, cfg, frontend.port());
   server.join();
   const double elapsed_s = std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - t0)
@@ -314,26 +306,26 @@ TEST(AsyncSocketTest, ServingClockStartsAtFirstAccept) {
 TEST(AsyncSocketTest, DefaultSendBufferNeedsNoInterestChanges) {
   // Level-triggered interest is set once at open: with the default send
   // buffer no flight backpressures, so no EPOLL_CTL_MOD runs at all. The
-  // per-wakeup counters reach both the stats and the scrape.
+  // per-wakeup counters reach both the stats and the scrape. The fleet's
+  // client identities come from the run's own pool (identity_pool_for(32)
+  // = 4 of them), so later visits that offer resumption resume.
   const rsa::PrivateKey& key = rsa::test_key(512);
   const rsa::Engine engine(key, test_opts());
   DriverConfig cfg;
   cfg.num_handshakes = 32;
   cfg.event_workers = 2;
+  cfg.socket_clients = 4;
+  cfg.resumption_ratio = 0.5;
   SocketFrontend frontend(engine, cfg);
   DriverReport report;
   std::thread server([&] { report = frontend.run(); });
   const rsa::Engine client_engine(key.pub, test_opts());
-  LoadGenConfig lg;
-  lg.port = frontend.port();
-  lg.total_connections = cfg.num_handshakes;
-  lg.concurrency = 4;
-  lg.resumption_ratio = 0.5;
-  const LoadGenStats client = run_load(client_engine, lg);
+  const LoadGenStats client = run_load(client_engine, cfg, frontend.port());
   server.join();
 
   EXPECT_EQ(client.completed, cfg.num_handshakes);
   EXPECT_EQ(report.completed, cfg.num_handshakes);
+  EXPECT_GT(report.resumed, 0u);
   const SocketTransportStats stats = frontend.transport_stats();
   EXPECT_EQ(stats.accepts, cfg.num_handshakes);
   EXPECT_EQ(stats.interest_changes, 0u);
@@ -386,26 +378,24 @@ TEST(AsyncSocketTest, FewerSlotsThanWorkersStillServes) {
   SessionCache cache(SessionCacheConfig{});
   AdmissionController admission;
   SocketTransport transport;
-  Reactor reactor(engine, &svc, cache, admission, nullptr, transport,
-                  ReactorConfig{.workers = 4,
-                                .max_open_connections = 2,
-                                .total_connections = 64});
+  DriverConfig cfg;
+  cfg.num_handshakes = 64;
+  cfg.event_workers = 4;
+  cfg.max_open_connections = 2;
+  cfg.socket_clients = 8;
+  Reactor reactor(engine, &svc, cache, admission, nullptr, transport, cfg);
   ASSERT_EQ(reactor.slot_count(), 2u);
   ASSERT_EQ(reactor.worker_count(), 2u);
 
-  ReactorStats stats;
-  std::thread server([&] { stats = reactor.run(); });
+  DriverReport report;
+  std::thread server([&] { report = reactor.run(); });
   const rsa::Engine client_engine(key.pub, test_opts());
-  LoadGenConfig lg;
-  lg.port = transport.port();
-  lg.total_connections = 64;
-  lg.concurrency = 8;
-  const LoadGenStats client = run_load(client_engine, lg);
+  const LoadGenStats client = run_load(client_engine, cfg, transport.port());
   server.join();
 
   EXPECT_EQ(client.completed, 64u);
-  EXPECT_EQ(stats.completed, 64u);
-  EXPECT_EQ(stats.failed, 0u);
+  EXPECT_EQ(report.completed, 64u);
+  EXPECT_EQ(report.failed, 0u);
   const SocketTransportStats ts = transport.stats();
   EXPECT_EQ(ts.accepts, 64u);
   // Slot 0 is worker 0's own: the first accept (a tie) starts inline.

@@ -14,16 +14,19 @@
 // ephemeral loopback port and then ASSERTS the run looks sane (nonzero
 // completions, every private op accounted for in a batch lane or
 // single-stream, no shed without an admission cap and nonzero shed with
-// one), exiting nonzero otherwise; CI uses it as the socket-path smoke.
+// one), exiting nonzero otherwise; CI uses it as the socket-path smoke,
+// and runs --serve and --connect as two processes besides.
 //
-// Client knobs mirror ReactorConfig's workload shape so a loadgen run
-// reproduces the bench sweep mixes: --clients (concurrency window),
-// --rate (Poisson arrivals/s, 0 = open as fast as the window allows),
-// --resumption / --dhe (per-connection coin ratios), --seed. Server
-// knobs: --workers, --max-open, --max-pending (admission cap), --bits
-// (test key size), --port, --backend (Montgomery backend of both the
-// batched private-op path and the engine: knc_vec | ifma52 |
-// ifma52-portable, default ifma52).
+// Every knob fills the one DriverConfig both halves read, and the clients
+// draw their mix from it exactly as the simulated transport does
+// (ClientMix), so a loadgen run reproduces the bench sweep mixes. Client
+// knobs: --clients (concurrency window), --rate (Poisson arrivals/s, 0 =
+// open as fast as the window allows), --resumption / --dhe
+// (per-connection coin ratios), --seed. Server knobs: --workers,
+// --max-open, --max-pending (admission cap), --port, --backend
+// (Montgomery backend of both the batched private-op path and the
+// engine: knc_vec | ifma52 | ifma52-portable, default ifma52). Both:
+// --bits (test key size; the two sides of a split run need the same).
 //
 // Exit 0 on success, 1 on a failed run/assertion, 2 on usage errors.
 #include <cstdio>
@@ -36,7 +39,6 @@
 #include "rsa/backend.hpp"
 #include "rsa/engine.hpp"
 #include "rsa/key.hpp"
-#include "ssl/async/reactor.hpp"
 #include "ssl/async/transport.hpp"
 #include "ssl/driver.hpp"
 
@@ -204,17 +206,8 @@ int main(int argc, char** argv) {
     switch (mode) {
       case Mode::kConnect: {
         const rsa::Engine public_engine(key.pub, server_engine.options());
-        ssl::async::LoadGenConfig lg;
-        lg.host = host;
-        lg.port = port;
-        lg.total_connections = total;
-        lg.concurrency = clients;
-        lg.arrival_rate_per_s = rate;
-        lg.seed = seed;
-        lg.resumption_ratio = resumption;
-        lg.dhe_ratio = dhe;
-        lg.identity_pool = ssl::async::identity_pool_for(total);
-        const auto stats = ssl::async::run_load(public_engine, lg);
+        const auto stats =
+            ssl::async::run_load(public_engine, cfg, port, host);
         print_client_stats(stats);
         return stats.failed == 0 ? 0 : 1;
       }
